@@ -30,23 +30,36 @@ def _max_basis() -> int:
 
 def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
     """All consistent labelings: one free-label tuple per vertex, such that
-    every internal edge gets the same object from both endpoints.
+    every internal edge gets the same object from both endpoints."""
+    return _join_basis(cd.vertex_order, cd.reps, cd.structure._edge_at, {},
+                       "compound")
+
+
+def _join_basis(order, reps: dict, edge_at, domains: dict,
+                what: str) -> list[tuple]:
+    """Consistent labelings of the vertices `order`: one local basis vector
+    per vertex, such that both ends of every edge carry the same object and
+    every edge named in `domains` carries one of its allowed objects.
 
     Vertices are placed in order; a partial labeling carries the labels of
     its open edges (one end placed), and each vertex's local basis is
     bucketed by its labels on edges to earlier vertices, so a partial only
-    meets the local vectors that agree with it."""
+    meets the local vectors that agree with it. The output is in the order
+    of the product of the local bases."""
     limit = _max_basis()
-    position = {vid: i for i, vid in enumerate(cd.vertex_order)}
+    position = {vid: i for i, vid in enumerate(order)}
     open_eids: list = []
     partials: list[tuple[tuple, tuple]] = [((), ())]
-    for idx, vid in enumerate(cd.vertex_order):
-        rep = cd.reps[vid]
+    for idx, vid in enumerate(order):
+        rep = reps[vid]
         # slot table: the other end of each slot's edge is external (skipped),
-        # this vertex again (a loop), or placed earlier or later
-        closing, opening, loops = [], [], {}
+        # this vertex again (a loop), or placed earlier or later; an edge
+        # with a domain also filters the local basis
+        closing, opening, loops, restricted = [], [], {}, []
         for slot in rep.slots:
-            e = cd.structure._edge_at(vid, slot)
+            e = edge_at(vid, slot)
+            if e.eid in domains:
+                restricted.append((slot, domains[e.eid]))
             other = [end for end in e.ends if end != (vid, slot)][0]
             if other is None:
                 continue
@@ -64,6 +77,9 @@ def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
             labels = rep.edge_labels(vec)
             if any(labels[a] != labels[b] for a, b in loops.values()):
                 continue
+            if restricted and any(labels[slot] not in allowed
+                                  for slot, allowed in restricted):
+                continue
             key = tuple(labels[slot] for slot, _ in closing)
             opened = tuple(labels[slot] for slot, _ in opening)
             buckets.setdefault(key, []).append((vec, opened))
@@ -77,7 +93,7 @@ def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
                 new_partials.append((assignment + (vec,), kept + opened))
                 if len(new_partials) > limit:
                     raise SizeLimitError(
-                        f"compound basis exceeds ANNULUS_MAX_BASIS={limit}")
+                        f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}")
         open_eids = [open_eids[i] for i in keep_at] + [eid for _, eid in opening]
         partials = new_partials
     return [assignment for assignment, _ in partials]
@@ -111,6 +127,17 @@ def _vertex_args(cd: CompoundDefect, args_by_vertex: dict) -> list[tuple]:
     ]
 
 
+def _exponent_action(rep, vid, vec, args, field) -> tuple:
+    """rep.act on one local vector as (k in Z/N, new vector), the phase
+    being zeta_N^k; a phase that is no root of unity is a StructureError."""
+    phase, new = rep.act(vec, args, field)
+    k = field.root_exponent(phase)
+    if k is None:
+        raise StructureError(
+            f"vertex {vid}: phase {phase.symbolic()} is not a root of unity")
+    return k, new
+
+
 def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
     """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
     being zeta_N^k. Each vertex's action is memoised per compound."""
@@ -123,12 +150,8 @@ def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
         mkey = (vid, key, vec[i])
         hit = memo.get(mkey)
         if hit is None:
-            phase, new = cd.reps[vid].act(vec[i], args, field)
-            k = field.root_exponent(phase)
-            if k is None:
-                raise StructureError(
-                    f"vertex {vid}: phase {phase.symbolic()} is not a root of unity")
-            hit = memo[mkey] = (k, new)
+            hit = memo[mkey] = _exponent_action(cd.reps[vid], vid, vec[i],
+                                                args, field)
         exp += hit[0]
         out[i] = hit[1]
     return exp % field.N, tuple(out)

@@ -189,7 +189,6 @@ def _eval_wall_param(expr: str, a, n, pz, p) -> int:
         invert = factor.startswith("inv(")
         if invert:
             factor = factor[4:].rstrip(")")
-            # inv(x*y) arrives split; handled by caller tokens below
         token = {"a": a, "n": n, "pz": pz}.get(factor)
         if token is None:
             raise ValueError(f"bad token {factor!r} in {expr!r}")

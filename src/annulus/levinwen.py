@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .engine import SizeLimitError
+from .engine import _exponent_action, _join_basis
 from .linalg import ExactMatrix
 from .reps import TrivalentRep
 from .scalars import CycField
@@ -48,12 +48,18 @@ class LatticePatch:
         self.faces = [list(f) for f in faces]
         self.pinned = dict(pinned or {})
         self._validate()
+        self._slot_edge = {end: e for e in self.edges
+                           for end in e.ends if end is not None}
         self._edge_domain = {
-            e.eid: ([self.pinned[e.eid]] if e.eid in self.pinned
-                    else e.wall.simple_objects())
+            e.eid: ({self.pinned[e.eid]} if e.eid in self.pinned
+                    else set(e.wall.simple_objects()))
             for e in self.edges
         }
+        self._order = list(self.vertices)
         self._basis = None
+        self._action_memo: dict = {}
+        self._face_args_cache: dict = {}
+        self._tables = None
 
     def _validate(self):
         seen = set()
@@ -98,52 +104,21 @@ class LatticePatch:
     # -- basis ------------------------------------------------------------
 
     def vertex_order(self):
-        return list(self.vertices)
+        return list(self._order)
 
     def consistent_basis(self):
         """States where every edge label equals both endpoint gradings and
         pinned values; these span the common kernel of all vertex terms."""
-        if self._basis is not None:
-            return self._basis
-        import os
-
-        limit = int(os.environ.get("ANNULUS_MAX_BASIS", "200000"))
-        order = self.vertex_order()
-        partials = [((), {})]
-        for vid in order:
-            rep = self.vertices[vid]
-            local = [(vec, rep.edge_labels(vec)) for vec in rep.basis()]
-            new_partials = []
-            for assignment, edge_vals in partials:
-                for vec, labels in local:
-                    ok = True
-                    for slot, lab in labels.items():
-                        eid = self._edge_at(vid, slot).eid
-                        if eid in edge_vals:
-                            if edge_vals[eid] != lab:
-                                ok = False
-                                break
-                        elif lab not in self._edge_domain[eid]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    merged = dict(edge_vals)
-                    for slot, lab in labels.items():
-                        merged[self._edge_at(vid, slot).eid] = lab
-                    new_partials.append((assignment + (vec,), merged))
-                    if len(new_partials) > limit:
-                        raise SizeLimitError(
-                            f"patch basis exceeds ANNULUS_MAX_BASIS={limit}")
-            partials = new_partials
-        self._basis = [assignment for assignment, _ in partials]
+        if self._basis is None:
+            self._basis = _join_basis(self._order, self.vertices,
+                                      self._edge_at, self._edge_domain, "patch")
         return self._basis
 
     def _edge_at(self, vid, slot):
-        for e in self.edges:
-            if (vid, slot) in e.ends:
-                return e
-        raise StructureError(f"no edge at {(vid, slot)}")
+        try:
+            return self._slot_edge[(vid, slot)]
+        except KeyError:
+            raise StructureError(f"no edge at {(vid, slot)}") from None
 
     def edge_labels_of(self, state):
         labels = {}
@@ -163,7 +138,9 @@ class LatticePatch:
     # -- operators ---------------------------------------------------------
 
     def face_action(self, face_idx: int, g: int, state):
-        """H_{f,g} on a consistent basis state: (phase, new state)."""
+        """H_{f,g} on a consistent basis state: (phase, new state).
+
+        The plain `Cyc` path, independent of the exponent tables below."""
         corners = self.faces[face_idx]
         args: dict[str, dict[str, int]] = {}
         for vid, region in corners:
@@ -181,6 +158,59 @@ class LatticePatch:
                 phase = phase * ph
             out.append(vec)
         return phase, tuple(out)
+
+    def _face_args(self, face_idx: int, g: int) -> dict:
+        """{vid: (position, args, hashable args)} of the g-labeled loop in
+        one face, for every vertex it touches."""
+        key = (face_idx, g)
+        out = self._face_args_cache.get(key)
+        if out is None:
+            args: dict[str, dict[str, int]] = {}
+            for vid, region in self.faces[face_idx]:
+                sign = BUBBLE_SIGN[(self.vertices[vid].direction, region)]
+                slot_args = args.setdefault(vid, {})
+                slot_args[region] = slot_args.get(region, 0) + sign * g
+            out = self._face_args_cache[key] = {
+                vid: (self._order.index(vid), a, tuple(sorted(a.items())))
+                for vid, a in args.items()}
+        return out
+
+    def _vertex_act(self, vid, args, key, vec):
+        """One vertex action: (k in Z/N, new local vector), the phase being
+        zeta_N^k. Memoised per patch by (vertex, sorted args, vector)."""
+        mkey = (vid, key, vec)
+        hit = self._action_memo.get(mkey)
+        if hit is None:
+            hit = self._action_memo[mkey] = _exponent_action(
+                self.vertices[vid], vid, vec, args, self.field)
+        return hit
+
+    def _face_tables(self) -> list:
+        """tables[f][g][i] = (j, k): H_{f,g} sends consistent basis state i
+        to zeta_N^k times state j; j is None if the image leaves the
+        consistent basis."""
+        if self._tables is None:
+            basis = self.consistent_basis()
+            index = {s: i for i, s in enumerate(basis)}
+            N = self.field.N
+            tables = []
+            for f in range(len(self.faces)):
+                rows = []
+                for g in range(self.p):
+                    acting = list(self._face_args(f, g).items())
+                    row = []
+                    for state in basis:
+                        k = 0
+                        out = list(state)
+                        for vid, (pos, args, key) in acting:
+                            dk, out[pos] = self._vertex_act(vid, args, key,
+                                                            state[pos])
+                            k += dk
+                        row.append((index.get(tuple(out)), k % N))
+                    rows.append(row)
+                tables.append(rows)
+            self._tables = tables
+        return self._tables
 
     def violated_terms(self, edge_values: dict, state) -> dict:
         """Per-vertex count of violated edge-match terms for a raw state whose
@@ -204,9 +234,9 @@ class LatticePatch:
         commute because face actions shift edge and grading labels equally
         (asserted structurally); face/face commutation is checked per shared
         vertex on the full local state space, with state-independent phase
-        mismatches multiplied around each shared edge.
+        mismatches, as exponents in Z/N, summed over the shared vertices.
         """
-        field = self.field
+        N = self.field.N
         report = {"faces": len(self.faces), "face_pairs": 0, "ok": True}
         for i, j in itertools.combinations(range(len(self.faces)), 2):
             shared = {v for v, _ in self.faces[i]} & {v for v, _ in self.faces[j]}
@@ -215,65 +245,54 @@ class LatticePatch:
             report["face_pairs"] += 1
             for g in range(self.p):
                 for h in range(self.p):
-                    mismatch = field.one
-                    for vid in shared:
-                        mm = self._vertex_commutator_phase(vid, i, j, g, h)
-                        mismatch = mismatch * mm
-                    if mismatch != field.one:
+                    mismatch = sum(
+                        self._vertex_commutator_phase(vid, i, j, g, h)
+                        for vid in shared)
+                    if mismatch % N:
                         report["ok"] = False
                         report.setdefault("violations", []).append(
                             {"faces": [i, j], "g": g, "h": h})
         return report
 
-    def _vertex_commutator_phase(self, vid, face_i, face_j, g, h):
-        """U_i(g)U_j(h) = phase * U_j(h)U_i(g) at one vertex; must be
-        state-independent (asserted by evaluation over the full local basis)."""
-        rep = self.vertices[vid]
-        field = self.field
-
-        def args_for(face_idx, u):
-            out: dict[str, int] = {}
-            template = "tri21" if rep.direction == "tri21" else "tri12"
-            for v, region in self.faces[face_idx]:
-                if v == vid:
-                    sign = BUBBLE_SIGN[(template, region)]
-                    out[region] = out.get(region, 0) + sign * u
-            return out
-
-        ai, aj = args_for(face_i, g), args_for(face_j, h)
+    def _vertex_commutator_phase(self, vid, face_i, face_j, g, h) -> int:
+        """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at one
+        vertex; k must be state-independent (asserted by evaluation over the
+        full local basis)."""
+        _, ai, ki = self._face_args(face_i, g)[vid]
+        _, aj, kj = self._face_args(face_j, h)[vid]
+        N = self.field.N
         ratio = None
-        for vec in rep.basis():
-            p1, v1 = rep.act(vec, aj, field)
-            p2, v2 = rep.act(v1, ai, field)
-            q1, w1 = rep.act(vec, ai, field)
-            q2, w2 = rep.act(w1, aj, field)
+        for vec in self.vertices[vid].basis():
+            p1, v1 = self._vertex_act(vid, aj, kj, vec)
+            p2, v2 = self._vertex_act(vid, ai, ki, v1)
+            q1, w1 = self._vertex_act(vid, ai, ki, vec)
+            q2, w2 = self._vertex_act(vid, aj, kj, w1)
             if v2 != w2:
                 raise StructureError("face relabelings do not commute")
-            r = (p1 * p2) * (q1 * q2).inverse()
+            r = (p1 + p2 - q1 - q2) % N
             if ratio is None:
                 ratio = r
             elif ratio != r:
                 raise StructureError("state-dependent commutator phase")
-        return ratio if ratio is not None else field.one
+        return ratio or 0
 
     def assert_face_group_rep(self) -> None:
         """Each face's operators form a strict Z/p action on the consistent
-        basis (needed for H_f idempotency and the trace formula)."""
-        basis = self.consistent_basis()
-        index = {s: i for i, s in enumerate(basis)}
-        for f in range(len(self.faces)):
-            for g in range(self.p):
-                for h in range(self.p):
-                    for state in basis:
-                        p1, s1 = self.face_action(f, g, state)
-                        p2, s2 = self.face_action(f, h, s1)
-                        ps, ss = self.face_action(f, (g + h) % self.p, state)
-                        if s2 != ss or p1 * p2 != ps:
+        basis (needed for H_f idempotency and the trace formula): on the
+        face tables, T_h(T_g i) = T_{g+h} i with equal phases, for every
+        face, every (g, h) and every basis state i."""
+        N = self.field.N
+        for f, rows in enumerate(self._face_tables()):
+            if any(j is None for row in rows for j, _ in row):
+                raise StructureError(f"face {f} left the consistent subspace")
+            for g, row_g in enumerate(rows):
+                for h, row_h in enumerate(rows):
+                    row_gh = rows[(g + h) % self.p]
+                    for i, (j1, k1) in enumerate(row_g):
+                        j2, k2 = row_h[j1]
+                        if (j2, (k1 + k2) % N) != row_gh[i]:
                             raise StructureError(
                                 f"face {f} does not carry a strict group action")
-                        if s2 not in index:
-                            raise StructureError(
-                                f"face {f} left the consistent subspace")
 
     def face_matrix(self, face_idx: int, g: int) -> ExactMatrix:
         """H_{f,g} on the consistent basis."""
@@ -307,28 +326,30 @@ class LatticePatch:
     def ground_space_dim(self) -> int:
         """Exact dimension of the joint +1 eigenspace of all terms.
 
-        Computed on the consistent subspace (the vertex-term kernel) via the
-        character formula rank(prod_f H_f) = p^-F sum_g tr U_g, exact in the
-        cyclotomic field.
+        On the consistent subspace (the vertex-term kernel) the face terms
+        H_f = p^-1 sum_g U_{f,g} are commuting projectors, so the dimension
+        is tr(prod_f H_f) = p^-F sum over g in (Z/p)^F of
+        tr(U_{F-1,g_{F-1}} ... U_{0,g_0}). Each U is monomial on the face
+        tables, so each trace sums zeta_N^k over the fixed basis states; the
+        exponents are counted in one histogram over Z/N and converted to the
+        cyclotomic field once.
         """
         self.assert_face_group_rep()
-        basis = self.consistent_basis()
+        tables = self._face_tables()
+        n = len(self.consistent_basis())
         nf = len(self.faces)
-        field = self.field
-        total = field.zero
+        N = self.field.N
+        hist = [0] * N
         for gs in itertools.product(range(self.p), repeat=nf):
-            tr = field.zero
-            for state in basis:
-                phase = field.one
-                cur = state
-                for f, g in enumerate(gs):
-                    ph, cur = self.face_action(f, g, cur)
-                    phase = phase * ph
-                if cur == state:
-                    tr = tr + phase
-            total = total + tr
-        for _ in range(nf):
-            total = total * field.inv_p
+            rows = [tables[f][g] for f, g in enumerate(gs)]
+            for i in range(n):
+                cur, k = i, 0
+                for row in rows:
+                    cur, dk = row[cur]
+                    k += dk
+                if cur == i:
+                    hist[k % N] += 1
+        total = self.field.root_sum(hist, self.p ** nf)
         value = total.as_rational()
         if value is None or value.denominator != 1 or value < 0:
             raise StructureError(f"trace formula produced non-integer {total!r}")

@@ -360,7 +360,8 @@ def test_size_limit(monkeypatch):
     p = 5
     cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
                              parse_defect("LL(a=0,x=0)", p), corner_top=0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match="compound basis exceeds ANNULUS_MAX_BASIS=10"):
         enumerate_basis(cd)
 
 

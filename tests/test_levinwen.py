@@ -1,5 +1,6 @@
 """Lattice model checks: projectors, commutation, exact ground spaces."""
 
+import itertools
 import json
 
 import pytest
@@ -25,6 +26,74 @@ def dense_ground_dim(patch):
         assert (proj @ proj) == proj  # exact projector
         total = proj @ total
     return total.rank()
+
+
+def cyc_trace_dim(patch):
+    """Reference for `ground_space_dim`: the same character formula, but
+    composed with `face_action` and summed as general `Cyc` values."""
+    basis = patch.consistent_basis()
+    field = patch.field
+    nf = len(patch.faces)
+    total = field.zero
+    for gs in itertools.product(range(patch.p), repeat=nf):
+        for state in basis:
+            phase = field.one
+            cur = state
+            for f, g in enumerate(gs):
+                ph, cur = patch.face_action(f, g, cur)
+                phase = phase * ph
+            if cur == state:
+                total = total + phase
+    for _ in range(nf):
+        total = total * field.inv_p
+    value = total.as_rational()
+    assert value is not None and value.denominator == 1
+    return int(value)
+
+
+def brute_force_basis(patch):
+    """Reference for `consistent_basis`: the product of the local bases in
+    vertex order, keeping a state when both ends of every edge agree and
+    every dangling edge carries an object of its wall (its pin, if pinned).
+    A prefix that already breaks an edge is dropped, which keeps product
+    order."""
+    order = patch.vertex_order()
+    ends_of = {}
+    for e in patch.edges:
+        for end in e.ends:
+            if end is not None:
+                ends_of[end] = e
+
+    def ok(labels_by_vertex, vid):
+        for slot, lab in labels_by_vertex[vid].items():
+            e = ends_of[(vid, slot)]
+            if e.eid in patch.pinned and lab != patch.pinned[e.eid]:
+                return False
+            if lab not in e.wall.simple_objects():
+                return False
+            for other in e.ends:
+                if other is not None and other != (vid, slot) \
+                        and other[0] in labels_by_vertex \
+                        and labels_by_vertex[other[0]][other[1]] != lab:
+                    return False
+        return True
+
+    out = []
+
+    def extend(prefix, labels_by_vertex):
+        if len(prefix) == len(order):
+            out.append(tuple(prefix))
+            return
+        vid = order[len(prefix)]
+        rep = patch.vertices[vid]
+        for vec in rep.basis():
+            labels_by_vertex[vid] = rep.edge_labels(vec)
+            if ok(labels_by_vertex, vid):
+                extend(prefix + [vec], labels_by_vertex)
+            del labels_by_vertex[vid]
+
+    extend([], {})
+    return out
 
 
 def test_single_hexagon_dims():
@@ -177,7 +246,8 @@ def test_patch_size_limit(monkeypatch):
 
     monkeypatch.setenv("ANNULUS_MAX_BASIS", "2")
     patch = hexagon_chain_patch(3, 2)
-    with _pytest.raises(SizeLimitError):
+    with _pytest.raises(SizeLimitError,
+                        match="patch basis exceeds ANNULUS_MAX_BASIS=2"):
         patch.consistent_basis()
 
 
@@ -206,3 +276,129 @@ def test_patch_validation():
     with pytest.raises(StructureError):
         t = BimoduleLabel("T", None, p)
         LatticePatch(p, v, [PatchEdge("e1", t, (("a", "bl"), None))] + edges[1:], [])
+
+
+def _table_patches():
+    for p in (2, 3, 5):
+        for nf in (1, 2):
+            yield hexagon_chain_patch(p, nf)
+        yield defect_line_patch(p)
+
+
+def test_face_tables_match_face_action():
+    for patch in _table_patches():
+        basis = patch.consistent_basis()
+        tables = patch._face_tables()
+        assert len(tables) == len(patch.faces)
+        for f, rows in enumerate(tables):
+            assert len(rows) == patch.p
+            for g, row in enumerate(rows):
+                assert len(row) == len(basis)
+                for state, (j, k) in zip(basis, row):
+                    phase, new = patch.face_action(f, g, state)
+                    assert j is not None and basis[j] == new
+                    assert phase == patch.field.root_pow(k)
+
+
+def test_ground_space_dim_matches_cyc_trace():
+    patches = list(_table_patches())
+    patches += [hexagon_chain_patch(p, 3) for p in (2, 3)]
+    full = hexagon_chain_patch(3, 2)
+    patches.append(LatticePatch(3, full.vertices, full.edges, full.faces[:1],
+                                full.pinned))
+    for patch in patches:
+        assert patch.ground_space_dim() == cyc_trace_dim(patch)
+    for p, nf in ((2, 2), (3, 1)):
+        patch = hexagon_chain_patch(p, nf, pin=False)
+        dim = patch.ground_space_dim()
+        assert dim == cyc_trace_dim(patch) == dense_ground_dim(patch)
+        assert dim == p ** (2 * nf + 3)
+
+
+def test_consistent_basis_matches_brute_force():
+    patches = [hexagon_chain_patch(p, nf) for p in (2, 3) for nf in (1, 2)]
+    patches += [defect_line_patch(p) for p in (2, 3, 5)]
+    patches.append(hexagon_chain_patch(2, 1, pin=False))
+    for patch in patches:
+        want = brute_force_basis(patch)
+        assert want
+        assert patch.consistent_basis() == want
+
+
+def _extra_phase(monkeypatch, extra):
+    """Multiply every nontrivial vertex action's phase by extra(vec, args,
+    field)."""
+    orig = TrivalentRep.act
+
+    def act(self, vec, args, field):
+        phase, new = orig(self, vec, args, field)
+        if any(args.values()):
+            phase = phase * extra(vec, args, field)
+        return phase, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+
+
+def test_state_dependent_phase_is_rejected(monkeypatch):
+    _extra_phase(monkeypatch, lambda vec, args, field: field.root_pow(vec[0]))
+    patch = hexagon_chain_patch(2, 2)
+    with pytest.raises(StructureError, match="state-dependent commutator"):
+        patch.check_commutation()
+    patch = hexagon_chain_patch(3, 2)
+    assert not patch.check_commutation()["ok"]
+    with pytest.raises(StructureError, match="strict group action"):
+        patch.assert_face_group_rep()
+    with pytest.raises(StructureError, match="strict group action"):
+        patch.ground_space_dim()
+
+
+def test_phase_that_is_no_root_of_unity_is_rejected(monkeypatch):
+    _extra_phase(monkeypatch, lambda vec, args, field: field.integer(2))
+    for method in ("check_commutation", "ground_space_dim"):
+        patch = hexagon_chain_patch(3, 2)
+        with pytest.raises(StructureError,
+                           match=r"vertex h0_\w+: .* not a root of unity"):
+            getattr(patch, method)()
+
+
+def test_face_leaving_the_consistent_basis_is_rejected(monkeypatch):
+    orig = TrivalentRep.act
+
+    def act(self, vec, args, field):
+        phase, new = orig(self, vec, args, field)
+        if self.direction == "tri21" and args.get("mid"):
+            new = ((new[0] + 1) % self.p,) + new[1:]
+        return phase, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+    with pytest.raises(StructureError, match="left the consistent subspace"):
+        hexagon_chain_patch(3, 1).assert_face_group_rep()
+
+
+def test_character_twisted_faces_keep_the_trace_exact(monkeypatch):
+    """An extra phase zeta_3^g at each "mid" corner of a g-labeled loop
+    twists every face's Z/3 action by a character: the group law and the
+    commutators still hold, but the trace now sums phases other than 1 over
+    fixed states, and the table trace must still agree with both oracles."""
+    untwisted = _f0_hexagon(3)
+    assert untwisted.ground_space_dim() == dense_ground_dim(untwisted) == 1
+    _extra_phase(monkeypatch,
+                 lambda vec, args, field: field.root_pow(abs(args.get("mid", 0))))
+    for patch in (hexagon_chain_patch(3, 1), hexagon_chain_patch(3, 2),
+                  defect_line_patch(3), _f0_hexagon(3)):
+        assert patch.check_commutation()["ok"]
+        dim = patch.ground_space_dim()
+        assert dim == cyc_trace_dim(patch) == dense_ground_dim(patch)
+    # the one F_0 state is fixed by every loop, now with phase zeta_3^(2g)
+    assert _f0_hexagon(3).ground_space_dim() == 0
+
+
+def _f0_hexagon(p, corner=1):
+    """One free hexagon with every edge on F_0: a single consistent state,
+    fixed by every face action."""
+    f0 = BimoduleLabel("F", 0, p)
+    base = hexagon_chain_patch(p, 1, pin=False)
+    vertices = {vid: TrivalentRep(rep.direction, f0, f0, corner=corner)
+                for vid, rep in base.vertices.items()}
+    edges = [PatchEdge(e.eid, f0, e.ends) for e in base.edges]
+    return LatticePatch(p, vertices, edges, base.faces)
