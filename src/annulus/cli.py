@@ -217,6 +217,8 @@ def cmd_lw(args):
         dim = patch.ground_space_dim()
     except SizeLimitError as exc:
         raise CliError(EXIT_SIZE, str(exc))
+    except StructureError as exc:
+        raise CliError(EXIT_STRUCTURE, str(exc))
     doc = {
         "p": patch.p,
         "faces": len(patch.faces),

@@ -1,21 +1,28 @@
 """The domain wall structure algorithm.
 
-Pipeline: enumerate the compound basis (consistent edge labelings), average
-the bubble action of every internal cavity into a symmetrizer, take its image
-grade by grade, then read off multiplicities of every candidate defect as the
-exact rank of its idempotent on the graded quotient.
+Pipeline: enumerate the compound basis (consistent edge labelings), grade it
+by the external labels, and let the bubbles of the internal cavities
+generate a group G = (Z/p)^C acting monomially on it (one basis vector to a
+root of unity times one basis vector). The product of the cavity
+symmetrizers averages over G, so the quotient has one orbit sum per orbit
+whose stabilizer acts trivially (an admissible orbit), and a grade's
+dimension is its number of admissible orbits. Boundary generators commute
+with G and map orbit sums to roots of unity times orbit sums; the
+multiplicity of a candidate defect is the trace (character) of its
+idempotent on the quotient, summed from phase histograms over Z/N.
 
 Structures and compound defects are immutable once validated; basis
-enumeration, bubble application and per-defect idempotent ranks are pure and
+enumeration, bubble application and per-defect characters are pure and
 independent per grade.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .defects import DefectLabel, enumerate_defects, idempotent
-from .linalg import ExactMatrix, solve_in_span
+from .linalg import ExactMatrix
 from .scalars import CycField
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
 
@@ -113,18 +120,103 @@ def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:
     return labels
 
 
-def external_grade(cd: CompoundDefect, vec: tuple):
-    """Tuple of external-edge labels, in the structure's boundary order."""
-    labels = edge_labels_of(cd, vec)
-    return tuple(labels[eid] for eid in cd.structure.external)
+def _external_grades(cd: CompoundDefect, basis: list) -> list[tuple]:
+    """Tuple of external-edge labels of every basis vector, in the
+    structure's boundary order. Each external edge's one vertex end is found
+    once; the enumerator already made the labeling consistent."""
+    position = {vid: i for i, vid in enumerate(cd.vertex_order)}
+    ends = []
+    for eid in cd.structure.external:
+        (vid, slot), = [end for end in cd.structure.edge_by_id[eid].ends
+                        if end is not None]
+        ends.append((position[vid], cd.reps[vid], slot))
+    return [tuple(rep.edge_labels(vec[pos])[slot] for pos, rep, slot in ends)
+            for vec in basis]
+
+
+def _is_cyclic(rows: list, N: int) -> bool:
+    """Whether the monomial table rows[u][i] = (j, k), meaning that T_u
+    sends basis vector i to zeta_N^k times vector j, is a strict Z/p action
+    generated by T_1: T_u = T_1^u with equal phases for every u in the table
+    (T_0 the identity), and T_1^p the identity. Then (1/p) sum_u T_u is an
+    idempotent. Every j must be an index."""
+    gen = rows[1]
+    for i in range(len(gen)):
+        cur, k = i, 0
+        for row in rows:
+            if row[i] != (cur, k):
+                return False
+            cur, dk = gen[cur]
+            k = (k + dk) % N
+        if cur != i or k:
+            return False
+    return True
+
+
+def _monomial_orbits(n: int, gens: list, N: int):
+    """Orbits of the group generated by commuting monomial tables
+    gens[c][i] = (j, k) on basis vectors 0..n-1.
+
+    Returns None if two generators do not commute (phases included).
+    Otherwise returns (orbit, members): orbit[i] = (root, a) with root the
+    orbit's first index and some group element sending root to zeta_N^a
+    times vector i; members maps the root of every admissible orbit, in
+    increasing order, to its indices. An orbit is admissible when the phases
+    agree along every generator edge, that is when its stabilizer acts
+    trivially; the averaging projector of the group then has one image
+    vector per admissible orbit, sum_i zeta_N^a(i) e_i, and kills the rest.
+    Cost O(n * len(gens)^2)."""
+    for c, gen in enumerate(gens):
+        for other in gens[c + 1:]:
+            for i in range(n):
+                j1, k1 = gen[i]
+                j2, k2 = other[j1]
+                l1, m1 = other[i]
+                l2, m2 = gen[l1]
+                if j2 != l2 or (k1 + k2 - m1 - m2) % N:
+                    return None
+    orbit: list = [None] * n
+    admissible = {}
+    for root in range(n):
+        if orbit[root] is not None:
+            continue
+        orbit[root] = (root, 0)
+        ok = True
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            a = orbit[i][1]
+            for gen in gens:
+                j, k = gen[i]
+                b = (a + k) % N
+                seen = orbit[j]
+                if seen is None:
+                    orbit[j] = (root, b)
+                    stack.append(j)
+                elif seen[1] != b:
+                    ok = False
+        admissible[root] = ok
+    members: dict = {}
+    for i, (root, _) in enumerate(orbit):
+        if admissible[root]:
+            members.setdefault(root, []).append(i)
+    return orbit, members
 
 
 def _vertex_args(cd: CompoundDefect, args_by_vertex: dict) -> list[tuple]:
-    """(position, vertex, args, hashable args) for every vertex that acts."""
-    return [
-        (i, vid, args_by_vertex[vid], tuple(sorted(args_by_vertex[vid].items())))
-        for i, vid in enumerate(cd.vertex_order) if args_by_vertex.get(vid)
-    ]
+    """(position, vertex, args, memo) for every vertex that acts; the memo
+    {local vector: (k, new local vector)} is shared per compound by every
+    action of that vertex with the same args."""
+    memo = getattr(cd, "_action_memo", None)
+    if memo is None:
+        memo = cd._action_memo = {}
+    out = []
+    for i, vid in enumerate(cd.vertex_order):
+        args = args_by_vertex.get(vid)
+        if args:
+            key = (vid, tuple(sorted(args.items())))
+            out.append((i, vid, args, memo.setdefault(key, {})))
+    return out
 
 
 def _exponent_action(rep, vid, vec, args, field) -> tuple:
@@ -141,17 +233,13 @@ def _exponent_action(rep, vid, vec, args, field) -> tuple:
 def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
     """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
     being zeta_N^k. Each vertex's action is memoised per compound."""
-    memo = getattr(cd, "_action_memo", None)
-    if memo is None:
-        memo = cd._action_memo = {}
     exp = 0
     out = list(vec)
-    for i, vid, args, key in vertex_args:
-        mkey = (vid, key, vec[i])
-        hit = memo.get(mkey)
+    for i, vid, args, memo in vertex_args:
+        hit = memo.get(vec[i])
         if hit is None:
-            hit = memo[mkey] = _exponent_action(cd.reps[vid], vid, vec[i],
-                                                args, field)
+            hit = memo[vec[i]] = _exponent_action(cd.reps[vid], vid, vec[i],
+                                                  args, field)
         exp += hit[0]
         out[i] = hit[1]
     return exp % field.N, tuple(out)
@@ -242,7 +330,15 @@ def cavity_symmetrizer(cd: CompoundDefect, cavity: int,
 
 
 class QuotientRep:
-    """Bubble-invariant compound representation, graded by external labels."""
+    """Bubble-invariant compound representation, graded by external labels.
+
+    The bubbles Bub_{c,1} of the C cavities generate G = (Z/p)^C, which acts
+    monomially on the raw basis and keeps every grade; the product of the
+    cavity symmetrizers is G's averaging projector P. At each grade, im P
+    has one basis vector per admissible orbit of G: the orbit sum, which
+    `image` holds as a column {local index: zeta_N^a}. A boundary generator
+    commutes with G, so it sends each orbit sum to a root of unity times an
+    orbit sum."""
 
     def __init__(self, cd: CompoundDefect, field: CycField | None = None):
         self.cd = cd
@@ -250,129 +346,156 @@ class QuotientRep:
         self.raw_basis = enumerate_basis(cd)
         self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}
-        self._grade_of = []
-        for i, vec in enumerate(self.raw_basis):
-            grade = external_grade(cd, vec)
-            self._grade_of.append(grade)
+        self._grade_of = _external_grades(cd, self.raw_basis)
+        for i, grade in enumerate(self._grade_of):
             self.grades.setdefault(grade, []).append(i)
-        self._local = {
-            grade: {raw: j for j, raw in enumerate(idxs)}
-            for grade, idxs in self.grades.items()
-        }
-        self._build_image()
+        self._gens = self._bubble_generators()
+        found = _monomial_orbits(len(self.raw_basis), self._gens, self.field.N)
+        if found is None:
+            raise StructureError("bubbles of distinct cavities do not commute")
+        self._orbit, self._members = found
+        # the admissible orbit roots of every grade, in raw order, and the
+        # position of each root among those of its grade
+        self._roots: dict = {grade: [] for grade in self.grades}
+        for root in self._members:
+            self._roots[self._grade_of[root]].append(root)
+        self._position = {root: pos for roots in self._roots.values()
+                          for pos, root in enumerate(roots)}
+        self._chars: dict = {}
 
-    def _symmetrizer_on_grade(self, grade) -> ExactMatrix:
-        """Product over cavities of the averaged bubble action, on one grade."""
-        field = self.field
-        idxs = self.grades[grade]
-        local = self._local[grade]
-        n = len(idxs)
-        ncav = len(self.cd.structure.cavities)
-        if n == 1:
-            # scalar fast path: the averaged bubble phase must be 0 or 1
-            vec = self.raw_basis[idxs[0]]
-            scalar = field.one
-            for cav in range(ncav):
-                avg = _averaged_bubble(self.cd, cav, vec, field)
-                if avg.keys() != {vec}:
-                    raise StructureError(
-                        "bubble action left the external grade; "
-                        "cavity declaration is inconsistent")
-                acc = avg[vec]
-                if not (acc * acc == acc):
-                    raise StructureError(
-                        "cavity symmetrizer is not idempotent; "
-                        "slot conventions violated for this structure")
-                scalar = acc if cav == 0 else scalar * acc
-            out = ExactMatrix(field, 1, 1)
-            out.set(0, 0, scalar)
-            return out
-        if not ncav:
-            return ExactMatrix.identity(field, n)
-        total = None
-        for cav in range(ncav):
-            proj = ExactMatrix(field, n, n)
-            for j, raw in enumerate(idxs):
-                avg = _averaged_bubble(self.cd, cav, self.raw_basis[raw], field)
-                for new, val in avg.items():
-                    tgt = self.raw_index[new]
-                    if tgt not in local:
+    def _bubble_generators(self) -> list:
+        """The table of Bub_{c,1} on the raw basis for every cavity c, once
+        Bub_{c,u} is checked to keep every grade and to equal Bub_{c,1}^u."""
+        cd, field = self.cd, self.field
+        index, grade_of = self.raw_index, self._grade_of
+        gens = []
+        for cav in range(len(cd.structure.cavities)):
+            rows = []
+            for u in range(cd.p):
+                args = _bubble_args(cd, cav, u)
+                row = []
+                for i, vec in enumerate(self.raw_basis):
+                    k, new = _apply_args(cd, vec, args, field)
+                    j = index.get(new)
+                    if j is None or grade_of[j] != grade_of[i]:
                         raise StructureError(
                             "bubble action left the external grade; "
                             "cavity declaration is inconsistent")
-                    proj.set(local[tgt], j, val)
-            if not (proj @ proj) == proj:
+                    row.append((j, k))
+                rows.append(row)
+            if not _is_cyclic(rows, field.N):
                 raise StructureError(
                     "cavity symmetrizer is not idempotent; "
                     "slot conventions violated for this structure")
-            total = proj if total is None else proj @ total
-        return total
+            gens.append(rows[1])
+        return gens
 
-    def _build_image(self):
-        self.image: dict = {}
-        for grade in self.grades:
-            sym = self._symmetrizer_on_grade(grade)
-            self.image[grade] = sym.image_basis()
+    @functools.cached_property
+    def image(self) -> dict:
+        """Per grade, one orbit-sum column {local index: zeta_N^a} for every
+        admissible orbit, in the order of the orbits' first raw indices."""
+        root_pow = self.field.root_pow
+        out = {}
+        for grade, idxs in self.grades.items():
+            local = {raw: j for j, raw in enumerate(idxs)}
+            out[grade] = [
+                {local[i]: root_pow(self._orbit[i][1])
+                 for i in self._members[root]}
+                for root in self._roots[grade]]
+        return out
 
     def grade_dim(self, grade) -> int:
-        return len(self.image.get(grade, ()))
+        return len(self._roots.get(grade, ()))
 
     def grade_dims(self) -> dict:
-        return {g: len(cols) for g, cols in self.image.items() if cols}
+        return {g: len(roots) for g, roots in self._roots.items() if roots}
 
     def total_dim(self) -> int:
-        return sum(len(cols) for cols in self.image.values())
+        return len(self._members)
 
-    def _action_matrix(self, grade, g: int, h: int):
-        """Boundary (g,h) on the quotient, from `grade` to its image grade.
+    def _orbit_map(self, grade, g: int, h: int):
+        """Boundary (g, h) on the orbit sums of `grade`: (target grade,
+        [(target position, k)] per source orbit), meaning that the orbit sum
+        goes to zeta_N^k times the target grade's orbit sum at that position.
 
-        Returns (target grade, matrix in image coordinates).
-        """
-        field = self.field
-        idxs = self.grades[grade]
-        cols = self.image[grade]
+        The generator must commute with every Bub_{c,1} on each admissible
+        orbit (phases included) and map it onto an admissible orbit of the
+        same size; then it preserves im P."""
+        cd, field, N = self.cd, self.field, self.field.N
+        args = _boundary_args(cd, g, h)
         target = None
-        tloc = None
-        raw_cols = []
-        for col in cols:
-            acc: dict[int, object] = {}
-            for j, coeff in col.items():
-                vec = self.raw_basis[idxs[j]]
-                phase, new = boundary_action(self.cd, vec, g, h, field)
-                new_idx = self.raw_index[new]
-                tgrade = self._grade_of[new_idx]
-                if target is None:
-                    target = tgrade
-                    tloc = self._local[target]
-                elif target != tgrade:
-                    raise StructureError("boundary action split a grade")
-                row = tloc[new_idx]
-                val = coeff * phase
-                acc[row] = acc.get(row, field.zero) + val
-            raw_cols.append({r: v for r, v in acc.items() if v})
-        if target is None:
-            return grade, ExactMatrix(field, 0, 0)
-        tcols = self.image[target]
-        mat = ExactMatrix(field, len(tcols), len(cols))
-        for j, rawcol in enumerate(raw_cols):
-            try:
-                coeffs = solve_in_span(field, tcols, rawcol)
-            except ValueError:
+        entries = []
+        for root in self._roots[grade]:
+            members = self._members[root]
+            image = {}
+            for i in members:
+                k, new = _apply_args(cd, self.raw_basis[i], args, field)
+                j = self.raw_index.get(new)
+                if j is None:
+                    raise StructureError(
+                        "boundary action left the compound basis")
+                image[i] = (j, k)
+            j, k = image[root]
+            if target is None:
+                target = self._grade_of[j]
+            elif target != self._grade_of[j]:
+                raise StructureError("boundary action split a grade")
+            troot, a = self._orbit[j]
+            if (troot not in self._members
+                    or len(self._members[troot]) != len(members)
+                    or not self._commutes(image, members)):
                 raise StructureError(
-                    "boundary action does not preserve the bubble quotient") from None
-            for i, v in enumerate(coeffs):
-                if v:
-                    mat.rows[i][j] = v
-        return target, mat
+                    "boundary action does not preserve the bubble quotient")
+            entries.append((self._position[troot], (k - a) % N))
+        return (grade if target is None else target), entries
+
+    def _commutes(self, image: dict, members: list) -> bool:
+        """Whether B Bub_{c,1} = Bub_{c,1} B on the given orbit, with B's
+        table `image` {i: (j, k)}."""
+        N = self.field.N
+        for gen in self._gens:
+            for i in members:
+                j, k = image[i]
+                i2, k1 = gen[i]
+                j2, k2 = image[i2]
+                j3, k3 = gen[j]
+                if j2 != j3 or (k1 + k2 - k - k3) % N:
+                    return False
+        return True
 
     def boundary_matrix(self, grade, g: int, h: int):
-        if grade not in self.image:
+        """Boundary (g, h) on the quotient, from `grade` to its image grade:
+        (target grade, matrix in orbit-sum coordinates)."""
+        if grade not in self.grades:
             raise KeyError(f"no such grade {grade!r}")
-        return self._action_matrix(grade, g, h)
+        field = self.field
+        target, entries = self._orbit_map(grade, g, h)
+        mat = ExactMatrix(field, self.grade_dim(target), len(entries))
+        for col, (row, k) in enumerate(entries):
+            mat.rows[row][col] = field.root_pow(k)
+        return target, mat
+
+    def character(self, grade, g: int, h: int):
+        """tr of boundary (g, h) on the quotient at `grade`, which it must
+        keep: the phases of the orbit sums it fixes, summed as a histogram
+        over Z/N. None when no orbit sum is fixed."""
+        key = (grade, g, h)
+        if key not in self._chars:
+            target, entries = self._orbit_map(grade, g, h)
+            if target != grade:
+                raise StructureError(
+                    "idempotent generator moved the source grade")
+            hist = [0] * self.field.N
+            for col, (row, k) in enumerate(entries):
+                if row == col:
+                    hist[k] += 1
+            self._chars[key] = self.field.root_sum(hist) if any(hist) else None
+        return self._chars[key]
 
 
 def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
-    """Matrix of d's idempotent on the quotient at d's source grade.
+    """Matrix of d's idempotent on the quotient at d's source grade: the sum
+    of its terms' monomial boundary matrices.
 
     A grade absent from the quotient gives the empty (rank 0) matrix.
     """
@@ -394,6 +517,9 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
 def decompose(qr: QuotientRep, check_complete: bool = True):
     """Isotypic decomposition of a 2-string quotient representation.
 
+    The multiplicity of a defect d is the trace of its idempotent
+    e = sum_t c_t B_t on the quotient at d's source grade, which is the rank
+    of e: sum_t c_t tr(B_t), each trace a histogram of phases (`character`).
     Returns [(DefectLabel, multiplicity)] with positive multiplicities; for
     external boundaries with more or fewer strings the quotient itself is
     returned unchanged (unsupported, per contract).
@@ -401,12 +527,24 @@ def decompose(qr: QuotientRep, check_complete: bool = True):
     if len(qr.cd.structure.external) != 2:
         return qr
     lower, upper = qr.cd.structure.external_walls()
+    field = qr.field
     out = []
     for d in enumerate_defects(lower, upper):
-        mat = apply_idempotent(qr, d)
-        mult = mat.rank() if mat.nrows else 0
+        grade = d.source_object()
+        if not qr.grade_dim(grade):
+            continue
+        total = field.zero
+        for coeff, (g, h) in idempotent(d, field).terms:
+            chi = qr.character(grade, g, h)
+            if chi is not None:
+                total = total + coeff * chi
+        mult = total.as_rational()
+        if mult is None or mult.denominator != 1 or mult < 0:
+            raise StructureError(
+                f"{d.name()}: trace of the idempotent is "
+                f"{total.symbolic()}, not a multiplicity")
         if mult:
-            out.append((d, mult))
+            out.append((d, int(mult)))
     if check_complete:
         verify_completeness(qr, out)
     return out

@@ -14,7 +14,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .engine import _exponent_action, _join_basis
+from .engine import (
+    _exponent_action, _is_cyclic, _join_basis, _monomial_orbits,
+)
 from .linalg import ExactMatrix
 from .reps import TrivalentRep
 from .scalars import CycField
@@ -278,21 +280,16 @@ class LatticePatch:
 
     def assert_face_group_rep(self) -> None:
         """Each face's operators form a strict Z/p action on the consistent
-        basis (needed for H_f idempotency and the trace formula): on the
-        face tables, T_h(T_g i) = T_{g+h} i with equal phases, for every
-        face, every (g, h) and every basis state i."""
+        basis (needed for H_f idempotency and the orbit count): on the face
+        tables, T_g = T_1^g with equal phases for every face, every g and
+        every basis state, and T_1^p is the identity."""
         N = self.field.N
         for f, rows in enumerate(self._face_tables()):
             if any(j is None for row in rows for j, _ in row):
                 raise StructureError(f"face {f} left the consistent subspace")
-            for g, row_g in enumerate(rows):
-                for h, row_h in enumerate(rows):
-                    row_gh = rows[(g + h) % self.p]
-                    for i, (j1, k1) in enumerate(row_g):
-                        j2, k2 = row_h[j1]
-                        if (j2, (k1 + k2) % N) != row_gh[i]:
-                            raise StructureError(
-                                f"face {f} does not carry a strict group action")
+            if not _is_cyclic(rows, N):
+                raise StructureError(
+                    f"face {f} does not carry a strict group action")
 
     def face_matrix(self, face_idx: int, g: int) -> ExactMatrix:
         """H_{f,g} on the consistent basis."""
@@ -326,34 +323,20 @@ class LatticePatch:
     def ground_space_dim(self) -> int:
         """Exact dimension of the joint +1 eigenspace of all terms.
 
-        On the consistent subspace (the vertex-term kernel) the face terms
-        H_f = p^-1 sum_g U_{f,g} are commuting projectors, so the dimension
-        is tr(prod_f H_f) = p^-F sum over g in (Z/p)^F of
-        tr(U_{F-1,g_{F-1}} ... U_{0,g_0}). Each U is monomial on the face
-        tables, so each trace sums zeta_N^k over the fixed basis states; the
-        exponents are counted in one histogram over Z/N and converted to the
-        cyclotomic field once.
+        On the consistent subspace (the vertex-term kernel) each face term
+        H_f = p^-1 sum_g U_{f,g} averages over the cyclic group of U_{f,1}.
+        When the U_{f,1} commute, prod_f H_f averages over G = (Z/p)^F,
+        which acts monomially on the face tables; its image has one vector
+        per orbit whose stabilizer acts trivially, so the dimension is the
+        number of such orbits.
         """
         self.assert_face_group_rep()
-        tables = self._face_tables()
-        n = len(self.consistent_basis())
-        nf = len(self.faces)
-        N = self.field.N
-        hist = [0] * N
-        for gs in itertools.product(range(self.p), repeat=nf):
-            rows = [tables[f][g] for f, g in enumerate(gs)]
-            for i in range(n):
-                cur, k = i, 0
-                for row in rows:
-                    cur, dk = row[cur]
-                    k += dk
-                if cur == i:
-                    hist[k % N] += 1
-        total = self.field.root_sum(hist, self.p ** nf)
-        value = total.as_rational()
-        if value is None or value.denominator != 1 or value < 0:
-            raise StructureError(f"trace formula produced non-integer {total!r}")
-        return int(value)
+        gens = [rows[1] for rows in self._face_tables()]
+        found = _monomial_orbits(len(self.consistent_basis()), gens,
+                                 self.field.N)
+        if found is None:
+            raise StructureError("face relabelings do not commute")
+        return len(found[1])
 
 
 # --------------------------------------------------------------------------

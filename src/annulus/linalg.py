@@ -102,13 +102,18 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)
 
-    def _eliminate(self, track_cols: bool):
-        """Row echelon on a working copy; returns (rank, pivot column list)."""
+    def _eliminate(self, ncols: int | None = None):
+        """Row echelon on a working copy, pivoting in the first `ncols`
+        columns (all by default). Returns (rows, pivot columns): the pivot
+        rows in pivot order, then the rows left without a pivot."""
+        ncols = self.ncols if ncols is None else ncols
         rows = [dict(r) for r in self.rows]
         rank = 0
         pivots: list[int] = []
         order = list(range(self.nrows))
-        for col in range(self.ncols):
+        for col in range(ncols):
+            if rank == self.nrows:
+                break
             piv = None
             for idx in range(rank, self.nrows):
                 if rows[order[idx]].get(col):
@@ -133,17 +138,14 @@ class ExactMatrix:
                     else:
                         row.pop(j, None)
             rank += 1
-            if track_cols:
-                pivots.append(col)
-            if rank == self.nrows:
-                break
-        return rank, pivots
+            pivots.append(col)
+        return [rows[i] for i in order], pivots
 
     def rank(self) -> int:
-        return self._eliminate(track_cols=False)[0]
+        return len(self._eliminate()[1])
 
     def pivot_columns(self) -> list[int]:
-        return self._eliminate(track_cols=True)[1]
+        return self._eliminate()[1]
 
     def image_basis(self) -> list[dict[int, Cyc]]:
         """The first linearly independent columns, in column order."""
@@ -165,60 +167,28 @@ class ExactMatrix:
 def solve_in_span(field: CycField, basis: list[dict[int, Cyc]], target: dict[int, Cyc]):
     """Coefficients expressing target in the given independent columns.
 
-    Raises ValueError if target is outside the span.
+    Eliminates the augmented matrix [basis | target] in the basis columns,
+    then substitutes back. Raises ValueError if target is outside the span.
     """
     n = len(basis)
-    support = set(target)
-    for col in basis:
-        support.update(col)
-    rows = sorted(support)
-    aug = ExactMatrix(field, len(rows), n + 1)
-    index = {r: i for i, r in enumerate(rows)}
+    support = set(target).union(*basis)
+    index = {r: i for i, r in enumerate(sorted(support))}
+    aug = ExactMatrix(field, len(index), n + 1)
     for j, col in enumerate(basis):
         for r, v in col.items():
             aug.rows[index[r]][j] = v
     for r, v in target.items():
         aug.rows[index[r]][n] = v
-    work = [dict(r) for r in aug.rows]
-    order = list(range(len(rows)))
-    rank = 0
-    piv_of_col = {}
-    for col in range(n):
-        piv = None
-        for idx in range(rank, len(rows)):
-            if work[order[idx]].get(col):
-                piv = idx
-                break
-        if piv is None:
-            continue
-        order[rank], order[piv] = order[piv], order[rank]
-        prow = work[order[rank]]
-        pinv = prow[col].inverse()
-        for idx in range(len(rows)):
-            if idx == rank:
-                continue
-            row = work[order[idx]]
-            entry = row.get(col)
-            if not entry:
-                continue
-            f = entry * pinv
-            for j, v in prow.items():
-                cur = row.get(j, field.zero)
-                new = cur.sub_mul(f, v)
-                if new:
-                    row[j] = new
-                else:
-                    row.pop(j, None)
-        piv_of_col[col] = order[rank]
-        rank += 1
+    rows, pivots = aug._eliminate(n)
+    if any(row.get(n) for row in rows[len(pivots):]):
+        raise ValueError("target outside span")
     coeffs = [field.zero] * n
-    for col, ridx in piv_of_col.items():
-        row = work[ridx]
-        rhs = row.get(n)
-        if rhs:
-            coeffs[col] = rhs * row[col].inverse()
-    for idx in range(len(rows)):
-        row = work[order[idx]]
-        if row.get(n) and all(not row.get(j) for j in range(n)):
-            raise ValueError("target outside span")
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        acc = row.get(n, field.zero)
+        for c in pivots[r + 1:]:
+            if c in row:
+                acc = acc.sub_mul(row[c], coeffs[c])
+        if acc:
+            coeffs[pivots[r]] = acc * row[pivots[r]].inverse()
     return coeffs

@@ -103,6 +103,21 @@ def test_lw_command(tmp_path):
     assert doc["commuting"] is True
 
 
+def test_lw_open_face_exit_code(tmp_path):
+    """A face whose loop does not close leaves the consistent subspace: the
+    command exits with the structure code and no traceback."""
+    from annulus.levinwen import hexagon_chain_patch
+
+    doc = patch_to_json(hexagon_chain_patch(3, 1))
+    doc["faces"][0].pop()
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lw", str(path))
+    assert r.returncode == 6
+    assert "face 0 left the consistent subspace" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_lw_violated_term_report(tmp_path):
     from annulus.levinwen import hexagon_chain_patch
 

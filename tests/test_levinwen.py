@@ -315,6 +315,69 @@ def test_ground_space_dim_matches_cyc_trace():
         assert dim == p ** (2 * nf + 3)
 
 
+def test_pinned_chain_p5_n5_has_one_ground_state():
+    """3125 consistent states and 5 faces: the orbit count, where a sum over
+    the 5^5 group elements would cost minutes."""
+    patch = hexagon_chain_patch(5, 5)
+    assert len(patch.consistent_basis()) == 5 ** 5
+    assert patch.ground_space_dim() == 1
+
+
+def _with_tables(monkeypatch, patch, tables):
+    monkeypatch.setattr(patch, "_face_tables", lambda: tables)
+    return patch
+
+
+def test_face_generators_that_do_not_commute_are_rejected(monkeypatch):
+    """Two faces of a p = 2 chain (four states), each given a table that is
+    a strict Z/2 action: the swaps (0 1) and (1 2) do not commute, and
+    neither do (0 1) and a sign at state 0, through phases alone."""
+    patch = hexagon_chain_patch(2, 2)
+    assert len(patch.consistent_basis()) == 4
+    ident = [(i, 0) for i in range(4)]
+    swap01 = [(1, 0), (0, 0), (2, 0), (3, 0)]
+    swap12 = [(0, 0), (2, 0), (1, 0), (3, 0)]
+    twist01 = [(1, 1), (0, 3), (2, 0), (3, 0)]
+    sign0 = [(0, 2), (1, 0), (2, 0), (3, 0)]
+    for first, second in ((swap01, swap12), (twist01, sign0)):
+        _with_tables(monkeypatch, patch,
+                     [[ident, first], [ident, second]])
+        patch.assert_face_group_rep()
+        with pytest.raises(StructureError,
+                           match="face relabelings do not commute"):
+            patch.ground_space_dim()
+    # commuting tables pass: the orbits {0, 1}, {2}, {3}, all admissible
+    _with_tables(monkeypatch, patch, [[ident, swap01], [ident, ident]])
+    assert patch.ground_space_dim() == 3
+
+
+def test_group_check_compares_phases(monkeypatch):
+    """A table whose relabelings obey the group law but whose T_2 carries
+    one phase other than T_1^2's is no strict group action."""
+    patch = hexagon_chain_patch(3, 1)
+    tables = [[list(row) for row in rows] for rows in patch._face_tables()]
+    j, k = tables[0][2][0]
+    tables[0][2][0] = (j, (k + 1) % patch.field.N)
+    _with_tables(monkeypatch, patch, tables)
+    with pytest.raises(StructureError, match="strict group action"):
+        patch.assert_face_group_rep()
+    with pytest.raises(StructureError, match="strict group action"):
+        patch.ground_space_dim()
+
+
+def test_group_check_needs_the_pth_power_to_vanish(monkeypatch):
+    """p = 2 tables with T_0 the identity and T_1 the generator, where T_1^2
+    is no identity: a 3-cycle, or a swap whose phases sum to i."""
+    patch = hexagon_chain_patch(2, 2)
+    ident = [(i, 0) for i in range(4)]
+    cycle = [(1, 0), (2, 0), (0, 0), (3, 0)]
+    twisted = [(1, 1), (0, 0), (2, 0), (3, 0)]
+    for gen in (cycle, twisted):
+        _with_tables(monkeypatch, patch, [[ident, gen], [ident, ident]])
+        with pytest.raises(StructureError, match="face 0 does not carry"):
+            patch.assert_face_group_rep()
+
+
 def test_consistent_basis_matches_brute_force():
     patches = [hexagon_chain_patch(p, nf) for p in (2, 3) for nf in (1, 2)]
     patches += [defect_line_patch(p) for p in (2, 3, 5)]

@@ -1,0 +1,195 @@
+"""The orbit quotient and the character decomposition against the matrix
+reference in matrix_quotient.py, plus negative tests for the checks that
+make the orbit count exact."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from annulus import engine
+from annulus.defects import enumerate_defects, parse_defect
+from annulus.engine import (
+    QuotientRep, apply_idempotent, cavity_symmetrizer, decompose,
+)
+from annulus.structures import (
+    StructureError, horizontal_compound, vertical_compound,
+)
+from annulus.walls import all_walls
+from matrix_quotient import MatrixQuotient
+from test_engine import _associators
+
+
+def _verticals_p3(count):
+    """`count` vertical structures, cycling through the wall triples and
+    through the defects of each pair."""
+    p = 3
+    triples = list(itertools.product(all_walls(p), repeat=3))
+    for i in range(count):
+        a, b, c = triples[(7 * i) % len(triples)]
+        lows, ups = enumerate_defects(a, b), enumerate_defects(b, c)
+        yield vertical_compound(lows[i % len(lows)], ups[(3 * i) % len(ups)])
+
+
+def _criterion_2_p5():
+    """The three criterion-2 families at p = 5, each with every corner."""
+    p = 5
+    for q, x, z, c in ((1, 0, 0, 0), (2, 1, 3, 2), (4, 4, 1, 3)):
+        for nu in range(p):
+            yield horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
+                                      parse_defect(f"LL(a={c},x={z})", p),
+                                      corner_top=nu)
+    for k, l, z in ((1, 2, 0), (3, 1, 4)):
+        yield horizontal_compound(parse_defect(f"XkXl(;k={k},l={l})", p),
+                                  parse_defect(f"F0R(x={z})", p))
+    for r, t in ((1, 4), (2, 3)):
+        yield horizontal_compound(parse_defect(f"F0Fr(;r={r})", p),
+                                  parse_defect(f"TFr(;r={t})", p))
+
+
+def _agree_with_matrix_path(cd):
+    qr = QuotientRep(cd)
+    ref = MatrixQuotient(cd)
+    assert qr.grade_dims() == ref.grade_dims()
+    assert [len(qr.image[g]) for g in qr.grades] == \
+        [len(ref.image[g]) for g in qr.grades]
+    got = decompose(qr)
+    assert got == ref.decompose()
+    mult = dict(got)
+    lower, upper = cd.structure.external_walls()
+    for d in enumerate_defects(lower, upper):
+        if qr.grade_dim(d.source_object()):
+            # the idempotent's monomial matrix has the character as its rank
+            assert apply_idempotent(qr, d).rank() == mult.get(d, 0)
+
+
+def test_orbit_quotient_matches_matrix_path():
+    count = 0
+    structures = itertools.chain(
+        _associators(2),
+        itertools.islice(_associators(3), 0, None, 4),
+        _verticals_p3(100),
+        _criterion_2_p5())
+    for cd in structures:
+        _agree_with_matrix_path(cd)
+        count += 1
+    assert count == 696 + 704 + 100 + 15 + 2 + 2
+
+
+def test_orbit_sums_are_fixed_by_the_matrix_symmetrizer():
+    """Each image column is an orbit sum of phases, and the product of the
+    reference symmetrizers fixes it."""
+    p = 3
+    cd = horizontal_compound(parse_defect("XkXl(;k=1,l=2)", p),
+                             parse_defect("F0R(x=1)", p))
+    qr = QuotientRep(cd)
+    field = qr.field
+    roots = {field.root_pow(k) for k in range(field.N)}
+    for grade, cols in qr.image.items():
+        for col in cols:
+            assert len(col) == p and set(col.values()) <= roots
+    sym = cavity_symmetrizer(cd, 0, field)
+    for grade, idxs in qr.grades.items():
+        for col in qr.image[grade]:
+            raw = {idxs[j]: v for j, v in col.items()}
+            out = {}
+            for j, v in raw.items():
+                for i, s in sym.column(j).items():
+                    out[i] = out.get(i, field.zero) + s * v
+            assert {i: v for i, v in out.items() if v} == raw
+
+
+def _extra_phase(monkeypatch, rep, extra):
+    """Multiply rep.act's phase by extra(vec, args, field)."""
+    plain = rep.act
+
+    def act(vec, args, field):
+        phase, new = plain(vec, args, field)
+        return phase * extra(vec, args, field), new
+
+    monkeypatch.setattr(rep, "act", act, raising=False)
+
+
+def test_state_dependent_bubble_phase_is_rejected(monkeypatch):
+    """An extra phase zeta^t on every nonzero bubble at d1, where t is d1's
+    label: Bub_u then carries t where Bub_1^u carries u*t."""
+    p = 3
+    cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
+                             parse_defect("LL(a=1,x=2)", p), corner_top=1)
+    _extra_phase(monkeypatch, cd.reps["d1"],
+                 lambda vec, args, field:
+                 field.root_pow(vec[0] if args.get("right") else 0))
+    with pytest.raises(StructureError,
+                       match="cavity symmetrizer is not idempotent"):
+        QuotientRep(cd)
+
+
+def test_boundary_phase_that_breaks_commutation_is_rejected(monkeypatch):
+    """An extra phase zeta^m2 on the right boundary at d2, whose label m2
+    the bubble shifts by -r: the F0R idempotent's generators (0, h) no
+    longer commute with the bubble."""
+    p = 3
+
+    def structure():
+        return horizontal_compound(parse_defect("XkXl(;k=1,l=2)", p),
+                                   parse_defect("F0R(x=1)", p))
+
+    assert decompose(QuotientRep(structure()))
+    cd = structure()
+    _extra_phase(monkeypatch, cd.reps["d2"],
+                 lambda vec, args, field:
+                 field.root_pow(vec[0] if args.get("right") else 0))
+    qr = QuotientRep(cd)
+    with pytest.raises(StructureError,
+                       match="does not preserve the bubble quotient"):
+        decompose(qr)
+
+
+def test_bubble_that_leaves_its_grade_is_rejected(monkeypatch):
+    """The left boundary string in place of the bubble: a strict Z/3 action
+    that stays in the basis but moves the external labels."""
+    p = 3
+    cd = horizontal_compound(parse_defect("FqR(x=1;q=2)", p),
+                             parse_defect("LL(a=1,x=2)", p), corner_top=2)
+    assert QuotientRep(cd).total_dim()
+    boundary = engine._boundary_args
+    monkeypatch.setattr(engine, "_bubble_args",
+                        lambda cd, cavity, g: boundary(cd, g, 0))
+    with pytest.raises(StructureError, match="bubble action left the external"):
+        QuotientRep(cd)
+
+
+def _perturb_idempotents(monkeypatch, change):
+    plain = engine.idempotent
+
+    def perturbed(d, field):
+        expr = plain(d, field)
+        assert any(gh == (0, 0) for _, gh in expr.terms)
+        terms = tuple((change(c, gh, field), gh) for c, gh in expr.terms)
+        return type(expr)(expr.defect, expr.source, terms)
+
+    monkeypatch.setattr(engine, "idempotent", perturbed)
+
+
+def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
+    """The identity term's coefficient times zeta (an irrational trace) or
+    times 1/2 (a fraction), or every coefficient negated (a negative
+    integer): decompose refuses each."""
+    p = 3
+    cd = vertical_compound(parse_defect("RFr(x=1;r=2)", p),
+                           parse_defect("FrR(z=0;r=2)", p))
+    qr = QuotientRep(cd)
+    assert decompose(qr)
+    identity_term = {
+        "zeta": lambda c, field: c * field.root_pow(1),
+        "half": lambda c, field: c * field.rational(Fraction(1, 2)),
+    }
+    for scale in identity_term.values():
+        _perturb_idempotents(
+            monkeypatch,
+            lambda c, gh, field: scale(c, field) if gh == (0, 0) else c)
+        with pytest.raises(StructureError, match="not a multiplicity"):
+            decompose(QuotientRep(cd))
+    _perturb_idempotents(monkeypatch, lambda c, gh, field: -c)
+    with pytest.raises(StructureError, match="not a multiplicity"):
+        decompose(QuotientRep(cd))
