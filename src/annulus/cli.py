@@ -94,6 +94,8 @@ def cmd_fuse_vertical(args):
         raise CliError(EXIT_PARSE, "vertical fusion takes no corner annotations")
     try:
         result = vertical_fuse(d1, d2)
+    except SizeLimitError as exc:
+        raise CliError(EXIT_SIZE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
     _emit(result.to_json(), args.format)
@@ -106,6 +108,8 @@ def cmd_fuse_horizontal(args):
     corners = _merge_corners(args, c1, c2)
     try:
         result = horizontal_fuse(d1, d2, corners)
+    except SizeLimitError as exc:
+        raise CliError(EXIT_SIZE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
     _emit(result.to_json(), args.format)
@@ -139,6 +143,8 @@ def cmd_associator(args):
     corners = _merge_corners(args)
     try:
         result = associator(*walls, corners=corners)
+    except SizeLimitError as exc:
+        raise CliError(EXIT_SIZE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
     if args.golden:
@@ -146,9 +152,23 @@ def cmd_associator(args):
     _emit(result.to_json(), args.format)
 
 
+def _unreadable(path, exc) -> CliError:
+    """A file named on the command line that cannot be read: a usage error."""
+    return CliError(EXIT_PARSE, f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _diff_golden(results, golden_path):
-    golden = (load_golden_associators() if golden_path == "builtin"
-              else json.load(open(golden_path)))
+    if golden_path == "builtin":
+        golden = load_golden_associators()
+    else:
+        try:
+            with open(golden_path) as fh:
+                golden = json.load(fh)
+        except OSError as exc:
+            raise _unreadable(golden_path, exc)
+        except ValueError as exc:
+            raise CliError(EXIT_PARSE,
+                           f"bad golden table {golden_path}: {exc}")
     for result in results:
         try:
             check_associator_against_golden(result, golden)
@@ -177,6 +197,8 @@ def cmd_table(args):
 def cmd_decompose(args):
     try:
         cd = load_compound(args.structure)
+    except OSError as exc:
+        raise _unreadable(args.structure, exc)
     except (StructureError, ValueError, KeyError) as exc:
         raise CliError(EXIT_STRUCTURE, f"bad structure document: {exc}")
     try:
@@ -210,6 +232,8 @@ def cmd_decompose(args):
 def cmd_lw(args):
     try:
         patch = load_patch(args.patch)
+    except OSError as exc:
+        raise _unreadable(args.patch, exc)
     except (StructureError, ValueError, KeyError) as exc:
         raise CliError(EXIT_STRUCTURE, f"bad patch document: {exc}")
     try:
@@ -227,12 +251,23 @@ def cmd_lw(args):
         "ground_space_dim": dim,
     }
     if args.state:
-        with open(args.state) as fh:
-            state_doc = json.load(fh)
-        edge_values = {
-            eid: (tuple(v) if isinstance(v, list) else v)
-            for eid, v in state_doc["edges"].items()}
-        state = tuple(tuple(v) for v in state_doc["vertices"])
+        try:
+            with open(args.state) as fh:
+                state_doc = json.load(fh)
+        except OSError as exc:
+            raise _unreadable(args.state, exc)
+        except ValueError as exc:
+            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
+        try:
+            edge_values = {
+                eid: (tuple(v) if isinstance(v, list) else v)
+                for eid, v in state_doc["edges"].items()}
+            state = tuple(tuple(v) for v in state_doc["vertices"])
+        except KeyError as exc:
+            raise CliError(EXIT_STRUCTURE,
+                           f"bad state document: no {exc} entry")
+        except (TypeError, AttributeError) as exc:
+            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
         doc["violated_terms"] = patch.violated_terms(edge_values, state)
     _emit(doc, args.format)
 

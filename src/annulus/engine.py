@@ -14,6 +14,13 @@ idempotent on the quotient, summed from phase histograms over Z/N.
 Structures and compound defects are immutable once validated; basis
 enumeration, bubble application and per-defect characters are pure and
 independent per grade.
+
+Each vertex rep carries a memo of its actions (exponent and image per args
+and local vector), shared by every compound or lattice patch that holds the
+rep. A driver's corner sweep builds one structure and one rep per (vertex,
+corner value) for all its corner assignments, so the compounds of one sweep
+share the memos of every vertex whose corner they agree on, and a
+`DefectTable` gives them the candidate defects and idempotent terms once.
 """
 
 from __future__ import annotations
@@ -203,19 +210,21 @@ def _monomial_orbits(n: int, gens: list, N: int):
     return orbit, members
 
 
+def _action_memo(rep, args: dict) -> dict:
+    """The memo {local vector: (k, new local vector)} of rep's action with
+    these args. It lives on the rep, keyed by the sorted args, so every
+    compound or patch that holds the rep shares it; each miss goes through
+    `_exponent_action`."""
+    return rep.action_memo.setdefault(tuple(sorted(args.items())), {})
+
+
 def _vertex_args(cd: CompoundDefect, args_by_vertex: dict) -> list[tuple]:
-    """(position, vertex, args, memo) for every vertex that acts; the memo
-    {local vector: (k, new local vector)} is shared per compound by every
-    action of that vertex with the same args."""
-    memo = getattr(cd, "_action_memo", None)
-    if memo is None:
-        memo = cd._action_memo = {}
+    """(position, vertex, args, memo) for every vertex that acts."""
     out = []
     for i, vid in enumerate(cd.vertex_order):
         args = args_by_vertex.get(vid)
         if args:
-            key = (vid, tuple(sorted(args.items())))
-            out.append((i, vid, args, memo.setdefault(key, {})))
+            out.append((i, vid, args, _action_memo(cd.reps[vid], args)))
     return out
 
 
@@ -232,7 +241,7 @@ def _exponent_action(rep, vid, vec, args, field) -> tuple:
 
 def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
     """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
-    being zeta_N^k. Each vertex's action is memoised per compound."""
+    being zeta_N^k. Each vertex's action is memoised on its rep."""
     exp = 0
     out = list(vec)
     for i, vid, args, memo in vertex_args:
@@ -514,12 +523,42 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
     return total
 
 
-def decompose(qr: QuotientRep, check_complete: bool = True):
+class DefectTable:
+    """The candidate defects of one driver call's decompositions: per
+    external wall pair, every defect with its source grade, and each
+    defect's idempotent terms, built the first time a quotient has an
+    admissible orbit at that grade. A driver makes one per call, next to
+    its corner sweep; a plain `decompose` makes its own."""
+
+    def __init__(self):
+        self._pairs: dict = {}
+        self._terms: dict = {}
+
+    def candidates(self, lower, upper) -> list:
+        """[(defect, source grade)] on the wall pair, in defect order."""
+        key = (lower, upper)
+        out = self._pairs.get(key)
+        if out is None:
+            out = self._pairs[key] = [(d, d.source_object())
+                                      for d in enumerate_defects(lower, upper)]
+        return out
+
+    def terms(self, d: DefectLabel, field: CycField) -> tuple:
+        """d's idempotent as ((coefficient, (g, h)), ...)."""
+        out = self._terms.get(d)
+        if out is None:
+            out = self._terms[d] = idempotent(d, field).terms
+        return out
+
+
+def decompose(qr: QuotientRep, check_complete: bool = True,
+              table: DefectTable | None = None):
     """Isotypic decomposition of a 2-string quotient representation.
 
     The multiplicity of a defect d is the trace of its idempotent
     e = sum_t c_t B_t on the quotient at d's source grade, which is the rank
     of e: sum_t c_t tr(B_t), each trace a histogram of phases (`character`).
+    The candidates and their terms come from `table`, fresh if not given.
     Returns [(DefectLabel, multiplicity)] with positive multiplicities; for
     external boundaries with more or fewer strings the quotient itself is
     returned unchanged (unsupported, per contract).
@@ -528,13 +567,13 @@ def decompose(qr: QuotientRep, check_complete: bool = True):
         return qr
     lower, upper = qr.cd.structure.external_walls()
     field = qr.field
+    table = DefectTable() if table is None else table
     out = []
-    for d in enumerate_defects(lower, upper):
-        grade = d.source_object()
+    for d, grade in table.candidates(lower, upper):
         if not qr.grade_dim(grade):
             continue
         total = field.zero
-        for coeff, (g, h) in idempotent(d, field).terms:
+        for coeff, (g, h) in table.terms(d, field):
             chi = qr.character(grade, g, h)
             if chi is not None:
                 total = total + coeff * chi

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .defects import DefectLabel, parse_annotated_defect, trivial_defect
-from .engine import QuotientRep, decompose
-from .scalars import mod_inverse
+from .engine import DefectTable, QuotientRep, decompose
+from .scalars import CycField, mod_inverse
 from .structures import (
-    StructureError, associator_compound, associator_corner_names,
+    CornerSweep, StructureError, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
@@ -84,9 +84,9 @@ class FusionResult:
         )
 
 
-def _decomposition(cd) -> tuple:
-    qr = QuotientRep(cd)
-    out = decompose(qr)
+def _decomposition(cd, field=None, table=None) -> tuple:
+    qr = QuotientRep(cd, field)
+    out = decompose(qr, table=table)
     return tuple(sorted((d.name(), mult) for d, mult in out))
 
 
@@ -99,30 +99,36 @@ def vertical_fuse(d1: DefectLabel, d2: DefectLabel) -> FusionResult:
 
 def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
                     corners: dict | None = None) -> FusionResult:
-    """Fuse side by side; enumerate corner parameters unless given."""
+    """Fuse side by side; enumerate corner parameters unless given. The
+    corner assignments share one sweep, field and defect table."""
     p = d1.p
     names = tuple(horizontal_corner_names(d1, d2))
     assignments = _corner_assignments(names, p, corners)
+    sweep, field, table = CornerSweep(), CycField(p), DefectTable()
     outcomes = []
     for assignment in assignments:
         kw = dict(zip(names, assignment))
         cd = horizontal_compound(
-            d1, d2, corner_bottom=kw.get("bottom"), corner_top=kw.get("top"))
-        outcomes.append((assignment, _decomposition(cd)))
+            d1, d2, corner_bottom=kw.get("bottom"), corner_top=kw.get("top"),
+            sweep=sweep)
+        outcomes.append((assignment, _decomposition(cd, field, table)))
     return FusionResult("horizontal", p, (d1.name(), d2.name()), names,
                         tuple(outcomes))
 
 
 def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                corners: dict | None = None) -> FusionResult:
-    """The compound defect of the [M,N,P] triangle, with delta compression."""
+    """The compound defect of the [M,N,P] triangle, with delta compression.
+    The corner assignments share one sweep, field and defect table."""
     p = m.p
     names = tuple(associator_corner_names(m, n, pw))
     assignments = _corner_assignments(names, p, corners)
+    sweep, field, table = CornerSweep(), CycField(p), DefectTable()
     outcomes = []
     for assignment in assignments:
-        cd = associator_compound(m, n, pw, dict(zip(names, assignment)))
-        outcomes.append((assignment, _decomposition(cd)))
+        cd = associator_compound(m, n, pw, dict(zip(names, assignment)),
+                                 sweep=sweep)
+        outcomes.append((assignment, _decomposition(cd, field, table)))
     constraints = None
     if corners is None:
         constraints = infer_delta_constraints(names, outcomes, p)

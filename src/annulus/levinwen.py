@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .engine import (
-    _exponent_action, _is_cyclic, _join_basis, _monomial_orbits,
+    _action_memo, _exponent_action, _is_cyclic, _join_basis, _monomial_orbits,
 )
 from .linalg import ExactMatrix
 from .reps import TrivalentRep
@@ -59,7 +59,6 @@ class LatticePatch:
         }
         self._order = list(self.vertices)
         self._basis = None
-        self._action_memo: dict = {}
         self._face_args_cache: dict = {}
         self._tables = None
 
@@ -162,8 +161,8 @@ class LatticePatch:
         return phase, tuple(out)
 
     def _face_args(self, face_idx: int, g: int) -> dict:
-        """{vid: (position, args, hashable args)} of the g-labeled loop in
-        one face, for every vertex it touches."""
+        """{vid: (position, args, action memo)} of the g-labeled loop in one
+        face, for every vertex it touches."""
         key = (face_idx, g)
         out = self._face_args_cache.get(key)
         if out is None:
@@ -173,17 +172,17 @@ class LatticePatch:
                 slot_args = args.setdefault(vid, {})
                 slot_args[region] = slot_args.get(region, 0) + sign * g
             out = self._face_args_cache[key] = {
-                vid: (self._order.index(vid), a, tuple(sorted(a.items())))
+                vid: (self._order.index(vid), a,
+                      _action_memo(self.vertices[vid], a))
                 for vid, a in args.items()}
         return out
 
-    def _vertex_act(self, vid, args, key, vec):
+    def _vertex_act(self, vid, args, memo, vec):
         """One vertex action: (k in Z/N, new local vector), the phase being
-        zeta_N^k. Memoised per patch by (vertex, sorted args, vector)."""
-        mkey = (vid, key, vec)
-        hit = self._action_memo.get(mkey)
+        zeta_N^k, memoised on the vertex's rep as the engine does."""
+        hit = memo.get(vec)
         if hit is None:
-            hit = self._action_memo[mkey] = _exponent_action(
+            hit = memo[vec] = _exponent_action(
                 self.vertices[vid], vid, vec, args, self.field)
         return hit
 
@@ -204,8 +203,8 @@ class LatticePatch:
                     for state in basis:
                         k = 0
                         out = list(state)
-                        for vid, (pos, args, key) in acting:
-                            dk, out[pos] = self._vertex_act(vid, args, key,
+                        for vid, (pos, args, memo) in acting:
+                            dk, out[pos] = self._vertex_act(vid, args, memo,
                                                             state[pos])
                             k += dk
                         row.append((index.get(tuple(out)), k % N))
@@ -260,15 +259,15 @@ class LatticePatch:
         """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at one
         vertex; k must be state-independent (asserted by evaluation over the
         full local basis)."""
-        _, ai, ki = self._face_args(face_i, g)[vid]
-        _, aj, kj = self._face_args(face_j, h)[vid]
+        _, ai, mi = self._face_args(face_i, g)[vid]
+        _, aj, mj = self._face_args(face_j, h)[vid]
         N = self.field.N
         ratio = None
         for vec in self.vertices[vid].basis():
-            p1, v1 = self._vertex_act(vid, aj, kj, vec)
-            p2, v2 = self._vertex_act(vid, ai, ki, v1)
-            q1, w1 = self._vertex_act(vid, ai, ki, vec)
-            q2, w2 = self._vertex_act(vid, aj, kj, w1)
+            p1, v1 = self._vertex_act(vid, aj, mj, vec)
+            p2, v2 = self._vertex_act(vid, ai, mi, v1)
+            q1, w1 = self._vertex_act(vid, ai, mi, vec)
+            q2, w2 = self._vertex_act(vid, aj, mj, w1)
             if v2 != w2:
                 raise StructureError("face relabelings do not commute")
             r = (p1 + p2 - q1 - q2) % N

@@ -764,6 +764,9 @@ class BivalentRep:
         self.free_names = self.entry["free"]
         self._basis = None
         self._labels: dict = {}
+        # {sorted args: {local vector: (k, new vector)}}, the phase being
+        # zeta_N^k; filled by the engine and the lattice on first use
+        self.action_memo: dict = {}
 
     def wall_of_slot(self, slot: str) -> BimoduleLabel:
         return self.lower if slot == "lower" else self.upper
@@ -829,6 +832,9 @@ class TrivalentRep:
         self.free_names = self.entry["free"]
         self._basis = None
         self._labels: dict = {}
+        # {sorted args: {local vector: (k, new vector)}}, the phase being
+        # zeta_N^k; filled by the engine and the lattice on first use
+        self.action_memo: dict = {}
 
     @property
     def has_corner(self) -> bool:

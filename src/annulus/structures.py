@@ -297,59 +297,105 @@ def vertical_compound(d1: DefectLabel, d2: DefectLabel) -> CompoundDefect:
     return CompoundDefect(s, {"v1": BivalentRep(d1), "v2": BivalentRep(d2)})
 
 
+class CornerSweep:
+    """What the compounds of one driver call share across its corner
+    assignments: the structure, which no corner changes, and one rep per
+    (vertex, corner value), so that each rep's label and action memos fill
+    once for the whole sweep. A sweep serves one set of builder inputs; a
+    driver makes one per call and drops it when the call returns."""
+
+    def __init__(self):
+        self.inputs = None
+        self.structure = None
+        self.reps: dict = {}
+
+    def bind(self, inputs: tuple) -> None:
+        if self.inputs is None:
+            self.inputs = inputs
+        elif self.inputs != inputs:
+            raise ValueError(
+                "a corner sweep serves the compounds of one set of inputs")
+
+    def trivalent(self, vid, direction, first, second, corner):
+        rep = self.reps.get((vid, corner))
+        if rep is None:
+            rep = self.reps[(vid, corner)] = TrivalentRep(
+                direction, first, second, corner=corner)
+        return rep
+
+    def bivalent(self, vid, defect):
+        rep = self.reps.get((vid, None))
+        if rep is None:
+            rep = self.reps[(vid, None)] = BivalentRep(defect)
+        return rep
+
+
 def horizontal_compound(d1: DefectLabel, d2: DefectLabel,
-                        corner_bottom=None, corner_top=None) -> CompoundDefect:
-    """The diamond: d1 on the left, d2 on the right, one internal cavity."""
-    p = d1.p
-    vb = TrivalentRep("tri12", d1.lower, d2.lower, corner=corner_bottom)
-    vt = TrivalentRep("tri21", d1.upper, d2.upper, corner=corner_top)
-    edges = [
-        Edge("bottom", vb.third, (None, ("vb", "bottom"))),
-        Edge("a1", d1.lower, (("vb", "tl"), ("d1", "lower"))),
-        Edge("a2", d2.lower, (("vb", "tr"), ("d2", "lower"))),
-        Edge("b1", d1.upper, (("d1", "upper"), ("vt", "bl"))),
-        Edge("b2", d2.upper, (("d2", "upper"), ("vt", "br"))),
-        Edge("top", vt.third, (("vt", "top"), None)),
-    ]
-    s = DomainWallStructure(
-        p,
-        {"vb": "tri12", "d1": "bivalent", "d2": "bivalent", "vt": "tri21"},
-        edges, ["bottom", "top"])
+                        corner_bottom=None, corner_top=None,
+                        sweep: CornerSweep | None = None) -> CompoundDefect:
+    """The diamond: d1 on the left, d2 on the right, one internal cavity.
+
+    Compounds built with one `sweep` share its structure and reps."""
+    sweep = CornerSweep() if sweep is None else sweep
+    sweep.bind(("horizontal", d1, d2))
+    vb = sweep.trivalent("vb", "tri12", d1.lower, d2.lower, corner_bottom)
+    vt = sweep.trivalent("vt", "tri21", d1.upper, d2.upper, corner_top)
+    if sweep.structure is None:
+        edges = [
+            Edge("bottom", vb.third, (None, ("vb", "bottom"))),
+            Edge("a1", d1.lower, (("vb", "tl"), ("d1", "lower"))),
+            Edge("a2", d2.lower, (("vb", "tr"), ("d2", "lower"))),
+            Edge("b1", d1.upper, (("d1", "upper"), ("vt", "bl"))),
+            Edge("b2", d2.upper, (("d2", "upper"), ("vt", "br"))),
+            Edge("top", vt.third, (("vt", "top"), None)),
+        ]
+        sweep.structure = DomainWallStructure(
+            d1.p,
+            {"vb": "tri12", "d1": "bivalent", "d2": "bivalent", "vt": "tri21"},
+            edges, ["bottom", "top"])
     return CompoundDefect(
-        s, {"vb": vb, "d1": BivalentRep(d1), "d2": BivalentRep(d2), "vt": vt})
+        sweep.structure, {"vb": vb, "d1": sweep.bivalent("d1", d1),
+                          "d2": sweep.bivalent("d2", d2), "vt": vt})
 
 
 def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel,
-                        corners: dict | None = None) -> CompoundDefect:
+                        corners: dict | None = None,
+                        sweep: CornerSweep | None = None) -> CompoundDefect:
     """The triangle [M,N,P]: two 1:2 splits, two 2:1 merges, two cavities.
 
     Corner names: mu0 at the bottom split (W1 -> M, N*P), mu1 at the upper
     split (N*P -> N, P), nu0 at the M,N merge, nu1 at the top merge.
+    Compounds built with one `sweep` share its structure and reps.
     """
     corners = dict(corners or {})
-    p = m.p
-    v1 = TrivalentRep("tri12", m, _prod(n, pwall), corner=corners.pop("mu0", None))
-    v2 = TrivalentRep("tri12", n, pwall, corner=corners.pop("mu1", None))
-    v3 = TrivalentRep("tri21", m, n, corner=corners.pop("nu0", None))
-    v4 = TrivalentRep("tri21", v3.third, pwall, corner=corners.pop("nu1", None))
+    sweep = CornerSweep() if sweep is None else sweep
+    sweep.bind(("associator", m, n, pwall))
+    v1 = sweep.trivalent("v1", "tri12", m, _prod(n, pwall),
+                         corners.pop("mu0", None))
+    v2 = sweep.trivalent("v2", "tri12", n, pwall, corners.pop("mu1", None))
+    v3 = sweep.trivalent("v3", "tri21", m, n, corners.pop("nu0", None))
+    v4 = sweep.trivalent("v4", "tri21", v3.third, pwall,
+                         corners.pop("nu1", None))
     if corners:
         raise StructureError(f"unknown corner names {sorted(corners)}")
     if v1.third != v4.third:
         raise StructureError("wall product is not associative?!")
-    edges = [
-        Edge("bottom", v1.third, (None, ("v1", "bottom"))),
-        Edge("M", m, (("v1", "tl"), ("v3", "bl"))),
-        Edge("W2", v2.third, (("v1", "tr"), ("v2", "bottom"))),
-        Edge("N", n, (("v2", "tl"), ("v3", "br"))),
-        Edge("P", pwall, (("v2", "tr"), ("v4", "br"))),
-        Edge("W3", v3.third, (("v3", "top"), ("v4", "bl"))),
-        Edge("top", v4.third, (("v4", "top"), None)),
-    ]
-    s = DomainWallStructure(
-        p,
-        {"v1": "tri12", "v2": "tri12", "v3": "tri21", "v4": "tri21"},
-        edges, ["bottom", "top"])
-    return CompoundDefect(s, {"v1": v1, "v2": v2, "v3": v3, "v4": v4})
+    if sweep.structure is None:
+        edges = [
+            Edge("bottom", v1.third, (None, ("v1", "bottom"))),
+            Edge("M", m, (("v1", "tl"), ("v3", "bl"))),
+            Edge("W2", v2.third, (("v1", "tr"), ("v2", "bottom"))),
+            Edge("N", n, (("v2", "tl"), ("v3", "br"))),
+            Edge("P", pwall, (("v2", "tr"), ("v4", "br"))),
+            Edge("W3", v3.third, (("v3", "top"), ("v4", "bl"))),
+            Edge("top", v4.third, (("v4", "top"), None)),
+        ]
+        sweep.structure = DomainWallStructure(
+            m.p,
+            {"v1": "tri12", "v2": "tri12", "v3": "tri21", "v4": "tri21"},
+            edges, ["bottom", "top"])
+    return CompoundDefect(sweep.structure,
+                          {"v1": v1, "v2": v2, "v3": v3, "v4": v4})
 
 
 def associator_corner_names(m, n, pwall) -> list[str]:

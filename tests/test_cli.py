@@ -68,15 +68,22 @@ def test_wall_mismatch_exit_code():
 
 
 def test_size_limit_exit_code(tmp_path, monkeypatch):
+    """Every command that builds a compound stops at ANNULUS_MAX_BASIS with
+    the size-limit code."""
     doc = compound_to_json(vertical_compound(
         parse_defect("TT(a=0,b=0)", 5), parse_defect("TT(a=0,b=0)", 5)))
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
-    r = subprocess.run(
-        [sys.executable, "-m", "annulus.cli", "decompose", str(path)],
-        capture_output=True, text=True,
-        env={**os.environ, "ANNULUS_MAX_BASIS": "3"})
-    assert r.returncode == 4
+    for args in (("decompose", str(path)),
+                 ("associator", "-p", "3", "T", "T", "T"),
+                 ("fuse-horizontal", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)"),
+                 ("fuse-vertical", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)")):
+        r = subprocess.run(
+            [sys.executable, "-m", "annulus.cli", *args],
+            capture_output=True, text=True,
+            env={**os.environ, "ANNULUS_MAX_BASIS": "3"})
+        assert r.returncode == 4, (args, r.stderr)
+        assert "Traceback" not in r.stderr
 
 
 def test_decompose_structure_document(tmp_path):
@@ -160,3 +167,28 @@ def test_text_format():
                 "FqR(x=1;q=2)", "LL(a=1,x=2)", "--corner", "top=1")
     assert r.returncode == 0
     assert "TT(a=1,b=1)" in r.stdout
+
+
+def test_missing_input_file_is_a_usage_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    patch = tmp_path / "patch.json"
+    patch.write_text(json.dumps(patch_to_json(defect_line_patch(2))))
+    for args in (("decompose", missing), ("lw", missing),
+                 ("lw", str(patch), "--state", missing),
+                 ("associator", "-p", "2", "R", "Fq:1", "R",
+                  "--golden", missing)):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "cannot read" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_lw_state_document_without_vertices(tmp_path):
+    patch = tmp_path / "patch.json"
+    patch.write_text(json.dumps(patch_to_json(defect_line_patch(2))))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"edges": {}}))
+    r = run_cli("lw", str(patch), "--state", str(state))
+    assert r.returncode == 6, r.stderr
+    assert "vertices" in r.stderr
+    assert "Traceback" not in r.stderr

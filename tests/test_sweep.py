@@ -1,0 +1,136 @@
+"""Corner sweeps: the drivers share one structure, one rep per (vertex,
+corner value) and one defect table across a call's corner assignments. The
+results must equal those of fresh compounds built per assignment."""
+
+import itertools
+
+import pytest
+
+from annulus.defects import parse_defect
+from annulus.engine import QuotientRep, decompose
+from annulus.fusion import associator, horizontal_fuse
+from annulus.reps import TrivalentRep
+from annulus.structures import (
+    CornerSweep, StructureError, associator_compound, associator_corner_names,
+    horizontal_compound, horizontal_corner_names,
+)
+from annulus.walls import BimoduleLabel, all_walls
+
+
+def _fresh(cd) -> tuple:
+    out = decompose(QuotientRep(cd))
+    return tuple(sorted((d.name(), mult) for d, mult in out))
+
+
+def _fresh_associator(m, n, pw) -> tuple:
+    names = associator_corner_names(m, n, pw)
+    return tuple(
+        (t, _fresh(associator_compound(m, n, pw, dict(zip(names, t)))))
+        for t in itertools.product(range(m.p), repeat=len(names)))
+
+
+def _fresh_horizontal(d1, d2) -> tuple:
+    names = horizontal_corner_names(d1, d2)
+    out = []
+    for t in itertools.product(range(d1.p), repeat=len(names)):
+        kw = dict(zip(names, t))
+        cd = horizontal_compound(d1, d2, corner_bottom=kw.get("bottom"),
+                                 corner_top=kw.get("top"))
+        out.append((t, _fresh(cd)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,step", [(2, 1), (3, 4)])
+def test_associator_sweep_matches_fresh_compounds(p, step):
+    """Every p=2 cell and every 4th p=3 cell."""
+    cells = list(itertools.product(all_walls(p), repeat=3))[::step]
+    for m, n, pw in cells:
+        assert associator(m, n, pw).outcomes == _fresh_associator(m, n, pw), \
+            (m.name(), n.name(), pw.name())
+
+
+@pytest.mark.parametrize("p,params", [
+    (3, list(itertools.product(range(3), range(1, 3), range(3), range(3)))),
+    (5, [(x, q, c, z) for q in range(1, 5)
+         for x, c, z in ((0, 0, 0), (q, 2 * q % 5, 4 - q), (4, q - 1, 3))]),
+])
+def test_horizontal_sweep_matches_fresh_compounds(p, params):
+    """FqR x LL over every corner value: every p=3 pair, and p=5 pairs
+    with each q."""
+    for x, q, c, z in params:
+        d1 = parse_defect(f"FqR(x={x};q={q})", p)
+        d2 = parse_defect(f"LL(a={c},x={z})", p)
+        result = horizontal_fuse(d1, d2)
+        assert len(result.outcomes) == p
+        assert result.outcomes == _fresh_horizontal(d1, d2), (d1, d2)
+
+
+def test_sweep_shares_the_structure_and_the_corner_free_reps():
+    p = 3
+    m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
+    assert associator_corner_names(m, n, pw) == ["mu0", "nu1"]
+    sweep = CornerSweep()
+    cds = {t: associator_compound(m, n, pw, {"mu0": t[0], "nu1": t[1]},
+                                  sweep=sweep)
+           for t in itertools.product(range(p), repeat=2)}
+    first = cds[(0, 0)]
+    for (mu0, nu1), cd in cds.items():
+        assert cd.structure is first.structure
+        assert cd.reps["v2"] is first.reps["v2"]
+        assert cd.reps["v3"] is first.reps["v3"]
+        assert cd.reps["v1"] is cds[(mu0, 0)].reps["v1"]
+        assert cd.reps["v4"] is cds[(0, nu1)].reps["v4"]
+        assert cd.reps["v1"].corner == mu0 and cd.reps["v4"].corner == nu1
+    assert len({id(cd.reps["v1"]) for cd in cds.values()}) == p
+    assert len({id(cd.reps["v4"]) for cd in cds.values()}) == p
+
+    d1 = parse_defect("FqR(x=1;q=1)", p)
+    d2 = parse_defect("LL(a=1,x=2)", p)
+    sweep = CornerSweep()
+    cds = [horizontal_compound(d1, d2, corner_top=nu, sweep=sweep)
+           for nu in range(p)]
+    assert len({id(cd.reps["vt"]) for cd in cds}) == p
+    for cd in cds:
+        assert cd.structure is cds[0].structure
+        for vid in ("vb", "d1", "d2"):
+            assert cd.reps[vid] is cds[0].reps[vid]
+
+
+def test_without_a_sweep_every_compound_is_fresh():
+    p = 3
+    m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
+    a = associator_compound(m, n, pw, {"mu0": 1, "nu1": 2})
+    b = associator_compound(m, n, pw, {"mu0": 1, "nu1": 2})
+    assert a.structure is not b.structure
+    assert all(a.reps[vid] is not b.reps[vid] for vid in a.reps)
+
+
+def test_a_sweep_serves_one_set_of_inputs():
+    p = 3
+    t, r = BimoduleLabel.parse("T", p), BimoduleLabel.parse("R", p)
+    sweep = CornerSweep()
+    associator_compound(t, t, t, {"mu0": 0, "mu1": 0, "nu0": 0, "nu1": 0},
+                        sweep=sweep)
+    with pytest.raises(ValueError, match="one set of inputs"):
+        associator_compound(t, t, r, {"mu0": 0, "nu0": 0}, sweep=sweep)
+
+
+def test_root_of_unity_check_is_made_per_corner_value(monkeypatch):
+    """A phase that is no root of unity at corner value 2 only: a memo
+    shared across corner values would answer from corners 0 and 1."""
+    plain = TrivalentRep.act
+
+    def act(self, vec, args, field):
+        phase, new = plain(self, vec, args, field)
+        if self.corner == 2:
+            phase = field.integer(2) * phase
+        return phase, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+    p = 3
+    t = BimoduleLabel.parse("T", p)
+    with pytest.raises(StructureError, match="not a root of unity"):
+        associator(t, t, t)
+    with pytest.raises(StructureError, match="not a root of unity"):
+        horizontal_fuse(parse_defect("FqR(x=1;q=1)", p),
+                        parse_defect("LL(a=1,x=2)", p))
