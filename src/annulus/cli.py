@@ -174,6 +174,9 @@ def _diff_golden(results, golden_path):
             check_associator_against_golden(result, golden)
         except AssertionError as exc:
             raise CliError(EXIT_GOLDEN, f"golden mismatch: {exc}")
+        except ValueError as exc:
+            raise CliError(EXIT_PARSE,
+                           f"bad golden table {golden_path}: {exc}")
 
 
 def cmd_table(args):
@@ -268,7 +271,10 @@ def cmd_lw(args):
                            f"bad state document: no {exc} entry")
         except (TypeError, AttributeError) as exc:
             raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
-        doc["violated_terms"] = patch.violated_terms(edge_values, state)
+        try:
+            doc["violated_terms"] = patch.violated_terms(edge_values, state)
+        except StructureError as exc:
+            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
     _emit(doc, args.format)
 
 

@@ -1,9 +1,13 @@
 """The domain wall structure algorithm.
 
-Pipeline: enumerate the compound basis (consistent edge labelings), grade it
-by the external labels, and let the bubbles of the internal cavities
+Pipeline: solve for the compound basis (consistent edge labelings), grade
+it by the external labels, and let the bubbles of the internal cavities
 generate a group G = (Z/p)^C acting monomially on it (one basis vector to a
-root of unity times one basis vector). The product of the cavity
+root of unity times one basis vector). Every rep's edge labels are affine
+in its free labels, so the consistent labelings are the solutions of linear
+equations over F_p, which `_solve_basis` eliminates and lists. A bubble
+generates a strict Z/p action when Bub_u = Bub_1^u, which `_strict_cyclic`
+checks vertex by vertex, next to Bub_1's table. The product of the cavity
 symmetrizers averages over G, so the quotient has one orbit sum per orbit
 whose stabilizer acts trivially (an admissible orbit), and a grade's
 dimension is its number of admissible orbits. Boundary generators commute
@@ -26,12 +30,15 @@ share the memos of every vertex whose corner they agree on, and a
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import os
 
 from .defects import DefectLabel, enumerate_defects, idempotent
 from .linalg import ExactMatrix
 from .scalars import CycField
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
+from .walls import STAR
 
 
 class SizeLimitError(RuntimeError):
@@ -45,72 +52,265 @@ def _max_basis() -> int:
 def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
     """All consistent labelings: one free-label tuple per vertex, such that
     every internal edge gets the same object from both endpoints."""
-    return _join_basis(cd.vertex_order, cd.reps, cd.structure._edge_at, {},
-                       "compound")
+    return _solve_basis(cd.vertex_order, cd.reps, cd.structure._edge_at, {},
+                        "compound")
 
 
-def _join_basis(order, reps: dict, edge_at, domains: dict,
-                what: str) -> list[tuple]:
+class _Form:
+    """c + sum_j a_j v_j: an affine form in the free labels v of one local
+    vector, with integer coefficients. It is the symbol that
+    `_symbolic_labels` passes to a rep's `edges` entry, so it defines only
+    +, -, multiplication by an integer and % p; any other use of a free
+    label (a product of two labels, a comparison, a truth test, an index)
+    raises TypeError."""
+
+    __slots__ = ("coef", "const")
+
+    def __init__(self, coef: tuple, const: int = 0):
+        self.coef = coef
+        self.const = const
+
+    def __add__(self, other):
+        if isinstance(other, _Form):
+            return _Form(tuple(a + b for a, b in zip(self.coef, other.coef)),
+                         self.const + other.const)
+        if isinstance(other, int):
+            return _Form(self.coef, self.const + other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Form(tuple(a * other for a in self.coef),
+                         self.const * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        if isinstance(p, int):
+            return _Form(tuple(a % p for a in self.coef), self.const % p)
+        return NotImplemented
+
+    def _refuse(self, *args):
+        raise TypeError("a free label is used other than affinely")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __bool__ = __index__ = __int__ = _refuse
+    __hash__ = None
+
+
+def _symbolic_labels(rep, vid) -> dict:
+    """rep's edge labels as functions of its free labels: {slot: STAR, a
+    form reduced mod p, or a tuple of forms}. The `edges` entry is evaluated
+    once, on one symbol per free label."""
+    n = len(rep.free_names)
+    symbols = tuple(_Form(tuple(int(i == j) for i in range(n)))
+                    for j in range(n))
+    p = rep.p
+
+    def form(lab):
+        if lab is STAR:
+            return STAR
+        if isinstance(lab, tuple):
+            return tuple(form(x) for x in lab)
+        if isinstance(lab, _Form):
+            return lab
+        if isinstance(lab, int):
+            return _Form((0,) * n, lab % p)
+        raise TypeError(f"label {lab!r} is no object")
+
+    try:
+        labels = rep.label_map(symbols)
+        return {slot: form(lab) for slot, lab in labels.items()}
+    except TypeError as exc:
+        raise StructureError(
+            f"vertex {vid}: edge labels are not affine in the free labels "
+            f"({exc})") from None
+
+
+def _solve_basis(order, reps: dict, edge_at, pins: dict,
+                 what: str) -> list[tuple]:
     """Consistent labelings of the vertices `order`: one local basis vector
     per vertex, such that both ends of every edge carry the same object and
-    every edge named in `domains` carries one of its allowed objects.
+    every edge named in `pins` carries its pinned object.
 
-    Vertices are placed in order; a partial labeling carries the labels of
-    its open edges (one end placed), and each vertex's local basis is
-    bucketed by its labels on edges to earlier vertices, so a partial only
-    meets the local vectors that agree with it. The output is in the order
-    of the product of the local bases."""
+    Every rep's edge labels are affine in its free labels, so the
+    consistent labelings are the solutions of linear equations over F_p in
+    the free labels of all vertices, numbered in vertex order. Each
+    equation is eliminated with its pivot on its highest variable, so a
+    pivot variable is a function of lower variables only. The solutions are
+    then built vertex by vertex, the free variables running over Z/p and
+    each pivot computed from the variables before it, which keeps the order
+    of the product of the local bases. ANNULUS_MAX_BASIS bounds the number
+    of solutions, p^(free variables), before any is built."""
     limit = _max_basis()
-    position = {vid: i for i, vid in enumerate(order)}
-    open_eids: list = []
-    partials: list[tuple[tuple, tuple]] = [((), ())]
-    for idx, vid in enumerate(order):
+    if not order:
+        return [()]
+    p = reps[order[0]].p
+    symbolic: dict = {}         # rep key -> symbolic labels, in this call
+    labels: dict = {}           # vertex -> (its symbolic labels, offset)
+    owner: list = []            # variable -> (vertex position, local index)
+    for pos, vid in enumerate(order):
         rep = reps[vid]
-        # slot table: the other end of each slot's edge is external (skipped),
-        # this vertex again (a loop), or placed earlier or later; an edge
-        # with a domain also filters the local basis
-        closing, opening, loops, restricted = [], [], {}, []
-        for slot in rep.slots:
+        if rep.symbolic_labels is None:
+            found = symbolic.get(rep.key)
+            rep.symbolic_labels = (_symbolic_labels(rep, vid) if found is None
+                                   else found)
+        symbolic[rep.key] = rep.symbolic_labels
+        labels[vid] = rep.symbolic_labels, len(owner)
+        owner.extend((pos, j) for j in range(len(rep.free_names)))
+    pivots: dict = {}
+    seen = set()
+    for vid in order:
+        for slot in reps[vid].slots:
             e = edge_at(vid, slot)
-            if e.eid in domains:
-                restricted.append((slot, domains[e.eid]))
-            other = [end for end in e.ends if end != (vid, slot)][0]
-            if other is None:
+            if e.eid in seen:
                 continue
-            if other[0] == vid:
-                loops.setdefault(e.eid, []).append(slot)
-            elif position[other[0]] < idx:
-                closing.append((slot, e.eid))
+            seen.add(e.eid)
+            sides = [(labels[v][0][s], labels[v][1])
+                     for v, s in (end for end in e.ends if end is not None)]
+            if e.eid in pins:
+                sides.append((_constant(pins[e.eid]), 0))
+            for other in sides[1:]:
+                if not _equate(*sides[0], *other, pivots, p):
+                    return []
+    free = len(owner) - len(pivots)
+    if p ** free > limit:
+        raise SizeLimitError(
+            f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
+            f"{p}^{free} consistent labelings")
+    partials: list[tuple] = [()]
+    for pos, vid in enumerate(order):
+        start = labels[vid][1]
+        # per local variable: None if free, else the pivot row as
+        # (constant, [(earlier vertex or -1 for this one, index, coef)])
+        plan, deps = [], []
+        for v in range(start, start + len(reps[vid].free_names)):
+            row = pivots.get(v)
+            if row is None:
+                plan.append(None)
+                continue
+            coef, const = row
+            terms = []
+            for u, a in coef.items():
+                if u == v:
+                    continue
+                vp, j = owner[u]
+                if vp == pos:
+                    terms.append((-1, j, -a % p))
+                    continue
+                if vp not in deps:
+                    deps.append(vp)
+                terms.append((deps.index(vp), j, -a % p))
+            plan.append((-const % p, terms))
+        if not deps:
+            vecs = _local_vectors(plan, p, ())
+            partials = [a + (x,) for a in partials for x in vecs]
+            continue
+        key_of = operator.itemgetter(*deps)
+        single = len(deps) == 1
+        table: dict = {}
+        out = []
+        for a in partials:
+            key = key_of(a)
+            vecs = table.get(key)
+            if vecs is None:
+                vecs = table[key] = _local_vectors(plan, p,
+                                                   (key,) if single else key)
+            out += [a + (x,) for x in vecs]
+        partials = out
+    return partials
+
+
+def _constant(obj):
+    """A pinned object as a label with no free variables."""
+    if obj is STAR:
+        return STAR
+    if isinstance(obj, tuple):
+        return tuple(_constant(x) for x in obj)
+    return _Form((), obj)
+
+
+def _equate(left, lo: int, right, ro: int, pivots: dict, p: int) -> bool:
+    """Add the equations left = right to the echelon rows `pivots`, the
+    labels' free variables being numbered from lo and ro. False when the
+    system has become inconsistent: 0 = c with c != 0, or objects of
+    different shapes."""
+    if left is STAR or right is STAR:
+        return left is right
+    if isinstance(left, tuple) or isinstance(right, tuple):
+        return (isinstance(left, tuple) and isinstance(right, tuple)
+                and len(left) == len(right)
+                and all(_equate(a, lo, b, ro, pivots, p)
+                        for a, b in zip(left, right)))
+    eq = {lo + j: a for j, a in enumerate(left.coef) if a}
+    for j, a in enumerate(right.coef):
+        if a:
+            c = (eq.get(ro + j, 0) - a) % p
+            if c:
+                eq[ro + j] = c
             else:
-                opening.append((slot, e.eid))
-        key_at = [open_eids.index(eid) for _, eid in closing]
-        closed = {eid for _, eid in closing}
-        keep_at = [i for i, eid in enumerate(open_eids) if eid not in closed]
-        buckets: dict[tuple, list] = {}
-        for vec in rep.basis():
-            labels = rep.edge_labels(vec)
-            if any(labels[a] != labels[b] for a, b in loops.values()):
+                del eq[ro + j]
+    return _add_row(eq, (left.const - right.const) % p, pivots, p)
+
+
+def _add_row(eq: dict, const: int, pivots: dict, p: int) -> bool:
+    """Reduce sum_v eq[v] x_v + const = 0 by the rows in `pivots` and keep
+    it as the row of its highest variable, scaled to coefficient 1 there.
+    Every row's variables are at most its pivot. False if it reduces to a
+    nonzero constant."""
+    while eq:
+        h = max(eq)
+        row = pivots.get(h)
+        if row is None:
+            inv = pow(eq[h], -1, p)
+            pivots[h] = ({v: a * inv % p for v, a in eq.items()},
+                         const * inv % p)
+            return True
+        a = eq[h]
+        coef, rconst = row
+        for v, b in coef.items():
+            c = (eq.get(v, 0) - a * b) % p
+            if c:
+                eq[v] = c
+            else:
+                eq.pop(v, None)
+        const = (const - a * rconst) % p
+    return const == 0
+
+
+def _local_vectors(plan: list, p: int, earlier: tuple) -> list[tuple]:
+    """One vertex's local vectors consistent with the local vectors
+    `earlier` of the vertices it depends on, in the order of its local
+    basis: its free variables run over Z/p, and each pivot, plan[j] =
+    (c, terms), is c + sum a*y over terms (d, i, a), with y the i-th entry of
+    earlier[d], or of this vector if d = -1."""
+    n_free = sum(spec is None for spec in plan)
+    out = []
+    for frees in itertools.product(range(p), repeat=n_free):
+        x = []
+        it = iter(frees)
+        for spec in plan:
+            if spec is None:
+                x.append(next(it))
                 continue
-            if restricted and any(labels[slot] not in allowed
-                                  for slot, allowed in restricted):
-                continue
-            key = tuple(labels[slot] for slot, _ in closing)
-            opened = tuple(labels[slot] for slot, _ in opening)
-            buckets.setdefault(key, []).append((vec, opened))
-        new_partials = []
-        for assignment, state in partials:
-            bucket = buckets.get(tuple(state[i] for i in key_at))
-            if not bucket:
-                continue
-            kept = tuple(state[i] for i in keep_at)
-            for vec, opened in bucket:
-                new_partials.append((assignment + (vec,), kept + opened))
-                if len(new_partials) > limit:
-                    raise SizeLimitError(
-                        f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}")
-        open_eids = [open_eids[i] for i in keep_at] + [eid for _, eid in opening]
-        partials = new_partials
-    return [assignment for assignment, _ in partials]
+            c, terms = spec
+            for d, i, a in terms:
+                c += a * (x[i] if d < 0 else earlier[d][i])
+            x.append(c % p)
+        out.append(tuple(x))
+    return out
 
 
 def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:
@@ -141,21 +341,95 @@ def _external_grades(cd: CompoundDefect, basis: list) -> list[tuple]:
             for vec in basis]
 
 
-def _is_cyclic(rows: list, N: int) -> bool:
-    """Whether the monomial table rows[u][i] = (j, k), meaning that T_u
-    sends basis vector i to zeta_N^k times vector j, is a strict Z/p action
-    generated by T_1: T_u = T_1^u with equal phases for every u in the table
-    (T_0 the identity), and T_1^p the identity. Then (1/p) sum_u T_u is an
-    idempotent. Every j must be an index."""
-    gen = rows[1]
-    for i in range(len(gen)):
-        cur, k = i, 0
-        for row in rows:
-            if row[i] != (cur, k):
+def _generator_table(basis: list, index: dict, vertex_args: list, reps: dict,
+                     field, left: str, grade_of: list | None = None) -> list:
+    """The monomial table [(j, k)] of a generator T_1 on `basis`: T_1 sends
+    state i to zeta_N^k times state j. It acts on the vertices of
+    `vertex_args`. An image that is no basis state, or that lies in another
+    grade when `grade_of` is given, raises StructureError(left)."""
+    gen = []
+    for i, vec in enumerate(basis):
+        k, new = _apply_args(reps, vec, vertex_args, field)
+        j = index.get(new)
+        if j is None or (grade_of is not None and grade_of[j] != grade_of[i]):
+            raise StructureError(left)
+        gen.append((j, k))
+    return gen
+
+
+def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
+                   field) -> bool:
+    """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
+    T_1^p is the identity; then (1/p) sum_u T_u is an idempotent. acts[u]
+    holds the vertex args of T_u, and gen is T_1's table on `basis`, which
+    T_1 keeps.
+
+    T_u and T_1^u act vertex by vertex. Their images agree on a state when
+    they agree at every vertex on its local vector. Their phases are sums of
+    vertex exponents, and a vertex's defect, T_u's exponent minus that of
+    its part of T_1 applied u times, may be nonzero and cancel against
+    other vertices. So the defects are found per vertex and local vector,
+    and summed in Z/N over the basis only at vertices where one is nonzero.
+    T_1^p = 1 is read off the cycles of gen: each must have length 1 or p,
+    with a phase sum that vanishes when taken p/length times."""
+    p, N = len(acts), field.N
+    by_vertex: dict = {}
+    for u, vertex_args in enumerate(acts):
+        for pos, vid, args, memo in vertex_args:
+            by_vertex.setdefault((pos, vid), {})[u] = (args, memo)
+    defects = []
+    for (pos, vid), by_u in by_vertex.items():
+        rep = reps[vid]
+        # the local vectors at this vertex, which T_1 permutes; maps[u] is
+        # the memo of T_u here, None where T_u does not act
+        local = {vec[pos] for vec in basis}
+        maps = []
+        for u in range(p):
+            hit = by_u.get(u)
+            if hit is not None:
+                args, hit = hit
+                for x in local:
+                    if x not in hit:
+                        hit[x] = _exponent_action(rep, vid, x, args, field)
+            maps.append(hit)
+        one = maps[1]
+        table = {}
+        for x in local:
+            cur, total, defect = x, 0, None
+            for u, memo in enumerate(maps):
+                k, y = (0, x) if memo is None else memo[x]
+                if y != cur:
+                    return False
+                if (k - total) % N:
+                    if defect is None:
+                        defect = table[x] = [0] * p
+                    defect[u] = (k - total) % N
+                k, cur = (0, cur) if one is None else one[cur]
+                total += k
+        if table:
+            defects.append((pos, table))
+    if defects:
+        for vec in basis:
+            total = [0] * p
+            for pos, table in defects:
+                defect = table.get(vec[pos])
+                if defect:
+                    total = [a + b for a, b in zip(total, defect)]
+            if any(a % N for a in total):
                 return False
-            cur, dk = gen[cur]
-            k = (k + dk) % N
-        if cur != i or k:
+    seen = [False] * len(gen)
+    for i in range(len(gen)):
+        if seen[i]:
+            continue
+        j, k, length = i, 0, 0
+        while True:
+            seen[j] = True
+            j, dk = gen[j]
+            k += dk
+            length += 1
+            if j == i or length == p:
+                break
+        if j != i or p % length or k * (p // length) % N:
             return False
     return True
 
@@ -218,13 +492,14 @@ def _action_memo(rep, args: dict) -> dict:
     return rep.action_memo.setdefault(tuple(sorted(args.items())), {})
 
 
-def _vertex_args(cd: CompoundDefect, args_by_vertex: dict) -> list[tuple]:
-    """(position, vertex, args, memo) for every vertex that acts."""
+def _vertex_args(order, reps: dict, args_by_vertex: dict) -> list[tuple]:
+    """(position in `order`, vertex, args, memo) for every vertex that
+    acts."""
     out = []
-    for i, vid in enumerate(cd.vertex_order):
+    for i, vid in enumerate(order):
         args = args_by_vertex.get(vid)
         if args:
-            out.append((i, vid, args, _action_memo(cd.reps[vid], args)))
+            out.append((i, vid, args, _action_memo(reps[vid], args)))
     return out
 
 
@@ -239,7 +514,7 @@ def _exponent_action(rep, vid, vec, args, field) -> tuple:
     return k, new
 
 
-def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
+def _apply_args(reps: dict, vec: tuple, vertex_args: list, field):
     """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
     being zeta_N^k. Each vertex's action is memoised on its rep."""
     exp = 0
@@ -247,7 +522,7 @@ def _apply_args(cd: CompoundDefect, vec: tuple, vertex_args: list, field):
     for i, vid, args, memo in vertex_args:
         hit = memo.get(vec[i])
         if hit is None:
-            hit = memo[vec[i]] = _exponent_action(cd.reps[vid], vid, vec[i],
+            hit = memo[vec[i]] = _exponent_action(reps[vid], vid, vec[i],
                                                   args, field)
         exp += hit[0]
         out[i] = hit[1]
@@ -267,14 +542,14 @@ def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
         for vid, region in cd.structure.right_face or ():
             slot_args = args.setdefault(vid, {})
             slot_args[region] = slot_args.get(region, 0) + h
-        cache[key] = _vertex_args(cd, args)
+        cache[key] = _vertex_args(cd.vertex_order, cd.reps, args)
     return cache[key]
 
 
 def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
                     field: CycField):
     """Absorb a g string along the left external region and h along the right."""
-    k, new = _apply_args(cd, vec, _boundary_args(cd, g, h), field)
+    k, new = _apply_args(cd.reps, vec, _boundary_args(cd, g, h), field)
     return field.root_pow(k), new
 
 
@@ -293,14 +568,14 @@ def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
             sign = BUBBLE_SIGN[(cd.structure.vertices[vid], region)]
             slot_args = args.setdefault(vid, {})
             slot_args[region] = slot_args.get(region, 0) + sign * g
-        cache[key] = _vertex_args(cd, args)
+        cache[key] = _vertex_args(cd.vertex_order, cd.reps, args)
     return cache[key]
 
 
 def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
                   field: CycField):
     """Insert a g-labeled loop in the given internal cavity and absorb it."""
-    k, new = _apply_args(cd, vec, _bubble_args(cd, cavity, g), field)
+    k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g), field)
     return field.root_pow(k), new
 
 
@@ -312,7 +587,8 @@ def _averaged_bubble(cd: CompoundDefect, cavity: int, vec: tuple,
     each entry is built once with denominator p."""
     hists: dict[tuple, list[int]] = {}
     for g in range(cd.p):
-        k, new = _apply_args(cd, vec, _bubble_args(cd, cavity, g), field)
+        k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g),
+                             field)
         hist = hists.get(new)
         if hist is None:
             hist = hists[new] = [0] * field.N
@@ -374,29 +650,22 @@ class QuotientRep:
 
     def _bubble_generators(self) -> list:
         """The table of Bub_{c,1} on the raw basis for every cavity c, once
-        Bub_{c,u} is checked to keep every grade and to equal Bub_{c,1}^u."""
+        it is checked to keep every grade and Bub_{c,u} to equal
+        Bub_{c,1}^u."""
         cd, field = self.cd, self.field
-        index, grade_of = self.raw_index, self._grade_of
         gens = []
         for cav in range(len(cd.structure.cavities)):
-            rows = []
-            for u in range(cd.p):
-                args = _bubble_args(cd, cav, u)
-                row = []
-                for i, vec in enumerate(self.raw_basis):
-                    k, new = _apply_args(cd, vec, args, field)
-                    j = index.get(new)
-                    if j is None or grade_of[j] != grade_of[i]:
-                        raise StructureError(
-                            "bubble action left the external grade; "
-                            "cavity declaration is inconsistent")
-                    row.append((j, k))
-                rows.append(row)
-            if not _is_cyclic(rows, field.N):
+            acts = [_bubble_args(cd, cav, u) for u in range(cd.p)]
+            gen = _generator_table(
+                self.raw_basis, self.raw_index, acts[1], cd.reps, field,
+                "bubble action left the external grade; "
+                "cavity declaration is inconsistent", self._grade_of)
+            if not _strict_cyclic(gen, self.raw_basis, acts, cd.reps,
+                                  field):
                 raise StructureError(
                     "cavity symmetrizer is not idempotent; "
                     "slot conventions violated for this structure")
-            gens.append(rows[1])
+            gens.append(gen)
         return gens
 
     @functools.cached_property
@@ -438,7 +707,7 @@ class QuotientRep:
             members = self._members[root]
             image = {}
             for i in members:
-                k, new = _apply_args(cd, self.raw_basis[i], args, field)
+                k, new = _apply_args(cd.reps, self.raw_basis[i], args, field)
                 j = self.raw_index.get(new)
                 if j is None:
                     raise StructureError(
@@ -569,7 +838,9 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
     field = qr.field
     table = DefectTable() if table is None else table
     out = []
-    for d, grade in table.candidates(lower, upper):
+    # a quotient with no admissible orbit has no candidate to try
+    candidates = table.candidates(lower, upper) if qr.total_dim() else ()
+    for d, grade in candidates:
         if not qr.grade_dim(grade):
             continue
         total = field.zero

@@ -206,7 +206,13 @@ def _expected_cell(golden, m, n, pw):
     """Expected (trivial defect, delta list) for concrete walls from golden data."""
     p = m.p
     key = "|".join((m.ekind(), n.ekind(), pw.ekind()))
-    cell = golden["cells"][key]
+    cells = golden.get("cells") if isinstance(golden, dict) else None
+    if not isinstance(cells, dict) or not cells:
+        raise ValueError("the golden document has no cells")
+    cell = cells.get(key)
+    if cell is None:
+        raise AssertionError(f"[{m.name()},{n.name()},{pw.name()}]: "
+                             f"no golden cell {key}")
     spec = cell["defect"]
     w4 = wall_product(wall_product(m, n), pw)
     if spec.startswith("wall:"):
@@ -243,8 +249,11 @@ def _expected_support(names, deltas, n_param, p):
 
 
 def check_associator_against_golden(result: FusionResult, golden=None) -> None:
-    """Exact cell comparison; raises AssertionError on any mismatch."""
-    golden = golden or load_golden_associators()
+    """Exact cell comparison against `golden` (the built-in table if None);
+    raises AssertionError on any mismatch, a cell missing from the document
+    included, and ValueError if the document has no cells."""
+    if golden is None:
+        golden = load_golden_associators()
     p = result.p
     m, n, pw = (BimoduleLabel.parse(t, p) for t in result.inputs)
     expected_defect, deltas = _expected_cell(golden, m, n, pw)

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .engine import (
-    _action_memo, _exponent_action, _is_cyclic, _join_basis, _monomial_orbits,
+    _exponent_action, _generator_table, _monomial_orbits, _solve_basis,
+    _strict_cyclic, _vertex_args,
 )
 from .linalg import ExactMatrix
 from .reps import TrivalentRep
@@ -36,8 +37,10 @@ class LatticePatch:
 
     faces: list of corner lists [(vid, region), ...]; pinned: {eid: object}
     fixing dangling edge values (free dangling edges enumerate all objects).
-    Exact solves are sized for desk scale (a few faces at small p);
-    ANNULUS_MAX_BASIS caps the state enumeration.
+    The consistent basis is solved over F_p by the engine's `_solve_basis`;
+    ANNULUS_MAX_BASIS bounds its size before any state is built. Each
+    face's group law is checked by the engine's `_strict_cyclic` from the
+    table of H_{f,1}, the only face table kept.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -52,15 +55,10 @@ class LatticePatch:
         self._validate()
         self._slot_edge = {end: e for e in self.edges
                            for end in e.ends if end is not None}
-        self._edge_domain = {
-            e.eid: ({self.pinned[e.eid]} if e.eid in self.pinned
-                    else set(e.wall.simple_objects()))
-            for e in self.edges
-        }
         self._order = list(self.vertices)
         self._basis = None
         self._face_args_cache: dict = {}
-        self._tables = None
+        self._gens = None
 
     def _validate(self):
         seen = set()
@@ -111,8 +109,8 @@ class LatticePatch:
         """States where every edge label equals both endpoint gradings and
         pinned values; these span the common kernel of all vertex terms."""
         if self._basis is None:
-            self._basis = _join_basis(self._order, self.vertices,
-                                      self._edge_at, self._edge_domain, "patch")
+            self._basis = _solve_basis(self._order, self.vertices,
+                                       self._edge_at, self.pinned, "patch")
         return self._basis
 
     def _edge_at(self, vid, slot):
@@ -131,7 +129,9 @@ class LatticePatch:
     def full_state_dims(self) -> dict:
         """Sizes of the unconstrained tensor factors (diagnostics only)."""
         return {
-            "edges": {e.eid: len(self._edge_domain[e.eid]) for e in self.edges},
+            "edges": {e.eid: (1 if e.eid in self.pinned
+                              else len(e.wall.simple_objects()))
+                      for e in self.edges},
             "vertices": {vid: len(rep.basis())
                          for vid, rep in self.vertices.items()},
         }
@@ -160,9 +160,9 @@ class LatticePatch:
             out.append(vec)
         return phase, tuple(out)
 
-    def _face_args(self, face_idx: int, g: int) -> dict:
-        """{vid: (position, args, action memo)} of the g-labeled loop in one
-        face, for every vertex it touches."""
+    def _face_args(self, face_idx: int, g: int) -> list:
+        """[(position, vertex, args, action memo)] of the g-labeled loop in
+        one face, for every vertex it touches."""
         key = (face_idx, g)
         out = self._face_args_cache.get(key)
         if out is None:
@@ -171,10 +171,8 @@ class LatticePatch:
                 sign = BUBBLE_SIGN[(self.vertices[vid].direction, region)]
                 slot_args = args.setdefault(vid, {})
                 slot_args[region] = slot_args.get(region, 0) + sign * g
-            out = self._face_args_cache[key] = {
-                vid: (self._order.index(vid), a,
-                      _action_memo(self.vertices[vid], a))
-                for vid, a in args.items()}
+            out = self._face_args_cache[key] = _vertex_args(
+                self._order, self.vertices, args)
         return out
 
     def _vertex_act(self, vid, args, memo, vec):
@@ -186,36 +184,32 @@ class LatticePatch:
                 self.vertices[vid], vid, vec, args, self.field)
         return hit
 
-    def _face_tables(self) -> list:
-        """tables[f][g][i] = (j, k): H_{f,g} sends consistent basis state i
-        to zeta_N^k times state j; j is None if the image leaves the
-        consistent basis."""
-        if self._tables is None:
+    def _face_generators(self) -> list:
+        """gens[f][i] = (j, k): H_{f,1} sends consistent basis state i to
+        zeta_N^k times state j. A face whose image leaves the consistent
+        basis is a StructureError."""
+        if self._gens is None:
             basis = self.consistent_basis()
             index = {s: i for i, s in enumerate(basis)}
-            N = self.field.N
-            tables = []
-            for f in range(len(self.faces)):
-                rows = []
-                for g in range(self.p):
-                    acting = list(self._face_args(f, g).items())
-                    row = []
-                    for state in basis:
-                        k = 0
-                        out = list(state)
-                        for vid, (pos, args, memo) in acting:
-                            dk, out[pos] = self._vertex_act(vid, args, memo,
-                                                            state[pos])
-                            k += dk
-                        row.append((index.get(tuple(out)), k % N))
-                    rows.append(row)
-                tables.append(rows)
-            self._tables = tables
-        return self._tables
+            self._gens = [
+                _generator_table(basis, index, self._face_args(f, 1),
+                                 self.vertices, self.field,
+                                 f"face {f} left the consistent subspace")
+                for f in range(len(self.faces))]
+        return self._gens
 
     def violated_terms(self, edge_values: dict, state) -> dict:
         """Per-vertex count of violated edge-match terms for a raw state whose
-        edge degrees of freedom are given explicitly."""
+        edge degrees of freedom are given explicitly. The state must hold one
+        local basis vector per vertex, in vertex order."""
+        if len(state) != len(self._order):
+            raise StructureError(
+                f"state has {len(state)} vertex vectors, patch has "
+                f"{len(self._order)} vertices")
+        for vid, vec in zip(self._order, state):
+            if vec not in self.vertices[vid].basis():
+                raise StructureError(
+                    f"vertex {vid}: {list(vec)} is not a local basis vector")
         report = {}
         for vid, vec in zip(self.vertex_order(), state):
             rep = self.vertices[vid]
@@ -255,12 +249,19 @@ class LatticePatch:
                             {"faces": [i, j], "g": g, "h": h})
         return report
 
+    def _args_at(self, face_idx, g, vid):
+        """(args, memo) of the g-labeled loop in a face at one vertex."""
+        for _, v, args, memo in self._face_args(face_idx, g):
+            if v == vid:
+                return args, memo
+        raise KeyError(vid)
+
     def _vertex_commutator_phase(self, vid, face_i, face_j, g, h) -> int:
         """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at one
         vertex; k must be state-independent (asserted by evaluation over the
         full local basis)."""
-        _, ai, mi = self._face_args(face_i, g)[vid]
-        _, aj, mj = self._face_args(face_j, h)[vid]
+        ai, mi = self._args_at(face_i, g, vid)
+        aj, mj = self._args_at(face_j, h, vid)
         N = self.field.N
         ratio = None
         for vec in self.vertices[vid].basis():
@@ -279,14 +280,14 @@ class LatticePatch:
 
     def assert_face_group_rep(self) -> None:
         """Each face's operators form a strict Z/p action on the consistent
-        basis (needed for H_f idempotency and the orbit count): on the face
-        tables, T_g = T_1^g with equal phases for every face, every g and
-        every basis state, and T_1^p is the identity."""
-        N = self.field.N
-        for f, rows in enumerate(self._face_tables()):
-            if any(j is None for row in rows for j, _ in row):
-                raise StructureError(f"face {f} left the consistent subspace")
-            if not _is_cyclic(rows, N):
+        basis (needed for H_f idempotency and the orbit count): H_{f,1}
+        keeps the basis, H_{f,g} = H_{f,1}^g with equal phases for every g
+        and every basis state, and H_{f,1}^p is the identity."""
+        basis = self.consistent_basis()
+        for f, gen in enumerate(self._face_generators()):
+            acts = [self._face_args(f, g) for g in range(self.p)]
+            if not _strict_cyclic(gen, basis, acts, self.vertices,
+                                  self.field):
                 raise StructureError(
                     f"face {f} does not carry a strict group action")
 
@@ -330,9 +331,8 @@ class LatticePatch:
         number of such orbits.
         """
         self.assert_face_group_rep()
-        gens = [rows[1] for rows in self._face_tables()]
-        found = _monomial_orbits(len(self.consistent_basis()), gens,
-                                 self.field.N)
+        found = _monomial_orbits(len(self.consistent_basis()),
+                                 self._face_generators(), self.field.N)
         if found is None:
             raise StructureError("face relabelings do not commute")
         return len(found[1])

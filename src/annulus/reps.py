@@ -9,7 +9,10 @@ inherited from them, nothing is re-derived.
 Registry value conventions (all integer arithmetic is raw, reduced mod p by
 the Rep classes):
   free   -- names of the basis labels, iterated over Z/p each
-  edges  -- free tuple -> object labels per string
+  edges  -- free tuple -> object labels per string; each label must be
+            affine in the free labels (+, -, integer multiples, % p), since
+            the engine evaluates it once on symbols and solves the
+            consistent labelings as linear equations over F_p
   act    -- (free, args...) -> (phase Cyc, new free tuple)
   mu     -- whether the family carries a corner parameter (multiplicity p)
 """
@@ -757,6 +760,8 @@ class BivalentRep:
         self.p = defect.lower.p
         self.field = None  # bound lazily by act callers
         self.entry = BIVALENT[_biv_key(self.lower, self.upper)]
+        # equal keys mean equal tables: basis, edge labels and actions
+        self.key = defect
         self.params = dict(zip(self.entry["params"], defect.params))
         self.walls = _Walls(self.p, self.lower, self.upper)
         self.slots = ("lower", "upper")
@@ -767,6 +772,9 @@ class BivalentRep:
         # {sorted args: {local vector: (k, new vector)}}, the phase being
         # zeta_N^k; filled by the engine and the lattice on first use
         self.action_memo: dict = {}
+        # the edge labels as affine forms of the free labels; filled by the
+        # engine's basis solver on first use
+        self.symbolic_labels = None
 
     def wall_of_slot(self, slot: str) -> BimoduleLabel:
         return self.lower if slot == "lower" else self.upper
@@ -780,12 +788,15 @@ class BivalentRep:
             self._basis = vecs
         return self._basis
 
+    def label_map(self, vec) -> dict:
+        """{slot: object} of one local vector, from the table entry."""
+        lo, up = self.entry["edges"](vec, self.params, self.walls)
+        return {"lower": _norm(self.p, lo), "upper": _norm(self.p, up)}
+
     def edge_labels(self, vec):
         cached = self._labels.get(vec)
         if cached is None:
-            lo, up = self.entry["edges"](vec, self.params, self.walls)
-            cached = {"lower": _norm(self.p, lo), "upper": _norm(self.p, up)}
-            self._labels[vec] = cached
+            cached = self._labels[vec] = self.label_map(vec)
         return cached
 
     def act(self, vec, args, field):
@@ -821,6 +832,8 @@ class TrivalentRep:
             raise ValueError(
                 f"{direction} vertex {first.name()}x{second.name()} takes no corner parameter")
         self.corner = corner if self.entry["mu"] else None
+        # equal keys mean equal tables: basis, edge labels and actions
+        self.key = (direction, first, second, self.corner)
         self.walls = _Walls(self.p, first, second, self.third)
         if direction == "tri21":
             self.slots = ("bl", "br", "top")
@@ -835,6 +848,9 @@ class TrivalentRep:
         # {sorted args: {local vector: (k, new vector)}}, the phase being
         # zeta_N^k; filled by the engine and the lattice on first use
         self.action_memo: dict = {}
+        # the edge labels as affine forms of the free labels; filled by the
+        # engine's basis solver on first use
+        self.symbolic_labels = None
 
     @property
     def has_corner(self) -> bool:
@@ -856,16 +872,16 @@ class TrivalentRep:
             self._basis = vecs
         return self._basis
 
+    def label_map(self, vec) -> dict:
+        """{slot: object} of one local vector, from the table entry."""
+        labels = self.entry["edges"](vec, self.corner, self.walls)
+        return {slot: _norm(self.p, lab)
+                for slot, lab in zip(self._pair_slots, labels)}
+
     def edge_labels(self, vec):
         cached = self._labels.get(vec)
         if cached is None:
-            e1, e2, e3 = self.entry["edges"](vec, self.corner, self.walls)
-            cached = {
-                self._pair_slots[0]: _norm(self.p, e1),
-                self._pair_slots[1]: _norm(self.p, e2),
-                self._pair_slots[2]: _norm(self.p, e3),
-            }
-            self._labels[vec] = cached
+            cached = self._labels[vec] = self.label_map(vec)
         return cached
 
     def act(self, vec, args, field):

@@ -192,3 +192,46 @@ def test_lw_state_document_without_vertices(tmp_path):
     assert r.returncode == 6, r.stderr
     assert "vertices" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_lw_state_must_hold_one_basis_vector_per_vertex(tmp_path):
+    """A state with too few vertex vectors, or with none, is refused with the
+    structure code, as is one whose vector is no local basis vector."""
+    patch = defect_line_patch(2)
+    ppath = tmp_path / "patch.json"
+    ppath.write_text(json.dumps(patch_to_json(patch)))
+    good = [list(vec) for vec in patch.consistent_basis()[0]]
+    outside = [list(vec) for vec in good]
+    outside[0] = [2] * len(outside[0])
+    for vertices in ([[0]], [], outside):
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps({"edges": {}, "vertices": vertices}))
+        r = run_cli("lw", str(ppath), "--state", str(spath))
+        assert r.returncode == 6, (vertices, r.stderr)
+        assert "bad state document" in r.stderr
+        assert "Traceback" not in r.stderr
+    spath.write_text(json.dumps({"edges": {}, "vertices": good}))
+    r = run_cli("lw", str(ppath), "--state", str(spath))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["violated_terms"] == {}
+
+
+def test_golden_document_without_cells_or_without_the_cell(tmp_path):
+    """A golden document with no cells is a usage error; one that lacks the
+    cell being checked is a golden mismatch."""
+    from annulus.fusion import load_golden_associators
+
+    path = tmp_path / "golden.json"
+    args = ("associator", "-p", "2", "R", "Fq:1", "R", "--golden", str(path))
+    for doc in ({}, {"cells": {}}):
+        path.write_text(json.dumps(doc))
+        r = run_cli(*args)
+        assert r.returncode == 2, (doc, r.stderr)
+        assert "no cells" in r.stderr
+        assert "Traceback" not in r.stderr
+    cells = load_golden_associators()["cells"]
+    del cells["R|F|R"]
+    path.write_text(json.dumps({"cells": cells}))
+    r = run_cli(*args)
+    assert r.returncode == 5, r.stderr
+    assert "no golden cell R|F|R" in r.stderr

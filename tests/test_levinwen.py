@@ -286,18 +286,22 @@ def _table_patches():
 
 
 def test_face_tables_match_face_action():
+    """The generator table of each face is H_{f,1} as `face_action` computes
+    it, and H_{f,g} from `face_action` is that table applied g times."""
     for patch in _table_patches():
         basis = patch.consistent_basis()
-        tables = patch._face_tables()
-        assert len(tables) == len(patch.faces)
-        for f, rows in enumerate(tables):
-            assert len(rows) == patch.p
-            for g, row in enumerate(rows):
-                assert len(row) == len(basis)
-                for state, (j, k) in zip(basis, row):
+        gens = patch._face_generators()
+        assert len(gens) == len(patch.faces)
+        for f, gen in enumerate(gens):
+            assert len(gen) == len(basis)
+            for i, state in enumerate(basis):
+                j, k = i, 0
+                for g in range(patch.p):
                     phase, new = patch.face_action(f, g, state)
                     assert j is not None and basis[j] == new
                     assert phase == patch.field.root_pow(k)
+                    j, dk = gen[j]
+                    k += dk
 
 
 def test_ground_space_dim_matches_cyc_trace():
@@ -323,8 +327,9 @@ def test_pinned_chain_p5_n5_has_one_ground_state():
     assert patch.ground_space_dim() == 1
 
 
-def _with_tables(monkeypatch, patch, tables):
-    monkeypatch.setattr(patch, "_face_tables", lambda: tables)
+def _with_tables(monkeypatch, patch, gens):
+    """Give every face of `patch` a hand-made H_{f,1} table."""
+    monkeypatch.setattr(patch, "_face_generators", lambda: gens)
     return patch
 
 
@@ -340,29 +345,68 @@ def test_face_generators_that_do_not_commute_are_rejected(monkeypatch):
     twist01 = [(1, 1), (0, 3), (2, 0), (3, 0)]
     sign0 = [(0, 2), (1, 0), (2, 0), (3, 0)]
     for first, second in ((swap01, swap12), (twist01, sign0)):
-        _with_tables(monkeypatch, patch,
-                     [[ident, first], [ident, second]])
+        _with_tables(monkeypatch, patch, [first, second])
         patch.assert_face_group_rep()
         with pytest.raises(StructureError,
                            match="face relabelings do not commute"):
             patch.ground_space_dim()
     # commuting tables pass: the orbits {0, 1}, {2}, {3}, all admissible
-    _with_tables(monkeypatch, patch, [[ident, swap01], [ident, ident]])
+    _with_tables(monkeypatch, patch, [swap01, ident])
     assert patch.ground_space_dim() == 3
 
 
+def _loop_phase(monkeypatch, extra):
+    """Multiply the phase of every vertex action by
+    zeta_N^extra(vertex, local vector, args)."""
+    orig = TrivalentRep.act
+
+    def act(self, vec, args, field):
+        phase, new = orig(self, vec, args, field)
+        return phase * field.root_pow(extra(self, vec, args)), new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+
+
+def _args_of(patch, face, g, vid):
+    """The args of the g-labeled loop in `face` at vertex `vid`."""
+    (args,) = [a for _, v, a, _ in patch._face_args(face, g) if v == vid]
+    return dict(args)
+
+
 def test_group_check_compares_phases(monkeypatch):
-    """A table whose relabelings obey the group law but whose T_2 carries
-    one phase other than T_1^2's is no strict group action."""
+    """Relabelings that obey the group law, where H_{0,2} carries one phase
+    other than H_{0,1}^2's: zeta_3 at vertex h0_t, on the local vector of
+    the first basis state only. That is no strict group action."""
     patch = hexagon_chain_patch(3, 1)
-    tables = [[list(row) for row in rows] for rows in patch._face_tables()]
-    j, k = tables[0][2][0]
-    tables[0][2][0] = (j, (k + 1) % patch.field.N)
-    _with_tables(monkeypatch, patch, tables)
+    rep = patch.vertices["h0_t"]
+    x = patch.consistent_basis()[0][patch.vertex_order().index("h0_t")]
+    twice = _args_of(patch, 0, 2, "h0_t")
+    _loop_phase(monkeypatch, lambda r, vec, args:
+                int(r is rep and vec == x and args == twice))
     with pytest.raises(StructureError, match="strict group action"):
         patch.assert_face_group_rep()
     with pytest.raises(StructureError, match="strict group action"):
         patch.ground_space_dim()
+
+
+def test_group_check_compares_images(monkeypatch):
+    """H_{0,2} that moves the local vector of vertex h0_t one step further
+    than H_{0,1}^2 does is no strict group action, although H_{0,1} alone
+    keeps the consistent basis."""
+    patch = hexagon_chain_patch(3, 1)
+    rep = patch.vertices["h0_t"]
+    twice = _args_of(patch, 0, 2, "h0_t")
+    orig = TrivalentRep.act
+
+    def act(self, vec, args, field):
+        phase, new = orig(self, vec, args, field)
+        if self is rep and args == twice:
+            new = ((new[0] + 1) % self.p,) + new[1:]
+        return phase, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+    with pytest.raises(StructureError, match="strict group action"):
+        patch.assert_face_group_rep()
 
 
 def test_group_check_needs_the_pth_power_to_vanish(monkeypatch):
@@ -373,9 +417,34 @@ def test_group_check_needs_the_pth_power_to_vanish(monkeypatch):
     cycle = [(1, 0), (2, 0), (0, 0), (3, 0)]
     twisted = [(1, 1), (0, 0), (2, 0), (3, 0)]
     for gen in (cycle, twisted):
-        _with_tables(monkeypatch, patch, [[ident, gen], [ident, ident]])
+        _with_tables(monkeypatch, patch, [gen, ident])
         with pytest.raises(StructureError, match="face 0 does not carry"):
             patch.assert_face_group_rep()
+
+
+def test_phase_defects_that_cancel_between_vertices_pass(monkeypatch):
+    """H_{0,2} gains zeta_3 at vertex h0_t and zeta_3^-1 at h0_b on every
+    local vector: each vertex alone breaks H_{0,2} = H_{0,1}^2, but the
+    product over the face does not, and the ground space is unchanged.
+    With zeta_3 at both vertices the defects add up and are refused."""
+    patch = hexagon_chain_patch(3, 1)
+    want = patch.ground_space_dim()
+    for shift_b, ok in ((-1, True), (1, False)):
+        patch = hexagon_chain_patch(3, 1)
+        t, b = patch.vertices["h0_t"], patch.vertices["h0_b"]
+        at_t = _args_of(patch, 0, 2, "h0_t")
+        at_b = _args_of(patch, 0, 2, "h0_b")
+        with monkeypatch.context() as mp:
+            _loop_phase(mp, lambda r, vec, args:
+                        1 if r is t and args == at_t
+                        else shift_b if r is b and args == at_b else 0)
+            if ok:
+                patch.assert_face_group_rep()
+                assert patch.ground_space_dim() == cyc_trace_dim(patch) == want
+            else:
+                with pytest.raises(StructureError,
+                                   match="strict group action"):
+                    patch.assert_face_group_rep()
 
 
 def test_consistent_basis_matches_brute_force():
