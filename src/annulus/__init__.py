@@ -5,7 +5,7 @@ from .walls import STAR, BimoduleLabel, all_walls, wall, wall_product
 from .defects import (
     DefectLabel, enumerate_defects, idempotent, parse_defect, trivial_defect,
 )
-from .engine import QuotientRep, apply_idempotent, cavity_symmetrizer, decompose
+from .engine import QuotientRep, apply_idempotent, decompose
 from .fusion import (
     FusionResult, associator, generate_table, horizontal_fuse, vertical_fuse,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "STAR", "BimoduleLabel", "all_walls", "wall", "wall_product",
     "DefectLabel", "enumerate_defects", "idempotent", "parse_defect",
     "trivial_defect",
-    "QuotientRep", "apply_idempotent", "cavity_symmetrizer", "decompose",
+    "QuotientRep", "apply_idempotent", "decompose",
     "FusionResult", "associator", "generate_table", "horizontal_fuse",
     "vertical_fuse",
     "CompoundDefect", "DomainWallStructure", "associator_compound",

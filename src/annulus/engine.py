@@ -14,6 +14,8 @@ dimension is its number of admissible orbits. Boundary generators commute
 with G and map orbit sums to roots of unity times orbit sums; the
 multiplicity of a candidate defect is the trace (character) of its
 idempotent on the quotient, summed from phase histograms over Z/N.
+`QuotientRep.boundary_matrix` and `apply_idempotent` give the same boundary
+operators as exact matrices; `decompose` does not use them.
 
 Structures and compound defects are immutable once validated; basis
 enumeration, bubble application and per-defect characters are pure and
@@ -577,41 +579,6 @@ def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
     """Insert a g-labeled loop in the given internal cavity and absorb it."""
     k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g), field)
     return field.root_pow(k), new
-
-
-def _averaged_bubble(cd: CompoundDefect, cavity: int, vec: tuple,
-                     field: CycField) -> dict:
-    """(1/p) sum_g bubble_action(g) on one basis vector, as {target: Cyc}.
-
-    The phases are summed as a histogram of exponents per target vector, so
-    each entry is built once with denominator p."""
-    hists: dict[tuple, list[int]] = {}
-    for g in range(cd.p):
-        k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g),
-                             field)
-        hist = hists.get(new)
-        if hist is None:
-            hist = hists[new] = [0] * field.N
-        hist[k] += 1
-    return {new: field.root_sum(hist, cd.p) for new, hist in hists.items()}
-
-
-def cavity_symmetrizer(cd: CompoundDefect, cavity: int,
-                       field: CycField | None = None) -> ExactMatrix:
-    """P = (1/p) sum_g bubble_action(g) on the raw compound basis; exactly
-    idempotent. Structures with no cavities have the identity as their total
-    symmetrizer."""
-    field = field or CycField(cd.p)
-    basis = enumerate_basis(cd)
-    index = {v: i for i, v in enumerate(basis)}
-    n = len(basis)
-    proj = ExactMatrix(field, n, n)
-    for j, vec in enumerate(basis):
-        for new, val in _averaged_bubble(cd, cavity, vec, field).items():
-            proj.set(index[new], j, val)
-    if not (proj @ proj) == proj:
-        raise StructureError("cavity symmetrizer is not idempotent")
-    return proj
 
 
 class QuotientRep:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .defects import DefectLabel, parse_annotated_defect, trivial_defect
+from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import DefectTable, QuotientRep, decompose
 from .scalars import CycField, mod_inverse
 from .structures import (
@@ -303,8 +303,6 @@ def _associator_table(p: int, golden_check: bool) -> dict:
 
 
 def _vertical_table(p: int) -> dict:
-    from .defects import enumerate_defects
-
     entries = []
     walls = all_walls(p)
     for a in walls:
@@ -318,9 +316,7 @@ def _vertical_table(p: int) -> dict:
     return {"kind": "vertical", "p": p, "entries": entries}
 
 
-def _horizontal_table(p: int, wall_filter=None) -> dict:
-    from .defects import enumerate_defects
-
+def _horizontal_table(p: int) -> dict:
     entries = []
     walls = all_walls(p)
     pairs = []
@@ -329,12 +325,6 @@ def _horizontal_table(p: int, wall_filter=None) -> dict:
             pairs.extend(enumerate_defects(a, b))
     for d1 in pairs:
         for d2 in pairs:
-            if wall_filter and not wall_filter(d1, d2):
-                continue
             entries.append(horizontal_fuse(d1, d2).to_json())
     return {"kind": "horizontal", "p": p, "entries": entries}
 
-
-def parse_defect_arg(text: str, p: int):
-    """CLI parsing: defect label possibly carrying corner annotations."""
-    return parse_annotated_defect(text, p)

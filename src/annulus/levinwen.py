@@ -18,7 +18,6 @@ from .engine import (
     _exponent_action, _generator_table, _monomial_orbits, _solve_basis,
     _strict_cyclic, _vertex_args,
 )
-from .linalg import ExactMatrix
 from .reps import TrivalentRep
 from .scalars import CycField
 from .structures import BUBBLE_SIGN, StructureError
@@ -125,16 +124,6 @@ class LatticePatch:
             for slot, lab in self.vertices[vid].edge_labels(vec).items():
                 labels[self._edge_at(vid, slot).eid] = lab
         return labels
-
-    def full_state_dims(self) -> dict:
-        """Sizes of the unconstrained tensor factors (diagnostics only)."""
-        return {
-            "edges": {e.eid: (1 if e.eid in self.pinned
-                              else len(e.wall.simple_objects()))
-                      for e in self.edges},
-            "vertices": {vid: len(rep.basis())
-                         for vid, rep in self.vertices.items()},
-        }
 
     # -- operators ---------------------------------------------------------
 
@@ -290,35 +279,6 @@ class LatticePatch:
                                   self.field):
                 raise StructureError(
                     f"face {f} does not carry a strict group action")
-
-    def face_matrix(self, face_idx: int, g: int) -> ExactMatrix:
-        """H_{f,g} on the consistent basis."""
-        basis = self.consistent_basis()
-        index = {s: i for i, s in enumerate(basis)}
-        mat = ExactMatrix(self.field, len(basis), len(basis))
-        for j, state in enumerate(basis):
-            phase, new = self.face_action(face_idx, g, state)
-            mat.add_to(index[new], j, phase)
-        return mat
-
-    def face_projector(self, face_idx: int) -> ExactMatrix:
-        basis = self.consistent_basis()
-        n = len(basis)
-        acc = ExactMatrix(self.field, n, n)
-        for g in range(self.p):
-            acc = acc + self.face_matrix(face_idx, g)
-        return acc.scale(self.field.inv_p)
-
-    def vertex_projector_diagonal(self, vid: str, edge_values: dict, state):
-        """Eigenvalue (0..3) of H_z = sum of the three edge-match projectors."""
-        rep = self.vertices[vid]
-        idx = self.vertex_order().index(vid)
-        good = 0
-        for slot, lab in rep.edge_labels(state[idx]).items():
-            eid = self._edge_at(vid, slot).eid
-            if edge_values.get(eid, lab) == lab:
-                good += 1
-        return good
 
     def ground_space_dim(self) -> int:
         """Exact dimension of the joint +1 eigenspace of all terms.

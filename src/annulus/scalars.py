@@ -8,22 +8,14 @@ there is no tolerance anywhere.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-if os.environ.get("ANNULUS_PURE") == "1":
-    from . import _kernel_py as _kernel
-else:
-    try:
-        from . import _kernel_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _kernel
+from math import gcd
 
 
 def kernel_backend() -> str:
-    """Which scalar kernel is active: 'cython' or 'pure'."""
-    return _kernel.BACKEND
+    """Name of the scalar arithmetic: always 'pure', the functions below."""
+    return "pure"
 
 
 def is_prime(n: int) -> bool:
@@ -90,14 +82,81 @@ class ZpElem:
         return f"{self.value} (mod {self.p})"
 
 
+def _mul_nums(a, b, n):
+    """Coefficient tuple of a*b reduced modulo the N-th cyclotomic polynomial."""
+    if n == 4:
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+    d = n - 1
+    acc = [0] * d
+    extra = 0  # multiple of zeta^(n-1) = -(1 + zeta + ... + zeta^(d-1))
+    for i in range(d):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(d):
+            bj = b[j]
+            if bj == 0:
+                continue
+            e = i + j
+            if e >= n:
+                e -= n
+            if e < d:
+                acc[e] += ai * bj
+            else:
+                extra += ai * bj
+    if extra:
+        for e in range(d):
+            acc[e] -= extra
+    return tuple(acc)
+
+
+def _canonical(nums, den):
+    """Canonical form: den > 0 and gcd(content, den) = 1; zero is ((0,..),1)."""
+    g = 0
+    for c in nums:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if g == 0:
+        return (0,) * len(nums), 1
+    g = gcd(g, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(c // g for c in nums)
+        den = den // g
+    return nums, den
+
+
+def _add_frac(anum, aden, bnum, bden):
+    if aden == bden:
+        return _canonical(tuple(x + y for x, y in zip(anum, bnum)), aden)
+    return _canonical(
+        tuple(x * bden + y * aden for x, y in zip(anum, bnum)), aden * bden
+    )
+
+
+def _sub_mul(anum, aden, fnum, fden, bnum, bden, n):
+    """a - f*b, normalized. The elimination inner loop."""
+    prod = _mul_nums(fnum, bnum, n)
+    pden = fden * bden
+    return _canonical(
+        tuple(x * pden - y * aden for x, y in zip(anum, prod)), aden * pden
+    )
+
+
 class Cyc:
-    """Element of Q(zeta_N), held as integer numerators over one denominator."""
+    """Element of Q(zeta_N), held as integer numerators over one denominator:
+    a coefficient tuple in the power basis (length N-1 for odd prime N,
+    length 2 for N = 4) over a positive denominator, in lowest terms."""
 
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: "CycField", nums, den=1, _normalized=False):
         if not _normalized:
-            nums, den = _kernel.normalized(tuple(nums), den)
+            nums, den = _canonical(tuple(nums), den)
         self.field = field
         self.nums = nums
         self.den = den
@@ -108,7 +167,7 @@ class Cyc:
 
     def __add__(self, other: "Cyc") -> "Cyc":
         self._check(other)
-        nums, den = _kernel.add_frac(self.nums, self.den, other.nums, other.den)
+        nums, den = _add_frac(self.nums, self.den, other.nums, other.den)
         return Cyc(self.field, nums, den, _normalized=True)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
@@ -120,8 +179,8 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, Cyc):
             self._check(other)
-            nums = _kernel.mul_nums(self.nums, other.nums, self.field.N)
-            nums, den = _kernel.normalized(nums, self.den * other.den)
+            nums = _mul_nums(self.nums, other.nums, self.field.N)
+            nums, den = _canonical(nums, self.den * other.den)
             return Cyc(self.field, nums, den, _normalized=True)
         if isinstance(other, int):
             return Cyc(self.field, tuple(c * other for c in self.nums), self.den)
@@ -136,8 +195,8 @@ class Cyc:
     __rmul__ = __mul__
 
     def sub_mul(self, f: "Cyc", b: "Cyc") -> "Cyc":
-        """self - f*b in one kernel call."""
-        nums, den = _kernel.sub_mul(
+        """self - f*b, normalized once."""
+        nums, den = _sub_mul(
             self.nums, self.den, f.nums, f.den, b.nums, b.den, self.field.N
         )
         return Cyc(self.field, nums, den, _normalized=True)
@@ -160,40 +219,21 @@ class Cyc:
         return hash((self.field.N, self.nums, self.den))
 
     def inverse(self) -> "Cyc":
-        """Field inverse via the multiplication matrix (dimension <= 4)."""
+        """Field inverse by the Galois norm: x^-1 = prod_{k != 1} sigma_k(x)
+        / N(x), over the units k of Z/N, where sigma_k sends zeta_N^e to
+        zeta_N^(ke) and N(x), the product of all conjugates, is rational."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse in Q(zeta_N)")
         F = self.field
-        d = F.dim
-        nonzero = [i for i, c in enumerate(self.nums) if c]
-        if len(nonzero) == 1:
-            # monomial fast path: (c zeta^k / den)^-1 = den zeta^(-k) / c
-            k = nonzero[0]
-            c = self.nums[k]
-            return F.root_pow(-k) * Fraction(self.den, c)
-        cols = []
-        for j in range(d):
-            cols.append(_kernel.mul_nums(self.nums, F._basis_nums[j], F.N))
-        # Solve sum_j x_j * cols[j] = e_0 over Q by elimination on fractions.
-        mat = [[Fraction(cols[j][i], self.den) for j in range(d)] for i in range(d)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(d)]
-        for c in range(d):
-            piv = next(r for r in range(c, d) if mat[r][c] != 0)
-            mat[c], mat[piv] = mat[piv], mat[c]
-            rhs[c], rhs[piv] = rhs[piv], rhs[c]
-            inv = 1 / mat[c][c]
-            mat[c] = [x * inv for x in mat[c]]
-            rhs[c] *= inv
-            for r in range(d):
-                if r != c and mat[r][c] != 0:
-                    f = mat[r][c]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-                    rhs[r] -= f * rhs[c]
-        out = F.zero
-        for j in range(d):
-            if rhs[j]:
-                out = out + F._basis_cyc[j] * rhs[j]
-        return out
+        conj = F.one
+        for k in range(2, F.N):
+            if gcd(k, F.N) == 1:
+                hist = [0] * F.N
+                for e, c in enumerate(self.nums):
+                    hist[k * e % F.N] += c
+                conj = conj * F.root_sum(hist, self.den)
+        norm = (self * conj).as_rational()
+        return conj * Fraction(norm.denominator, norm.numerator)
 
     def as_rational(self) -> Fraction | None:
         """The value as a rational if it lies in Q, else None."""

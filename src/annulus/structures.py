@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .defects import DefectLabel, parse_defect
 from .reps import TRI12, TRI21, BivalentRep, TrivalentRep
-from .walls import BimoduleLabel
+from .walls import BimoduleLabel, wall_product
 
 TEMPLATE_SLOTS = {
     "bivalent": ("lower", "upper"),
@@ -370,7 +370,7 @@ def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel
     corners = dict(corners or {})
     sweep = CornerSweep() if sweep is None else sweep
     sweep.bind(("associator", m, n, pwall))
-    v1 = sweep.trivalent("v1", "tri12", m, _prod(n, pwall),
+    v1 = sweep.trivalent("v1", "tri12", m, wall_product(n, pwall),
                          corners.pop("mu0", None))
     v2 = sweep.trivalent("v2", "tri12", n, pwall, corners.pop("mu1", None))
     v3 = sweep.trivalent("v3", "tri21", m, n, corners.pop("nu0", None))
@@ -401,13 +401,13 @@ def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel
 def associator_corner_names(m, n, pwall) -> list[str]:
     """The corner parameters the [M,N,P] structure actually carries."""
     names = []
-    if TRI12[(m.ekind(), _prod(n, pwall).ekind())]["mu"]:
+    if TRI12[(m.ekind(), wall_product(n, pwall).ekind())]["mu"]:
         names.append("mu0")
     if TRI12[(n.ekind(), pwall.ekind())]["mu"]:
         names.append("mu1")
     if TRI21[(m.ekind(), n.ekind())]["mu"]:
         names.append("nu0")
-    if TRI21[(_prod(m, n).ekind(), pwall.ekind())]["mu"]:
+    if TRI21[(wall_product(m, n).ekind(), pwall.ekind())]["mu"]:
         names.append("nu1")
     return names
 
@@ -419,12 +419,6 @@ def horizontal_corner_names(d1, d2) -> list[str]:
     if TRI21[(d1.upper.ekind(), d2.upper.ekind())]["mu"]:
         names.append("top")
     return names
-
-
-def _prod(a, b):
-    from .walls import wall_product
-
-    return wall_product(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -1,19 +1,61 @@
-"""Reference bubble quotient by exact linear algebra.
+"""Reference quotients and projectors by exact linear algebra.
 
 The engine's `QuotientRep` counts orbits of the bubble group and takes
-multiplicities from characters. This module computes the same quotient the
-slow way, as independent as the engine allows: per grade, the product of the
-cavity symmetrizers (`engine.cavity_symmetrizer`, built from averaged bubble
-matrices), its pivot image basis, every boundary image solved in that span,
-and each defect's multiplicity as the exact rank of its idempotent's matrix.
+multiplicities from characters, and `LatticePatch.ground_space_dim` counts
+orbits of the face group. This module computes the same things the slow way,
+as independent of the engine as it allows:
+
+- `cavity_symmetrizer`: (1/p) sum_g Bub_g on the raw compound basis, summed
+  entry by entry as plain `Cyc` values from the public `bubble_action`;
+- `MatrixQuotient`: per grade, the product of the cavity symmetrizers, its
+  pivot image basis, every boundary image solved in that span, and each
+  defect's multiplicity as the exact rank of its idempotent's matrix;
+- `face_matrix` and `face_projector`: H_{f,g} and (1/p) sum_g H_{f,g} of a
+  lattice patch on its consistent basis, from `LatticePatch.face_action`.
 """
 
 from annulus.defects import enumerate_defects, idempotent
 from annulus.engine import (
-    boundary_action, cavity_symmetrizer, edge_labels_of, enumerate_basis,
+    boundary_action, bubble_action, edge_labels_of, enumerate_basis,
 )
 from annulus.linalg import ExactMatrix, solve_in_span
 from annulus.scalars import CycField
+
+
+def cavity_symmetrizer(cd, cavity, field=None):
+    """P = (1/p) sum_g bubble_action(g) on the raw compound basis, asserted
+    to be idempotent."""
+    field = field or CycField(cd.p)
+    basis = enumerate_basis(cd)
+    index = {v: i for i, v in enumerate(basis)}
+    n = len(basis)
+    proj = ExactMatrix(field, n, n)
+    for j, vec in enumerate(basis):
+        for g in range(cd.p):
+            phase, new = bubble_action(cd, cavity, g, vec, field)
+            proj.add_to(index[new], j, phase * field.inv_p)
+    assert proj @ proj == proj, "cavity symmetrizer is not idempotent"
+    return proj
+
+
+def face_matrix(patch, face_idx, g):
+    """H_{f,g} on the patch's consistent basis."""
+    basis = patch.consistent_basis()
+    index = {s: i for i, s in enumerate(basis)}
+    mat = ExactMatrix(patch.field, len(basis), len(basis))
+    for j, state in enumerate(basis):
+        phase, new = patch.face_action(face_idx, g, state)
+        mat.add_to(index[new], j, phase)
+    return mat
+
+
+def face_projector(patch, face_idx):
+    """H_f = (1/p) sum_g H_{f,g} on the patch's consistent basis."""
+    n = len(patch.consistent_basis())
+    acc = ExactMatrix(patch.field, n, n)
+    for g in range(patch.p):
+        acc = acc + face_matrix(patch, face_idx, g)
+    return acc.scale(patch.field.inv_p)
 
 
 class MatrixQuotient:

@@ -272,19 +272,20 @@ def test_criterion_7_decomposition_completeness():
 
 def test_criterion_8_levin_wen_suite():
     t0 = time.perf_counter()
+    from matrix_quotient import face_projector
     from test_levinwen import dense_ground_dim
 
     for p in (2, 3):
         for nf in (1, 2, 3):
             patch = hexagon_chain_patch(p, nf)
             for f in range(nf):
-                proj = patch.face_projector(f)
+                proj = face_projector(patch, f)
                 assert (proj @ proj) == proj
             assert patch.check_commutation()["ok"]
             assert patch.ground_space_dim() == dense_ground_dim(patch)
         patch = defect_line_patch(p)
         for f in range(len(patch.faces)):
-            proj = patch.face_projector(f)
+            proj = face_projector(patch, f)
             assert (proj @ proj) == proj
         assert patch.check_commutation()["ok"]
         assert patch.ground_space_dim() == dense_ground_dim(patch)

@@ -3,16 +3,23 @@ import os
 import subprocess
 import sys
 
+import annulus
 from annulus.fusion import FusionResult
 from annulus.levinwen import defect_line_patch, patch_to_json
 from annulus.structures import compound_to_json, vertical_compound
 from annulus.defects import parse_defect, trivial_defect
 from annulus.walls import wall
 
+# the CLI runs the package these tests import, installed or not
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(annulus.__file__))
 
-def run_cli(*args):
+
+def run_cli(*args, **env):
+    path = os.pathsep.join(
+        filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "annulus.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def test_fuse_vertical_spec_example():
@@ -78,10 +85,7 @@ def test_size_limit_exit_code(tmp_path, monkeypatch):
                  ("associator", "-p", "3", "T", "T", "T"),
                  ("fuse-horizontal", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)"),
                  ("fuse-vertical", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)")):
-        r = subprocess.run(
-            [sys.executable, "-m", "annulus.cli", *args],
-            capture_output=True, text=True,
-            env={**os.environ, "ANNULUS_MAX_BASIS": "3"})
+        r = run_cli(*args, ANNULUS_MAX_BASIS="3")
         assert r.returncode == 4, (args, r.stderr)
         assert "Traceback" not in r.stderr
 

@@ -8,8 +8,7 @@ import pytest
 from annulus.defects import enumerate_defects, parse_defect, trivial_defect
 from annulus.engine import (
     QuotientRep, SizeLimitError, apply_idempotent, boundary_action,
-    bubble_action, cavity_symmetrizer, decompose, edge_labels_of,
-    enumerate_basis,
+    bubble_action, decompose, edge_labels_of, enumerate_basis,
 )
 from annulus.reps import BivalentRep
 from annulus.scalars import CycField, mod_inverse
@@ -19,6 +18,7 @@ from annulus.structures import (
     compound_to_json, horizontal_compound, vertical_compound,
 )
 from annulus.walls import all_walls, wall
+from matrix_quotient import cavity_symmetrizer
 
 
 def _corners(face):

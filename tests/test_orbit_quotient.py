@@ -9,14 +9,12 @@ import pytest
 
 from annulus import engine
 from annulus.defects import enumerate_defects, parse_defect
-from annulus.engine import (
-    QuotientRep, apply_idempotent, cavity_symmetrizer, decompose,
-)
+from annulus.engine import QuotientRep, apply_idempotent, decompose
 from annulus.structures import (
     StructureError, horizontal_compound, vertical_compound,
 )
 from annulus.walls import all_walls
-from matrix_quotient import MatrixQuotient
+from matrix_quotient import MatrixQuotient, cavity_symmetrizer
 from test_engine import _associators
 
 

@@ -97,7 +97,7 @@ def test_mixed_orders_rejected():
 
 def test_inverse_randomized():
     rng = random.Random(5)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         F = CycField(p)
         for _ in range(40):
             x = Cyc(F, tuple(rng.randrange(-4, 5) for _ in range(F.dim)),
@@ -105,6 +105,10 @@ def test_inverse_randomized():
             if x.is_zero():
                 continue
             assert x.inverse() * x == F.one
+        for k in range(F.N):
+            for c in (1, -2, Fraction(3, 5)):
+                x = F.root_pow(k) * c
+                assert x.inverse() * x == F.one
 
 
 def test_rational_and_symbolic():
