@@ -202,7 +202,8 @@ def cmd_decompose(args):
         cd = load_compound(args.structure)
     except OSError as exc:
         raise _unreadable(args.structure, exc)
-    except (StructureError, ValueError, KeyError) as exc:
+    except (StructureError, ValueError, KeyError, TypeError, IndexError,
+            AttributeError) as exc:
         raise CliError(EXIT_STRUCTURE, f"bad structure document: {exc}")
     try:
         qr = QuotientRep(cd)
@@ -237,7 +238,8 @@ def cmd_lw(args):
         patch = load_patch(args.patch)
     except OSError as exc:
         raise _unreadable(args.patch, exc)
-    except (StructureError, ValueError, KeyError) as exc:
+    except (StructureError, ValueError, KeyError, TypeError, IndexError,
+            AttributeError) as exc:
         raise CliError(EXIT_STRUCTURE, f"bad patch document: {exc}")
     try:
         commute = patch.check_commutation()

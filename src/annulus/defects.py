@@ -8,11 +8,12 @@ annular generators that projects onto that representation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .reps import BIVALENT, BivalentRep, _Walls, _biv_key
+from .reps import BIVALENT, BivalentRep, _Walls, _biv_key, _norm
 from .scalars import CycField
-from .walls import STAR, BimoduleLabel
+from .walls import BimoduleLabel
 
 _LOWER_PIECES = {"T": "T", "L": "L", "R": "R", "F0": "F0", "F": "Fq", "X": "Xk"}
 _UPPER_PIECES = {"T": "T", "L": "L", "R": "R", "F0": "F0", "F": "Fr", "X": "Xl"}
@@ -91,7 +92,7 @@ class DefectLabel:
         entry = self.entry()
         w = _Walls(self.p, self.lower, self.upper)
         lo, up = entry["src"](dict(zip(entry["params"], self.params)), w)
-        return (_norm_obj(self.p, lo), _norm_obj(self.p, up))
+        return (_norm(self.p, lo), _norm(self.p, up))
 
     def grade_dims(self) -> dict:
         """dim V_(m,n) for every object pair with a nonzero space."""
@@ -108,14 +109,6 @@ class DefectLabel:
 
     def __repr__(self):
         return f"<defect {self.name()} p={self.p}>"
-
-
-def _norm_obj(p, obj):
-    if obj is STAR:
-        return STAR
-    if isinstance(obj, tuple):
-        return (obj[0] % p, obj[1] % p)
-    return obj % p
 
 
 @dataclass(frozen=True)
@@ -138,15 +131,9 @@ def idempotent(d: DefectLabel, field: CycField) -> IdempotentExpr:
 
 def enumerate_defects(lower: BimoduleLabel, upper: BimoduleLabel) -> list[DefectLabel]:
     """Every irreducible defect on the pair, parameters in lexicographic order."""
-    entry = BIVALENT[_biv_key(lower, upper)]
-    p = lower.p
-    out = []
-    combos = [()]
-    for _ in entry["params"]:
-        combos = [c + (v,) for c in combos for v in range(p)]
-    for params in combos:
-        out.append(DefectLabel(lower, upper, params))
-    return out
+    n = len(BIVALENT[_biv_key(lower, upper)]["params"])
+    return [DefectLabel(lower, upper, params)
+            for params in itertools.product(range(lower.p), repeat=n)]
 
 
 def parse_defect(text: str, p: int) -> DefectLabel:

@@ -5,7 +5,9 @@ it by the external labels, and let the bubbles of the internal cavities
 generate a group G = (Z/p)^C acting monomially on it (one basis vector to a
 root of unity times one basis vector). Every rep's edge labels are affine
 in its free labels, so the consistent labelings are the solutions of linear
-equations over F_p, which `_solve_basis` eliminates and lists. A bubble
+equations over F_p, which `_solve_basis` eliminates; `_list_solutions` then
+lists them one column (variable) at a time, each pivot's column computed
+from the columns of the lower variables in its row. A bubble
 generates a strict Z/p action when Bub_u = Bub_1^u, which `_strict_cyclic`
 checks vertex by vertex, next to Bub_1's table. The product of the cavity
 symmetrizers averages over G, so the quotient has one orbit sum per orbit
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
 
 from .defects import DefectLabel, enumerate_defects, idempotent
@@ -151,27 +152,28 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
     consistent labelings are the solutions of linear equations over F_p in
     the free labels of all vertices, numbered in vertex order. Each
     equation is eliminated with its pivot on its highest variable, so a
-    pivot variable is a function of lower variables only. The solutions are
-    then built vertex by vertex, the free variables running over Z/p and
-    each pivot computed from the variables before it, which keeps the order
-    of the product of the local bases. ANNULUS_MAX_BASIS bounds the number
-    of solutions, p^(free variables), before any is built."""
+    pivot variable is a function of lower variables only, and
+    `_list_solutions` lists the solutions one variable (column) at a time.
+    ANNULUS_MAX_BASIS bounds the number of solutions, p^(free variables),
+    before any is built."""
     limit = _max_basis()
     if not order:
         return [()]
     p = reps[order[0]].p
     symbolic: dict = {}         # rep key -> symbolic labels, in this call
     labels: dict = {}           # vertex -> (its symbolic labels, offset)
-    owner: list = []            # variable -> (vertex position, local index)
-    for pos, vid in enumerate(order):
+    bases = []                  # vertex position -> its local basis
+    n = 0
+    for vid in order:
         rep = reps[vid]
         if rep.symbolic_labels is None:
             found = symbolic.get(rep.key)
             rep.symbolic_labels = (_symbolic_labels(rep, vid) if found is None
                                    else found)
         symbolic[rep.key] = rep.symbolic_labels
-        labels[vid] = rep.symbolic_labels, len(owner)
-        owner.extend((pos, j) for j in range(len(rep.free_names)))
+        labels[vid] = rep.symbolic_labels, n
+        bases.append(rep.basis())
+        n += len(rep.free_names)
     pivots: dict = {}
     seen = set()
     for vid in order:
@@ -187,52 +189,75 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
             for other in sides[1:]:
                 if not _equate(*sides[0], *other, pivots, p):
                     return []
-    free = len(owner) - len(pivots)
+    free = n - len(pivots)
     if p ** free > limit:
         raise SizeLimitError(
             f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
             f"{p}^{free} consistent labelings")
-    partials: list[tuple] = [()]
-    for pos, vid in enumerate(order):
-        start = labels[vid][1]
-        # per local variable: None if free, else the pivot row as
-        # (constant, [(earlier vertex or -1 for this one, index, coef)])
-        plan, deps = [], []
-        for v in range(start, start + len(reps[vid].free_names)):
+    return _list_solutions(bases, pivots, p)
+
+
+def _list_solutions(bases: list, pivots: dict, p: int) -> list[tuple]:
+    """Every solution of the echelon rows `pivots` over F_p, as one local
+    vector per vertex: vertex i holds the next len(bases[i][0]) variables
+    and lists its local vectors in bases[i].
+
+    The solutions are built as one column per variable, in variable order.
+    A free variable's column is 0..p-1, repeated; a pivot's column is
+    (-const - sum a*column_u) mod p over its row. The first free variable
+    runs slowest, so two solutions first differ at a free variable and
+    their order is the product order of the local bases. A column depends
+    only on the free variables up to it: it is kept at length p^(those
+    variables) and stretched (each entry repeated) when a longer column
+    reads it. A vertex's local vectors are its columns zipped, each looked
+    up in bases[i] so that equal ones are one shared tuple, and a column is
+    dropped once its vertex and every pivot that reads it are built."""
+    last = {}  # variable -> the last pivot that reads its column
+    for v, (coef, _) in pivots.items():
+        for u in coef:
+            last[u] = max(last.get(u, u), v)
+    columns: dict = {}
+    per_vertex = []
+    size = 1
+
+    def column(u):
+        if len(columns[u]) < size:
+            columns[u] = list(_stretch(columns[u], size))
+        return columns[u]
+
+    start = 0
+    for local in bases:
+        stop = start + len(local[0])
+        for v in range(start, stop):
             row = pivots.get(v)
             if row is None:
-                plan.append(None)
+                columns[v] = list(range(p)) * size
+                size *= p
                 continue
             coef, const = row
-            terms = []
+            col = [-const % p] * size
             for u, a in coef.items():
-                if u == v:
-                    continue
-                vp, j = owner[u]
-                if vp == pos:
-                    terms.append((-1, j, -a % p))
-                    continue
-                if vp not in deps:
-                    deps.append(vp)
-                terms.append((deps.index(vp), j, -a % p))
-            plan.append((-const % p, terms))
-        if not deps:
-            vecs = _local_vectors(plan, p, ())
-            partials = [a + (x,) for a in partials for x in vecs]
-            continue
-        key_of = operator.itemgetter(*deps)
-        single = len(deps) == 1
-        table: dict = {}
-        out = []
-        for a in partials:
-            key = key_of(a)
-            vecs = table.get(key)
-            if vecs is None:
-                vecs = table[key] = _local_vectors(plan, p,
-                                                   (key,) if single else key)
-            out += [a + (x,) for x in vecs]
-        partials = out
-    return partials
+                if u != v:
+                    col = [(y - a * x) % p for y, x in zip(col, column(u))]
+            columns[v] = col
+        table = {x: x for x in local}
+        per_vertex.append(
+            list(map(table.__getitem__,
+                     zip(*[column(u) for u in range(start, stop)])))
+            if stop > start else [()] * size)
+        start = stop
+        for u in [u for u in columns if last.get(u, u) < start]:
+            del columns[u]
+    return list(zip(*(_stretch(vecs, size) for vecs in per_vertex)))
+
+
+def _stretch(col: list, size: int):
+    """An iterator over col with each entry repeated size // len(col)
+    times."""
+    r = size // len(col)
+    if r == 1:
+        return iter(col)
+    return itertools.chain.from_iterable(itertools.repeat(x, r) for x in col)
 
 
 def _constant(obj):
@@ -290,29 +315,6 @@ def _add_row(eq: dict, const: int, pivots: dict, p: int) -> bool:
                 eq.pop(v, None)
         const = (const - a * rconst) % p
     return const == 0
-
-
-def _local_vectors(plan: list, p: int, earlier: tuple) -> list[tuple]:
-    """One vertex's local vectors consistent with the local vectors
-    `earlier` of the vertices it depends on, in the order of its local
-    basis: its free variables run over Z/p, and each pivot, plan[j] =
-    (c, terms), is c + sum a*y over terms (d, i, a), with y the i-th entry of
-    earlier[d], or of this vector if d = -1."""
-    n_free = sum(spec is None for spec in plan)
-    out = []
-    for frees in itertools.product(range(p), repeat=n_free):
-        x = []
-        it = iter(frees)
-        for spec in plan:
-            if spec is None:
-                x.append(next(it))
-                continue
-            c, terms = spec
-            for d, i, a in terms:
-                c += a * (x[i] if d < 0 else earlier[d][i])
-            x.append(c % p)
-        out.append(tuple(x))
-    return out
 
 
 def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:

@@ -60,6 +60,8 @@ class LatticePatch:
         self._gens = None
 
     def _validate(self):
+        if len(self.edge_by_id) != len(self.edges):
+            raise StructureError("duplicate edge ids")
         seen = set()
         for e in self.edges:
             dangling = 0

@@ -19,6 +19,8 @@ the Rep classes):
 
 from __future__ import annotations
 
+import itertools
+
 from .scalars import Cyc, CycField, mod_inverse
 from .walls import STAR, BimoduleLabel, wall_product
 
@@ -750,23 +752,17 @@ def _biv_key(lower: BimoduleLabel, upper: BimoduleLabel):
     return (kl, ku, same)
 
 
-class BivalentRep:
-    """The irreducible 2-string representation of one defect label."""
+class _TableRep:
+    """What the bivalent and trivalent reps share: the local basis, Z/p per
+    free label in product order, the edge labels of each local vector,
+    cached, and the engine's memos."""
 
-    def __init__(self, defect):
-        self.defect = defect
-        self.lower = defect.lower
-        self.upper = defect.upper
-        self.p = defect.lower.p
-        self.field = None  # bound lazily by act callers
-        self.entry = BIVALENT[_biv_key(self.lower, self.upper)]
+    def __init__(self, p: int, entry: dict, key):
+        self.p = p
+        self.entry = entry
         # equal keys mean equal tables: basis, edge labels and actions
-        self.key = defect
-        self.params = dict(zip(self.entry["params"], defect.params))
-        self.walls = _Walls(self.p, self.lower, self.upper)
-        self.slots = ("lower", "upper")
-        self.regions = ("left", "right")
-        self.free_names = self.entry["free"]
+        self.key = key
+        self.free_names = entry["free"]
         self._basis = None
         self._labels: dict = {}
         # {sorted args: {local vector: (k, new vector)}}, the phase being
@@ -776,28 +772,40 @@ class BivalentRep:
         # engine's basis solver on first use
         self.symbolic_labels = None
 
-    def wall_of_slot(self, slot: str) -> BimoduleLabel:
-        return self.lower if slot == "lower" else self.upper
-
     def basis(self):
         if self._basis is None:
-            p = self.p
-            vecs = [()]
-            for _ in range(len(self.free_names)):
-                vecs = [v + (x,) for v in vecs for x in range(p)]
-            self._basis = vecs
+            self._basis = list(itertools.product(
+                range(self.p), repeat=len(self.free_names)))
         return self._basis
-
-    def label_map(self, vec) -> dict:
-        """{slot: object} of one local vector, from the table entry."""
-        lo, up = self.entry["edges"](vec, self.params, self.walls)
-        return {"lower": _norm(self.p, lo), "upper": _norm(self.p, up)}
 
     def edge_labels(self, vec):
         cached = self._labels.get(vec)
         if cached is None:
             cached = self._labels[vec] = self.label_map(vec)
         return cached
+
+
+class BivalentRep(_TableRep):
+    """The irreducible 2-string representation of one defect label."""
+
+    def __init__(self, defect):
+        self.defect = defect
+        self.lower = defect.lower
+        self.upper = defect.upper
+        super().__init__(defect.lower.p,
+                         BIVALENT[_biv_key(self.lower, self.upper)], defect)
+        self.params = dict(zip(self.entry["params"], defect.params))
+        self.walls = _Walls(self.p, self.lower, self.upper)
+        self.slots = ("lower", "upper")
+        self.regions = ("left", "right")
+
+    def wall_of_slot(self, slot: str) -> BimoduleLabel:
+        return self.lower if slot == "lower" else self.upper
+
+    def label_map(self, vec) -> dict:
+        """{slot: object} of one local vector, from the table entry."""
+        lo, up = self.entry["edges"](vec, self.params, self.walls)
+        return {"lower": _norm(self.p, lo), "upper": _norm(self.p, up)}
 
     def act(self, vec, args, field):
         g = args.get("left", 0)
@@ -806,7 +814,7 @@ class BivalentRep:
         return phase, tuple(x % self.p for x in new)
 
 
-class TrivalentRep:
+class TrivalentRep(_TableRep):
     """A tabulated trivalent vertex representation.
 
     direction 'tri21': first/second are the lower-left/lower-right walls and
@@ -815,25 +823,25 @@ class TrivalentRep:
 
     def __init__(self, direction: str, first: BimoduleLabel,
                  second: BimoduleLabel, corner: int | None = None):
-        assert direction in ("tri21", "tri12")
+        if direction not in ("tri21", "tri12"):
+            raise ValueError(f"unknown trivalent direction {direction!r}")
         self.direction = direction
         self.first = first
         self.second = second
-        self.p = first.p
         self.third = wall_product(first, second)
         table = TRI21 if direction == "tri21" else TRI12
-        self.entry = table[(first.ekind(), second.ekind())]
-        if self.entry["mu"]:
+        entry = table[(first.ekind(), second.ekind())]
+        if entry["mu"]:
             if corner is None:
                 raise ValueError(
                     f"{direction} vertex {first.name()}x{second.name()} needs a corner parameter")
-            corner %= self.p
+            corner %= first.p
         elif corner not in (None, 0):
             raise ValueError(
                 f"{direction} vertex {first.name()}x{second.name()} takes no corner parameter")
-        self.corner = corner if self.entry["mu"] else None
-        # equal keys mean equal tables: basis, edge labels and actions
-        self.key = (direction, first, second, self.corner)
+        self.corner = corner if entry["mu"] else None
+        super().__init__(first.p, entry,
+                         (direction, first, second, self.corner))
         self.walls = _Walls(self.p, first, second, self.third)
         if direction == "tri21":
             self.slots = ("bl", "br", "top")
@@ -842,15 +850,6 @@ class TrivalentRep:
             self.slots = ("bottom", "tl", "tr")
             self._pair_slots = ("tl", "tr", "bottom")
         self.regions = ("left", "right", "mid")
-        self.free_names = self.entry["free"]
-        self._basis = None
-        self._labels: dict = {}
-        # {sorted args: {local vector: (k, new vector)}}, the phase being
-        # zeta_N^k; filled by the engine and the lattice on first use
-        self.action_memo: dict = {}
-        # the edge labels as affine forms of the free labels; filled by the
-        # engine's basis solver on first use
-        self.symbolic_labels = None
 
     @property
     def has_corner(self) -> bool:
@@ -863,26 +862,11 @@ class TrivalentRep:
             return self.second
         return self.third
 
-    def basis(self):
-        if self._basis is None:
-            p = self.p
-            vecs = [()]
-            for _ in range(len(self.free_names)):
-                vecs = [v + (x,) for v in vecs for x in range(p)]
-            self._basis = vecs
-        return self._basis
-
     def label_map(self, vec) -> dict:
         """{slot: object} of one local vector, from the table entry."""
         labels = self.entry["edges"](vec, self.corner, self.walls)
         return {slot: _norm(self.p, lab)
                 for slot, lab in zip(self._pair_slots, labels)}
-
-    def edge_labels(self, vec):
-        cached = self._labels.get(vec)
-        if cached is None:
-            cached = self._labels[vec] = self.label_map(vec)
-        return cached
 
     def act(self, vec, args, field):
         a = args.get("left", 0)

@@ -3,9 +3,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import annulus
 from annulus.fusion import FusionResult
-from annulus.levinwen import defect_line_patch, patch_to_json
+from annulus.levinwen import (
+    defect_line_patch, hexagon_chain_patch, patch_to_json,
+)
 from annulus.structures import compound_to_json, vertical_compound
 from annulus.defects import parse_defect, trivial_defect
 from annulus.walls import wall
@@ -126,6 +130,55 @@ def test_lw_open_face_exit_code(tmp_path):
     r = run_cli("lw", str(path))
     assert r.returncode == 6
     assert "face 0 left the consistent subspace" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _malformed_patch(change):
+    doc = patch_to_json(hexagon_chain_patch(2, 1, pin=False))
+    return change(doc) or doc
+
+
+def _malformed_structure(change):
+    ident = trivial_defect(wall(3, "X", 1))
+    doc = compound_to_json(vertical_compound(ident, ident))
+    return change(doc) or doc
+
+
+def _first_inner_end(doc, value):
+    next(e for e in doc["edges"] if e["ends"][0])["ends"][0] = value
+
+
+def _rename_edge(doc, old, new):
+    next(e for e in doc["edges"] if e["id"] == old)["id"] = new
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("lw", _malformed_patch(
+        lambda d: d["vertices"][0].update(template="bogus"))),
+    ("lw", _malformed_patch(
+        lambda d: d["vertices"][0].update(walls=d["vertices"][0]["walls"][:1]))),
+    ("lw", _malformed_patch(lambda d: _first_inner_end(d, 5))),
+    ("lw", _malformed_patch(lambda d: d.update(p="3"))),
+    ("lw", _malformed_patch(lambda d: [d])),
+    ("lw", _malformed_patch(lambda d: d.update(pinned=[1]))),
+    # two edges with one id would merge and drop the second's equations
+    ("lw", _malformed_patch(lambda d: _rename_edge(d, "h0_w", "h0_nw"))),
+    ("decompose", _malformed_structure(lambda d: d["edges"][1].update(
+        {"from": 5}))),
+    ("decompose", _malformed_structure(lambda d: [d])),
+    ("decompose", _malformed_structure(
+        lambda d: d["edges"].__setitem__(1, ["mid"]))),
+], ids=["lw-template", "lw-one-wall", "lw-edge-end", "lw-p-string",
+        "lw-list", "lw-pinned-list", "lw-duplicate-edge-id", "decompose-from",
+        "decompose-list", "decompose-edge-list"])
+def test_malformed_documents_exit_6_without_a_traceback(tmp_path, command,
+                                                        doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    what = "patch" if command == "lw" else "structure"
+    assert r.returncode == 6, r.stderr
+    assert f"bad {what} document" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -465,8 +465,8 @@ def _verticals_p3():
 
 
 def test_enumerate_basis_matches_brute_force():
-    """The bucketed enumerator returns exactly the consistent labelings of
-    the plain product, in product order."""
+    """The F_p solve and its column listing return exactly the consistent
+    labelings of the plain product, in product order."""
     count = 0
     for structures in (_associators(2), _verticals_p3(), _diamonds_p3()):
         for cd in structures:

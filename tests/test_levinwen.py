@@ -279,6 +279,19 @@ def test_patch_validation():
         LatticePatch(p, v, [PatchEdge("e1", t, (("a", "bl"), None))] + edges[1:], [])
 
 
+def test_duplicate_edge_ids_are_refused():
+    """An edge id used twice would merge two edges into one and drop the
+    equations of the second, so the free chain would count 128 consistent
+    states instead of 64."""
+    doc = patch_to_json(hexagon_chain_patch(2, 1, pin=False))
+    assert len(patch_from_json(doc).consistent_basis()) == 64
+    for e in doc["edges"]:
+        if e["id"] == "h0_w":
+            e["id"] = "h0_nw"
+    with pytest.raises(StructureError, match="duplicate edge ids"):
+        patch_from_json(doc)
+
+
 def _table_patches():
     for p in (2, 3, 5):
         for nf in (1, 2):
@@ -451,7 +464,9 @@ def test_phase_defects_that_cancel_between_vertices_pass(monkeypatch):
 def test_consistent_basis_matches_brute_force():
     patches = [hexagon_chain_patch(p, nf) for p in (2, 3) for nf in (1, 2)]
     patches += [defect_line_patch(p) for p in (2, 3, 5)]
-    patches.append(hexagon_chain_patch(2, 1, pin=False))
+    patches += [hexagon_chain_patch(p, nf, pin=False)
+                for p, nf in ((2, 1), (2, 2), (3, 1))]
+    patches.append(hexagon_chain_patch(5, 3))
     for patch in patches:
         want = brute_force_basis(patch)
         assert want

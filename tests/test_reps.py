@@ -192,6 +192,13 @@ def test_trivalent_identity_and_corner_validation():
         TrivalentRep("tri21", wall(p, "R"), wall(p, "R"), corner=1)
 
 
+def test_trivalent_direction_is_checked():
+    """An unknown direction is a ValueError, not an assert that `python -O`
+    would drop and let the rep take the 1:2 table."""
+    with pytest.raises(ValueError, match="unknown trivalent direction"):
+        TrivalentRep("bogus", wall(3, "X", 1), wall(3, "X", 1))
+
+
 def _needs_corner(direction, w1, w2):
     from annulus.reps import TRI12, TRI21
     table = TRI21 if direction == "tri21" else TRI12
