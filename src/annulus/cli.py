@@ -14,7 +14,7 @@ import json
 import sys
 
 from .defects import parse_annotated_defect
-from .engine import QuotientRep, SizeLimitError, decompose
+from .engine import QuotientRep, SizeLimitError, decompose, max_basis
 from .fusion import (
     FusionResult, associator, check_associator_against_golden, generate_table,
     horizontal_fuse, load_golden_associators, vertical_fuse,
@@ -86,6 +86,14 @@ def _check_prime(p):
         raise CliError(EXIT_PARSE, f"p must be prime, got {p}")
 
 
+def _check_max_basis():
+    """A malformed ANNULUS_MAX_BASIS is a usage error of every command."""
+    try:
+        max_basis()
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
+
+
 def cmd_fuse_vertical(args):
     _check_prime(args.p)
     d1, c1 = _parse_defect(args.defects[0], args.p)
@@ -112,6 +120,8 @@ def cmd_fuse_horizontal(args):
         raise CliError(EXIT_SIZE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
+    except ValueError as exc:  # corner names that the structure lacks
+        raise CliError(EXIT_PARSE, str(exc))
     _emit(result.to_json(), args.format)
 
 
@@ -147,6 +157,8 @@ def cmd_associator(args):
         raise CliError(EXIT_SIZE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
+    except ValueError as exc:  # corner names that the structure lacks
+        raise CliError(EXIT_PARSE, str(exc))
     if args.golden:
         _diff_golden([result], args.golden)
     _emit(result.to_json(), args.format)
@@ -190,8 +202,12 @@ def cmd_table(args):
                      args.golden)
         doc["golden_checked"] = True
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, f"cannot write {args.output}: "
+                                       f"{exc.strerror or exc}")
         print(f"wrote {args.output}")
     else:
         _emit(doc, args.format)
@@ -338,6 +354,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_max_basis()
         args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,10 @@ root of unity times one basis vector). Every rep's edge labels are affine
 in its free labels, so the consistent labelings are the solutions of linear
 equations over F_p, which `_solve_basis` eliminates; `_list_solutions` then
 lists them one column (variable) at a time, each pivot's column computed
-from the columns of the lower variables in its row. A bubble
-generates a strict Z/p action when Bub_u = Bub_1^u, which `_strict_cyclic`
+from the columns of the lower variables in its row. When the equations
+are inconsistent there is no labeling, and the quotient ends at the solve:
+every later step is vacuous on an empty basis. A bubble generates a strict
+Z/p action when Bub_u = Bub_1^u, which `_strict_cyclic`
 checks vertex by vertex, next to Bub_1's table. The product of the cavity
 symmetrizers averages over G, so the quotient has one orbit sum per orbit
 whose stabilizer acts trivially (an admissible orbit), and a grade's
@@ -23,23 +25,27 @@ Structures and compound defects are immutable once validated; basis
 enumeration, bubble application and per-defect characters are pure and
 independent per grade.
 
-Each vertex rep carries a memo of its actions (exponent and image per args
-and local vector), shared by every compound or lattice patch that holds the
-rep. A driver's corner sweep builds one structure and one rep per (vertex,
-corner value) for all its corner assignments, so the compounds of one sweep
-share the memos of every vertex whose corner they agree on, and a
-`DefectTable` gives them the candidate defects and idempotent terms once.
+Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
+cached roots. Each vertex rep carries a memo of its actions (exponent and
+image per args and local vector), shared by every compound or lattice patch
+that holds the rep. A driver's corner sweep builds one structure and one rep
+per (vertex, corner value) for all its corner assignments, so the compounds
+of one sweep share the per-vertex args of every bubble and boundary
+generator, kept on the structure, and the memos of every vertex whose corner
+they agree on; a `DefectTable` gives them the candidate defects, their
+idempotent terms and their grade dimensions once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 
 from .defects import DefectLabel, enumerate_defects, idempotent
 from .linalg import ExactMatrix
-from .scalars import CycField
+from .scalars import CycField, cyc_field
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
 from .walls import STAR
 
@@ -48,8 +54,19 @@ class SizeLimitError(RuntimeError):
     pass
 
 
-def _max_basis() -> int:
-    return int(os.environ.get("ANNULUS_MAX_BASIS", "200000"))
+def max_basis() -> int:
+    """ANNULUS_MAX_BASIS, the most consistent labelings a compound or patch
+    may have (200000 when unset); a value that is no non-negative integer
+    is a ValueError that names the variable."""
+    text = os.environ.get("ANNULUS_MAX_BASIS", "200000")
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(
+            f"ANNULUS_MAX_BASIS must be a non-negative integer, got {text!r}")
+    return limit
 
 
 def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
@@ -75,7 +92,7 @@ class _Form:
 
     def __add__(self, other):
         if isinstance(other, _Form):
-            return _Form(tuple(a + b for a, b in zip(self.coef, other.coef)),
+            return _Form(tuple(map(operator.add, self.coef, other.coef)),
                          self.const + other.const)
         if isinstance(other, int):
             return _Form(self.coef, self.const + other)
@@ -94,7 +111,7 @@ class _Form:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _Form(tuple(a * other for a in self.coef),
+            return _Form(tuple([a * other for a in self.coef]),
                          self.const * other)
         return NotImplemented
 
@@ -102,7 +119,7 @@ class _Form:
 
     def __mod__(self, p):
         if isinstance(p, int):
-            return _Form(tuple(a % p for a in self.coef), self.const % p)
+            return _Form(tuple([a % p for a in self.coef]), self.const % p)
         return NotImplemented
 
     def _refuse(self, *args):
@@ -156,7 +173,7 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
     `_list_solutions` lists the solutions one variable (column) at a time.
     ANNULUS_MAX_BASIS bounds the number of solutions, p^(free variables),
     before any is built."""
-    limit = _max_basis()
+    limit = max_basis()
     if not order:
         return [()]
     p = reps[order[0]].p
@@ -488,23 +505,24 @@ def _monomial_orbits(n: int, gens: list, N: int):
     return orbit, members
 
 
-def _action_memo(rep, args: dict) -> dict:
-    """The memo {local vector: (k, new local vector)} of rep's action with
-    these args. It lives on the rep, keyed by the sorted args, so every
-    compound or patch that holds the rep shares it; each miss goes through
-    `_exponent_action`."""
-    return rep.action_memo.setdefault(tuple(sorted(args.items())), {})
-
-
-def _vertex_args(order, reps: dict, args_by_vertex: dict) -> list[tuple]:
-    """(position in `order`, vertex, args, memo) for every vertex that
-    acts."""
+def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
+    """(position in `order`, vertex, args, memo key) for every vertex that
+    acts; the key, the sorted args, names the action's memo on a rep."""
     out = []
     for i, vid in enumerate(order):
         args = args_by_vertex.get(vid)
         if args:
-            out.append((i, vid, args, _action_memo(reps[vid], args)))
+            out.append((i, vid, args, tuple(sorted(args.items()))))
     return out
+
+
+def _with_memos(vertex_args: list, reps: dict) -> list[tuple]:
+    """`_vertex_args` with each memo key replaced by that memo on the
+    vertex's rep, {local vector: (k, new local vector)}, which every compound
+    or patch that holds the rep shares; each miss goes through
+    `_exponent_action`."""
+    return [(i, vid, args, reps[vid].action_memo.setdefault(key, {}))
+            for i, vid, args, key in vertex_args]
 
 
 def _exponent_action(rep, vid, vec, args, field) -> tuple:
@@ -533,21 +551,32 @@ def _apply_args(reps: dict, vec: tuple, vertex_args: list, field):
     return exp % field.N, tuple(out)
 
 
+def _structure_args(structure, key, build) -> list[tuple]:
+    """The `_vertex_args` of one generator, keyed by `key`, built by
+    build() -> {vertex: args} once per structure; the compounds of a corner
+    sweep share their structure, so they share these."""
+    out = structure.generator_args.get(key)
+    if out is None:
+        out = structure.generator_args[key] = _vertex_args(
+            list(structure.vertices), build())
+    return out
+
+
 def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
-    cache = getattr(cd, "_boundary_args_cache", None)
-    if cache is None:
-        cache = cd._boundary_args_cache = {}
-    key = (g, h)
-    if key not in cache:
+    structure = cd.structure
+
+    def build():
         args: dict[str, dict[str, int]] = {}
-        for vid, region in cd.structure.left_face or ():
+        for vid, region in structure.left_face or ():
             slot_args = args.setdefault(vid, {})
             slot_args[region] = slot_args.get(region, 0) + g
-        for vid, region in cd.structure.right_face or ():
+        for vid, region in structure.right_face or ():
             slot_args = args.setdefault(vid, {})
             slot_args[region] = slot_args.get(region, 0) + h
-        cache[key] = _vertex_args(cd.vertex_order, cd.reps, args)
-    return cache[key]
+        return args
+
+    return _with_memos(_structure_args(structure, ("boundary", g, h), build),
+                       cd.reps)
 
 
 def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
@@ -558,22 +587,22 @@ def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
 
 
 def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
-    cache = getattr(cd, "_bubble_args_cache", None)
-    if cache is None:
-        cache = cd._bubble_args_cache = {}
-    key = (cavity, g)
-    if key not in cache:
+    structure = cd.structure
+
+    def build():
         try:
-            corners = cd.structure.cavities[cavity]
+            corners = structure.cavities[cavity]
         except IndexError:
             raise StructureError(f"no cavity {cavity}") from None
         args: dict[str, dict[str, int]] = {}
         for vid, region in corners:
-            sign = BUBBLE_SIGN[(cd.structure.vertices[vid], region)]
+            sign = BUBBLE_SIGN[(structure.vertices[vid], region)]
             slot_args = args.setdefault(vid, {})
             slot_args[region] = slot_args.get(region, 0) + sign * g
-        cache[key] = _vertex_args(cd.vertex_order, cd.reps, args)
-    return cache[key]
+        return args
+
+    return _with_memos(_structure_args(structure, ("bubble", cavity, g), build),
+                       cd.reps)
 
 
 def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
@@ -596,10 +625,17 @@ class QuotientRep:
 
     def __init__(self, cd: CompoundDefect, field: CycField | None = None):
         self.cd = cd
-        self.field = field or CycField(cd.p)
+        self.field = field or cyc_field(cd.p)
         self.raw_basis = enumerate_basis(cd)
         self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}
+        self._roots: dict = {}
+        self._members: dict = {}
+        self._chars: dict = {}
+        if not self.raw_basis:
+            # no consistent labeling: every step below is vacuous, and the
+            # structure has already validated what they would read
+            return
         self._grade_of = _external_grades(cd, self.raw_basis)
         for i, grade in enumerate(self._grade_of):
             self.grades.setdefault(grade, []).append(i)
@@ -610,12 +646,11 @@ class QuotientRep:
         self._orbit, self._members = found
         # the admissible orbit roots of every grade, in raw order, and the
         # position of each root among those of its grade
-        self._roots: dict = {grade: [] for grade in self.grades}
+        self._roots = {grade: [] for grade in self.grades}
         for root in self._members:
             self._roots[self._grade_of[root]].append(root)
         self._position = {root: pos for roots in self._roots.values()
                           for pos, root in enumerate(roots)}
-        self._chars: dict = {}
 
     def _bubble_generators(self) -> list:
         """The table of Bub_{c,1} on the raw basis for every cavity c, once
@@ -765,12 +800,14 @@ class DefectTable:
     """The candidate defects of one driver call's decompositions: per
     external wall pair, every defect with its source grade, and each
     defect's idempotent terms, built the first time a quotient has an
-    admissible orbit at that grade. A driver makes one per call, next to
-    its corner sweep; a plain `decompose` makes its own."""
+    admissible orbit at that grade, and its grade dimensions, built the
+    first time a decomposition holds it. A driver makes one per call, next
+    to its corner sweep; a plain `decompose` makes its own."""
 
     def __init__(self):
         self._pairs: dict = {}
         self._terms: dict = {}
+        self._dims: dict = {}
 
     def candidates(self, lower, upper) -> list:
         """[(defect, source grade)] on the wall pair, in defect order."""
@@ -786,6 +823,13 @@ class DefectTable:
         out = self._terms.get(d)
         if out is None:
             out = self._terms[d] = idempotent(d, field).terms
+        return out
+
+    def grade_dims(self, d: DefectLabel) -> dict:
+        """d.grade_dims(), built once per table."""
+        out = self._dims.get(d)
+        if out is None:
+            out = self._dims[d] = d.grade_dims()
         return out
 
 
@@ -825,16 +869,19 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
         if mult:
             out.append((d, int(mult)))
     if check_complete:
-        verify_completeness(qr, out)
+        verify_completeness(qr, out, table)
     return out
 
 
-def verify_completeness(qr: QuotientRep, decomposition) -> None:
-    """Assert sum_d mult_d * dim V^d(grade) == quotient dim at every grade."""
+def verify_completeness(qr: QuotientRep, decomposition,
+                        table: DefectTable | None = None) -> None:
+    """Assert sum_d mult_d * dim V^d(grade) == quotient dim at every grade.
+    The defects' grade dimensions come from `table`, fresh if not given."""
+    table = DefectTable() if table is None else table
     want = qr.grade_dims()
     got: dict = {}
     for d, mult in decomposition:
-        for grade, dim in d.grade_dims().items():
+        for grade, dim in table.grade_dims(d).items():
             got[grade] = got.get(grade, 0) + mult * dim
     got = {g: v for g, v in got.items() if v}
     if got != want:

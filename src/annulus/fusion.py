@@ -15,9 +15,9 @@ from importlib import resources
 
 from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import DefectTable, QuotientRep, decompose
-from .scalars import CycField, mod_inverse
+from .scalars import mod_inverse
 from .structures import (
-    CornerSweep, StructureError, associator_compound, associator_corner_names,
+    CornerSweep, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
@@ -84,8 +84,8 @@ class FusionResult:
         )
 
 
-def _decomposition(cd, field=None, table=None) -> tuple:
-    qr = QuotientRep(cd, field)
+def _decomposition(cd, table=None) -> tuple:
+    qr = QuotientRep(cd)
     out = decompose(qr, table=table)
     return tuple(sorted((d.name(), mult) for d, mult in out))
 
@@ -100,18 +100,18 @@ def vertical_fuse(d1: DefectLabel, d2: DefectLabel) -> FusionResult:
 def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
                     corners: dict | None = None) -> FusionResult:
     """Fuse side by side; enumerate corner parameters unless given. The
-    corner assignments share one sweep, field and defect table."""
+    corner assignments share one sweep and defect table."""
     p = d1.p
     names = tuple(horizontal_corner_names(d1, d2))
     assignments = _corner_assignments(names, p, corners)
-    sweep, field, table = CornerSweep(), CycField(p), DefectTable()
+    sweep, table = CornerSweep(), DefectTable()
     outcomes = []
     for assignment in assignments:
         kw = dict(zip(names, assignment))
         cd = horizontal_compound(
             d1, d2, corner_bottom=kw.get("bottom"), corner_top=kw.get("top"),
             sweep=sweep)
-        outcomes.append((assignment, _decomposition(cd, field, table)))
+        outcomes.append((assignment, _decomposition(cd, table)))
     return FusionResult("horizontal", p, (d1.name(), d2.name()), names,
                         tuple(outcomes))
 
@@ -119,16 +119,16 @@ def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
 def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                corners: dict | None = None) -> FusionResult:
     """The compound defect of the [M,N,P] triangle, with delta compression.
-    The corner assignments share one sweep, field and defect table."""
+    The corner assignments share one sweep and defect table."""
     p = m.p
     names = tuple(associator_corner_names(m, n, pw))
     assignments = _corner_assignments(names, p, corners)
-    sweep, field, table = CornerSweep(), CycField(p), DefectTable()
+    sweep, table = CornerSweep(), DefectTable()
     outcomes = []
     for assignment in assignments:
         cd = associator_compound(m, n, pw, dict(zip(names, assignment)),
                                  sweep=sweep)
-        outcomes.append((assignment, _decomposition(cd, field, table)))
+        outcomes.append((assignment, _decomposition(cd, table)))
     constraints = None
     if corners is None:
         constraints = infer_delta_constraints(names, outcomes, p)
@@ -137,13 +137,15 @@ def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
 
 
 def _corner_assignments(names, p, corners):
+    """Every assignment of the corners `names`, or the one `corners` gives,
+    which must name exactly those corners (else ValueError)."""
     if corners is not None:
         unknown = set(corners) - set(names)
         if unknown:
-            raise StructureError(f"unknown corner names {sorted(unknown)}")
+            raise ValueError(f"unknown corner names {sorted(unknown)}")
         missing = set(names) - set(corners)
         if missing:
-            raise StructureError(f"missing corner values {sorted(missing)}")
+            raise ValueError(f"missing corner values {sorted(missing)}")
         return [tuple(corners[nm] % p for nm in names)]
     return list(itertools.product(range(p), repeat=len(names)))
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from .engine import (
     _exponent_action, _generator_table, _monomial_orbits, _solve_basis,
-    _strict_cyclic, _vertex_args,
+    _strict_cyclic, _vertex_args, _with_memos,
 )
 from .reps import TrivalentRep
-from .scalars import CycField
+from .scalars import cyc_field
 from .structures import BUBBLE_SIGN, StructureError
 from .walls import STAR, BimoduleLabel
 
@@ -45,7 +45,7 @@ class LatticePatch:
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
                  pinned: dict | None = None):
         self.p = p
-        self.field = CycField(p)
+        self.field = cyc_field(p)
         self.vertices: dict[str, TrivalentRep] = dict(vertices)
         self.edges = list(edges)
         self.edge_by_id = {e.eid: e for e in self.edges}
@@ -162,8 +162,8 @@ class LatticePatch:
                 sign = BUBBLE_SIGN[(self.vertices[vid].direction, region)]
                 slot_args = args.setdefault(vid, {})
                 slot_args[region] = slot_args.get(region, 0) + sign * g
-            out = self._face_args_cache[key] = _vertex_args(
-                self._order, self.vertices, args)
+            out = self._face_args_cache[key] = _with_memos(
+                _vertex_args(self._order, args), self.vertices)
         return out
 
     def _vertex_act(self, vid, args, memo, vec):

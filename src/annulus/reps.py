@@ -811,7 +811,7 @@ class BivalentRep(_TableRep):
         g = args.get("left", 0)
         h = args.get("right", 0)
         phase, new = self.entry["act"](vec, self.params, self.walls, g, h, field)
-        return phase, tuple(x % self.p for x in new)
+        return phase, tuple([x % self.p for x in new])
 
 
 class TrivalentRep(_TableRep):
@@ -873,7 +873,7 @@ class TrivalentRep(_TableRep):
         b = args.get("right", 0)
         c = args.get("mid", 0)
         phase, new = self.entry["act"](vec, self.corner, self.walls, a, b, c, field)
-        return phase, tuple(x % self.p for x in new)
+        return phase, tuple([x % self.p for x in new])
 
 
 def bivalent_action(lower: BimoduleLabel, upper: BimoduleLabel, defect, vec,

@@ -3,11 +3,13 @@
 Every amplitude in the engine is a `Cyc`: an element of Q(zeta_N) with exact
 rational coefficients in the power basis, N = p for odd p and N = 4 for p = 2
 (the quadratic Theta phase needs i). Equality is exact coefficient equality;
-there is no tolerance anywhere.
+there is no tolerance anywhere. The library holds one field per p,
+`cyc_field(p)`, so every computation at p shares its cached roots.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -269,8 +271,8 @@ class Cyc:
 class CycField:
     """Q(zeta_N) for the engine's prime p: N = p (odd p) or N = 4 (p = 2).
 
-    All scalars of one computation share a field instance; mixing orders is
-    rejected by the arithmetic.
+    All scalars of one computation share a field instance, the library's
+    being `cyc_field(p)`; mixing orders is rejected by the arithmetic.
     """
 
     def __init__(self, p: int):
@@ -284,12 +286,14 @@ class CycField:
             tuple(1 if i == j else 0 for i in range(self.dim)) for j in range(self.dim)
         ]
         self.zero = Cyc(self, (0,) * self.dim, 1, _normalized=True)
-        self.one = Cyc(self, self._basis_nums[0], 1, _normalized=True)
         self._basis_cyc = [
             Cyc(self, nums, 1, _normalized=True) for nums in self._basis_nums
         ]
+        self.one = self._basis_cyc[0]
         self._roots = [self._make_root(k) for k in range(self.N)]
         self._root_exponent = {(c.nums, c.den): k for k, c in enumerate(self._roots)}
+        # the roots this field hands out, `one` among them, by identity
+        self._root_ids = {id(c): k for k, c in enumerate(self._roots)}
         self._omega_cache = self._roots[::self.N // p]
         self.inv_p = self.rational(Fraction(1, p))
 
@@ -309,7 +313,11 @@ class CycField:
         return self._roots[k % self.N]
 
     def root_exponent(self, c: Cyc) -> int | None:
-        """The k in Z/N with c == zeta_N^k, or None if c is no N-th root of unity."""
+        """The k in Z/N with c == zeta_N^k, or None if c is no N-th root of
+        unity. A root this field handed out is found by identity."""
+        k = self._root_ids.get(id(c))
+        if k is not None:
+            return k
         if c.field.N != self.N:
             raise ValueError("mixed cyclotomic orders")
         return self._root_exponent.get((c.nums, c.den))
@@ -328,3 +336,9 @@ class CycField:
 
     def rational(self, q: Fraction) -> Cyc:
         return Cyc(self, (q.numerator,) + (0,) * (self.dim - 1), q.denominator)
+
+
+@functools.cache
+def cyc_field(p: int) -> CycField:
+    """The one CycField of the prime p, shared by every computation at p."""
+    return CycField(p)

@@ -142,27 +142,31 @@ def all_walls(p: int) -> list[BimoduleLabel]:
     return out
 
 
+# wall_product's kind for every pair of kinds but those of two invertible
+# walls, whose product takes its parameter from both.
+_PRODUCTS = {
+    ("T", "T"): "T", ("T", "L"): "T", ("T", "R"): "R", ("T", "F0"): "R",
+    ("T", "X"): "T", ("T", "F"): "R",
+    ("L", "T"): "L", ("L", "L"): "L", ("L", "R"): "F0", ("L", "F0"): "F0",
+    ("L", "X"): "L", ("L", "F"): "F0",
+    ("R", "T"): "T", ("R", "L"): "T", ("R", "R"): "R", ("R", "F0"): "R",
+    ("R", "X"): "R", ("R", "F"): "T",
+    ("F0", "T"): "L", ("F0", "L"): "L", ("F0", "R"): "F0", ("F0", "F0"): "F0",
+    ("F0", "X"): "F0", ("F0", "F"): "L",
+    ("X", "T"): "T", ("X", "L"): "L", ("X", "R"): "R", ("X", "F0"): "F0",
+    ("F", "T"): "L", ("F", "L"): "T", ("F", "R"): "F0", ("F", "F0"): "R",
+}
+
+
 def wall_product(a: BimoduleLabel, b: BimoduleLabel) -> BimoduleLabel:
     """The unique wall appearing in a (x) b (multiplicity is a corner matter)."""
     if a.p != b.p:
         raise ValueError("mixed moduli")
     p = a.p
     ka, kb = a.ekind(), b.ekind()
-    prods = {
-        ("T", "T"): "T", ("T", "L"): "T", ("T", "R"): "R", ("T", "F0"): "R",
-        ("T", "X"): "T", ("T", "F"): "R",
-        ("L", "T"): "L", ("L", "L"): "L", ("L", "R"): "F0", ("L", "F0"): "F0",
-        ("L", "X"): "L", ("L", "F"): "F0",
-        ("R", "T"): "T", ("R", "L"): "T", ("R", "R"): "R", ("R", "F0"): "R",
-        ("R", "X"): "R", ("R", "F"): "T",
-        ("F0", "T"): "L", ("F0", "L"): "L", ("F0", "R"): "F0", ("F0", "F0"): "F0",
-        ("F0", "X"): "F0", ("F0", "F"): "L",
-        ("X", "T"): "T", ("X", "L"): "L", ("X", "R"): "R", ("X", "F0"): "F0",
-        ("F", "T"): "L", ("F", "L"): "T", ("F", "R"): "F0", ("F", "F0"): "R",
-    }
     key = (ka, kb)
-    if key in prods:
-        out = prods[key]
+    out = _PRODUCTS.get(key)
+    if out is not None:
         if out == "F0":
             return BimoduleLabel("F", 0, p)
         return BimoduleLabel(out, None, p)

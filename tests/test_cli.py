@@ -94,6 +94,60 @@ def test_size_limit_exit_code(tmp_path, monkeypatch):
         assert "Traceback" not in r.stderr
 
 
+def test_malformed_size_limit_is_a_usage_error(tmp_path):
+    """A value of ANNULUS_MAX_BASIS that is no non-negative integer stops
+    every command with the usage code and a message that names it."""
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps(compound_to_json(vertical_compound(
+        parse_defect("TT(a=0,b=0)", 3), parse_defect("TT(a=0,b=0)", 3)))))
+    patch = tmp_path / "patch.json"
+    patch.write_text(json.dumps(patch_to_json(defect_line_patch(2))))
+    commands = (("decompose", str(structure)), ("lw", str(patch)),
+                ("associator", "-p", "3", "R", "Fq:2", "R"),
+                ("associator", "-p", "2", "--table"),
+                ("fuse-horizontal", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)"),
+                ("fuse-vertical", "-p", "3", "TT(a=0,b=0)", "TT(a=1,b=0)"),
+                ("table", "vertical", "-p", "2"))
+    for value, args in [("abc", args) for args in commands] + [
+            ("-1", commands[2]), ("", commands[1])]:
+        r = run_cli(*args, ANNULUS_MAX_BASIS=value)
+        assert r.returncode == 2, (value, args, r.stderr)
+        assert "ANNULUS_MAX_BASIS" in r.stderr and repr(value) in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_wrong_corner_name_is_a_usage_error():
+    """An unknown corner name, or a missing one, is a usage error, not a
+    wall mismatch."""
+    for args in (("associator", "-p", "3", "R", "Fq:2", "R",
+                  "--corner", "mu0=1"),
+                 ("associator", "-p", "3", "R", "Fq:2", "R",
+                  "--corner", "zz=1"),
+                 ("fuse-horizontal", "-p", "3", "FqR(x=1;q=2)",
+                  "LL(a=1,x=2)", "--corner", "bottom=1")):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "corner" in r.stderr
+        assert "Traceback" not in r.stderr
+    r = run_cli("associator", "-p", "3", "R", "Fq:2", "R",
+                "--corner", "mu0=1", "--corner", "nu1=1")
+    assert r.returncode == 0, r.stderr
+
+
+def test_unwritable_table_output_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    for args in (("table", "vertical", "-p", "2", "-o", str(out)),
+                 ("associator", "-p", "2", "--table", "-o", str(out))):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert f"cannot write {out}" in r.stderr
+        assert "Traceback" not in r.stderr
+    out = tmp_path / "x.json"
+    r = run_cli("table", "vertical", "-p", "2", "-o", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text())["kind"] == "vertical"
+
+
 def test_decompose_structure_document(tmp_path):
     ident = trivial_defect(wall(3, "X", 1))
     doc = compound_to_json(vertical_compound(ident, ident))

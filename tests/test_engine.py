@@ -1,6 +1,7 @@
 """Engine checks: face tracing, the worked bubble computations, quotients."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -417,6 +418,52 @@ def test_bad_cavity_declaration_rejected():
     doc["cavities"] = [[["vb", "left"], ["vt", "mid"]]]
     with pytest.raises(StructureError, match="cavities"):
         compound_from_json(doc)
+
+
+def _assert_empty_quotient(qr):
+    assert qr.raw_basis == [] and qr.raw_index == {}
+    assert qr.grades == {} and qr.grade_dims() == {}
+    assert qr.total_dim() == 0 and qr.image == {}
+    assert decompose(qr) == []
+    for grade in ((0, 0), ((0, 0), (0, 0))):
+        assert qr.grade_dim(grade) == 0
+        with pytest.raises(KeyError, match="no such grade"):
+            qr.boundary_matrix(grade, 1, 0)
+
+
+def test_inconsistent_assignment_gives_the_empty_quotient():
+    """An associator corner assignment with no consistent labeling, built
+    by the template and again from its structure document: the quotient
+    ends at the solve, with an empty surface."""
+    p = 3
+    t, l = wall(p, "T"), wall(p, "L")
+    assert associator_corner_names(t, l, t) == ["mu1", "nu1"]
+    cd = associator_compound(t, l, t, {"mu1": 0, "nu1": 1})
+    _assert_empty_quotient(QuotientRep(cd))
+    doc = compound_to_json(cd)
+    assert "template" not in doc
+    _assert_empty_quotient(QuotientRep(compound_from_json(doc)))
+    # the consistent neighbour keeps its quotient
+    assert QuotientRep(associator_compound(
+        t, l, t, {"mu1": 1, "nu1": 1})).total_dim()
+
+
+def test_inconsistent_structure_document_is_still_validated():
+    """A document whose assignment has no consistent labeling is refused
+    at construction when its cavities or its stubs are wrong, as before
+    the quotient could stop at an empty solve."""
+    p = 3
+    t, l = wall(p, "T"), wall(p, "L")
+    doc = compound_to_json(
+        associator_compound(t, l, t, {"mu1": 0, "nu1": 1}))
+    bad = json.loads(json.dumps(doc))
+    bad["cavities"] = bad["cavities"][:1]
+    with pytest.raises(StructureError, match="cavities"):
+        compound_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["external"] = bad["external"][:1]
+    with pytest.raises(StructureError, match="stub edges"):
+        compound_from_json(bad)
 
 
 def _brute_force_basis(cd):

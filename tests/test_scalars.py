@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from annulus.scalars import Cyc, CycField, ZpElem, is_prime, mod_inverse
+from annulus.scalars import (
+    Cyc, CycField, ZpElem, cyc_field, is_prime, mod_inverse,
+)
 
 
 def test_mod_inverse_examples():
@@ -120,3 +122,46 @@ def test_rational_and_symbolic():
     assert F.zero.symbolic() == "0"
     assert F.omega_pow(1).symbolic() == "w"
     assert (F.omega_pow(1) * -2).symbolic() == "-2*w"
+
+
+def _value_exponent(F, c):
+    """root_exponent's answer by value alone: the k with c == zeta_N^k."""
+    found = [k for k in range(F.N) if F.root_pow(k) == c]
+    return found[0] if found else None
+
+
+def test_root_exponent_matches_the_value_lookup():
+    """The field's own roots (`one` among them), fresh elements equal to a
+    root, a root of another instance of the field, and non-roots."""
+    for p in (2, 3, 5, 7):
+        F = CycField(p)
+        other = CycField(p)
+        assert F.one is F.root_pow(0)
+        for k in range(F.N):
+            root = F.root_pow(k)
+            fresh = Cyc(F, root.nums, root.den)
+            assert fresh is not root
+            for c in (root, fresh, F.one * root, other.root_pow(k)):
+                assert F.root_exponent(c) == _value_exponent(F, c) == k
+        assert F.root_exponent(F.root_pow(1) * F.one) == 1
+        for c in (F.zero, F.integer(2), F.one + F.root_pow(1),
+                  F.rational(Fraction(1, 2)), F.integer(-1) * 3):
+            assert F.root_exponent(c) is None
+            assert _value_exponent(F, c) is None
+
+
+def test_cyc_field_is_one_instance_per_p():
+    from annulus.engine import QuotientRep
+    from annulus.levinwen import hexagon_chain_patch
+    from annulus.defects import parse_defect
+    from annulus.structures import vertical_compound
+
+    assert cyc_field(3) is cyc_field(3)
+    assert cyc_field(5) is cyc_field(5)
+    assert cyc_field(3) is not cyc_field(5)
+    assert (cyc_field(2).N, cyc_field(3).N) == (4, 3)
+    d = parse_defect("RR(a=0,x=0)", 3)
+    assert QuotientRep(vertical_compound(d, d)).field is cyc_field(3)
+    assert hexagon_chain_patch(3, 1).field is cyc_field(3)
+    with pytest.raises(ValueError, match="not prime"):
+        cyc_field(4)

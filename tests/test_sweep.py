@@ -3,10 +3,12 @@ corner value) and one defect table across a call's corner assignments. The
 results must equal those of fresh compounds built per assignment."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from annulus.defects import parse_defect
+from annulus import engine
+from annulus.defects import DefectLabel, parse_defect
 from annulus.engine import QuotientRep, decompose
 from annulus.fusion import associator, horizontal_fuse
 from annulus.reps import TrivalentRep
@@ -94,6 +96,50 @@ def test_sweep_shares_the_structure_and_the_corner_free_reps():
         assert cd.structure is cds[0].structure
         for vid in ("vb", "d1", "d2"):
             assert cd.reps[vid] is cds[0].reps[vid]
+
+
+def test_sweep_builds_generator_args_once_and_memos_per_rep():
+    """The compounds of a sweep read one list of per-vertex args per
+    bubble and boundary generator, kept on their structure, and each looks
+    up the action memos of its own reps."""
+    p = 3
+    m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
+    sweep = CornerSweep()
+    cds = [associator_compound(m, n, pw, {"mu0": mu0, "nu1": 0}, sweep=sweep)
+           for mu0 in range(p)]
+    # cavity 0 and the boundary both touch v1, whose corner mu0 varies
+    for args_of in (lambda cd: engine._bubble_args(cd, 0, 2),
+                    lambda cd: engine._boundary_args(cd, 1, 2)):
+        lists = [args_of(cd) for cd in cds]
+        assert "v1" in {vid for _, vid, _, _ in lists[0]}
+        for cd, entries in zip(cds, lists):
+            for (i, vid, args, memo), first in zip(entries, lists[0]):
+                assert args is first[2]
+                key = tuple(sorted(args.items()))
+                assert memo is cd.reps[vid].action_memo[key]
+        v1_memos = [next(memo for _, vid, _, memo in entries if vid == "v1")
+                    for entries in lists]
+        assert len({id(memo) for memo in v1_memos}) == p
+    assert set(cds[0].structure.generator_args) == {
+        ("bubble", 0, 2), ("boundary", 1, 2)}
+
+
+def test_a_driver_call_builds_each_defects_grade_dims_once(monkeypatch):
+    """The completeness check reads each defect's grade dimensions from the
+    call's defect table."""
+    calls = Counter()
+    plain = DefectLabel.grade_dims
+
+    def counted(self):
+        calls[self] += 1
+        return plain(self)
+
+    monkeypatch.setattr(DefectLabel, "grade_dims", counted)
+    p = 3
+    t = BimoduleLabel.parse("T", p)
+    result = associator(t, t, t)
+    assert sum(1 for _, out in result.outcomes if out) > 1
+    assert calls and set(calls.values()) == {1}
 
 
 def test_without_a_sweep_every_compound_is_fresh():
