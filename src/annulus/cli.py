@@ -16,8 +16,8 @@ import sys
 from .defects import parse_annotated_defect
 from .engine import QuotientRep, SizeLimitError, decompose, max_basis
 from .fusion import (
-    FusionResult, associator, check_associator_against_golden, generate_table,
-    horizontal_fuse, load_golden_associators, vertical_fuse,
+    CornerError, FusionResult, associator, check_associator_against_golden,
+    generate_table, horizontal_fuse, load_golden_associators, vertical_fuse,
 )
 from .levinwen import load_patch
 from .scalars import is_prime
@@ -118,10 +118,10 @@ def cmd_fuse_horizontal(args):
         result = horizontal_fuse(d1, d2, corners)
     except SizeLimitError as exc:
         raise CliError(EXIT_SIZE, str(exc))
+    except CornerError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
-    except ValueError as exc:  # corner names that the structure lacks
-        raise CliError(EXIT_PARSE, str(exc))
     _emit(result.to_json(), args.format)
 
 
@@ -155,10 +155,10 @@ def cmd_associator(args):
         result = associator(*walls, corners=corners)
     except SizeLimitError as exc:
         raise CliError(EXIT_SIZE, str(exc))
+    except CornerError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
-    except ValueError as exc:  # corner names that the structure lacks
-        raise CliError(EXIT_PARSE, str(exc))
     if args.golden:
         _diff_golden([result], args.golden)
     _emit(result.to_json(), args.format)

@@ -551,14 +551,20 @@ def _apply_args(reps: dict, vec: tuple, vertex_args: list, field):
     return exp % field.N, tuple(out)
 
 
-def _structure_args(structure, key, build) -> list[tuple]:
-    """The `_vertex_args` of one generator, keyed by `key`, built by
-    build() -> {vertex: args} once per structure; the compounds of a corner
-    sweep share their structure, so they share these."""
-    out = structure.generator_args.get(key)
+def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
+    """The `_vertex_args` of one bubble or boundary generator, keyed by
+    `key`, with the action memos of cd's reps. The per-vertex args, from
+    build() -> {vertex: args}, are built once per structure, so the
+    compounds of a corner sweep share them; each compound keeps its own
+    list of memos."""
+    cache = cd.__dict__.setdefault("_generator_args", {})
+    out = cache.get(key)
     if out is None:
-        out = structure.generator_args[key] = _vertex_args(
-            list(structure.vertices), build())
+        shared = cd.structure.__dict__.setdefault("_generator_args", {})
+        vertex_args = shared.get(key)
+        if vertex_args is None:
+            vertex_args = shared[key] = _vertex_args(cd.vertex_order, build())
+        out = cache[key] = _with_memos(vertex_args, cd.reps)
     return out
 
 
@@ -575,8 +581,7 @@ def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
             slot_args[region] = slot_args.get(region, 0) + h
         return args
 
-    return _with_memos(_structure_args(structure, ("boundary", g, h), build),
-                       cd.reps)
+    return _generator_args(cd, ("boundary", g, h), build)
 
 
 def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
@@ -601,8 +606,7 @@ def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
             slot_args[region] = slot_args.get(region, 0) + sign * g
         return args
 
-    return _with_memos(_structure_args(structure, ("bubble", cavity, g), build),
-                       cd.reps)
+    return _generator_args(cd, ("bubble", cavity, g), build)
 
 
 def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
@@ -623,9 +627,9 @@ class QuotientRep:
     commutes with G, so it sends each orbit sum to a root of unity times an
     orbit sum."""
 
-    def __init__(self, cd: CompoundDefect, field: CycField | None = None):
+    def __init__(self, cd: CompoundDefect):
         self.cd = cd
-        self.field = field or cyc_field(cd.p)
+        self.field = cyc_field(cd.p)
         self.raw_basis = enumerate_basis(cd)
         self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}

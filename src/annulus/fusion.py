@@ -17,7 +17,7 @@ from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import DefectTable, QuotientRep, decompose
 from .scalars import mod_inverse
 from .structures import (
-    CornerSweep, associator_compound, associator_corner_names,
+    CornerSweep, StructureError, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
@@ -136,16 +136,21 @@ def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                         names, tuple(outcomes), constraints)
 
 
+class CornerError(StructureError):
+    """Given corner values that do not name exactly the structure's
+    corners."""
+
+
 def _corner_assignments(names, p, corners):
     """Every assignment of the corners `names`, or the one `corners` gives,
-    which must name exactly those corners (else ValueError)."""
+    which must name exactly those corners (else CornerError)."""
     if corners is not None:
         unknown = set(corners) - set(names)
         if unknown:
-            raise ValueError(f"unknown corner names {sorted(unknown)}")
+            raise CornerError(f"unknown corner names {sorted(unknown)}")
         missing = set(names) - set(corners)
         if missing:
-            raise ValueError(f"missing corner values {sorted(missing)}")
+            raise CornerError(f"missing corner values {sorted(missing)}")
         return [tuple(corners[nm] % p for nm in names)]
     return list(itertools.product(range(p), repeat=len(names)))
 

@@ -286,14 +286,12 @@ class CycField:
             tuple(1 if i == j else 0 for i in range(self.dim)) for j in range(self.dim)
         ]
         self.zero = Cyc(self, (0,) * self.dim, 1, _normalized=True)
+        self.one = Cyc(self, self._basis_nums[0], 1, _normalized=True)
         self._basis_cyc = [
             Cyc(self, nums, 1, _normalized=True) for nums in self._basis_nums
         ]
-        self.one = self._basis_cyc[0]
         self._roots = [self._make_root(k) for k in range(self.N)]
         self._root_exponent = {(c.nums, c.den): k for k, c in enumerate(self._roots)}
-        # the roots this field hands out, `one` among them, by identity
-        self._root_ids = {id(c): k for k, c in enumerate(self._roots)}
         self._omega_cache = self._roots[::self.N // p]
         self.inv_p = self.rational(Fraction(1, p))
 
@@ -313,11 +311,7 @@ class CycField:
         return self._roots[k % self.N]
 
     def root_exponent(self, c: Cyc) -> int | None:
-        """The k in Z/N with c == zeta_N^k, or None if c is no N-th root of
-        unity. A root this field handed out is found by identity."""
-        k = self._root_ids.get(id(c))
-        if k is not None:
-            return k
+        """The k in Z/N with c == zeta_N^k, or None if c is no N-th root of unity."""
         if c.field.N != self.N:
             raise ValueError("mixed cyclotomic orders")
         return self._root_exponent.get((c.nums, c.den))

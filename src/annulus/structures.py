@@ -78,9 +78,6 @@ class DomainWallStructure:
                 if end is not None:
                     self._slot_edge[end] = e
         self._validate_incidence()
-        # the engine's per-vertex args of each bubble and boundary generator,
-        # filled on first use and shared by every compound on the structure
-        self.generator_args: dict = {}
         faces = self._trace_faces()
         self.external_faces, internal = faces
         self.left_face, self.right_face = self._orient_external()

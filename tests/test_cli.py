@@ -116,9 +116,11 @@ def test_malformed_size_limit_is_a_usage_error(tmp_path):
         assert "Traceback" not in r.stderr
 
 
-def test_wrong_corner_name_is_a_usage_error():
+def test_wrong_corner_name_is_a_usage_error(monkeypatch):
     """An unknown corner name, or a missing one, is a usage error, not a
-    wall mismatch."""
+    wall mismatch. A library caller still sees it as a StructureError, and
+    any other ValueError raised inside a driver is no usage error: it leaves
+    the CLI as a traceback."""
     for args in (("associator", "-p", "3", "R", "Fq:2", "R",
                   "--corner", "mu0=1"),
                  ("associator", "-p", "3", "R", "Fq:2", "R",
@@ -132,6 +134,28 @@ def test_wrong_corner_name_is_a_usage_error():
     r = run_cli("associator", "-p", "3", "R", "Fq:2", "R",
                 "--corner", "mu0=1", "--corner", "nu1=1")
     assert r.returncode == 0, r.stderr
+
+    from annulus import cli
+    from annulus.fusion import CornerError, associator
+    from annulus.structures import StructureError
+    from annulus.walls import BimoduleLabel
+
+    walls = [BimoduleLabel.parse(t, 3) for t in ("R", "Fq:2", "R")]
+    with pytest.raises(CornerError):
+        associator(*walls, corners={"zz": 1})
+    assert issubclass(CornerError, StructureError)
+
+    def fault(*args, **kwargs):
+        raise ValueError("mixed moduli")
+
+    for name, argv in (
+            ("associator", ["associator", "-p", "3", "R", "Fq:2", "R",
+                            "--corner", "mu0=1", "--corner", "nu1=1"]),
+            ("horizontal_fuse", ["fuse-horizontal", "-p", "3",
+                                 "FqR(x=1;q=2)", "LL(a=1,x=2)"])):
+        monkeypatch.setattr(cli, name, fault)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            cli.main(argv)
 
 
 def test_unwritable_table_output_is_a_usage_error(tmp_path):

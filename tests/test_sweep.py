@@ -101,7 +101,7 @@ def test_sweep_shares_the_structure_and_the_corner_free_reps():
 def test_sweep_builds_generator_args_once_and_memos_per_rep():
     """The compounds of a sweep read one list of per-vertex args per
     bubble and boundary generator, kept on their structure, and each looks
-    up the action memos of its own reps."""
+    up the action memos of its own reps, once."""
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
     sweep = CornerSweep()
@@ -120,8 +120,11 @@ def test_sweep_builds_generator_args_once_and_memos_per_rep():
         v1_memos = [next(memo for _, vid, _, memo in entries if vid == "v1")
                     for entries in lists]
         assert len({id(memo) for memo in v1_memos}) == p
-    assert set(cds[0].structure.generator_args) == {
+    assert set(cds[0].structure._generator_args) == {
         ("bubble", 0, 2), ("boundary", 1, 2)}
+    # a compound builds its list once: a second call returns the same one
+    assert engine._bubble_args(cds[0], 0, 2) is engine._bubble_args(
+        cds[0], 0, 2)
 
 
 def test_a_driver_call_builds_each_defects_grade_dims_once(monkeypatch):
