@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .defects import parse_annotated_defect
@@ -191,8 +192,25 @@ def _diff_golden(results, golden_path):
                            f"bad golden table {golden_path}: {exc}")
 
 
+def _check_output(path):
+    """An -o path that cannot be written is a usage error, found before any
+    work and without creating or truncating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise CliError(EXIT_PARSE, f"cannot write {path}: {reason}")
+
+
 def cmd_table(args):
     _check_prime(args.p)
+    if args.output:
+        _check_output(args.output)
     try:
         doc = generate_table(args.kind, args.p)
     except SizeLimitError as exc:
@@ -213,14 +231,20 @@ def cmd_table(args):
         _emit(doc, args.format)
 
 
-def cmd_decompose(args):
+def _load_document(load, path, what):
+    """load(path): an unreadable file is a usage error, and a malformed
+    document exits with the structure code as a "bad {what} document"."""
     try:
-        cd = load_compound(args.structure)
+        return load(path)
     except OSError as exc:
-        raise _unreadable(args.structure, exc)
+        raise _unreadable(path, exc)
     except (StructureError, ValueError, KeyError, TypeError, IndexError,
             AttributeError) as exc:
-        raise CliError(EXIT_STRUCTURE, f"bad structure document: {exc}")
+        raise CliError(EXIT_STRUCTURE, f"bad {what} document: {exc}")
+
+
+def cmd_decompose(args):
+    cd = _load_document(load_compound, args.structure, "structure")
     try:
         qr = QuotientRep(cd)
         result = decompose(qr)
@@ -250,13 +274,7 @@ def cmd_decompose(args):
 
 
 def cmd_lw(args):
-    try:
-        patch = load_patch(args.patch)
-    except OSError as exc:
-        raise _unreadable(args.patch, exc)
-    except (StructureError, ValueError, KeyError, TypeError, IndexError,
-            AttributeError) as exc:
-        raise CliError(EXIT_STRUCTURE, f"bad patch document: {exc}")
+    patch = _load_document(load_patch, args.patch, "patch")
     try:
         commute = patch.check_commutation()
         dim = patch.ground_space_dim()

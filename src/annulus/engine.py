@@ -9,13 +9,15 @@ equations over F_p, which `_solve_basis` eliminates; `_list_solutions` then
 lists them one column (variable) at a time, each pivot's column computed
 from the columns of the lower variables in its row. When the equations
 are inconsistent there is no labeling, and the quotient ends at the solve:
-every later step is vacuous on an empty basis. A bubble generates a strict
-Z/p action when Bub_u = Bub_1^u, which `_strict_cyclic`
-checks vertex by vertex, next to Bub_1's table. The product of the cavity
-symmetrizers averages over G, so the quotient has one orbit sum per orbit
-whose stabilizer acts trivially (an admissible orbit), and a grade's
-dimension is its number of admissible orbits. Boundary generators commute
-with G and map orbit sums to roots of unity times orbit sums; the
+every later step is vacuous on an empty basis. A bubble is a loop through
+its cavity's corners (`_loop_args`); it generates a strict Z/p action when
+Bub_u = Bub_1^u, which `_cyclic_generators` checks vertex by vertex
+(`_strict_cyclic`) as it builds Bub_1's table. A Levin-Wen face is a loop
+of the same kind and goes through the same two functions. The product of
+the cavity symmetrizers averages over G, so the quotient has one orbit sum
+per orbit whose stabilizer acts trivially (an admissible orbit), and a
+grade's dimension is its number of admissible orbits. Boundary generators
+commute with G and map orbit sums to roots of unity times orbit sums; the
 multiplicity of a candidate defect is the trace (character) of its
 idempotent on the quotient, summed from phase histograms over Z/N.
 `QuotientRep.boundary_matrix` and `apply_idempotent` give the same boundary
@@ -362,20 +364,30 @@ def _external_grades(cd: CompoundDefect, basis: list) -> list[tuple]:
             for vec in basis]
 
 
-def _generator_table(basis: list, index: dict, vertex_args: list, reps: dict,
-                     field, left: str, grade_of: list | None = None) -> list:
-    """The monomial table [(j, k)] of a generator T_1 on `basis`: T_1 sends
-    state i to zeta_N^k times state j. It acts on the vertices of
-    `vertex_args`. An image that is no basis state, or that lies in another
-    grade when `grade_of` is given, raises StructureError(left)."""
-    gen = []
-    for i, vec in enumerate(basis):
-        k, new = _apply_args(reps, vec, vertex_args, field)
-        j = index.get(new)
-        if j is None or (grade_of is not None and grade_of[j] != grade_of[i]):
-            raise StructureError(left)
-        gen.append((j, k))
-    return gen
+def _cyclic_generators(basis: list, index: dict, loops: list, reps: dict,
+                       field, left: str, not_cyclic: str,
+                       grade_of: list | None = None) -> list:
+    """The monomial table [(j, k)] of T_1 on `basis` for every loop c: T_1
+    sends state i to zeta_N^k times state j. loops[c][u] holds the vertex
+    args of loop c's T_u, for u = 0..p-1. An image that is no basis state,
+    or that lies in another grade when `grade_of` is given, raises
+    StructureError(left.format(c)); T_u != T_1^u (`_strict_cyclic`) raises
+    StructureError(not_cyclic.format(c)). The bubbles of a compound and the
+    faces of a lattice patch both come through here."""
+    tables = []
+    for c, acts in enumerate(loops):
+        gen = []
+        for i, vec in enumerate(basis):
+            k, new = _apply_args(reps, vec, acts[1], field)
+            j = index.get(new)
+            if j is None or (grade_of is not None
+                             and grade_of[j] != grade_of[i]):
+                raise StructureError(left.format(c))
+            gen.append((j, k))
+        if not _strict_cyclic(gen, basis, acts, reps, field):
+            raise StructureError(not_cyclic.format(c))
+        tables.append(gen)
+    return tables
 
 
 def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
@@ -505,6 +517,19 @@ def _monomial_orbits(n: int, gens: list, N: int):
     return orbit, members
 
 
+def _loop_args(corners, template_of, g: int) -> dict:
+    """{vertex: {region: arg}} of a g-labeled loop through `corners`
+    [(vertex, region), ...]: each corner adds BUBBLE_SIGN * g to its region,
+    the sign read at the template template_of[vertex]. A cavity's bubble
+    and a lattice face's loop are both such loops."""
+    args: dict[str, dict[str, int]] = {}
+    for vid, region in corners:
+        slot_args = args.setdefault(vid, {})
+        slot_args[region] = (slot_args.get(region, 0)
+                             + BUBBLE_SIGN[(template_of[vid], region)] * g)
+    return args
+
+
 def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
     """(position in `order`, vertex, args, memo key) for every vertex that
     acts; the key, the sorted args, names the action's memo on a rep."""
@@ -599,12 +624,7 @@ def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
             corners = structure.cavities[cavity]
         except IndexError:
             raise StructureError(f"no cavity {cavity}") from None
-        args: dict[str, dict[str, int]] = {}
-        for vid, region in corners:
-            sign = BUBBLE_SIGN[(structure.vertices[vid], region)]
-            slot_args = args.setdefault(vid, {})
-            slot_args[region] = slot_args.get(region, 0) + sign * g
-        return args
+        return _loop_args(corners, structure.vertices, g)
 
     return _generator_args(cd, ("bubble", cavity, g), build)
 
@@ -660,21 +680,15 @@ class QuotientRep:
         """The table of Bub_{c,1} on the raw basis for every cavity c, once
         it is checked to keep every grade and Bub_{c,u} to equal
         Bub_{c,1}^u."""
-        cd, field = self.cd, self.field
-        gens = []
-        for cav in range(len(cd.structure.cavities)):
-            acts = [_bubble_args(cd, cav, u) for u in range(cd.p)]
-            gen = _generator_table(
-                self.raw_basis, self.raw_index, acts[1], cd.reps, field,
-                "bubble action left the external grade; "
-                "cavity declaration is inconsistent", self._grade_of)
-            if not _strict_cyclic(gen, self.raw_basis, acts, cd.reps,
-                                  field):
-                raise StructureError(
-                    "cavity symmetrizer is not idempotent; "
-                    "slot conventions violated for this structure")
-            gens.append(gen)
-        return gens
+        cd = self.cd
+        loops = [[_bubble_args(cd, cav, u) for u in range(cd.p)]
+                 for cav in range(len(cd.structure.cavities))]
+        return _cyclic_generators(
+            self.raw_basis, self.raw_index, loops, cd.reps, self.field,
+            "cavity {}: bubble action left the external grade; "
+            "cavity declaration is inconsistent",
+            "cavity {}: cavity symmetrizer is not idempotent; "
+            "slot conventions violated for this structure", self._grade_of)
 
     @functools.cached_property
     def image(self) -> dict:

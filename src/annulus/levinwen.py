@@ -6,40 +6,40 @@ terms match each incident edge label against the vertex state's grading;
 face terms insert a group-labeled loop in the face and absorb it into the six
 surrounding vertices, shifting the face's edge labels accordingly. All
 operators are exact projectors on the finite patch.
+
+A patch runs on the compound engine's code: the edges and incidence check of
+`structures`, and the engine's basis solve, loop args, checked generator
+tables and orbit count, with each face handled as a cavity's bubble is.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .engine import (
-    _exponent_action, _generator_table, _monomial_orbits, _solve_basis,
-    _strict_cyclic, _vertex_args, _with_memos,
+    _cyclic_generators, _exponent_action, _loop_args, _monomial_orbits,
+    _solve_basis, _vertex_args, _with_memos,
 )
 from .reps import TrivalentRep
 from .scalars import cyc_field
-from .structures import BUBBLE_SIGN, StructureError
+from .structures import StructureError, check_incidence
+from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
-
-
-@dataclass(frozen=True)
-class PatchEdge:
-    eid: str
-    wall: BimoduleLabel
-    ends: tuple  # (vid, slot) pairs; dangling edges have one None
 
 
 class LatticePatch:
     """Finite honeycomb fragment with explicit faces and boundary policy.
 
-    faces: list of corner lists [(vid, region), ...]; pinned: {eid: object}
-    fixing dangling edge values (free dangling edges enumerate all objects).
-    The consistent basis is solved over F_p by the engine's `_solve_basis`;
-    ANNULUS_MAX_BASIS bounds its size before any state is built. Each
-    face's group law is checked by the engine's `_strict_cyclic` from the
-    table of H_{f,1}, the only face table kept.
+    edges: `structures.Edge`s, validated by `structures.check_incidence`
+    as a structure's are; faces: list of corner lists [(vid, region), ...];
+    pinned: {eid: object} fixing dangling edge values (free dangling edges
+    enumerate all objects). The consistent basis is solved over F_p by the
+    engine's `_solve_basis`; ANNULUS_MAX_BASIS bounds its size before any
+    state is built. A face is a loop, as a cavity is: the engine's
+    `_loop_args` gives its args, and `_cyclic_generators` builds the table
+    of H_{f,1}, the only face table kept, and checks the group law, as it
+    does for a compound's bubbles.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -47,47 +47,26 @@ class LatticePatch:
         self.p = p
         self.field = cyc_field(p)
         self.vertices: dict[str, TrivalentRep] = dict(vertices)
+        self._templates = {vid: rep.direction
+                           for vid, rep in self.vertices.items()}
         self.edges = list(edges)
         self.edge_by_id = {e.eid: e for e in self.edges}
         self.faces = [list(f) for f in faces]
         self.pinned = dict(pinned or {})
+        self._slot_edge = check_incidence(self._templates, self.edges)
         self._validate()
-        self._slot_edge = {end: e for e in self.edges
-                           for end in e.ends if end is not None}
         self._order = list(self.vertices)
         self._basis = None
         self._face_args_cache: dict = {}
         self._gens = None
 
     def _validate(self):
-        if len(self.edge_by_id) != len(self.edges):
-            raise StructureError("duplicate edge ids")
-        seen = set()
-        for e in self.edges:
-            dangling = 0
-            for end in e.ends:
-                if end is None:
-                    dangling += 1
-                    continue
-                vid, slot = end
-                rep = self.vertices.get(vid)
-                if rep is None:
-                    raise StructureError(f"edge {e.eid}: unknown vertex {vid}")
-                if slot not in rep.slots:
-                    raise StructureError(f"edge {e.eid}: bad slot {slot}")
-                if rep.wall_of_slot(slot) != e.wall:
-                    raise StructureError(
-                        f"edge {e.eid}: wall {e.wall.name()} != vertex "
-                        f"{vid} slot wall {rep.wall_of_slot(slot).name()}")
-                if (vid, slot) in seen:
-                    raise StructureError(f"slot {(vid, slot)} used twice")
-                seen.add((vid, slot))
-            if dangling == 2:
-                raise StructureError(f"edge {e.eid} attaches to no vertex")
-        for vid, rep in self.vertices.items():
-            for slot in rep.slots:
-                if (vid, slot) not in seen:
-                    raise StructureError(f"slot {(vid, slot)} not connected")
+        for (vid, slot), e in self._slot_edge.items():
+            wall = self.vertices[vid].wall_of_slot(slot)
+            if wall != e.wall:
+                raise StructureError(
+                    f"edge {e.eid}: wall {e.wall.name()} != vertex "
+                    f"{vid} slot wall {wall.name()}")
         for eid in self.pinned:
             e = self.edge_by_id[eid]
             if all(end is not None for end in e.ends):
@@ -133,14 +112,7 @@ class LatticePatch:
         """H_{f,g} on a consistent basis state: (phase, new state).
 
         The plain `Cyc` path, independent of the exponent tables below."""
-        corners = self.faces[face_idx]
-        args: dict[str, dict[str, int]] = {}
-        for vid, region in corners:
-            template = ("tri21" if self.vertices[vid].direction == "tri21"
-                        else "tri12")
-            sign = BUBBLE_SIGN[(template, region)]
-            slot_args = args.setdefault(vid, {})
-            slot_args[region] = slot_args.get(region, 0) + sign * g
+        args = _loop_args(self.faces[face_idx], self._templates, g)
         phase = self.field.one
         out = []
         for vid, vec in zip(self.vertex_order(), state):
@@ -157,13 +129,10 @@ class LatticePatch:
         key = (face_idx, g)
         out = self._face_args_cache.get(key)
         if out is None:
-            args: dict[str, dict[str, int]] = {}
-            for vid, region in self.faces[face_idx]:
-                sign = BUBBLE_SIGN[(self.vertices[vid].direction, region)]
-                slot_args = args.setdefault(vid, {})
-                slot_args[region] = slot_args.get(region, 0) + sign * g
             out = self._face_args_cache[key] = _with_memos(
-                _vertex_args(self._order, args), self.vertices)
+                _vertex_args(self._order, _loop_args(
+                    self.faces[face_idx], self._templates, g)),
+                self.vertices)
         return out
 
     def _vertex_act(self, vid, args, memo, vec):
@@ -178,15 +147,16 @@ class LatticePatch:
     def _face_generators(self) -> list:
         """gens[f][i] = (j, k): H_{f,1} sends consistent basis state i to
         zeta_N^k times state j. A face whose image leaves the consistent
-        basis is a StructureError."""
+        basis, or whose H_{f,g} is not H_{f,1}^g, is a StructureError."""
         if self._gens is None:
             basis = self.consistent_basis()
-            index = {s: i for i, s in enumerate(basis)}
-            self._gens = [
-                _generator_table(basis, index, self._face_args(f, 1),
-                                 self.vertices, self.field,
-                                 f"face {f} left the consistent subspace")
-                for f in range(len(self.faces))]
+            loops = [[self._face_args(f, g) for g in range(self.p)]
+                     for f in range(len(self.faces))]
+            self._gens = _cyclic_generators(
+                basis, {s: i for i, s in enumerate(basis)}, loops,
+                self.vertices, self.field,
+                "face {} left the consistent subspace",
+                "face {} does not carry a strict group action")
         return self._gens
 
     def violated_terms(self, edge_values: dict, state) -> dict:
@@ -274,13 +244,7 @@ class LatticePatch:
         basis (needed for H_f idempotency and the orbit count): H_{f,1}
         keeps the basis, H_{f,g} = H_{f,1}^g with equal phases for every g
         and every basis state, and H_{f,1}^p is the identity."""
-        basis = self.consistent_basis()
-        for f, gen in enumerate(self._face_generators()):
-            acts = [self._face_args(f, g) for g in range(self.p)]
-            if not _strict_cyclic(gen, basis, acts, self.vertices,
-                                  self.field):
-                raise StructureError(
-                    f"face {f} does not carry a strict group action")
+        self._face_generators()
 
     def ground_space_dim(self) -> int:
         """Exact dimension of the joint +1 eigenspace of all terms.

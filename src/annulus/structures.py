@@ -47,13 +47,48 @@ _EXT = "__ext__"
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge of a structure or a lattice patch."""
     eid: str
     wall: BimoduleLabel
-    ends: tuple  # two entries, each (vid, slot) or None for an external stub
+    ends: tuple  # two entries, each (vid, slot) or None for a dangling end
 
 
 class StructureError(ValueError):
     pass
+
+
+def check_incidence(templates: dict, edges: list) -> dict:
+    """Validate how `edges` attach to the vertices `templates` {vid:
+    template} and return {(vid, slot): edge}. Edge ids are unique; every
+    edge has two ends, not both dangling; every end names a known vertex
+    and one of its template's slots; and every slot of every vertex is used
+    by exactly one edge. Structures and lattice patches share this check."""
+    if len({e.eid for e in edges}) != len(edges):
+        raise StructureError("duplicate edge ids")
+    slot_edge = {}
+    for e in edges:
+        if len(e.ends) != 2:
+            raise StructureError(f"edge {e.eid} must have two ends")
+        if all(end is None for end in e.ends):
+            raise StructureError(f"edge {e.eid} has no attached vertex")
+        for end in e.ends:
+            if end is None:
+                continue
+            vid, slot = end
+            if vid not in templates:
+                raise StructureError(
+                    f"edge {e.eid} references unknown vertex {vid}")
+            if slot not in TEMPLATE_SLOTS[templates[vid]]:
+                raise StructureError(
+                    f"edge {e.eid}: vertex {vid} has no slot {slot!r}")
+            if (vid, slot) in slot_edge:
+                raise StructureError(f"slot {(vid, slot)} used twice")
+            slot_edge[(vid, slot)] = e
+    for vid, template in templates.items():
+        for slot in TEMPLATE_SLOTS[template]:
+            if (vid, slot) not in slot_edge:
+                raise StructureError(f"slot {(vid, slot)} not connected")
+    return slot_edge
 
 
 class DomainWallStructure:
@@ -72,12 +107,14 @@ class DomainWallStructure:
         self.edges = list(edges)
         self.edge_by_id = {e.eid: e for e in self.edges}
         self.external = list(external)
-        self._slot_edge = {}
         for e in self.edges:
-            for end in e.ends:
-                if end is not None:
-                    self._slot_edge[end] = e
-        self._validate_incidence()
+            if e.wall.p != self.p:
+                raise StructureError(
+                    f"edge {e.eid}: wall modulus {e.wall.p} != structure p={self.p}")
+        self._slot_edge = check_incidence(self.vertices, self.edges)
+        if (sorted(e.eid for e in self.edges if None in e.ends)
+                != sorted(self.external)):
+            raise StructureError("external list must name exactly the stub edges")
         faces = self._trace_faces()
         self.external_faces, internal = faces
         self.left_face, self.right_face = self._orient_external()
@@ -90,41 +127,6 @@ class DomainWallStructure:
             if declared != derived:
                 raise StructureError(
                     "declared cavities do not match the internal faces of the structure")
-
-    def _validate_incidence(self):
-        if len(self.edge_by_id) != len(self.edges):
-            raise StructureError("duplicate edge ids")
-        seen = set()
-        stub_edges = []
-        for e in self.edges:
-            if e.wall.p != self.p:
-                raise StructureError(
-                    f"edge {e.eid}: wall modulus {e.wall.p} != structure p={self.p}")
-            if len(e.ends) != 2:
-                raise StructureError(f"edge {e.eid} must have two ends")
-            stubs = sum(1 for end in e.ends if end is None)
-            if stubs == 2:
-                raise StructureError(f"edge {e.eid} has no attached vertex")
-            if stubs == 1:
-                stub_edges.append(e.eid)
-            for end in e.ends:
-                if end is None:
-                    continue
-                vid, slot = end
-                if vid not in self.vertices:
-                    raise StructureError(f"edge {e.eid} references unknown vertex {vid}")
-                if slot not in TEMPLATE_SLOTS[self.vertices[vid]]:
-                    raise StructureError(
-                        f"edge {e.eid}: vertex {vid} has no slot {slot!r}")
-                if (vid, slot) in seen:
-                    raise StructureError(f"slot {(vid, slot)} used twice")
-                seen.add((vid, slot))
-        for vid, template in self.vertices.items():
-            for slot in TEMPLATE_SLOTS[template]:
-                if (vid, slot) not in seen:
-                    raise StructureError(f"slot {(vid, slot)} not connected")
-        if sorted(stub_edges) != sorted(self.external):
-            raise StructureError("external list must name exactly the stub edges")
 
     def _slot_of(self, eid, vid):
         e = self.edge_by_id[eid]

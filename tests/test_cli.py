@@ -172,6 +172,26 @@ def test_unwritable_table_output_is_a_usage_error(tmp_path):
     assert json.loads(out.read_text())["kind"] == "vertical"
 
 
+def test_unwritable_output_is_found_before_any_work(tmp_path, monkeypatch,
+                                                   capsys):
+    """The -o path is checked before the table is computed, and a refused
+    path is neither created nor truncated."""
+    from annulus import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the table was computed before the -o check")
+
+    monkeypatch.setattr(cli, "generate_table", no_work)
+    out = tmp_path / "missing" / "x.json"
+    for argv in (["table", "vertical", "-p", "2", "-o", str(out)],
+                 ["associator", "-p", "5", "--table", "-o", str(out)],
+                 ["table", "vertical", "-p", "2", "-o", str(tmp_path)]):
+        assert cli.main(argv) == 2, argv
+        assert "cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decompose_structure_document(tmp_path):
     ident = trivial_defect(wall(3, "X", 1))
     doc = compound_to_json(vertical_compound(ident, ident))
@@ -230,6 +250,11 @@ def _rename_edge(doc, old, new):
     next(e for e in doc["edges"] if e["id"] == old)["id"] = new
 
 
+def _edge_ends(doc, eid, change):
+    edge = next(e for e in doc["edges"] if e["id"] == eid)
+    edge["ends"] = change(edge["ends"])
+
+
 @pytest.mark.parametrize("command, doc", [
     ("lw", _malformed_patch(
         lambda d: d["vertices"][0].update(template="bogus"))),
@@ -241,13 +266,19 @@ def _rename_edge(doc, old, new):
     ("lw", _malformed_patch(lambda d: d.update(pinned=[1]))),
     # two edges with one id would merge and drop the second's equations
     ("lw", _malformed_patch(lambda d: _rename_edge(d, "h0_w", "h0_nw"))),
+    # an edge needs exactly two ends; with a third, None, it became pinnable
+    ("lw", _malformed_patch(
+        lambda d: _edge_ends(d, "h0_w", lambda ends: ends + [None]))),
+    ("lw", _malformed_patch(
+        lambda d: _edge_ends(d, "h0_t_r", lambda ends: ends[:1]))),
     ("decompose", _malformed_structure(lambda d: d["edges"][1].update(
         {"from": 5}))),
     ("decompose", _malformed_structure(lambda d: [d])),
     ("decompose", _malformed_structure(
         lambda d: d["edges"].__setitem__(1, ["mid"]))),
 ], ids=["lw-template", "lw-one-wall", "lw-edge-end", "lw-p-string",
-        "lw-list", "lw-pinned-list", "lw-duplicate-edge-id", "decompose-from",
+        "lw-list", "lw-pinned-list", "lw-duplicate-edge-id", "lw-three-ends",
+        "lw-one-end", "decompose-from",
         "decompose-list", "decompose-edge-list"])
 def test_malformed_documents_exit_6_without_a_traceback(tmp_path, command,
                                                         doc):

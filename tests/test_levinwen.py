@@ -5,13 +5,14 @@ import json
 
 import pytest
 
+from annulus import engine
 from annulus.levinwen import (
     LatticePatch, PatchEdge, defect_line_patch, hexagon_chain_patch,
     patch_from_json, patch_to_json,
 )
 from annulus.linalg import ExactMatrix
 from annulus.reps import TrivalentRep
-from annulus.structures import StructureError
+from annulus.structures import DomainWallStructure, StructureError
 from annulus.walls import BimoduleLabel
 from matrix_quotient import face_matrix, face_projector
 
@@ -279,6 +280,47 @@ def test_patch_validation():
         LatticePatch(p, v, [PatchEdge("e1", t, (("a", "bl"), None))] + edges[1:], [])
 
 
+def _one_vertex_edges():
+    """The three dangling edges of one tri21 vertex "a" at p = 2."""
+    x1 = BimoduleLabel("X", 1, 2)
+    return [PatchEdge(eid, x1, (("a", slot), None))
+            for eid, slot in (("e1", "bl"), ("e2", "br"), ("e3", "top"))]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda es: es[:2] + [PatchEdge("e1", es[2].wall, es[2].ends)],
+     "duplicate edge ids"),
+    (lambda es: es[:2] + [PatchEdge("e3", es[2].wall, es[2].ends + (None,))],
+     "edge e3 must have two ends"),
+    (lambda es: es + [PatchEdge("e4", es[0].wall, (None, None))],
+     "edge e4 has no attached vertex"),
+    (lambda es: es + [PatchEdge("e4", es[0].wall, (("b", "bl"), None))],
+     "edge e4 references unknown vertex b"),
+    (lambda es: es + [PatchEdge("e4", es[0].wall, (("a", "tl"), None))],
+     "edge e4: vertex a has no slot 'tl'"),
+    (lambda es: es + [PatchEdge("e4", es[0].wall, (("a", "bl"), None))],
+     "slot ('a', 'bl') used twice"),
+    (lambda es: es[:2], "slot ('a', 'top') not connected"),
+], ids=["duplicate-id", "three-ends", "no-vertex", "unknown-vertex",
+        "unknown-slot", "slot-used-twice", "unconnected-slot"])
+def test_structures_and_patches_share_one_incidence_check(change, message):
+    """The same malformed edge list gets the same refusal from a domain wall
+    structure and from a lattice patch on the same vertex."""
+    x1 = BimoduleLabel("X", 1, 2)
+    good = _one_vertex_edges()
+    DomainWallStructure(2, {"a": "tri21"}, good, ["e1", "e2", "e3"])
+    LatticePatch(2, {"a": TrivalentRep("tri21", x1, x1)}, good, [])
+    edges = change(_one_vertex_edges())
+    stubs = [e.eid for e in edges if None in e.ends]
+    for build in (
+            lambda: DomainWallStructure(2, {"a": "tri21"}, edges, stubs),
+            lambda: LatticePatch(2, {"a": TrivalentRep("tri21", x1, x1)},
+                                 edges, [])):
+        with pytest.raises(StructureError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_duplicate_edge_ids_are_refused():
     """An edge id used twice would merge two edges into one and drop the
     equations of the second, so the free chain would count 128 consistent
@@ -342,8 +384,19 @@ def test_pinned_chain_p5_n5_has_one_ground_state():
 
 
 def _with_tables(monkeypatch, patch, gens):
-    """Give every face of `patch` a hand-made H_{f,1} table."""
-    monkeypatch.setattr(patch, "_face_generators", lambda: gens)
+    """Give every face of `patch` a hand-made H_{f,1} table. The tables go
+    through the engine's `_cyclic_generators` and its checks: the images of
+    H_{f,1} that it reads from `_apply_args` are replaced by the tables'."""
+    basis = patch.consistent_basis()
+    index = {s: i for i, s in enumerate(basis)}
+    face_of = {id(patch._face_args(f, 1)): f for f in range(len(gens))}
+
+    def apply_args(reps, vec, vertex_args, field):
+        j, k = gens[face_of[id(vertex_args)]][index[vec]]
+        return k, basis[j]
+
+    monkeypatch.setattr(engine, "_apply_args", apply_args)
+    patch._gens = None
     return patch
 
 
