@@ -3,16 +3,18 @@
 A defect label names an irreducible representation of the annular category of
 a wall pair: the family is determined by the pair's kinds, the parameters by
 the tabulated classification. `idempotent` returns the exact formal sum of
-annular generators that projects onto that representation.
+annular generators that projects onto that representation; `phase_terms`
+gives the same sum with each coefficient as exponents, p^-j zeta_N^e.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .reps import BIVALENT, BivalentRep, _Walls, _biv_key, _norm
-from .scalars import CycField
+from .scalars import CycField, root_order
 from .walls import BimoduleLabel
 
 _LOWER_PIECES = {"T": "T", "L": "L", "R": "R", "F0": "F0", "F": "Fq", "X": "Xk"}
@@ -113,19 +115,29 @@ class DefectLabel:
 
 @dataclass(frozen=True)
 class IdempotentExpr:
-    """Formal sum of annular generators at a fixed source object."""
+    """Formal sum of annular generators at a fixed source object. Its terms
+    are d's `phase_terms` in order, each coefficient p^-j zeta_N^e made a
+    field element."""
 
     defect: DefectLabel
     source: tuple
     terms: tuple  # ((Cyc coefficient, (g, h)), ...)
 
 
-def idempotent(d: DefectLabel, field: CycField) -> IdempotentExpr:
+def phase_terms(d: DefectLabel) -> tuple:
+    """d's idempotent as ((j, e, g, h), ...), the sum of the terms
+    p^-j zeta_N^e gen(g, h), with e in Z/N and g, h in Z/p."""
     entry = d.entry()
     w = _Walls(d.p, d.lower, d.upper)
     prm = dict(zip(entry["params"], d.params))
-    terms = tuple(
-        (coeff, (g % d.p, h % d.p)) for coeff, (g, h) in entry["idem"](prm, w, field))
+    n = root_order(d.p)
+    return tuple((j, e % n, g % d.p, h % d.p)
+                 for (j, e), (g, h) in entry["idem"](prm, w))
+
+
+def idempotent(d: DefectLabel, field: CycField) -> IdempotentExpr:
+    terms = tuple((field.root_pow(e) * Fraction(1, d.p ** j), (g, h))
+                  for j, e, g, h in phase_terms(d))
     return IdempotentExpr(d, d.source_object(), terms)
 
 

@@ -17,11 +17,16 @@ of the same kind and goes through the same two functions. The product of
 the cavity symmetrizers averages over G, so the quotient has one orbit sum
 per orbit whose stabilizer acts trivially (an admissible orbit), and a
 grade's dimension is its number of admissible orbits. Boundary generators
-commute with G and map orbit sums to roots of unity times orbit sums; the
-multiplicity of a candidate defect is the trace (character) of its
-idempotent on the quotient, summed from phase histograms over Z/N.
+commute with G and map orbit sums to roots of unity times orbit sums, so a
+generator's trace (character) is the histogram over Z/N of the phases of
+the orbit sums it fixes. The multiplicity of a candidate defect is the
+trace of its idempotent on the quotient. Every idempotent coefficient is
+p^-j zeta_N^e (`defects.phase_terms`), so that trace is one integer
+histogram over Z/N divided by p^J, J the largest j, and it becomes a field
+element only once per defect, to be read as a rational.
 `QuotientRep.boundary_matrix` and `apply_idempotent` give the same boundary
-operators as exact matrices; `decompose` does not use them.
+operators as exact matrices from the `Cyc` idempotent; `decompose` does not
+use them.
 
 Structures and compound defects are immutable once validated; basis
 enumeration, bubble application and per-defect characters are pure and
@@ -35,7 +40,7 @@ per (vertex, corner value) for all its corner assignments, so the compounds
 of one sweep share the per-vertex args of every bubble and boundary
 generator, kept on the structure, and the memos of every vertex whose corner
 they agree on; a `DefectTable` gives them the candidate defects, their
-idempotent terms and their grade dimensions once.
+phase terms and their grade dimensions once.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import itertools
 import operator
 import os
 
-from .defects import DefectLabel, enumerate_defects, idempotent
+from .defects import DefectLabel, enumerate_defects, idempotent, phase_terms
 from .linalg import ExactMatrix
 from .scalars import CycField, cyc_field
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
@@ -777,8 +782,9 @@ class QuotientRep:
 
     def character(self, grade, g: int, h: int):
         """tr of boundary (g, h) on the quotient at `grade`, which it must
-        keep: the phases of the orbit sums it fixes, summed as a histogram
-        over Z/N. None when no orbit sum is fixed."""
+        keep, as the histogram over Z/N of the phases of the orbit sums it
+        fixes: the trace is sum_k hist[k] zeta_N^k. None when no orbit sum
+        is fixed."""
         key = (grade, g, h)
         if key not in self._chars:
             target, entries = self._orbit_map(grade, g, h)
@@ -789,7 +795,7 @@ class QuotientRep:
             for col, (row, k) in enumerate(entries):
                 if row == col:
                     hist[k] += 1
-            self._chars[key] = self.field.root_sum(hist) if any(hist) else None
+            self._chars[key] = tuple(hist) if any(hist) else None
         return self._chars[key]
 
 
@@ -817,7 +823,7 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
 class DefectTable:
     """The candidate defects of one driver call's decompositions: per
     external wall pair, every defect with its source grade, and each
-    defect's idempotent terms, built the first time a quotient has an
+    defect's phase terms, built the first time a quotient has an
     admissible orbit at that grade, and its grade dimensions, built the
     first time a decomposition holds it. A driver makes one per call, next
     to its corner sweep; a plain `decompose` makes its own."""
@@ -836,11 +842,12 @@ class DefectTable:
                                       for d in enumerate_defects(lower, upper)]
         return out
 
-    def terms(self, d: DefectLabel, field: CycField) -> tuple:
-        """d's idempotent as ((coefficient, (g, h)), ...)."""
+    def terms(self, d: DefectLabel) -> tuple:
+        """d's idempotent as `phase_terms`, ((j, e, g, h), ...), the sum of
+        p^-j zeta_N^e gen(g, h)."""
         out = self._terms.get(d)
         if out is None:
-            out = self._terms[d] = idempotent(d, field).terms
+            out = self._terms[d] = phase_terms(d)
         return out
 
     def grade_dims(self, d: DefectLabel) -> dict:
@@ -856,17 +863,20 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
     """Isotypic decomposition of a 2-string quotient representation.
 
     The multiplicity of a defect d is the trace of its idempotent
-    e = sum_t c_t B_t on the quotient at d's source grade, which is the rank
-    of e: sum_t c_t tr(B_t), each trace a histogram of phases (`character`).
-    The candidates and their terms come from `table`, fresh if not given.
-    Returns [(DefectLabel, multiplicity)] with positive multiplicities; for
-    external boundaries with more or fewer strings the quotient itself is
-    returned unchanged (unsupported, per contract).
+    e = sum_t p^-j_t zeta_N^e_t B_t on the quotient at d's source grade,
+    which is the rank of e. Each tr(B_t) is a histogram over Z/N
+    (`character`), so p^J tr(e), J the largest j_t, is the integer
+    histogram acc[k + e_t] += p^(J - j_t) hist_t[k], made a field element
+    once, by `root_sum`. The candidates and their terms come from `table`,
+    fresh if not given. Returns [(DefectLabel, multiplicity)] with positive
+    multiplicities; for external boundaries with more or fewer strings the
+    quotient itself is returned unchanged (unsupported, per contract).
     """
     if len(qr.cd.structure.external) != 2:
         return qr
     lower, upper = qr.cd.structure.external_walls()
     field = qr.field
+    p, N = field.p, field.N
     table = DefectTable() if table is None else table
     out = []
     # a quotient with no admissible orbit has no candidate to try
@@ -874,11 +884,17 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
     for d, grade in candidates:
         if not qr.grade_dim(grade):
             continue
-        total = field.zero
-        for coeff, (g, h) in table.terms(d, field):
-            chi = qr.character(grade, g, h)
-            if chi is not None:
-                total = total + coeff * chi
+        terms = table.terms(d)
+        top = max(t[0] for t in terms)
+        acc = [0] * N
+        for j, e, g, h in terms:
+            hist = qr.character(grade, g, h)
+            if hist is not None:
+                scale = p ** (top - j)
+                for k, c in enumerate(hist):
+                    if c:
+                        acc[(k + e) % N] += scale * c
+        total = field.root_sum(acc, p ** top)
         mult = total.as_rational()
         if mult is None or mult.denominator != 1 or mult < 0:
             raise StructureError(

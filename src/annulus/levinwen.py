@@ -68,7 +68,10 @@ class LatticePatch:
                     f"edge {e.eid}: wall {e.wall.name()} != vertex "
                     f"{vid} slot wall {wall.name()}")
         for eid in self.pinned:
-            e = self.edge_by_id[eid]
+            e = self.edge_by_id.get(eid)
+            if e is None:
+                raise StructureError(f"pinned edge {eid!r} is no edge of the "
+                                     "patch")
             if all(end is not None for end in e.ends):
                 raise StructureError(f"cannot pin interior edge {eid}")
             if self.pinned[eid] not in e.wall.simple_objects():

@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import Cyc, CycField, mod_inverse
+from .scalars import Cyc, CycField, mod_inverse, root_order
 from .walls import STAR, BimoduleLabel, wall_product
 
 
-def theta(field: CycField, x: int, a: int, g: int) -> Cyc:
-    """Quadratic phase of the invertible-wall idempotents.
+def theta_exponent(p: int, x: int, a: int, g: int) -> int:
+    """The e in Z/N with theta = zeta_N^e, the quadratic phase of the
+    invertible-wall idempotents.
 
     p = 2: (-1)^(g x) * i^(a g) on canonical representatives; odd p:
     omega^(g x + a g^2 / 2).
     """
-    p = field.p
     if p == 2:
         x, a, g = x % 2, a % 2, g % 2
-        sign = field.omega_pow(g * x)  # omega = -1
-        return sign * field.root_pow(a * g)
-    inv2 = mod_inverse(2, p)
-    return field.omega_pow(g * x + a * g * g * inv2)
+        return (2 * g * x + a * g) % 4  # -1 = i^2
+    return (g * x + a * g * g * mod_inverse(2, p)) % p
+
+
+def theta(field: CycField, x: int, a: int, g: int) -> Cyc:
+    """The quadratic phase zeta_N^theta_exponent(p, x, a, g)."""
+    return field.root_pow(theta_exponent(field.p, x, a, g))
 
 
 class _Walls:
@@ -49,6 +52,11 @@ class _Walls:
 
     def inv(self, value: int) -> int:
         return mod_inverse(value, self.p)
+
+    def omega(self, k: int) -> int:
+        """The e in Z/N with omega^k = zeta_N^e."""
+        n = root_order(self.p)
+        return k * (n // self.p) % n
 
 
 def _norm(p: int, obj):
@@ -67,7 +75,8 @@ def _norm(p: int, obj):
 #   edges(v, d, w) -> (lower object, upper object)
 #   act(v, d, w, g, h, F) -> (phase, new free)
 #   src(d, w) -> idempotent source object (lower, upper)
-#   idem(d, w, F) -> [(coefficient, (g, h))], the idempotent expression
+#   idem(d, w) -> [((j, e), (g, h))], the idempotent expression
+#                 sum p^-j zeta_N^e gen(g, h): each coefficient as exponents
 # --------------------------------------------------------------------------
 
 BIVALENT: dict = {}
@@ -81,23 +90,23 @@ def _biv(lo, up, same=None, params=(), free=(), edges=None, act=None, src=None,
     }
 
 
-def _idem_identity(d, w, F):
-    return [(F.one, (0, 0))]
+def _idem_identity(d, w):
+    return [((0, 0), (0, 0))]
 
 
 def _idem_left(xkey):
     # (1/p) sum_g omega^(g x) gen(g, 0)
-    def mk(d, w, F):
+    def mk(d, w):
         x = d[xkey]
-        return [(F.inv_p * F.omega_pow(g * x), (g, 0)) for g in range(w.p)]
+        return [((1, w.omega(g * x)), (g, 0)) for g in range(w.p)]
     return mk
 
 
 def _idem_right(xkey):
     # (1/p) sum_g omega^(g x) gen(0, -g)
-    def mk(d, w, F):
+    def mk(d, w):
         x = d[xkey]
-        return [(F.inv_p * F.omega_pow(g * x), (0, -g)) for g in range(w.p)]
+        return [((1, w.omega(g * x)), (0, -g)) for g in range(w.p)]
     return mk
 
 
@@ -235,8 +244,8 @@ _biv("F0", "F0", params=("x", "y"), free=(),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(-g * d["x"] + h * d["y"]), ()),
      src=lambda d, w: (STAR, STAR),
-     idem=lambda d, w, F: [
-         (F.inv_p * F.inv_p * F.omega_pow(g * d["x"] + h * d["y"]), (g, -h))
+     idem=lambda d, w: [
+         ((2, w.omega(g * d["x"] + h * d["y"])), (g, -h))
          for g in range(w.p) for h in range(w.p)])
 
 _biv("F0", "X", params=("x",), free=("m",),
@@ -244,8 +253,8 @@ _biv("F0", "X", params=("x",), free=("m",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(-g * d["x"]), (v[0] + g + w.params[1] * h,)),
      src=lambda d, w: (STAR, 0),
-     idem=lambda d, w, F: [
-         (F.inv_p * F.omega_pow(g * d["x"]), (g, -w.inv(w.params[1]) * g))
+     idem=lambda d, w: [
+         ((1, w.omega(g * d["x"])), (g, -w.inv(w.params[1]) * g))
          for g in range(w.p)])
 
 _biv("F0", "F", free=("alpha",),
@@ -253,7 +262,7 @@ _biv("F0", "F", free=("alpha",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(h * w.params[1] * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
-     idem=lambda d, w, F: [(F.inv_p, (0, -g)) for g in range(w.p)])
+     idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
 _biv("X", "T", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: (v[0] + w.params[0] * v[1], (d["a"] + v[0], v[1])),
@@ -278,8 +287,8 @@ _biv("X", "F0", params=("x",), free=("m",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(-g * d["x"]), (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, STAR),
-     idem=lambda d, w, F: [
-         (F.inv_p * F.omega_pow(g * d["x"]), (g, -w.inv(w.params[0]) * g))
+     idem=lambda d, w: [
+         ((1, w.omega(g * d["x"])), (g, -w.inv(w.params[0]) * g))
          for g in range(w.p)])
 
 _biv("X", "X", same=True, params=("a", "x"), free=("m",),
@@ -287,8 +296,8 @@ _biv("X", "X", same=True, params=("a", "x"), free=("m",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(h * d["x"]), (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, d["a"]),
-     idem=lambda d, w, F: [
-         (F.inv_p * F.omega_pow(g * d["x"]), (w.params[0] * g, -g))
+     idem=lambda d, w: [
+         ((1, w.omega(g * d["x"])), (w.params[0] * g, -g))
          for g in range(w.p)])
 
 _biv("X", "X", same=False, free=("m", "n"),
@@ -305,8 +314,8 @@ _biv("X", "F", params=("x",), free=("m",),
          * F.omega_pow(h * w.params[1] * (g + v[0])),
          (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, STAR),
-     idem=lambda d, w, F: [
-         (F.inv_p * theta(F, d["x"], w.params[0] * w.params[1], g),
+     idem=lambda d, w: [
+         ((1, theta_exponent(w.p, d["x"], w.params[0] * w.params[1], g)),
           (w.params[0] * g, -g))
          for g in range(w.p)])
 
@@ -336,7 +345,7 @@ _biv("F", "F0", free=("alpha",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(-w.params[0] * h * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
-     idem=lambda d, w, F: [(F.inv_p, (0, -g)) for g in range(w.p)])
+     idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
 _biv("F", "X", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
@@ -345,8 +354,8 @@ _biv("F", "X", params=("x",), free=("m",),
          * F.omega_pow(-w.params[0] * h * (g + v[0])),
          (v[0] + g + w.params[1] * h,)),
      src=lambda d, w: (STAR, 0),
-     idem=lambda d, w, F: [
-         (F.inv_p * theta(F, d["x"], -w.params[0] * w.params[1], g),
+     idem=lambda d, w: [
+         ((1, theta_exponent(w.p, d["x"], -w.params[0] * w.params[1], g)),
           (w.params[1] * g, -g))
          for g in range(w.p)])
 
@@ -355,8 +364,8 @@ _biv("F", "F", same=True, params=("x", "y"), free=(),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(-g * d["x"] + h * d["y"]), ()),
      src=lambda d, w: (STAR, STAR),
-     idem=lambda d, w, F: [
-         (F.inv_p * F.inv_p * F.omega_pow(g * d["x"] + h * d["y"]), (g, -h))
+     idem=lambda d, w: [
+         ((2, w.omega(g * d["x"] + h * d["y"])), (g, -h))
          for g in range(w.p) for h in range(w.p)])
 
 _biv("F", "F", same=False, free=("alpha",),
@@ -364,7 +373,7 @@ _biv("F", "F", same=False, free=("alpha",),
      act=lambda v, d, w, g, h, F: (
          F.omega_pow(h * (w.params[1] - w.params[0]) * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
-     idem=lambda d, w, F: [(F.inv_p, (0, -g)) for g in range(w.p)])
+     idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
 
 # --------------------------------------------------------------------------

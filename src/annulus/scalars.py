@@ -31,6 +31,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def root_order(p: int) -> int:
+    """N, the order of the roots of unity at p: p for odd p, 4 for p = 2."""
+    return 4 if p == 2 else p
+
+
 def mod_inverse(a, p: int | None = None) -> int:
     """Inverse of a mod p; raises ValueError("not invertible") on zero input."""
     if isinstance(a, ZpElem):
@@ -279,7 +284,7 @@ class CycField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.N = 4 if p == 2 else p
+        self.N = root_order(p)
         self.dim = 2 if p == 2 else p - 1
         self.root_symbol = "i" if p == 2 else "w"
         self._basis_nums = [

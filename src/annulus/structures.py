@@ -60,9 +60,14 @@ class StructureError(ValueError):
 def check_incidence(templates: dict, edges: list) -> dict:
     """Validate how `edges` attach to the vertices `templates` {vid:
     template} and return {(vid, slot): edge}. Edge ids are unique; every
-    edge has two ends, not both dangling; every end names a known vertex
-    and one of its template's slots; and every slot of every vertex is used
-    by exactly one edge. Structures and lattice patches share this check."""
+    edge has two ends, not both dangling; every vertex has a known template;
+    every end names a known vertex and one of its template's slots; and
+    every slot of every vertex is used by exactly one edge. Structures and
+    lattice patches share this check."""
+    for vid, template in templates.items():
+        if template not in TEMPLATE_SLOTS:
+            raise StructureError(
+                f"vertex {vid}: unknown template {template!r}")
     if len({e.eid for e in edges}) != len(edges):
         raise StructureError("duplicate edge ids")
     slot_edge = {}

@@ -291,6 +291,23 @@ def test_malformed_documents_exit_6_without_a_traceback(tmp_path, command,
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("lw", _malformed_patch(lambda d: d["pinned"].update(nope=0)),
+     "bad patch document: pinned edge 'nope' is no edge of the patch"),
+    ("decompose", _malformed_structure(
+        lambda d: d["vertices"][0].update(template="tri99")),
+     "bad structure document: vertex v1: unknown template 'tri99'"),
+], ids=["lw-unknown-pin", "decompose-unknown-template"])
+def test_an_unknown_name_in_a_document_is_named(tmp_path, command, doc,
+                                                message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    assert r.returncode == 6, r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_lw_violated_term_report(tmp_path):
     from annulus.levinwen import hexagon_chain_patch
 

@@ -4,7 +4,7 @@ import pytest
 
 from annulus.defects import (
     DefectLabel, enumerate_defects, idempotent, parse_annotated_defect,
-    parse_defect, trivial_defect,
+    parse_defect, phase_terms, trivial_defect,
 )
 from annulus.linalg import ExactMatrix
 from annulus.reps import BivalentRep, composition_phase_bivalent
@@ -87,6 +87,28 @@ def test_idempotent_term_structure():
         for h in range(p):
             want = field.inv_p * field.inv_p * field.omega_pow(g + 2 * h)
             assert coeffs[(g, (-h) % p)] == want
+
+
+def test_phase_terms_are_the_idempotent_terms():
+    """Term by term, for every defect of every wall pair at p = 2, 3, 5 and
+    7: the phase term (j, e, g, h) is the Cyc term (p^-j zeta_N^e, (g, h)),
+    with e in Z/N and g, h in Z/p."""
+    count = 0
+    for p in (2, 3, 5, 7):
+        field = CycField(p)
+        for lo, up in _pairs(p):
+            for d in enumerate_defects(lo, up):
+                terms = phase_terms(d)
+                expr = idempotent(d, field)
+                assert len(terms) == len(expr.terms)
+                for (j, e, g, h), (coeff, gh) in zip(terms, expr.terms):
+                    assert 0 <= e < field.N and 0 <= g < p and 0 <= h < p
+                    want = field.root_pow(e)
+                    for _ in range(j):
+                        want = want * field.inv_p
+                    assert (coeff, gh) == (want, (g, h))
+                count += len(terms)
+    assert count == 31934
 
 
 def test_idempotent_formal_composition():

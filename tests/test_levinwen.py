@@ -321,6 +321,24 @@ def test_structures_and_patches_share_one_incidence_check(change, message):
         assert str(info.value) == message
 
 
+def test_unknown_vertex_template_is_refused_by_name():
+    """A template the incidence check does not know is a StructureError
+    that names it, not a KeyError from the slot table."""
+    with pytest.raises(StructureError,
+                       match="^vertex a: unknown template 'tri99'$"):
+        DomainWallStructure(2, {"a": "tri99"}, _one_vertex_edges(),
+                            ["e1", "e2", "e3"])
+
+
+def test_unknown_pinned_edge_is_refused_by_name():
+    """A pin on an edge the patch does not have is a StructureError that
+    names the edge, not a KeyError from the edge table."""
+    b = hexagon_chain_patch(2, 1)
+    with pytest.raises(StructureError,
+                       match="^pinned edge 'nope' is no edge of the patch$"):
+        LatticePatch(2, b.vertices, b.edges, b.faces, {"nope": 0})
+
+
 def test_duplicate_edge_ids_are_refused():
     """An edge id used twice would merge two edges into one and drop the
     equations of the second, so the free chain would count 128 consistent

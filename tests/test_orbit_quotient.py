@@ -3,7 +3,7 @@ reference in matrix_quotient.py, plus negative tests for the checks that
 make the orbit count exact."""
 
 import itertools
-from fractions import Fraction
+import re
 
 import pytest
 
@@ -157,37 +157,43 @@ def test_bubble_that_leaves_its_grade_is_rejected(monkeypatch):
         QuotientRep(cd)
 
 
-def _perturb_idempotents(monkeypatch, change):
-    plain = engine.idempotent
+def _perturb_phase_terms(monkeypatch, plain, change):
+    """Replace every defect's phase terms (j, e, g, h), as `plain` gives
+    them, by change(term), a list of terms."""
 
-    def perturbed(d, field):
-        expr = plain(d, field)
-        assert any(gh == (0, 0) for _, gh in expr.terms)
-        terms = tuple((change(c, gh, field), gh) for c, gh in expr.terms)
-        return type(expr)(expr.defect, expr.source, terms)
+    def perturbed(d):
+        terms = plain(d)
+        assert any((g, h) == (0, 0) for _, _, g, h in terms)
+        return tuple(t for term in terms for t in change(term))
 
-    monkeypatch.setattr(engine, "idempotent", perturbed)
+    monkeypatch.setattr(engine, "phase_terms", perturbed)
 
 
 def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
-    """The identity term's coefficient times zeta (an irrational trace) or
-    times 1/2 (a fraction), or every coefficient negated (a negative
-    integer): decompose refuses each."""
+    """The identity term's coefficient times zeta (e + 1: an irrational
+    trace) or times 1/p (j + 1: a fraction), or every coefficient times
+    zeta + zeta^2 = -1 (a negative integer): decompose refuses each, naming
+    the trace. At p = 3 the first candidate tried, RR(a=0,x=0), has
+    multiplicity 0 and the (0,0) character 1, so a change of the identity
+    term alone cannot give an integer; the negation reaches RR(a=0,x=1),
+    of multiplicity 1."""
     p = 3
     cd = vertical_compound(parse_defect("RFr(x=1;r=2)", p),
                            parse_defect("FrR(z=0;r=2)", p))
     qr = QuotientRep(cd)
     assert decompose(qr)
-    identity_term = {
-        "zeta": lambda c, field: c * field.root_pow(1),
-        "half": lambda c, field: c * field.rational(Fraction(1, 2)),
+
+    def identity_term(change):
+        return lambda t: [change(*t) if t[2:] == (0, 0) else t]
+
+    cases = {
+        "(-1 + w)/3": identity_term(lambda j, e, g, h: (j, e + 1, g, h)),
+        "-2/9": identity_term(lambda j, e, g, h: (j + 1, e, g, h)),
+        "-1": lambda t: [(t[0], t[1] + 1, *t[2:]), (t[0], t[1] + 2, *t[2:])],
     }
-    for scale in identity_term.values():
-        _perturb_idempotents(
-            monkeypatch,
-            lambda c, gh, field: scale(c, field) if gh == (0, 0) else c)
-        with pytest.raises(StructureError, match="not a multiplicity"):
+    plain = engine.phase_terms
+    for trace, change in cases.items():
+        _perturb_phase_terms(monkeypatch, plain, change)
+        with pytest.raises(StructureError, match=re.escape(
+                f"trace of the idempotent is {trace}, not a multiplicity")):
             decompose(QuotientRep(cd))
-    _perturb_idempotents(monkeypatch, lambda c, gh, field: -c)
-    with pytest.raises(StructureError, match="not a multiplicity"):
-        decompose(QuotientRep(cd))

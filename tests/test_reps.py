@@ -8,7 +8,8 @@ import pytest
 from annulus.defects import enumerate_defects, parse_defect
 from annulus.reps import (
     BivalentRep, TrivalentRep, bivalent_action, composition_phase_bivalent,
-    composition_phase_trivalent, theta, trivalent_action_12, trivalent_action_21,
+    composition_phase_trivalent, theta, theta_exponent, trivalent_action_12,
+    trivalent_action_21,
 )
 from annulus.scalars import CycField, mod_inverse
 from annulus.walls import STAR, wall, wall_product
@@ -83,6 +84,23 @@ def test_theta_examples():
     F5 = CycField(5)
     assert theta(F5, 0, 2, 1) == F5.omega_pow(2 * mod_inverse(2, 5))
     assert theta(F5, 0, 2, 1) == F5.omega_pow(1)
+
+
+def test_theta_exponent_gives_the_theta_phase():
+    """zeta_N^theta_exponent against the closed forms (-1)^(g x) i^(a g) at
+    p = 2, on x, a, g reduced mod 2, and omega^(g x + a g^2 / 2) at p = 3,
+    on arguments in and out of 0..p-1."""
+    for p in (2, 3):
+        F = CycField(p)
+        for x, a, g in itertools.product(range(-p, 2 * p), repeat=3):
+            e = theta_exponent(p, x, a, g)
+            assert 0 <= e < F.N
+            if p == 2:
+                want = (F.omega_pow((g % 2) * (x % 2))
+                        * F.root_pow((a % 2) * (g % 2)))
+            else:
+                want = F.omega_pow(g * x + a * g * g * mod_inverse(2, p))
+            assert F.root_pow(e) == want == theta(F, x, a, g)
 
 
 def test_theta_cocycle():
