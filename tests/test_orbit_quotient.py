@@ -9,7 +9,8 @@ import pytest
 
 from annulus import engine
 from annulus.defects import enumerate_defects, parse_defect
-from annulus.engine import QuotientRep, apply_idempotent, decompose
+from annulus.engine import DefectTable, QuotientRep, apply_idempotent, decompose
+from annulus.scalars import Cyc, CycField
 from annulus.structures import (
     StructureError, horizontal_compound, vertical_compound,
 )
@@ -197,3 +198,35 @@ def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
         with pytest.raises(StructureError, match=re.escape(
                 f"trace of the idempotent is {trace}, not a multiplicity")):
             decompose(QuotientRep(cd))
+
+
+def test_decompose_makes_one_field_element_per_defect_tried(monkeypatch):
+    """Once the reps' action memos are warm, decompose adds and multiplies
+    no Cyc: its one field element per candidate defect whose source grade
+    is nonzero comes from root_sum."""
+
+    def refuse(*args):
+        raise AssertionError("Cyc arithmetic in decompose")
+
+    structures = itertools.chain(
+        itertools.islice(_associators(3), 0, None, 50),
+        _verticals_p3(10), _criterion_2_p5())
+    plain = CycField.root_sum
+    tried_total = 0
+    for cd in structures:
+        decompose(QuotientRep(cd))  # warms the reps' action memos
+        qr = QuotientRep(cd)
+        lower, upper = cd.structure.external_walls()
+        tried = sum(1 for _, grade in DefectTable().candidates(lower, upper)
+                    if qr.grade_dim(grade)) if qr.total_dim() else 0
+        sums = []
+        with monkeypatch.context() as m:
+            m.setattr(CycField, "root_sum",
+                      lambda self, counts, den=1:
+                      sums.append(den) or plain(self, counts, den))
+            for name in ("__add__", "__mul__", "__rmul__", "sub_mul"):
+                m.setattr(Cyc, name, refuse)
+            decompose(qr)
+        assert len(sums) == tried
+        tried_total += tried
+    assert tried_total == 138
