@@ -1,6 +1,6 @@
 """annulus: exact compound-defect computations on Vec(Z/pZ) domain walls."""
 
-from .scalars import Cyc, CycField, ZpElem, is_prime, kernel_backend, mod_inverse
+from .scalars import Cyc, CycField, is_prime, kernel_backend, mod_inverse
 from .walls import STAR, BimoduleLabel, all_walls, wall, wall_product
 from .defects import (
     DefectLabel, enumerate_defects, idempotent, parse_defect, trivial_defect,
@@ -16,7 +16,7 @@ from .structures import (
 from .levinwen import LatticePatch, defect_line_patch, hexagon_chain_patch
 
 __all__ = [
-    "Cyc", "CycField", "ZpElem", "is_prime", "kernel_backend", "mod_inverse",
+    "Cyc", "CycField", "is_prime", "kernel_backend", "mod_inverse",
     "STAR", "BimoduleLabel", "all_walls", "wall", "wall_product",
     "DefectLabel", "enumerate_defects", "idempotent", "parse_defect",
     "trivial_defect",

@@ -1,29 +1,32 @@
 """The domain wall structure algorithm.
 
-Pipeline: solve for the compound basis (consistent edge labelings), grade
-it by the external labels, and let the bubbles of the internal cavities
+Pipeline: solve for the compound basis (consistent edge labelings), grade it
+by the external labels, and let the bubbles of the internal cavities
 generate a group G = (Z/p)^C acting monomially on it (one basis vector to a
-root of unity times one basis vector). Every rep's edge labels are affine
-in its free labels, so the consistent labelings are the solutions of linear
-equations over F_p, which `_solve_basis` eliminates; `_list_solutions` then
-lists them one column (variable) at a time, each pivot's column computed
-from the columns of the lower variables in its row. When the equations
-are inconsistent there is no labeling, and the quotient ends at the solve:
-every later step is vacuous on an empty basis. A bubble is a loop through
-its cavity's corners (`_loop_args`); it generates a strict Z/p action when
-Bub_u = Bub_1^u, which `_cyclic_generators` checks vertex by vertex
-(`_strict_cyclic`) as it builds Bub_1's table. A Levin-Wen face is a loop
-of the same kind and goes through the same two functions. The product of
-the cavity symmetrizers averages over G, so the quotient has one orbit sum
-per orbit whose stabilizer acts trivially (an admissible orbit), and a
+root of unity times one basis vector). A phase is held as its exponent e in
+Z/N of zeta_N from the rep tables to the trace: a rep's `act` returns e, a
+loop's exponent is the sum over its vertices, and only `root_sum`,
+`root_pow` and the matrix references make field elements. Every rep's edge
+labels are affine in its free labels, so the consistent labelings are the
+solutions of linear equations over F_p, which `_solve_basis` eliminates;
+`_list_solutions` then lists them one column (variable) at a time, each
+pivot's column computed from the columns of the lower variables in its row.
+When the equations are inconsistent there is no labeling, and the quotient
+ends at the solve: every later step is vacuous on an empty basis. A bubble
+is a loop through its cavity's corners (`_loop_args`); it generates a strict
+Z/p action when Bub_u = Bub_1^u, which `_cyclic_generators` checks vertex by
+vertex (`_strict_cyclic`) as it builds Bub_1's table. A Levin-Wen face is a
+loop of the same kind and goes through the same two functions. The product
+of the cavity symmetrizers averages over G, so the quotient has one orbit
+sum per orbit whose stabilizer acts trivially (an admissible orbit), and a
 grade's dimension is its number of admissible orbits. Boundary generators
 commute with G and map orbit sums to roots of unity times orbit sums, so a
-generator's trace (character) is the histogram over Z/N of the phases of
-the orbit sums it fixes. The multiplicity of a candidate defect is the
-trace of its idempotent on the quotient. Every idempotent coefficient is
-p^-j zeta_N^e (`defects.phase_terms`), so that trace is one integer
-histogram over Z/N divided by p^J, J the largest j, and it becomes a field
-element only once per defect, to be read as a rational.
+generator's trace (character) is the histogram over Z/N of the phases of the
+orbit sums it fixes. The multiplicity of a candidate defect is the trace of
+its idempotent on the quotient. Every idempotent coefficient is p^-j
+zeta_N^e (`defects.phase_terms`), so that trace is one integer histogram
+over Z/N divided by p^J, J the largest j, and it becomes a field element
+only once per defect, to be read as a rational.
 `QuotientRep.boundary_matrix` and `apply_idempotent` give the same boundary
 operators as exact matrices from the `Cyc` idempotent; `decompose` does not
 use them.
@@ -33,14 +36,14 @@ enumeration, bubble application and per-defect characters are pure and
 independent per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
-cached roots. Each vertex rep carries a memo of its actions (exponent and
-image per args and local vector), shared by every compound or lattice patch
-that holds the rep. A driver's corner sweep builds one structure and one rep
-per (vertex, corner value) for all its corner assignments, so the compounds
-of one sweep share the per-vertex args of every bubble and boundary
-generator, kept on the structure, and the memos of every vertex whose corner
-they agree on; a `DefectTable` gives them the candidate defects, their
-phase terms and their grade dimensions once.
+cached roots. Each vertex rep carries a memo of its actions (`act`'s
+exponent and image per args and local vector), shared by every compound or
+lattice patch that holds the rep. A driver's corner sweep builds one
+structure and one rep per (vertex, corner value) for all its corner
+assignments, so the compounds of one sweep share the per-vertex args of
+every bubble and boundary generator, kept on the structure, and the memos of
+every vertex whose corner they agree on; a `DefectTable` gives them the
+candidate defects, their phase terms and their grade dimensions once.
 """
 
 from __future__ import annotations
@@ -370,7 +373,7 @@ def _external_grades(cd: CompoundDefect, basis: list) -> list[tuple]:
 
 
 def _cyclic_generators(basis: list, index: dict, loops: list, reps: dict,
-                       field, left: str, not_cyclic: str,
+                       N: int, left: str, not_cyclic: str,
                        grade_of: list | None = None) -> list:
     """The monomial table [(j, k)] of T_1 on `basis` for every loop c: T_1
     sends state i to zeta_N^k times state j. loops[c][u] holds the vertex
@@ -383,20 +386,20 @@ def _cyclic_generators(basis: list, index: dict, loops: list, reps: dict,
     for c, acts in enumerate(loops):
         gen = []
         for i, vec in enumerate(basis):
-            k, new = _apply_args(reps, vec, acts[1], field)
+            k, new = _apply_args(reps, vec, acts[1], N)
             j = index.get(new)
             if j is None or (grade_of is not None
                              and grade_of[j] != grade_of[i]):
                 raise StructureError(left.format(c))
             gen.append((j, k))
-        if not _strict_cyclic(gen, basis, acts, reps, field):
+        if not _strict_cyclic(gen, basis, acts, reps, N):
             raise StructureError(not_cyclic.format(c))
         tables.append(gen)
     return tables
 
 
 def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
-                   field) -> bool:
+                   N: int) -> bool:
     """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
     T_1^p is the identity; then (1/p) sum_u T_u is an idempotent. acts[u]
     holds the vertex args of T_u, and gen is T_1's table on `basis`, which
@@ -410,7 +413,7 @@ def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
     and summed in Z/N over the basis only at vertices where one is nonzero.
     T_1^p = 1 is read off the cycles of gen: each must have length 1 or p,
     with a phase sum that vanishes when taken p/length times."""
-    p, N = len(acts), field.N
+    p = len(acts)
     by_vertex: dict = {}
     for u, vertex_args in enumerate(acts):
         for pos, vid, args, memo in vertex_args:
@@ -428,7 +431,7 @@ def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
                 args, hit = hit
                 for x in local:
                     if x not in hit:
-                        hit[x] = _exponent_action(rep, vid, x, args, field)
+                        hit[x] = rep.act(x, args)
             maps.append(hit)
         one = maps[1]
         table = {}
@@ -548,25 +551,13 @@ def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
 
 def _with_memos(vertex_args: list, reps: dict) -> list[tuple]:
     """`_vertex_args` with each memo key replaced by that memo on the
-    vertex's rep, {local vector: (k, new local vector)}, which every compound
-    or patch that holds the rep shares; each miss goes through
-    `_exponent_action`."""
+    vertex's rep, {local vector: (k in Z/N, new local vector)} as rep.act
+    gives them, which every compound or patch that holds the rep shares."""
     return [(i, vid, args, reps[vid].action_memo.setdefault(key, {}))
             for i, vid, args, key in vertex_args]
 
 
-def _exponent_action(rep, vid, vec, args, field) -> tuple:
-    """rep.act on one local vector as (k in Z/N, new vector), the phase
-    being zeta_N^k; a phase that is no root of unity is a StructureError."""
-    phase, new = rep.act(vec, args, field)
-    k = field.root_exponent(phase)
-    if k is None:
-        raise StructureError(
-            f"vertex {vid}: phase {phase.symbolic()} is not a root of unity")
-    return k, new
-
-
-def _apply_args(reps: dict, vec: tuple, vertex_args: list, field):
+def _apply_args(reps: dict, vec: tuple, vertex_args: list, N: int):
     """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
     being zeta_N^k. Each vertex's action is memoised on its rep."""
     exp = 0
@@ -574,11 +565,10 @@ def _apply_args(reps: dict, vec: tuple, vertex_args: list, field):
     for i, vid, args, memo in vertex_args:
         hit = memo.get(vec[i])
         if hit is None:
-            hit = memo[vec[i]] = _exponent_action(reps[vid], vid, vec[i],
-                                                  args, field)
+            hit = memo[vec[i]] = reps[vid].act(vec[i], args)
         exp += hit[0]
         out[i] = hit[1]
-    return exp % field.N, tuple(out)
+    return exp % N, tuple(out)
 
 
 def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
@@ -617,7 +607,7 @@ def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
 def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
                     field: CycField):
     """Absorb a g string along the left external region and h along the right."""
-    k, new = _apply_args(cd.reps, vec, _boundary_args(cd, g, h), field)
+    k, new = _apply_args(cd.reps, vec, _boundary_args(cd, g, h), field.N)
     return field.root_pow(k), new
 
 
@@ -637,7 +627,8 @@ def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
 def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
                   field: CycField):
     """Insert a g-labeled loop in the given internal cavity and absorb it."""
-    k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g), field)
+    k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g),
+                         field.N)
     return field.root_pow(k), new
 
 
@@ -689,7 +680,7 @@ class QuotientRep:
         loops = [[_bubble_args(cd, cav, u) for u in range(cd.p)]
                  for cav in range(len(cd.structure.cavities))]
         return _cyclic_generators(
-            self.raw_basis, self.raw_index, loops, cd.reps, self.field,
+            self.raw_basis, self.raw_index, loops, cd.reps, self.field.N,
             "cavity {}: bubble action left the external grade; "
             "cavity declaration is inconsistent",
             "cavity {}: cavity symmetrizer is not idempotent; "
@@ -726,7 +717,7 @@ class QuotientRep:
         The generator must commute with every Bub_{c,1} on each admissible
         orbit (phases included) and map it onto an admissible orbit of the
         same size; then it preserves im P."""
-        cd, field, N = self.cd, self.field, self.field.N
+        cd, N = self.cd, self.field.N
         args = _boundary_args(cd, g, h)
         target = None
         entries = []
@@ -734,7 +725,7 @@ class QuotientRep:
             members = self._members[root]
             image = {}
             for i in members:
-                k, new = _apply_args(cd.reps, self.raw_basis[i], args, field)
+                k, new = _apply_args(cd.reps, self.raw_basis[i], args, N)
                 j = self.raw_index.get(new)
                 if j is None:
                     raise StructureError(

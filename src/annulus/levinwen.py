@@ -18,7 +18,7 @@ import itertools
 import json
 
 from .engine import (
-    _cyclic_generators, _exponent_action, _loop_args, _monomial_orbits,
+    _cyclic_generators, _loop_args, _monomial_orbits,
     _solve_basis, _vertex_args, _with_memos,
 )
 from .reps import TrivalentRep
@@ -112,19 +112,21 @@ class LatticePatch:
     # -- operators ---------------------------------------------------------
 
     def face_action(self, face_idx: int, g: int, state):
-        """H_{f,g} on a consistent basis state: (phase, new state).
+        """H_{f,g} on a consistent basis state: (phase, new state), the
+        phase a `Cyc`.
 
-        The plain `Cyc` path, independent of the exponent tables below."""
+        The plain path, independent of the memos and tables below: the
+        exponents of the vertices' `act` summed, then made a root."""
         args = _loop_args(self.faces[face_idx], self._templates, g)
-        phase = self.field.one
+        k = 0
         out = []
         for vid, vec in zip(self.vertex_order(), state):
             a = args.get(vid)
             if a:
-                ph, vec = self.vertices[vid].act(vec, a, self.field)
-                phase = phase * ph
+                e, vec = self.vertices[vid].act(vec, a)
+                k += e
             out.append(vec)
-        return phase, tuple(out)
+        return self.field.root_pow(k), tuple(out)
 
     def _face_args(self, face_idx: int, g: int) -> list:
         """[(position, vertex, args, action memo)] of the g-labeled loop in
@@ -143,8 +145,7 @@ class LatticePatch:
         zeta_N^k, memoised on the vertex's rep as the engine does."""
         hit = memo.get(vec)
         if hit is None:
-            hit = memo[vec] = _exponent_action(
-                self.vertices[vid], vid, vec, args, self.field)
+            hit = memo[vec] = self.vertices[vid].act(vec, args)
         return hit
 
     def _face_generators(self) -> list:
@@ -157,7 +158,7 @@ class LatticePatch:
                      for f in range(len(self.faces))]
             self._gens = _cyclic_generators(
                 basis, {s: i for i, s in enumerate(basis)}, loops,
-                self.vertices, self.field,
+                self.vertices, self.field.N,
                 "face {} left the consistent subspace",
                 "face {} does not carry a strict group action")
         return self._gens

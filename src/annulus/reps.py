@@ -13,7 +13,11 @@ the Rep classes):
             affine in the free labels (+, -, integer multiples, % p), since
             the engine evaluates it once on symbols and solves the
             consistent labelings as linear equations over F_p
-  act    -- (free, args...) -> (phase Cyc, new free tuple)
+  act    -- (free, args...) -> (e, new free tuple): the generator sends the
+            vector to zeta_N^e times the new one, e an integer that the
+            Rep classes reduce mod N (`scalars.root_order`); e, too, must
+            be affine in the free labels, so that the entry can be
+            evaluated on the engine's symbols as `edges` is
   mu     -- whether the family carries a corner parameter (multiplicity p)
 """
 
@@ -36,11 +40,6 @@ def theta_exponent(p: int, x: int, a: int, g: int) -> int:
         x, a, g = x % 2, a % 2, g % 2
         return (2 * g * x + a * g) % 4  # -1 = i^2
     return (g * x + a * g * g * mod_inverse(2, p)) % p
-
-
-def theta(field: CycField, x: int, a: int, g: int) -> Cyc:
-    """The quadratic phase zeta_N^theta_exponent(p, x, a, g)."""
-    return field.root_pow(theta_exponent(field.p, x, a, g))
 
 
 class _Walls:
@@ -73,7 +72,7 @@ def _norm(p: int, obj):
 # parameters coincide; only X/X and F/F pairs use the flag.
 # Value: dict(params, free, edges, act, src, idem).
 #   edges(v, d, w) -> (lower object, upper object)
-#   act(v, d, w, g, h, F) -> (phase, new free)
+#   act(v, d, w, g, h) -> (e, new free), the phase being zeta_N^e
 #   src(d, w) -> idempotent source object (lower, upper)
 #   idem(d, w) -> [((j, e), (g, h))], the idempotent expression
 #                 sum p^-j zeta_N^e gen(g, h): each coefficient as exponents
@@ -112,137 +111,136 @@ def _idem_right(xkey):
 
 _biv("T", "T", params=("a", "b"), free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), (d["a"] + v[0], d["b"] + v[1])),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), (d["a"], d["b"])),
      idem=_idem_identity)
 
 _biv("T", "L", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), d["a"] + v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), d["a"]),
      idem=_idem_identity)
 
 _biv("T", "R", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), d["a"] + v[0]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), d["a"]),
      idem=_idem_identity)
 
 _biv("T", "F0", free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), STAR),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), STAR),
      idem=_idem_identity)
 
 _biv("T", "X", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), d["a"] + v[0] + w.params[1] * v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), d["a"]),
      idem=_idem_identity)
 
 _biv("T", "F", free=("m", "n"),
      edges=lambda v, d, w: ((v[0], v[1]), STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-w.params[1] * g * v[1]), (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (
+         w.omega(-w.params[1] * g * v[1]), (v[0] + g, v[1] + h)),
      src=lambda d, w: ((0, 0), STAR),
      idem=_idem_identity)
 
 _biv("L", "T", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: (v[1], (v[0], d["a"] + v[1])),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, (0, d["a"])),
      idem=_idem_identity)
 
 _biv("L", "L", params=("a", "x"), free=("m",),
      edges=lambda v, d, w: (v[0], d["a"] + v[0]),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(-g * d["x"]), (v[0] + h,)),
+     act=lambda v, d, w, g, h: (w.omega(-g * d["x"]), (v[0] + h,)),
      src=lambda d, w: (0, d["a"]),
      idem=_idem_left("x"))
 
 _biv("L", "R", free=("m", "n"),
      edges=lambda v, d, w: (v[1], v[0]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("L", "F0", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(-g * d["x"]), (v[0] + h,)),
+     act=lambda v, d, w, g, h: (w.omega(-g * d["x"]), (v[0] + h,)),
      src=lambda d, w: (0, STAR),
      idem=_idem_left("x"))
 
 _biv("L", "X", free=("m", "n"),
      edges=lambda v, d, w: (v[1], v[0] + w.params[1] * v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("L", "F", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-g * (d["x"] + v[0] * w.params[1])), (v[0] + h,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(-g * (d["x"] + v[0] * w.params[1])), (v[0] + h,)),
      src=lambda d, w: (0, STAR),
      idem=_idem_left("x"))
 
 _biv("R", "T", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: (v[0], (d["a"] + v[0], v[1])),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, (d["a"], 0)),
      idem=_idem_identity)
 
 _biv("R", "L", free=("m", "n"),
      edges=lambda v, d, w: (v[0], v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("R", "R", params=("a", "x"), free=("m",),
      edges=lambda v, d, w: (v[0], d["a"] + v[0]),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(h * d["x"]), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (w.omega(h * d["x"]), (v[0] + g,)),
      src=lambda d, w: (0, d["a"]),
      idem=_idem_right("x"))
 
 _biv("R", "F0", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(h * d["x"]), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (w.omega(h * d["x"]), (v[0] + g,)),
      src=lambda d, w: (0, STAR),
      idem=_idem_right("x"))
 
 _biv("R", "X", free=("m", "n"),
      edges=lambda v, d, w: (v[0], v[0] + w.params[1] * v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("R", "F", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(h * (d["x"] + w.params[1] * (v[0] + g))), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(h * (d["x"] + w.params[1] * (v[0] + g))), (v[0] + g,)),
      src=lambda d, w: (0, STAR),
      idem=_idem_right("x"))
 
 _biv("F0", "T", free=("m", "n"),
      edges=lambda v, d, w: (STAR, (v[0], v[1])),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (STAR, (0, 0)),
      idem=_idem_identity)
 
 _biv("F0", "L", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(-g * d["x"]), (v[0] + h,)),
+     act=lambda v, d, w, g, h: (w.omega(-g * d["x"]), (v[0] + h,)),
      src=lambda d, w: (STAR, 0),
      idem=_idem_left("x"))
 
 _biv("F0", "R", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (F.omega_pow(h * d["x"]), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (w.omega(h * d["x"]), (v[0] + g,)),
      src=lambda d, w: (STAR, 0),
      idem=_idem_right("x"))
 
 _biv("F0", "F0", params=("x", "y"), free=(),
      edges=lambda v, d, w: (STAR, STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-g * d["x"] + h * d["y"]), ()),
+     act=lambda v, d, w, g, h: (w.omega(-g * d["x"] + h * d["y"]), ()),
      src=lambda d, w: (STAR, STAR),
      idem=lambda d, w: [
          ((2, w.omega(g * d["x"] + h * d["y"])), (g, -h))
@@ -250,8 +248,8 @@ _biv("F0", "F0", params=("x", "y"), free=(),
 
 _biv("F0", "X", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-g * d["x"]), (v[0] + g + w.params[1] * h,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(-g * d["x"]), (v[0] + g + w.params[1] * h,)),
      src=lambda d, w: (STAR, 0),
      idem=lambda d, w: [
          ((1, w.omega(g * d["x"])), (g, -w.inv(w.params[1]) * g))
@@ -259,33 +257,33 @@ _biv("F0", "X", params=("x",), free=("m",),
 
 _biv("F0", "F", free=("alpha",),
      edges=lambda v, d, w: (STAR, STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(h * w.params[1] * (v[0] + g)), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(h * w.params[1] * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
      idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
 _biv("X", "T", params=("a",), free=("m", "n"),
      edges=lambda v, d, w: (v[0] + w.params[0] * v[1], (d["a"] + v[0], v[1])),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, (d["a"], 0)),
      idem=_idem_identity)
 
 _biv("X", "L", free=("m", "n"),
      edges=lambda v, d, w: (v[0] + w.params[0] * v[1], v[1]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("X", "R", free=("m", "n"),
      edges=lambda v, d, w: (v[0] + w.params[0] * v[1], v[0]),
-     act=lambda v, d, w, g, h, F: (F.one, (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("X", "F0", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-g * d["x"]), (v[0] + g + w.params[0] * h,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(-g * d["x"]), (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, STAR),
      idem=lambda d, w: [
          ((1, w.omega(g * d["x"])), (g, -w.inv(w.params[0]) * g))
@@ -293,8 +291,8 @@ _biv("X", "F0", params=("x",), free=("m",),
 
 _biv("X", "X", same=True, params=("a", "x"), free=("m",),
      edges=lambda v, d, w: (v[0], d["a"] + v[0]),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(h * d["x"]), (v[0] + g + w.params[0] * h,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(h * d["x"]), (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, d["a"]),
      idem=lambda d, w: [
          ((1, w.omega(g * d["x"])), (w.params[0] * g, -g))
@@ -302,16 +300,15 @@ _biv("X", "X", same=True, params=("a", "x"), free=("m",),
 
 _biv("X", "X", same=False, free=("m", "n"),
      edges=lambda v, d, w: (v[0], v[0] + (w.params[1] - w.params[0]) * v[1]),
-     act=lambda v, d, w, g, h, F: (
-         F.one, (v[0] + g + w.params[0] * h, v[1] + h)),
+     act=lambda v, d, w, g, h: (0, (v[0] + g + w.params[0] * h, v[1] + h)),
      src=lambda d, w: (0, 0),
      idem=_idem_identity)
 
 _biv("X", "F", params=("x",), free=("m",),
      edges=lambda v, d, w: (v[0], STAR),
-     act=lambda v, d, w, g, h, F: (
-         theta(F, d["x"], w.params[0] * w.params[1], h)
-         * F.omega_pow(h * w.params[1] * (g + v[0])),
+     act=lambda v, d, w, g, h: (
+         theta_exponent(w.p, d["x"], w.params[0] * w.params[1], h)
+         + w.omega(h * w.params[1] * (g + v[0])),
          (v[0] + g + w.params[0] * h,)),
      src=lambda d, w: (0, STAR),
      idem=lambda d, w: [
@@ -321,37 +318,37 @@ _biv("X", "F", params=("x",), free=("m",),
 
 _biv("F", "T", free=("m", "n"),
      edges=lambda v, d, w: (STAR, (v[0], v[1])),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(w.params[0] * g * v[1]), (v[0] + g, v[1] + h)),
+     act=lambda v, d, w, g, h: (
+         w.omega(w.params[0] * g * v[1]), (v[0] + g, v[1] + h)),
      src=lambda d, w: (STAR, (0, 0)),
      idem=_idem_identity)
 
 _biv("F", "L", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(g * (v[0] * w.params[0] - d["x"])), (v[0] + h,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(g * (v[0] * w.params[0] - d["x"])), (v[0] + h,)),
      src=lambda d, w: (STAR, 0),
      idem=_idem_left("x"))
 
 _biv("F", "R", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(h * (d["x"] - w.params[0] * (v[0] + g))), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(h * (d["x"] - w.params[0] * (v[0] + g))), (v[0] + g,)),
      src=lambda d, w: (STAR, 0),
      idem=_idem_right("x"))
 
 _biv("F", "F0", free=("alpha",),
      edges=lambda v, d, w: (STAR, STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-w.params[0] * h * (v[0] + g)), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(-w.params[0] * h * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
      idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
 _biv("F", "X", params=("x",), free=("m",),
      edges=lambda v, d, w: (STAR, v[0]),
-     act=lambda v, d, w, g, h, F: (
-         theta(F, d["x"], -w.params[0] * w.params[1], h)
-         * F.omega_pow(-w.params[0] * h * (g + v[0])),
+     act=lambda v, d, w, g, h: (
+         theta_exponent(w.p, d["x"], -w.params[0] * w.params[1], h)
+         + w.omega(-w.params[0] * h * (g + v[0])),
          (v[0] + g + w.params[1] * h,)),
      src=lambda d, w: (STAR, 0),
      idem=lambda d, w: [
@@ -361,8 +358,7 @@ _biv("F", "X", params=("x",), free=("m",),
 
 _biv("F", "F", same=True, params=("x", "y"), free=(),
      edges=lambda v, d, w: (STAR, STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(-g * d["x"] + h * d["y"]), ()),
+     act=lambda v, d, w, g, h: (w.omega(-g * d["x"] + h * d["y"]), ()),
      src=lambda d, w: (STAR, STAR),
      idem=lambda d, w: [
          ((2, w.omega(g * d["x"] + h * d["y"])), (g, -h))
@@ -370,8 +366,8 @@ _biv("F", "F", same=True, params=("x", "y"), free=(),
 
 _biv("F", "F", same=False, free=("alpha",),
      edges=lambda v, d, w: (STAR, STAR),
-     act=lambda v, d, w, g, h, F: (
-         F.omega_pow(h * (w.params[1] - w.params[0]) * (v[0] + g)), (v[0] + g,)),
+     act=lambda v, d, w, g, h: (
+         w.omega(h * (w.params[1] - w.params[0]) * (v[0] + g)), (v[0] + g,)),
      src=lambda d, w: (STAR, STAR),
      idem=lambda d, w: [((1, 0), (0, -g)) for g in range(w.p)])
 
@@ -379,8 +375,9 @@ _biv("F", "F", same=False, free=("alpha",),
 # --------------------------------------------------------------------------
 # 2:1 trivalent families (two strings below, one above).
 # Key: (ekind(bottom-left), ekind(bottom-right)); the top wall is the unique
-# wall product. edges(v, mu, w) -> (bl, br, top); act args (a, b, c) =
-# (left region, right region, middle region).
+# wall product. edges(v, mu, w) -> (bl, br, top); act(v, mu, w, a, b, c)
+# -> (e, new free) as above, with args (a, b, c) = (left region, right
+# region, middle region).
 # --------------------------------------------------------------------------
 
 TRI21: dict = {}
@@ -392,179 +389,179 @@ def _t21(k1, k2, mu=False, free=(), edges=None, act=None):
 
 _t21("T", "T", mu=True, free=("m", "s", "n"),
      edges=lambda v, mu, w: ((v[0], v[1]), (mu - v[1], v[2]), (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c, v[2] + b)))
 
 _t21("T", "L", free=("m", "s", "n"),
      edges=lambda v, mu, w: ((v[0], v[1]), v[2], (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c, v[2] + b)))
 
 _t21("T", "X", free=("m", "s", "n"),
      edges=lambda v, mu, w: (
          (v[0], w.params[1] * v[1] - v[2]), v[2], (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a, v[1] + b, v[2] + w.params[1] * b - c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a, v[1] + b, v[2] + w.params[1] * b - c)))
 
 _t21("R", "T", free=("m", "s", "n"),
      edges=lambda v, mu, w: (v[0], (v[1], v[2]), (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c, v[2] + b)))
 
 _t21("R", "L", mu=True, free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * mu), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * mu), (v[0] + a, v[1] + b)))
 
 _t21("R", "F", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], STAR, (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[1] * (b + v[1])), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[1] * (b + v[1])), (v[0] + a, v[1] + b)))
 
 _t21("X", "T", free=("m", "s", "n"),
      edges=lambda v, mu, w: (
          v[0], (v[1], v[2]), (w.params[0] * v[1] + v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a + c * w.params[0], v[1] - c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a + c * w.params[0], v[1] - c, v[2] + b)))
 
 _t21("F", "L", free=("m", "n"),
      edges=lambda v, mu, w: (STAR, v[1], (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[0] * (a + v[0])), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[0] * (a + v[0])), (v[0] + a, v[1] + b)))
 
 _t21("L", "T", mu=True, free=("s", "n"),
      edges=lambda v, mu, w: (v[0], (mu - v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c, v[1] + b)))
 
 _t21("L", "L", free=("s", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c, v[1] + b)))
 
 _t21("L", "X", free=("s", "n"),
      edges=lambda v, mu, w: (w.params[1] * v[0] - v[1], v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + b, v[1] + w.params[1] * b - c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + b, v[1] + w.params[1] * b - c)))
 
 _t21("F0", "T", free=("s", "n"),
      edges=lambda v, mu, w: (STAR, (v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c, v[1] + b)))
 
 _t21("F0", "L", mu=True, free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), (v[0] + b,)))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), (v[0] + b,)))
 
 _t21("F0", "F", free=("n",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[1] * (b + v[0])), (v[0] + b,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[1] * (b + v[0])), (v[0] + b,)))
 
 _t21("X", "L", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[1]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a + c * w.params[0], v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a + c * w.params[0], v[1] + b)))
 
 _t21("F", "T", free=("s", "n"),
      edges=lambda v, mu, w: (STAR, (v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-a * w.params[0] * v[0]), (v[0] - c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-a * w.params[0] * v[0]), (v[0] - c, v[1] + b)))
 
 _t21("T", "R", mu=True, free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), mu - v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c)))
 
 _t21("T", "F0", free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c)))
 
 _t21("T", "F", free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(b * w.params[1] * v[1]), (v[0] + a, v[1] + c)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(b * w.params[1] * v[1]), (v[0] + a, v[1] + c)))
 
 _t21("R", "R", free=("m", "s"),
      edges=lambda v, mu, w: (v[0], v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c)))
 
 _t21("R", "F0", mu=True, free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), (v[0] + a,)))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), (v[0] + a,)))
 
 _t21("R", "X", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a, v[1] + w.params[1] * b - c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a, v[1] + w.params[1] * b - c)))
 
 _t21("X", "R", free=("m", "s"),
      edges=lambda v, mu, w: (v[0], v[1], w.params[0] * v[1] + v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a + c * w.params[0], v[1] - c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a + c * w.params[0], v[1] - c)))
 
 _t21("F", "F0", free=("m",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[0] * (a + v[0])), (v[0] + a,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[0] * (a + v[0])), (v[0] + a,)))
 
 _t21("L", "R", mu=True, free=("s",),
      edges=lambda v, mu, w: (v[0], mu - v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c,)))
 
 _t21("L", "F0", free=("s",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c,)))
 
 _t21("L", "F", free=("s",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(b * w.params[1] * v[0]), (v[0] + c,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(b * w.params[1] * v[0]), (v[0] + c,)))
 
 _t21("F0", "R", free=("s",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c,)))
 
 _t21("F0", "F0", mu=True, free=(),
      edges=lambda v, mu, w: (STAR, STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), ()))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), ()))
 
 _t21("F0", "X", free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + w.params[1] * b - c,)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + w.params[1] * b - c,)))
 
 _t21("X", "F0", free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a + c * w.params[0],)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a + c * w.params[0],)))
 
 _t21("F", "R", free=("s",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-a * w.params[0] * v[0]), (v[0] - c,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-a * w.params[0] * v[0]), (v[0] - c,)))
 
 _t21("X", "X", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], w.params[0] * v[1] + v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a + c * w.params[0], v[1] + w.params[1] * b - c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a + c * w.params[0], v[1] + w.params[1] * b - c)))
 
 _t21("F", "F", free=("m",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * (w.params[0] * (a + v[0]) + b * w.params[1])),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * (w.params[0] * (a + v[0]) + b * w.params[1])),
          (v[0] + a + w.inv(w.params[0]) * w.params[1] * b,)))
 
 _t21("X", "F", free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(w.inv(w.params[0]) * b * w.params[1] * (a + v[0])),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(w.inv(w.params[0]) * b * w.params[1] * (a + v[0])),
          (v[0] + a + c * w.params[0],)))
 
 _t21("F", "X", free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-a * v[0] * w.params[0]),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-a * v[0] * w.params[0]),
          (v[0] + w.params[1] * b - c,)))
 
 
 # --------------------------------------------------------------------------
 # 1:2 trivalent families (one string below, two above).
 # Key: (ekind(top-left), ekind(top-right)); the bottom wall is the product.
-# edges(v, mu, w) -> (tl, tr, bottom); same arg convention (a, b, c).
+# edges(v, mu, w) -> (tl, tr, bottom); act as for 2:1, args (a, b, c).
 # --------------------------------------------------------------------------
 
 TRI12: dict = {}
@@ -576,175 +573,175 @@ def _t12(k1, k2, mu=False, free=(), edges=None, act=None):
 
 _t12("T", "T", mu=True, free=("m", "s", "n"),
      edges=lambda v, mu, w: ((v[0], v[1]), (mu - v[1], v[2]), (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c, v[2] + b)))
 
 _t12("T", "L", free=("m", "s", "n"),
      edges=lambda v, mu, w: ((v[0], v[1]), v[2], (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c, v[2] + b)))
 
 _t12("T", "X", free=("m", "s", "n"),
      edges=lambda v, mu, w: (
          (v[0], v[1]), v[2],
          (v[0], w.inv(w.params[1]) * (v[2] + v[1]))),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a, v[1] - c, v[2] + w.params[1] * b + c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a, v[1] - c, v[2] + w.params[1] * b + c)))
 
 _t12("R", "T", free=("m", "s", "n"),
      edges=lambda v, mu, w: (v[0], (v[1], v[2]), (v[0], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c, v[2] + b)))
 
 _t12("R", "L", mu=True, free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * mu), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * mu), (v[0] + a, v[1] + b)))
 
 _t12("R", "F", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], STAR, (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[1] * (b + v[1])), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[1] * (b + v[1])), (v[0] + a, v[1] + b)))
 
 _t12("X", "T", free=("m", "s", "n"),
      edges=lambda v, mu, w: (
          v[0], (w.inv(w.params[0]) * (v[1] - v[0]), v[2]), (v[1], v[2])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a - c * w.params[0], v[1] + a, v[2] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a - c * w.params[0], v[1] + a, v[2] + b)))
 
 _t12("F", "L", free=("m", "n"),
      edges=lambda v, mu, w: (STAR, v[1], (v[0], v[1])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[0] * (a + v[0])), (v[0] + a, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[0] * (a + v[0])), (v[0] + a, v[1] + b)))
 
 _t12("L", "T", mu=True, free=("s", "n"),
      edges=lambda v, mu, w: (v[0], (mu - v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c, v[1] + b)))
 
 _t12("L", "L", free=("s", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c, v[1] + b)))
 
 _t12("L", "X", free=("s", "n"),
      edges=lambda v, mu, w: (
          v[0], v[1], w.inv(w.params[1]) * (v[1] + v[0])),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] - c, v[1] + w.params[1] * b + c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] - c, v[1] + w.params[1] * b + c)))
 
 _t12("F0", "T", free=("s", "n"),
      edges=lambda v, mu, w: (STAR, (v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c, v[1] + b)))
 
 _t12("F0", "L", mu=True, free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), (v[0] + b,)))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), (v[0] + b,)))
 
 _t12("F0", "F", free=("n",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[1] * (b + v[0])), (v[0] + b,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[1] * (b + v[0])), (v[0] + b,)))
 
 _t12("X", "L", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[1]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a - c * w.params[0], v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a - c * w.params[0], v[1] + b)))
 
 _t12("F", "T", free=("s", "n"),
      edges=lambda v, mu, w: (STAR, (v[0], v[1]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(a * w.params[0] * v[0]), (v[0] + c, v[1] + b)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(a * w.params[0] * v[0]), (v[0] + c, v[1] + b)))
 
 _t12("T", "R", mu=True, free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), mu - v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c)))
 
 _t12("T", "F0", free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] - c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] - c)))
 
 _t12("T", "F", free=("m", "s"),
      edges=lambda v, mu, w: ((v[0], v[1]), STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-b * w.params[1] * v[1]), (v[0] + a, v[1] - c)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-b * w.params[1] * v[1]), (v[0] + a, v[1] - c)))
 
 _t12("R", "R", free=("m", "s"),
      edges=lambda v, mu, w: (v[0], v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + a, v[1] + c)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + a, v[1] + c)))
 
 _t12("R", "F0", mu=True, free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), (v[0] + a,)))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), (v[0] + a,)))
 
 _t12("R", "X", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a, v[1] + w.params[1] * b + c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a, v[1] + w.params[1] * b + c)))
 
 _t12("X", "R", free=("m", "s"),
      edges=lambda v, mu, w: (
          v[0], w.inv(w.params[0]) * (v[1] - v[0]), v[1]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a - c * w.params[0], v[1] + a)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a - c * w.params[0], v[1] + a)))
 
 _t12("F", "F0", free=("m",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * w.params[0] * (a + v[0])), (v[0] + a,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * w.params[0] * (a + v[0])), (v[0] + a,)))
 
 _t12("L", "R", mu=True, free=("s",),
      edges=lambda v, mu, w: (v[0], mu - v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c,)))
 
 _t12("L", "F0", free=("s",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] - c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] - c,)))
 
 _t12("L", "F", free=("s",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-b * w.params[1] * v[0]), (v[0] - c,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-b * w.params[1] * v[0]), (v[0] - c,)))
 
 _t12("F0", "R", free=("s",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.one, (v[0] + c,)))
+     act=lambda v, mu, w, a, b, c: (0, (v[0] + c,)))
 
 _t12("F0", "F0", mu=True, free=(),
      edges=lambda v, mu, w: (STAR, STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (F.omega_pow(-c * mu), ()))
+     act=lambda v, mu, w, a, b, c: (w.omega(-c * mu), ()))
 
 _t12("F0", "X", free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + w.params[1] * b + c,)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + w.params[1] * b + c,)))
 
 _t12("X", "F0", free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a - c * w.params[0],)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a - c * w.params[0],)))
 
 _t12("F", "R", free=("s",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(a * w.params[0] * v[0]), (v[0] + c,)))
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(a * w.params[0] * v[0]), (v[0] + c,)))
 
 _t12("X", "X", free=("m", "n"),
      edges=lambda v, mu, w: (v[0], v[1], w.params[0] * v[1] + v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.one, (v[0] + a - c * w.params[0], v[1] + w.params[1] * b + c)))
+     act=lambda v, mu, w, a, b, c: (
+         0, (v[0] + a - c * w.params[0], v[1] + w.params[1] * b + c)))
 
 _t12("F", "F", free=("m",),
      edges=lambda v, mu, w: (STAR, STAR, v[0]),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-c * (w.params[0] * (a + v[0]) + b * w.params[1])),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-c * (w.params[0] * (a + v[0]) + b * w.params[1])),
          (v[0] + a + w.inv(w.params[0]) * w.params[1] * b,)))
 
 _t12("X", "F", free=("m",),
      edges=lambda v, mu, w: (v[0], STAR, STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(-w.inv(w.params[0]) * b * w.params[1] * (a + v[0])),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(-w.inv(w.params[0]) * b * w.params[1] * (a + v[0])),
          (v[0] + a - c * w.params[0],)))
 
 _t12("F", "X", free=("n",),
      edges=lambda v, mu, w: (STAR, v[0], STAR),
-     act=lambda v, mu, w, a, b, c, F: (
-         F.omega_pow(a * v[0] * w.params[0]),
+     act=lambda v, mu, w, a, b, c: (
+         w.omega(a * v[0] * w.params[0]),
          (v[0] + w.params[1] * b + c,)))
 
 
@@ -768,14 +765,15 @@ class _TableRep:
 
     def __init__(self, p: int, entry: dict, key):
         self.p = p
+        self.N = root_order(p)
         self.entry = entry
         # equal keys mean equal tables: basis, edge labels and actions
         self.key = key
         self.free_names = entry["free"]
         self._basis = None
         self._labels: dict = {}
-        # {sorted args: {local vector: (k, new vector)}}, the phase being
-        # zeta_N^k; filled by the engine and the lattice on first use
+        # {sorted args: {local vector: act(vector, args)}}; filled by the
+        # engine and the lattice on first use
         self.action_memo: dict = {}
         # the edge labels as affine forms of the free labels; filled by the
         # engine's basis solver on first use
@@ -816,11 +814,12 @@ class BivalentRep(_TableRep):
         lo, up = self.entry["edges"](vec, self.params, self.walls)
         return {"lower": _norm(self.p, lo), "upper": _norm(self.p, up)}
 
-    def act(self, vec, args, field):
-        g = args.get("left", 0)
-        h = args.get("right", 0)
-        phase, new = self.entry["act"](vec, self.params, self.walls, g, h, field)
-        return phase, tuple([x % self.p for x in new])
+    def act(self, vec, args):
+        """(e, new vector): generator (g, h) = args' left and right sends vec
+        to zeta_N^e times new, e in Z/N."""
+        e, new = self.entry["act"](vec, self.params, self.walls,
+                                   args.get("left", 0), args.get("right", 0))
+        return e % self.N, tuple([x % self.p for x in new])
 
 
 class TrivalentRep(_TableRep):
@@ -877,37 +876,39 @@ class TrivalentRep(_TableRep):
         return {slot: _norm(self.p, lab)
                 for slot, lab in zip(self._pair_slots, labels)}
 
-    def act(self, vec, args, field):
-        a = args.get("left", 0)
-        b = args.get("right", 0)
-        c = args.get("mid", 0)
-        phase, new = self.entry["act"](vec, self.corner, self.walls, a, b, c, field)
-        return phase, tuple([x % self.p for x in new])
+    def act(self, vec, args):
+        """(e, new vector): generator (a, b, c) = args' left, right and mid
+        sends vec to zeta_N^e times new, e in Z/N."""
+        e, new = self.entry["act"](vec, self.corner, self.walls,
+                                   args.get("left", 0), args.get("right", 0),
+                                   args.get("mid", 0))
+        return e % self.N, tuple([x % self.p for x in new])
 
 
 def bivalent_action(lower: BimoduleLabel, upper: BimoduleLabel, defect, vec,
-                    g: int, h: int, field: CycField):
-    """Action of the (g,h) annular generator on a basis vector."""
+                    g: int, h: int):
+    """Action of the (g,h) annular generator on a basis vector, as
+    `BivalentRep.act`."""
     rep = BivalentRep(defect)
     if lower != defect.lower or upper != defect.upper:
         raise ValueError("defect does not live on the given wall pair")
-    return rep.act(vec, {"left": g, "right": h}, field)
+    return rep.act(vec, {"left": g, "right": h})
 
 
 def trivalent_action_21(top, bottom_left, bottom_right, rep: TrivalentRep, vec,
-                        a: int, b: int, c: int, field: CycField):
+                        a: int, b: int, c: int):
     if rep.direction != "tri21" or rep.third != top or (
             rep.first, rep.second) != (bottom_left, bottom_right):
         raise ValueError("representation does not match the wall triple")
-    return rep.act(vec, {"left": a, "right": b, "mid": c}, field)
+    return rep.act(vec, {"left": a, "right": b, "mid": c})
 
 
 def trivalent_action_12(bottom, top_left, top_right, rep: TrivalentRep, vec,
-                        a: int, b: int, c: int, field: CycField):
+                        a: int, b: int, c: int):
     if rep.direction != "tri12" or rep.third != bottom or (
             rep.first, rep.second) != (top_left, top_right):
         raise ValueError("representation does not match the wall triple")
-    return rep.act(vec, {"left": a, "right": b, "mid": c}, field)
+    return rep.act(vec, {"left": a, "right": b, "mid": c})
 
 
 def composition_phase_bivalent(lower, upper, first, second, field: CycField) -> Cyc:

@@ -1,16 +1,20 @@
-"""Exact scalars: residues mod a prime and the cyclotomic field Q(zeta_N).
+"""Exact scalars: inverses mod a prime and the cyclotomic field Q(zeta_N).
 
-Every amplitude in the engine is a `Cyc`: an element of Q(zeta_N) with exact
-rational coefficients in the power basis, N = p for odd p and N = 4 for p = 2
-(the quadratic Theta phase needs i). Equality is exact coefficient equality;
-there is no tolerance anywhere. The library holds one field per p,
-`cyc_field(p)`, so every computation at p shares its cached roots.
+N = p for odd p and N = 4 for p = 2 (the quadratic Theta phase needs i),
+`root_order(p)`. The engine holds every phase, from the rep tables to a
+trace, as an exponent in Z/N of zeta_N; a `Cyc`, an element of Q(zeta_N)
+with exact rational coefficients in the power basis, is made only where a
+field element is the output: a defect's multiplicity (`root_sum`), a
+generator's action on one state and an orbit sum's coefficients
+(`root_pow`), and the exact matrices of the references. Equality is exact
+coefficient equality; there is no tolerance anywhere. The library holds one
+field per p, `cyc_field(p)`, so every computation at p shares its cached
+roots.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -36,57 +40,12 @@ def root_order(p: int) -> int:
     return 4 if p == 2 else p
 
 
-def mod_inverse(a, p: int | None = None) -> int:
+def mod_inverse(a: int, p: int) -> int:
     """Inverse of a mod p; raises ValueError("not invertible") on zero input."""
-    if isinstance(a, ZpElem):
-        p = a.p
-        a = a.value
-    assert p is not None
     a %= p
     if a == 0:
         raise ValueError("not invertible")
     return pow(a, p - 2, p)
-
-
-@dataclass(frozen=True)
-class ZpElem:
-    """A residue in Z/pZ; p must be prime."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _lift(self, other) -> "ZpElem":
-        if isinstance(other, ZpElem):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other
-        return ZpElem(other, self.p)
-
-    def __add__(self, other):
-        return ZpElem(self.value + self._lift(other).value, self.p)
-
-    def __sub__(self, other):
-        return ZpElem(self.value - self._lift(other).value, self.p)
-
-    def __mul__(self, other):
-        return ZpElem(self.value * self._lift(other).value, self.p)
-
-    def __neg__(self):
-        return ZpElem(-self.value, self.p)
-
-    def inverse(self) -> "ZpElem":
-        return ZpElem(mod_inverse(self.value, self.p), self.p)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
 
 
 def _mul_nums(a, b, n):
@@ -296,7 +255,6 @@ class CycField:
             Cyc(self, nums, 1, _normalized=True) for nums in self._basis_nums
         ]
         self._roots = [self._make_root(k) for k in range(self.N)]
-        self._root_exponent = {(c.nums, c.den): k for k, c in enumerate(self._roots)}
         self._omega_cache = self._roots[::self.N // p]
         self.inv_p = self.rational(Fraction(1, p))
 
@@ -314,12 +272,6 @@ class CycField:
     def root_pow(self, k: int) -> Cyc:
         """zeta_N^k; for p = 2 this is i^k (k taken as an integer)."""
         return self._roots[k % self.N]
-
-    def root_exponent(self, c: Cyc) -> int | None:
-        """The k in Z/N with c == zeta_N^k, or None if c is no N-th root of unity."""
-        if c.field.N != self.N:
-            raise ValueError("mixed cyclotomic orders")
-        return self._root_exponent.get((c.nums, c.den))
 
     def root_sum(self, counts, den: int = 1) -> Cyc:
         """(sum_k counts[k] zeta_N^k) / den, for a histogram counts over Z/N."""

@@ -160,8 +160,8 @@ def _idem_matrix(field, applied, rep_defect):
     mat = ExactMatrix(field, len(block), len(block))
     for coeff, (g, h) in expr.terms:
         for j, vec in enumerate(block):
-            phase, new = rep.act(vec, {"left": g, "right": h}, field)
-            mat.add_to(index[new], j, phase * coeff)
+            e, new = rep.act(vec, {"left": g, "right": h})
+            mat.add_to(index[new], j, field.root_pow(e) * coeff)
     return mat
 
 
@@ -187,9 +187,10 @@ def test_criterion_5_representation_functoriality():
                 for _ in range(100):
                     vec = basis[rng.randrange(len(basis))]
                     g, h, g2, h2 = (rng.randrange(p) for _ in range(4))
-                    p1, v1 = rep.act(vec, {"left": g, "right": h}, field)
-                    p2, v2 = rep.act(v1, {"left": g2, "right": h2}, field)
-                    ps, vs = rep.act(vec, {"left": g + g2, "right": h + h2}, field)
+                    e1, v1 = rep.act(vec, {"left": g, "right": h})
+                    e2, v2 = rep.act(v1, {"left": g2, "right": h2})
+                    es, vs = rep.act(vec, {"left": g + g2, "right": h + h2})
+                    p1, p2, ps = (field.root_pow(e) for e in (e1, e2, es))
                     phi = composition_phase_bivalent(lo, up, (g, h), (g2, h2), field)
                     assert v2 == vs and p1 * p2 == phi * ps, d.name()
                     if lo.q == up.q:
@@ -207,10 +208,11 @@ def test_criterion_5_representation_functoriality():
                         a1 = tuple(rng.randrange(p) for _ in range(3))
                         a2 = tuple(rng.randrange(p) for _ in range(3))
                         keys = ("left", "right", "mid")
-                        p1, v1 = rep.act(vec, dict(zip(keys, a1)), field)
-                        p2, v2 = rep.act(v1, dict(zip(keys, a2)), field)
-                        ps, vs = rep.act(
-                            vec, {k: x + y for k, x, y in zip(keys, a1, a2)}, field)
+                        e1, v1 = rep.act(vec, dict(zip(keys, a1)))
+                        e2, v2 = rep.act(v1, dict(zip(keys, a2)))
+                        es, vs = rep.act(
+                            vec, {k: x + y for k, x, y in zip(keys, a1, a2)})
+                        p1, p2, ps = (field.root_pow(e) for e in (e1, e2, es))
                         phi = composition_phase_trivalent(direction, rep, a1, a2, field)
                         assert v2 == vs and p1 * p2 == phi * ps
     _report(5, "functoriality with the category composition phase, 100 random pairs per family", t0)

@@ -137,8 +137,8 @@ def _idem_matrix_on(field, applied, rep_defect):
     mat = ExactMatrix(field, len(block), len(block))
     for coeff, (g, h) in expr.terms:
         for j, vec in enumerate(block):
-            phase, new = rep.act(vec, {"left": g, "right": h}, field)
-            mat.add_to(index[new], j, phase * coeff)
+            e, new = rep.act(vec, {"left": g, "right": h})
+            mat.add_to(index[new], j, field.root_pow(e) * coeff)
     return mat
 
 

@@ -537,8 +537,9 @@ def test_enumerate_basis_self_loop_is_consistent():
 
 
 def _product_of_vertex_actions(cd, vec, corners_with_args, field):
-    """The action of region arguments as the Cyc product of each vertex's own
-    rep.act, with the arguments gathered from the corners directly."""
+    """The action of region arguments as the Cyc product of the phases of
+    each vertex's own rep.act, with the arguments gathered from the corners
+    directly."""
     args = {}
     for vid, region, value in corners_with_args:
         slot_args = args.setdefault(vid, {})
@@ -547,8 +548,8 @@ def _product_of_vertex_actions(cd, vec, corners_with_args, field):
     out = []
     for vid, vvec in zip(cd.vertex_order, vec):
         if vid in args:
-            ph, vvec = cd.reps[vid].act(vvec, args[vid], field)
-            phase = phase * ph
+            e, vvec = cd.reps[vid].act(vvec, args[vid])
+            phase = phase * field.root_pow(e)
         out.append(vvec)
     return phase, tuple(out)
 
@@ -589,23 +590,3 @@ def test_exponent_phases_match_cyc_products():
                 args += [(vid, region, h) for vid, region in s.right_face]
                 want = _product_of_vertex_actions(cd, vec, args, F)
                 assert boundary_action(cd, vec, g, h, F) == want
-
-
-def test_phase_that_is_no_root_of_unity_is_rejected():
-    p = 3
-    F = CycField(p)
-    cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
-                             parse_defect("LL(a=1,x=2)", p), corner_top=1)
-    vec = enumerate_basis(cd)[0]
-    rep = cd.reps["d1"]
-    plain = rep.act
-
-    def doubled(v, args, field):
-        phase, new = plain(v, args, field)
-        return field.integer(2) * phase, new
-
-    rep.act = doubled
-    with pytest.raises(StructureError, match="vertex d1"):
-        bubble_action(cd, 0, 1, vec, F)
-    with pytest.raises(StructureError, match="vertex d1"):
-        boundary_action(cd, vec, 1, 0, F)

@@ -409,7 +409,7 @@ def _with_tables(monkeypatch, patch, gens):
     index = {s: i for i, s in enumerate(basis)}
     face_of = {id(patch._face_args(f, 1)): f for f in range(len(gens))}
 
-    def apply_args(reps, vec, vertex_args, field):
+    def apply_args(reps, vec, vertex_args, N):
         j, k = gens[face_of[id(vertex_args)]][index[vec]]
         return k, basis[j]
 
@@ -441,13 +441,13 @@ def test_face_generators_that_do_not_commute_are_rejected(monkeypatch):
 
 
 def _loop_phase(monkeypatch, extra):
-    """Multiply the phase of every vertex action by
-    zeta_N^extra(vertex, local vector, args)."""
+    """Add extra(vertex, local vector, args) to the exponent of every vertex
+    action, multiplying its phase by zeta_N to that power."""
     orig = TrivalentRep.act
 
-    def act(self, vec, args, field):
-        phase, new = orig(self, vec, args, field)
-        return phase * field.root_pow(extra(self, vec, args)), new
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
+        return (e + extra(self, vec, args)) % self.N, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
 
@@ -483,11 +483,11 @@ def test_group_check_compares_images(monkeypatch):
     twice = _args_of(patch, 0, 2, "h0_t")
     orig = TrivalentRep.act
 
-    def act(self, vec, args, field):
-        phase, new = orig(self, vec, args, field)
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
         if self is rep and args == twice:
             new = ((new[0] + 1) % self.p,) + new[1:]
-        return phase, new
+        return e, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
     with pytest.raises(StructureError, match="strict group action"):
@@ -545,21 +545,21 @@ def test_consistent_basis_matches_brute_force():
 
 
 def _extra_phase(monkeypatch, extra):
-    """Multiply every nontrivial vertex action's phase by extra(vec, args,
-    field)."""
+    """Add extra(vec, args) to the exponent of every nontrivial vertex
+    action, multiplying its phase by zeta_N to that power."""
     orig = TrivalentRep.act
 
-    def act(self, vec, args, field):
-        phase, new = orig(self, vec, args, field)
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
         if any(args.values()):
-            phase = phase * extra(vec, args, field)
-        return phase, new
+            e = (e + extra(vec, args)) % self.N
+        return e, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
 
 
 def test_state_dependent_phase_is_rejected(monkeypatch):
-    _extra_phase(monkeypatch, lambda vec, args, field: field.root_pow(vec[0]))
+    _extra_phase(monkeypatch, lambda vec, args: vec[0])
     patch = hexagon_chain_patch(2, 2)
     with pytest.raises(StructureError, match="state-dependent commutator"):
         patch.check_commutation()
@@ -571,23 +571,14 @@ def test_state_dependent_phase_is_rejected(monkeypatch):
         patch.ground_space_dim()
 
 
-def test_phase_that_is_no_root_of_unity_is_rejected(monkeypatch):
-    _extra_phase(monkeypatch, lambda vec, args, field: field.integer(2))
-    for method in ("check_commutation", "ground_space_dim"):
-        patch = hexagon_chain_patch(3, 2)
-        with pytest.raises(StructureError,
-                           match=r"vertex h0_\w+: .* not a root of unity"):
-            getattr(patch, method)()
-
-
 def test_face_leaving_the_consistent_basis_is_rejected(monkeypatch):
     orig = TrivalentRep.act
 
-    def act(self, vec, args, field):
-        phase, new = orig(self, vec, args, field)
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
         if self.direction == "tri21" and args.get("mid"):
             new = ((new[0] + 1) % self.p,) + new[1:]
-        return phase, new
+        return e, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
     with pytest.raises(StructureError, match="left the consistent subspace"):
@@ -601,8 +592,7 @@ def test_character_twisted_faces_keep_the_trace_exact(monkeypatch):
     fixed states, and the table trace must still agree with both oracles."""
     untwisted = _f0_hexagon(3)
     assert untwisted.ground_space_dim() == dense_ground_dim(untwisted) == 1
-    _extra_phase(monkeypatch,
-                 lambda vec, args, field: field.root_pow(abs(args.get("mid", 0))))
+    _extra_phase(monkeypatch, lambda vec, args: abs(args.get("mid", 0)))
     for patch in (hexagon_chain_patch(3, 1), hexagon_chain_patch(3, 2),
                   defect_line_patch(3), _f0_hexagon(3)):
         assert patch.check_commutation()["ok"]

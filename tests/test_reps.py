@@ -6,13 +6,20 @@ import random
 import pytest
 
 from annulus.defects import enumerate_defects, parse_defect
+from annulus.engine import _Form
 from annulus.reps import (
-    BivalentRep, TrivalentRep, bivalent_action, composition_phase_bivalent,
-    composition_phase_trivalent, theta, theta_exponent, trivalent_action_12,
+    TRI12, TRI21, BivalentRep, TrivalentRep, bivalent_action,
+    composition_phase_bivalent,
+    composition_phase_trivalent, theta_exponent, trivalent_action_12,
     trivalent_action_21,
 )
 from annulus.scalars import CycField, mod_inverse
-from annulus.walls import STAR, wall, wall_product
+from annulus.walls import STAR, all_walls, wall, wall_product
+
+
+def _theta(F, x, a, g):
+    """The quadratic phase as a field element."""
+    return F.root_pow(theta_exponent(F.p, x, a, g))
 
 
 def _walls(p):
@@ -35,9 +42,9 @@ def test_bivalent_rfr_action():
     for m in range(p):
         for g in range(p):
             for h in range(p):
-                phase, new = rep.act((m,), {"left": g, "right": h}, F)
+                e, new = rep.act((m,), {"left": g, "right": h})
                 assert new == ((m + g) % p,)
-                assert phase == F.omega_pow(h * (x + r * (m + g)))
+                assert F.root_pow(e) == F.omega_pow(h * (x + r * (m + g)))
 
 
 def test_bivalent_tt_action():
@@ -45,8 +52,8 @@ def test_bivalent_tt_action():
     F = CycField(p)
     d = parse_defect("TT(a=1,b=2)", p)
     rep = BivalentRep(d)
-    phase, new = rep.act((1, 2), {"left": 2, "right": 1}, F)
-    assert phase == F.one and new == (0, 0)
+    e, new = rep.act((1, 2), {"left": 2, "right": 1})
+    assert F.root_pow(e) == F.one and new == (0, 0)
     labels = rep.edge_labels((0, 1))
     assert labels == {"lower": (0, 1), "upper": (1, 0)}
 
@@ -58,8 +65,8 @@ def test_identity_generator_everywhere():
             for d in enumerate_defects(lo, up):
                 rep = BivalentRep(d)
                 for vec in rep.basis():
-                    phase, new = rep.act(vec, {}, F)
-                    assert phase == F.one and new == vec
+                    e, new = rep.act(vec, {})
+                    assert F.root_pow(e) == F.one and new == vec
 
 
 def test_bivalent_grade_dims_partition():
@@ -77,13 +84,13 @@ def test_bivalent_grade_dims_partition():
 
 def test_theta_examples():
     F2 = CycField(2)
-    assert theta(F2, 1, 1, 1) == -F2.root_pow(1)  # -i
+    assert _theta(F2, 1, 1, 1) == -F2.root_pow(1)  # -i
     for p in (2, 3, 5):
         F = CycField(p)
-        assert theta(F, 3, 1, 0) == F.one
+        assert _theta(F, 3, 1, 0) == F.one
     F5 = CycField(5)
-    assert theta(F5, 0, 2, 1) == F5.omega_pow(2 * mod_inverse(2, 5))
-    assert theta(F5, 0, 2, 1) == F5.omega_pow(1)
+    assert _theta(F5, 0, 2, 1) == F5.omega_pow(2 * mod_inverse(2, 5))
+    assert _theta(F5, 0, 2, 1) == F5.omega_pow(1)
 
 
 def test_theta_exponent_gives_the_theta_phase():
@@ -100,7 +107,7 @@ def test_theta_exponent_gives_the_theta_phase():
                         * F.root_pow((a % 2) * (g % 2)))
             else:
                 want = F.omega_pow(g * x + a * g * g * mod_inverse(2, p))
-            assert F.root_pow(e) == want == theta(F, x, a, g)
+            assert F.root_pow(e) == want
 
 
 def test_theta_cocycle():
@@ -110,9 +117,9 @@ def test_theta_cocycle():
             for a in range(p):
                 for g in range(p):
                     for h in range(p):
-                        lhs = theta(F, x, a, g) * theta(F, x, a, h) * F.omega_pow(
+                        lhs = _theta(F, x, a, g) * _theta(F, x, a, h) * F.omega_pow(
                             a * g * h)
-                        assert lhs == theta(F, x, a, (g + h) % p)
+                        assert lhs == _theta(F, x, a, (g + h) % p)
 
 
 def test_bivalent_functoriality_with_category_phase():
@@ -129,9 +136,10 @@ def test_bivalent_functoriality_with_category_phase():
                 for _ in range(12):
                     g, h, g2, h2 = (rng.randrange(p) for _ in range(4))
                     vec = basis[rng.randrange(len(basis))]
-                    ph1, v1 = rep.act(vec, {"left": g, "right": h}, F)
-                    ph2, v2 = rep.act(v1, {"left": g2, "right": h2}, F)
-                    phs, vs = rep.act(vec, {"left": g + g2, "right": h + h2}, F)
+                    e1, v1 = rep.act(vec, {"left": g, "right": h})
+                    e2, v2 = rep.act(v1, {"left": g2, "right": h2})
+                    es, vs = rep.act(vec, {"left": g + g2, "right": h + h2})
+                    ph1, ph2, phs = (F.root_pow(e) for e in (e1, e2, es))
                     assert v2 == vs
                     expected = composition_phase_bivalent(lo, up, (g, h), (g2, h2), F)
                     assert ph1 * ph2 == expected * phs
@@ -148,8 +156,8 @@ def test_trivalent_21_examples():
     rep = TrivalentRep("tri21", wall(p, "R"), wall(p, "L"), corner=mu)
     assert rep.third == wall(p, "T")
     for (m, n, a, b, c) in itertools.product(range(2), repeat=5):
-        phase, new = rep.act((m, n), {"left": a, "right": b, "mid": c}, F)
-        assert phase == F.omega_pow(-c * mu)
+        e, new = rep.act((m, n), {"left": a, "right": b, "mid": c})
+        assert F.root_pow(e) == F.omega_pow(-c * mu)
         assert new == ((a + m) % p, (b + n) % p)
     # F_q (x) F_r -> X_x, x = q^{-1} r
     q, r = 2, 3
@@ -157,14 +165,14 @@ def test_trivalent_21_examples():
     assert rep.third == wall(p, "X", mod_inverse(q, p) * r % p)
     for m in range(p):
         for (a, b, c) in itertools.product(range(p), repeat=3):
-            phase, new = rep.act((m,), {"left": a, "right": b, "mid": c}, F)
-            assert phase == F.omega_pow(-c * (q * (a + m) + b * r))
+            e, new = rep.act((m,), {"left": a, "right": b, "mid": c})
+            assert F.root_pow(e) == F.omega_pow(-c * (q * (a + m) + b * r))
             assert new == ((a + m + mod_inverse(q, p) * r * b) % p,)
     # T (x) T -> T with mu
     mu = 2
     rep = TrivalentRep("tri21", wall(p, "T"), wall(p, "T"), corner=mu)
-    phase, new = rep.act((1, 2, 3), {"left": 1, "right": 2, "mid": 4}, F)
-    assert phase == F.one
+    e, new = rep.act((1, 2, 3), {"left": 1, "right": 2, "mid": 4})
+    assert F.root_pow(e) == F.one
     assert new == (2, (2 + 4) % p, (3 + 2) % p)
     labels = rep.edge_labels(new)
     assert labels["bl"] == (2, 1) and labels["br"] == ((mu - 6) % p, 0)
@@ -177,8 +185,8 @@ def test_trivalent_12_examples():
     # R (x) L over T with mu
     mu = 1
     rep = TrivalentRep("tri12", wall(p, "R"), wall(p, "L"), corner=mu)
-    phase, new = rep.act((2, 3), {"left": 1, "right": 2, "mid": 3}, F)
-    assert phase == F.omega_pow(-3 * mu)
+    e, new = rep.act((2, 3), {"left": 1, "right": 2, "mid": 3})
+    assert F.root_pow(e) == F.omega_pow(-3 * mu)
     assert new == (3, 0)
     # F_q (x) X_l over F_y, y = q l: phase w^(a n q), vector n + c + b l
     q, l = 2, 3
@@ -186,8 +194,8 @@ def test_trivalent_12_examples():
     assert rep.third == wall(p, "F", q * l % p)
     for n in range(p):
         for (a, b, c) in itertools.product(range(p), repeat=3):
-            phase, new = rep.act((n,), {"left": a, "right": b, "mid": c}, F)
-            assert phase == F.omega_pow(a * n * q)
+            e, new = rep.act((n,), {"left": a, "right": b, "mid": c})
+            assert F.root_pow(e) == F.omega_pow(a * n * q)
             assert new == ((c + b * l + n) % p,)
 
 
@@ -200,8 +208,8 @@ def test_trivalent_identity_and_corner_validation():
                 rep = TrivalentRep(direction, w1, w2,
                                    corner=1 if _needs_corner(direction, w1, w2) else None)
                 for vec in rep.basis():
-                    phase, new = rep.act(vec, {}, F)
-                    assert phase == F.one and new == vec
+                    e, new = rep.act(vec, {})
+                    assert F.root_pow(e) == F.one and new == vec
                     labels = rep.edge_labels(vec)
                     assert set(labels) == set(rep.slots)
     with pytest.raises(ValueError):
@@ -240,9 +248,10 @@ def test_trivalent_functoriality_with_category_phase():
                         d1 = dict(zip(("left", "right", "mid"), args1))
                         d2 = dict(zip(("left", "right", "mid"), args2))
                         ds = {k: d1[k] + d2[k] for k in d1}
-                        ph1, v1 = rep.act(vec, d1, F)
-                        ph2, v2 = rep.act(v1, d2, F)
-                        phs, vs = rep.act(vec, ds, F)
+                        e1, v1 = rep.act(vec, d1)
+                        e2, v2 = rep.act(v1, d2)
+                        es, vs = rep.act(vec, ds)
+                        ph1, ph2, phs = (F.root_pow(e) for e in (e1, e2, es))
                         assert v2 == vs
                         expected = composition_phase_trivalent(
                             direction, rep, args1, args2, F)
@@ -269,7 +278,7 @@ def test_trivalent_locality_of_region_slots():
                         before = rep.edge_labels(vec)
                         for region, kept in region_edges[direction].items():
                             for g in range(p):
-                                _, new = rep.act(vec, {region: g}, F)
+                                _, new = rep.act(vec, {region: g})
                                 after = rep.edge_labels(new)
                                 for slot in rep.slots:
                                     if slot not in kept:
@@ -280,19 +289,19 @@ def test_wrapper_functions_dispatch():
     p = 3
     F = CycField(p)
     d = parse_defect("RFr(x=1;r=2)", p)
-    phase, new = bivalent_action(wall(p, "R"), wall(p, "F", 2), d, (1,), 1, 1, F)
+    e, new = bivalent_action(wall(p, "R"), wall(p, "F", 2), d, (1,), 1, 1)
     assert new == ((2) % p,)
     rep21 = TrivalentRep("tri21", wall(p, "R"), wall(p, "L"), corner=0)
-    phase, new = trivalent_action_21(wall(p, "T"), wall(p, "R"), wall(p, "L"),
-                                     rep21, (0, 0), 1, 1, 1, F)
+    e, new = trivalent_action_21(wall(p, "T"), wall(p, "R"), wall(p, "L"),
+                                 rep21, (0, 0), 1, 1, 1)
     assert new == (1, 1)
     rep12 = TrivalentRep("tri12", wall(p, "F", 1), wall(p, "X", 1))
-    phase, new = trivalent_action_12(wall(p, "F", 1), wall(p, "F", 1),
-                                     wall(p, "X", 1), rep12, (0,), 1, 0, 0, F)
-    assert phase == F.one  # a*n*q with n = 0
+    e, new = trivalent_action_12(wall(p, "F", 1), wall(p, "F", 1),
+                                 wall(p, "X", 1), rep12, (0,), 1, 0, 0)
+    assert F.root_pow(e) == F.one  # a*n*q with n = 0
     with pytest.raises(ValueError):
         trivalent_action_21(wall(p, "L"), wall(p, "R"), wall(p, "L"), rep21,
-                            (0, 0), 0, 0, 0, F)
+                            (0, 0), 0, 0, 0)
 
 
 def test_all_products_have_rows():
@@ -303,3 +312,43 @@ def test_all_products_have_rows():
                     corner = 1 if _needs_corner(direction, w1, w2) else None
                     rep = TrivalentRep(direction, w1, w2, corner=corner)
                     assert rep.third == wall_product(w1, w2)
+
+
+def _every_rep(p):
+    """(rep, its regions) for every defect of every wall pair and every
+    trivalent pair in both directions at every corner value."""
+    walls = all_walls(p)
+    for lo, up in itertools.product(walls, repeat=2):
+        for d in enumerate_defects(lo, up):
+            yield BivalentRep(d), ("left", "right")
+    for direction, table in (("tri21", TRI21), ("tri12", TRI12)):
+        for w1, w2 in itertools.product(walls, repeat=2):
+            corners = range(p) if table[(w1.ekind(), w2.ekind())]["mu"] else [None]
+            for corner in corners:
+                yield (TrivalentRep(direction, w1, w2, corner=corner),
+                       ("left", "right", "mid"))
+
+
+def test_every_action_is_a_translation_with_an_affine_phase():
+    """Every act entry, evaluated on one `_Form` symbol per free label for
+    every args tuple, is affine (a non-affine use of a label would raise
+    TypeError), sends each free label v_j to v_j + t_j, and at p = 2 has an
+    exponent whose coefficient of every v_j is even (a sign, not i)."""
+    reps = actions = 0
+    for p in (2, 3, 5):
+        for rep, regions in _every_rep(p):
+            reps += 1
+            n = len(rep.free_names)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            symbols = tuple(_Form(u) for u in units)
+            for values in itertools.product(range(p), repeat=len(regions)):
+                actions += 1
+                e, new = rep.act(symbols, dict(zip(regions, values)))
+                assert [form.coef for form in new] == units, rep.key
+                if isinstance(e, _Form):
+                    assert all(0 <= a < rep.N for a in e.coef)
+                    if p == 2:
+                        assert all(a % 2 == 0 for a in e.coef), rep.key
+                else:
+                    assert 0 <= e < rep.N
+    assert (reps, actions) == (1584, 69040)

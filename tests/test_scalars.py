@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from annulus.scalars import (
-    Cyc, CycField, ZpElem, cyc_field, is_prime, mod_inverse,
+    Cyc, CycField, cyc_field, is_prime, mod_inverse,
 )
 
 
@@ -25,18 +25,6 @@ def test_mod_inverse_involution():
     for p in (2, 3, 5, 7):
         for a in range(1, p):
             assert mod_inverse(mod_inverse(a, p), p) == a
-
-
-def test_zp_elem():
-    a = ZpElem(9, 7)
-    assert a.value == 2
-    assert (a + ZpElem(6, 7)).value == 1
-    assert (-a).value == 5
-    assert (a * a.inverse()).value == 1
-    with pytest.raises(ValueError):
-        ZpElem(1, 6)
-    with pytest.raises(ValueError):
-        a + ZpElem(1, 5)
 
 
 def test_is_prime():
@@ -122,31 +110,6 @@ def test_rational_and_symbolic():
     assert F.zero.symbolic() == "0"
     assert F.omega_pow(1).symbolic() == "w"
     assert (F.omega_pow(1) * -2).symbolic() == "-2*w"
-
-
-def _value_exponent(F, c):
-    """root_exponent's answer by value alone: the k with c == zeta_N^k."""
-    found = [k for k in range(F.N) if F.root_pow(k) == c]
-    return found[0] if found else None
-
-
-def test_root_exponent_matches_the_value_lookup():
-    """The field's own roots, fresh elements equal to a root, a root of
-    another instance of the field, and non-roots."""
-    for p in (2, 3, 5, 7):
-        F = CycField(p)
-        other = CycField(p)
-        for k in range(F.N):
-            root = F.root_pow(k)
-            fresh = Cyc(F, root.nums, root.den)
-            assert fresh is not root
-            for c in (root, fresh, F.one * root, other.root_pow(k)):
-                assert F.root_exponent(c) == _value_exponent(F, c) == k
-        assert F.root_exponent(F.root_pow(1) * F.one) == 1
-        for c in (F.zero, F.integer(2), F.one + F.root_pow(1),
-                  F.rational(Fraction(1, 2)), F.integer(-1) * 3):
-            assert F.root_exponent(c) is None
-            assert _value_exponent(F, c) is None
 
 
 def test_cyc_field_is_one_instance_per_p():

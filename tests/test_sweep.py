@@ -165,21 +165,23 @@ def test_a_sweep_serves_one_set_of_inputs():
 
 
 def test_root_of_unity_check_is_made_per_corner_value(monkeypatch):
-    """A phase that is no root of unity at corner value 2 only: a memo
-    shared across corner values would answer from corners 0 and 1."""
+    """An extra zeta_3 on every nontrivial action at corner value 2 only:
+    then T_2 carries one zeta_3 at such a vertex where T_1^2 carries two,
+    so no cavity symmetrizer is idempotent. A memo shared across corner
+    values would answer from corners 0 and 1 and let it pass."""
     plain = TrivalentRep.act
 
-    def act(self, vec, args, field):
-        phase, new = plain(self, vec, args, field)
-        if self.corner == 2:
-            phase = field.integer(2) * phase
-        return phase, new
+    def act(self, vec, args):
+        e, new = plain(self, vec, args)
+        if self.corner == 2 and any(args.values()):
+            e = (e + 1) % self.N
+        return e, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
     p = 3
     t = BimoduleLabel.parse("T", p)
-    with pytest.raises(StructureError, match="not a root of unity"):
+    with pytest.raises(StructureError, match="symmetrizer is not idempotent"):
         associator(t, t, t)
-    with pytest.raises(StructureError, match="not a root of unity"):
+    with pytest.raises(StructureError, match="symmetrizer is not idempotent"):
         horizontal_fuse(parse_defect("FqR(x=1;q=1)", p),
                         parse_defect("LL(a=1,x=2)", p))
