@@ -15,7 +15,8 @@ When the equations are inconsistent there is no labeling, and the quotient
 ends at the solve: every later step is vacuous on an empty basis. A bubble
 is a loop through its cavity's corners (`_loop_args`); it generates a strict
 Z/p action when Bub_u = Bub_1^u, which `_cyclic_generators` checks vertex by
-vertex (`_strict_cyclic`) as it builds Bub_1's table. A Levin-Wen face is a
+vertex (`_strict_cyclic`) as it builds Bub_1's table, each vertex's verdict
+once per rep key and loop args (`_vertex_cyclic`). A Levin-Wen face is a
 loop of the same kind and goes through the same two functions. The product
 of the cavity symmetrizers averages over G, so the quotient has one orbit
 sum per orbit whose stabilizer acts trivially (an admissible orbit), and a
@@ -36,14 +37,18 @@ enumeration, bubble application and per-defect characters are pure and
 independent per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
-cached roots. Each vertex rep carries a memo of its actions (`act`'s
-exponent and image per args and local vector), shared by every compound or
-lattice patch that holds the rep. A driver's corner sweep builds one
-structure and one rep per (vertex, corner value) for all its corner
-assignments, so the compounds of one sweep share the per-vertex args of
-every bubble and boundary generator, kept on the structure, and the memos of
-every vertex whose corner they agree on; a `DefectTable` gives them the
-candidate defects, their phase terms and their grade dimensions once.
+cached roots. Two results depend only on a rep's labels, and the process
+keeps them in module-level tables keyed by `rep.key`: each rep key's
+symbolic labels, which `_solve_basis` reads, and each vertex's cyclic
+verdict per rep key and args of T_0..T_{p-1}, which `_strict_cyclic`
+reads. Each vertex rep carries a memo of its actions (`act`'s exponent and
+image per args and local vector), shared by every compound or lattice patch
+that holds the rep. A driver's corner sweep builds one structure and one
+rep per (vertex, corner value) for all its corner assignments, so the
+compounds of one sweep share the per-vertex args of every bubble and
+boundary generator, kept on the structure, and the memos of every vertex
+whose corner they agree on; a `DefectTable` gives them the candidate
+defects, their phase terms and their grade dimensions once.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ from .linalg import ExactMatrix
 from .scalars import CycField, cyc_field
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
 from .walls import STAR
+
+
+# for the life of the process, as equal rep keys mean equal tables
+_SYMBOLIC: dict = {}  # rep key -> `_symbolic_labels`
+_CYCLIC: dict = {}  # (rep key, sorted args of each T_u) -> `_vertex_cyclic`
 
 
 class SizeLimitError(RuntimeError):
@@ -187,18 +197,15 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
     if not order:
         return [()]
     p = reps[order[0]].p
-    symbolic: dict = {}         # rep key -> symbolic labels, in this call
     labels: dict = {}           # vertex -> (its symbolic labels, offset)
     bases = []                  # vertex position -> its local basis
     n = 0
     for vid in order:
         rep = reps[vid]
-        if rep.symbolic_labels is None:
-            found = symbolic.get(rep.key)
-            rep.symbolic_labels = (_symbolic_labels(rep, vid) if found is None
-                                   else found)
-        symbolic[rep.key] = rep.symbolic_labels
-        labels[vid] = rep.symbolic_labels, n
+        symbolic = _SYMBOLIC.get(rep.key)
+        if symbolic is None:
+            symbolic = _SYMBOLIC[rep.key] = _symbolic_labels(rep, vid)
+        labels[vid] = symbolic, n
         bases.append(rep.basis())
         n += len(rep.free_names)
     pivots: dict = {}
@@ -406,47 +413,31 @@ def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
     T_1 keeps.
 
     T_u and T_1^u act vertex by vertex. Their images agree on a state when
-    they agree at every vertex on its local vector. Their phases are sums of
-    vertex exponents, and a vertex's defect, T_u's exponent minus that of
-    its part of T_1 applied u times, may be nonzero and cancel against
-    other vertices. So the defects are found per vertex and local vector,
-    and summed in Z/N over the basis only at vertices where one is nonzero.
-    T_1^p = 1 is read off the cycles of gen: each must have length 1 or p,
-    with a phase sum that vanishes when taken p/length times."""
+    they agree at every vertex on its local vector, which `_vertex_cyclic`
+    decides once per rep key and args for every local vector. Their phases
+    are sums of vertex exponents, and a vertex's defect, T_u's exponent
+    minus that of its part of T_1 applied u times, may be nonzero and
+    cancel against other vertices. So the defects are summed in Z/N over
+    the basis only at vertices where one is nonzero. T_1^p = 1 is read off
+    the cycles of gen: each must have length 1 or p, with a phase sum that
+    vanishes when taken p/length times."""
     p = len(acts)
     by_vertex: dict = {}
     for u, vertex_args in enumerate(acts):
-        for pos, vid, args, memo in vertex_args:
-            by_vertex.setdefault((pos, vid), {})[u] = (args, memo)
+        for pos, vid, args, _ in vertex_args:
+            by_vertex.setdefault((pos, vid), [None] * p)[u] = args
     defects = []
     for (pos, vid), by_u in by_vertex.items():
         rep = reps[vid]
-        # the local vectors at this vertex, which T_1 permutes; maps[u] is
-        # the memo of T_u here, None where T_u does not act
-        local = {vec[pos] for vec in basis}
-        maps = []
-        for u in range(p):
-            hit = by_u.get(u)
-            if hit is not None:
-                args, hit = hit
-                for x in local:
-                    if x not in hit:
-                        hit[x] = rep.act(x, args)
-            maps.append(hit)
-        one = maps[1]
-        table = {}
-        for x in local:
-            cur, total, defect = x, 0, None
-            for u, memo in enumerate(maps):
-                k, y = (0, x) if memo is None else memo[x]
-                if y != cur:
-                    return False
-                if (k - total) % N:
-                    if defect is None:
-                        defect = table[x] = [0] * p
-                    defect[u] = (k - total) % N
-                k, cur = (0, cur) if one is None else one[cur]
-                total += k
+        key = (rep.key, tuple(None if args is None
+                              else tuple(sorted(args.items()))
+                              for args in by_u))
+        found = _CYCLIC.get(key)
+        if found is None:
+            found = _CYCLIC[key] = _vertex_cyclic(rep, by_u)
+        mismatched, table = found
+        if mismatched and any(vec[pos] in mismatched for vec in basis):
+            return False
         if table:
             defects.append((pos, table))
     if defects:
@@ -473,6 +464,38 @@ def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
         if j != i or p % length or k * (p // length) % N:
             return False
     return True
+
+
+def _vertex_cyclic(rep, by_u: list):
+    """T_u against T_1^u at one vertex, for u = 0..p-1, on every local
+    vector of rep; by_u[u] holds T_u's args there, None where T_u does not
+    act. Returns (the frozenset of local vectors whose image under some T_u
+    is not their image under T_1^u, {local vector: [defect of T_u for each
+    u]} for the other vectors with a nonzero defect), a defect being T_u's
+    exponent minus that of T_1 applied u times, in Z/N. It calls rep.act
+    directly, so the rep's memos do not grow."""
+    N, p = rep.N, len(by_u)
+    basis = rep.basis()
+    maps = [None if args is None else {x: rep.act(x, args) for x in basis}
+            for args in by_u]
+    one = maps[1]
+    mismatched = set()
+    defects = {}
+    for x in basis:
+        cur, total, defect = x, 0, None
+        for u, table in enumerate(maps):
+            k, y = (0, x) if table is None else table[x]
+            if y != cur:
+                mismatched.add(x)
+                defects.pop(x, None)
+                break
+            if (k - total) % N:
+                if defect is None:
+                    defect = defects[x] = [0] * p
+                defect[u] = (k - total) % N
+            k, cur = (0, cur) if one is None else one[cur]
+            total += k
+    return frozenset(mismatched), defects
 
 
 def _monomial_orbits(n: int, gens: list, N: int):

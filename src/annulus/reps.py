@@ -761,7 +761,7 @@ def _biv_key(lower: BimoduleLabel, upper: BimoduleLabel):
 class _TableRep:
     """What the bivalent and trivalent reps share: the local basis, Z/p per
     free label in product order, the edge labels of each local vector,
-    cached, and the engine's memos."""
+    cached, and the engine's action memo."""
 
     def __init__(self, p: int, entry: dict, key):
         self.p = p
@@ -775,9 +775,6 @@ class _TableRep:
         # {sorted args: {local vector: act(vector, args)}}; filled by the
         # engine and the lattice on first use
         self.action_memo: dict = {}
-        # the edge labels as affine forms of the free labels; filled by the
-        # engine's basis solver on first use
-        self.symbolic_labels = None
 
     def basis(self):
         if self._basis is None:
@@ -883,32 +880,6 @@ class TrivalentRep(_TableRep):
                                    args.get("left", 0), args.get("right", 0),
                                    args.get("mid", 0))
         return e % self.N, tuple([x % self.p for x in new])
-
-
-def bivalent_action(lower: BimoduleLabel, upper: BimoduleLabel, defect, vec,
-                    g: int, h: int):
-    """Action of the (g,h) annular generator on a basis vector, as
-    `BivalentRep.act`."""
-    rep = BivalentRep(defect)
-    if lower != defect.lower or upper != defect.upper:
-        raise ValueError("defect does not live on the given wall pair")
-    return rep.act(vec, {"left": g, "right": h})
-
-
-def trivalent_action_21(top, bottom_left, bottom_right, rep: TrivalentRep, vec,
-                        a: int, b: int, c: int):
-    if rep.direction != "tri21" or rep.third != top or (
-            rep.first, rep.second) != (bottom_left, bottom_right):
-        raise ValueError("representation does not match the wall triple")
-    return rep.act(vec, {"left": a, "right": b, "mid": c})
-
-
-def trivalent_action_12(bottom, top_left, top_right, rep: TrivalentRep, vec,
-                        a: int, b: int, c: int):
-    if rep.direction != "tri12" or rep.third != bottom or (
-            rep.first, rep.second) != (top_left, top_right):
-        raise ValueError("representation does not match the wall triple")
-    return rep.act(vec, {"left": a, "right": b, "mid": c})
 
 
 def composition_phase_bivalent(lower, upper, first, second, field: CycField) -> Cyc:

@@ -511,18 +511,22 @@ def test_phase_defects_that_cancel_between_vertices_pass(monkeypatch):
     """H_{0,2} gains zeta_3 at vertex h0_t and zeta_3^-1 at h0_b on every
     local vector: each vertex alone breaks H_{0,2} = H_{0,1}^2, but the
     product over the face does not, and the ground space is unchanged.
-    With zeta_3 at both vertices the defects add up and are refused."""
+    With zeta_3 at both vertices the defects add up and are refused. The
+    engine keeps each vertex's verdict per rep key and args, so each branch
+    starts from empty tables and the phase is keyed the same way."""
     patch = hexagon_chain_patch(3, 1)
     want = patch.ground_space_dim()
     for shift_b, ok in ((-1, True), (1, False)):
+        engine._SYMBOLIC.clear()
+        engine._CYCLIC.clear()
         patch = hexagon_chain_patch(3, 1)
         t, b = patch.vertices["h0_t"], patch.vertices["h0_b"]
-        at_t = _args_of(patch, 0, 2, "h0_t")
-        at_b = _args_of(patch, 0, 2, "h0_b")
+        at_t = t.key, _args_of(patch, 0, 2, "h0_t")
+        at_b = b.key, _args_of(patch, 0, 2, "h0_b")
         with monkeypatch.context() as mp:
             _loop_phase(mp, lambda r, vec, args:
-                        1 if r is t and args == at_t
-                        else shift_b if r is b and args == at_b else 0)
+                        1 if (r.key, args) == at_t
+                        else shift_b if (r.key, args) == at_b else 0)
             if ok:
                 patch.assert_face_group_rep()
                 assert patch.ground_space_dim() == cyc_trace_dim(patch) == want

@@ -8,10 +8,8 @@ import pytest
 from annulus.defects import enumerate_defects, parse_defect
 from annulus.engine import _Form
 from annulus.reps import (
-    TRI12, TRI21, BivalentRep, TrivalentRep, bivalent_action,
-    composition_phase_bivalent,
-    composition_phase_trivalent, theta_exponent, trivalent_action_12,
-    trivalent_action_21,
+    TRI12, TRI21, BivalentRep, TrivalentRep, composition_phase_bivalent,
+    composition_phase_trivalent, theta_exponent,
 )
 from annulus.scalars import CycField, mod_inverse
 from annulus.walls import STAR, all_walls, wall, wall_product
@@ -285,23 +283,18 @@ def test_trivalent_locality_of_region_slots():
                                         assert after[slot] == before[slot]
 
 
-def test_wrapper_functions_dispatch():
+def test_act_on_named_generators():
     p = 3
     F = CycField(p)
     d = parse_defect("RFr(x=1;r=2)", p)
-    e, new = bivalent_action(wall(p, "R"), wall(p, "F", 2), d, (1,), 1, 1)
+    e, new = BivalentRep(d).act((1,), {"left": 1, "right": 1})
     assert new == ((2) % p,)
     rep21 = TrivalentRep("tri21", wall(p, "R"), wall(p, "L"), corner=0)
-    e, new = trivalent_action_21(wall(p, "T"), wall(p, "R"), wall(p, "L"),
-                                 rep21, (0, 0), 1, 1, 1)
+    e, new = rep21.act((0, 0), {"left": 1, "right": 1, "mid": 1})
     assert new == (1, 1)
     rep12 = TrivalentRep("tri12", wall(p, "F", 1), wall(p, "X", 1))
-    e, new = trivalent_action_12(wall(p, "F", 1), wall(p, "F", 1),
-                                 wall(p, "X", 1), rep12, (0,), 1, 0, 0)
+    e, new = rep12.act((0,), {"left": 1, "right": 0, "mid": 0})
     assert F.root_pow(e) == F.one  # a*n*q with n = 0
-    with pytest.raises(ValueError):
-        trivalent_action_21(wall(p, "L"), wall(p, "R"), wall(p, "L"), rep21,
-                            (0, 0), 0, 0, 0)
 
 
 def test_all_products_have_rows():
