@@ -139,12 +139,23 @@ def _merge_corners(args, *annotations):
     return corners or None
 
 
+def _refuse_ignored(what, *options):
+    """A usage error naming every given option of (name, value) pairs
+    that `what` would ignore."""
+    given = [name for name, value in options if value]
+    if given:
+        raise CliError(EXIT_PARSE, f"{what} takes no {' or '.join(given)}")
+
+
 def cmd_associator(args):
     _check_prime(args.p)
     if args.table:
+        _refuse_ignored("associator --table", ("wall labels", args.walls),
+                        ("--corner", args.corner))
         return cmd_table(argparse.Namespace(
             kind="associator", p=args.p, golden=args.golden,
             format=args.format, output=args.output))
+    _refuse_ignored("associator without --table", ("-o", args.output))
     if len(args.walls) != 3:
         raise CliError(EXIT_PARSE, "associator needs three wall labels")
     try:
@@ -209,6 +220,8 @@ def _check_output(path):
 
 def cmd_table(args):
     _check_prime(args.p)
+    if args.kind != "associator":
+        _refuse_ignored(f"table {args.kind}", ("--golden", args.golden))
     if args.output:
         _check_output(args.output)
     try:

@@ -9,6 +9,7 @@ gives the same sum with each coefficient as exponents, p^-j zeta_N^e.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,9 +125,11 @@ class IdempotentExpr:
     terms: tuple  # ((Cyc coefficient, (g, h)), ...)
 
 
+@functools.cache
 def phase_terms(d: DefectLabel) -> tuple:
     """d's idempotent as ((j, e, g, h), ...), the sum of the terms
-    p^-j zeta_N^e gen(g, h), with e in Z/N and g, h in Z/p."""
+    p^-j zeta_N^e gen(g, h), with e in Z/N and g, h in Z/p. A frozen label
+    fixes them, so they are built once per process."""
     entry = d.entry()
     w = _Walls(d.p, d.lower, d.upper)
     prm = dict(zip(entry["params"], d.params))

@@ -41,14 +41,16 @@ cached roots. Two results depend only on a rep's labels, and the process
 keeps them in module-level tables keyed by `rep.key`: each rep key's
 symbolic labels, which `_solve_basis` reads, and each vertex's cyclic
 verdict per rep key and args of T_0..T_{p-1}, which `_strict_cyclic`
-reads. Each vertex rep carries a memo of its actions (`act`'s exponent and
-image per args and local vector), shared by every compound or lattice patch
-that holds the rep. A driver's corner sweep builds one structure and one
-rep per (vertex, corner value) for all its corner assignments, so the
-compounds of one sweep share the per-vertex args of every bubble and
-boundary generator, kept on the structure, and the memos of every vertex
-whose corner they agree on; a `DefectTable` gives them the candidate
-defects, their phase terms and their grade dimensions once.
+reads. Likewise `decompose` keeps, per wall pair, the candidate defects
+with their source grades and, per defect, its grade dimensions, and
+`defects.phase_terms` caches each defect's terms. Each vertex rep carries
+a memo of its actions (`act`'s exponent and image per args and local
+vector), shared by every compound or lattice patch that holds the rep. A
+driver's corner sweep builds one structure and one rep per (vertex, corner
+value) for all its corner assignments, so the compounds of one sweep share
+the per-vertex args of every bubble and boundary generator, kept on the
+structure, and the memos of every vertex whose corner they agree on. A
+sweep lives for one driver call.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ from .walls import STAR
 # for the life of the process, as equal rep keys mean equal tables
 _SYMBOLIC: dict = {}  # rep key -> `_symbolic_labels`
 _CYCLIC: dict = {}  # (rep key, sorted args of each T_u) -> `_vertex_cyclic`
+# and as frozen walls and defect labels fix their defects' data
+_CANDIDATES: dict = {}  # (lower, upper) walls -> ((defect, source grade), ...)
+_GRADE_DIMS: dict = {}  # defect -> `DefectLabel.grade_dims`, only read
 
 
 class SizeLimitError(RuntimeError):
@@ -834,46 +839,7 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
     return total
 
 
-class DefectTable:
-    """The candidate defects of one driver call's decompositions: per
-    external wall pair, every defect with its source grade, and each
-    defect's phase terms, built the first time a quotient has an
-    admissible orbit at that grade, and its grade dimensions, built the
-    first time a decomposition holds it. A driver makes one per call, next
-    to its corner sweep; a plain `decompose` makes its own."""
-
-    def __init__(self):
-        self._pairs: dict = {}
-        self._terms: dict = {}
-        self._dims: dict = {}
-
-    def candidates(self, lower, upper) -> list:
-        """[(defect, source grade)] on the wall pair, in defect order."""
-        key = (lower, upper)
-        out = self._pairs.get(key)
-        if out is None:
-            out = self._pairs[key] = [(d, d.source_object())
-                                      for d in enumerate_defects(lower, upper)]
-        return out
-
-    def terms(self, d: DefectLabel) -> tuple:
-        """d's idempotent as `phase_terms`, ((j, e, g, h), ...), the sum of
-        p^-j zeta_N^e gen(g, h)."""
-        out = self._terms.get(d)
-        if out is None:
-            out = self._terms[d] = phase_terms(d)
-        return out
-
-    def grade_dims(self, d: DefectLabel) -> dict:
-        """d.grade_dims(), built once per table."""
-        out = self._dims.get(d)
-        if out is None:
-            out = self._dims[d] = d.grade_dims()
-        return out
-
-
-def decompose(qr: QuotientRep, check_complete: bool = True,
-              table: DefectTable | None = None):
+def decompose(qr: QuotientRep, check_complete: bool = True):
     """Isotypic decomposition of a 2-string quotient representation.
 
     The multiplicity of a defect d is the trace of its idempotent
@@ -881,24 +847,29 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
     which is the rank of e. Each tr(B_t) is a histogram over Z/N
     (`character`), so p^J tr(e), J the largest j_t, is the integer
     histogram acc[k + e_t] += p^(J - j_t) hist_t[k], made a field element
-    once, by `root_sum`. The candidates and their terms come from `table`,
-    fresh if not given. Returns [(DefectLabel, multiplicity)] with positive
+    once, by `root_sum`. The candidates of a wall pair, with their source
+    grades, are built once per process, and so are their terms
+    (`phase_terms`). Returns [(DefectLabel, multiplicity)] with positive
     multiplicities; for external boundaries with more or fewer strings the
     quotient itself is returned unchanged (unsupported, per contract).
     """
     if len(qr.cd.structure.external) != 2:
         return qr
-    lower, upper = qr.cd.structure.external_walls()
     field = qr.field
     p, N = field.p, field.N
-    table = DefectTable() if table is None else table
     out = []
     # a quotient with no admissible orbit has no candidate to try
-    candidates = table.candidates(lower, upper) if qr.total_dim() else ()
+    candidates = ()
+    if qr.total_dim():
+        walls = qr.cd.structure.external_walls()
+        candidates = _CANDIDATES.get(walls)
+        if candidates is None:
+            candidates = _CANDIDATES[walls] = tuple(
+                (d, d.source_object()) for d in enumerate_defects(*walls))
     for d, grade in candidates:
         if not qr.grade_dim(grade):
             continue
-        terms = table.terms(d)
+        terms = phase_terms(d)
         top = max(t[0] for t in terms)
         acc = [0] * N
         for j, e, g, h in terms:
@@ -917,19 +888,20 @@ def decompose(qr: QuotientRep, check_complete: bool = True,
         if mult:
             out.append((d, int(mult)))
     if check_complete:
-        verify_completeness(qr, out, table)
+        verify_completeness(qr, out)
     return out
 
 
-def verify_completeness(qr: QuotientRep, decomposition,
-                        table: DefectTable | None = None) -> None:
+def verify_completeness(qr: QuotientRep, decomposition) -> None:
     """Assert sum_d mult_d * dim V^d(grade) == quotient dim at every grade.
-    The defects' grade dimensions come from `table`, fresh if not given."""
-    table = DefectTable() if table is None else table
+    Each defect's grade dimensions are built once per process."""
     want = qr.grade_dims()
     got: dict = {}
     for d, mult in decomposition:
-        for grade, dim in table.grade_dims(d).items():
+        dims = _GRADE_DIMS.get(d)
+        if dims is None:
+            dims = _GRADE_DIMS[d] = d.grade_dims()
+        for grade, dim in dims.items():
             got[grade] = got.get(grade, 0) + mult * dim
     got = {g: v for g, v in got.items() if v}
     if got != want:

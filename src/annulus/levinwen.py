@@ -279,19 +279,18 @@ def _hex_vertex_names(i):
 
 
 def hexagon_chain_patch(p: int, n_faces: int, wall_name: str = "Xk:1",
-                        pin: bool = True, pin_value=None) -> LatticePatch:
+                        pin: bool = True) -> LatticePatch:
     """A horizontal chain of hexagons, all edges on one wall (the bulk model).
 
-    Interior vertices alternate 2:1 / 1:2; dangling edges are pinned to
-    `pin_value` (default: the wall's first simple object) unless pin=False.
+    Interior vertices alternate 2:1 / 1:2; dangling edges are pinned to the
+    wall's first simple object unless pin=False.
     """
     w = BimoduleLabel.parse(wall_name, p)
     vertices: dict[str, TrivalentRep] = {}
     edges: list[PatchEdge] = []
     faces = []
     pinned = {}
-    if pin_value is None:
-        pin_value = w.simple_objects()[0]
+    pin_value = w.simple_objects()[0]
 
     def add_edge(eid, ends):
         edges.append(PatchEdge(eid, w, ends))

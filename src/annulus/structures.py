@@ -439,17 +439,22 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     Besides explicit graphs, the built-in templates are accepted as
     shorthand: {"p", "template": "vertical"|"diamond", "defects": [d1, d2],
     "corners": {...}} and {"p", "template": "associator", "walls":
-    [M, N, P], "corners": {...}}.
+    [M, N, P], "corners": {...}}. A corner name the template does not have
+    (any for "vertical"; other than "bottom" and "top" for "diamond") is a
+    StructureError.
     """
     p = doc["p"]
     template = doc.get("template")
     if template is not None:
         corners = {k: int(v) for k, v in (doc.get("corners") or {}).items()}
-        if template == "vertical":
+        if template in ("vertical", "diamond"):
+            unknown = set(corners) - (
+                {"bottom", "top"} if template == "diamond" else set())
+            if unknown:
+                raise StructureError(f"unknown corner names {sorted(unknown)}")
             d1, d2 = (parse_defect(t, p) for t in doc["defects"])
-            return vertical_compound(d1, d2)
-        if template == "diamond":
-            d1, d2 = (parse_defect(t, p) for t in doc["defects"])
+            if template == "vertical":
+                return vertical_compound(d1, d2)
             return horizontal_compound(d1, d2,
                                        corner_bottom=corners.get("bottom"),
                                        corner_top=corners.get("top"))

@@ -5,16 +5,23 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from annulus import engine  # noqa: E402
+from annulus import defects, engine  # noqa: E402
+
+
+def _clear_label_tables():
+    engine._SYMBOLIC.clear()
+    engine._CYCLIC.clear()
+    engine._CANDIDATES.clear()
+    engine._GRADE_DIMS.clear()
+    defects.phase_terms.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_label_tables():
     """Start and end every test with empty process-wide label tables, so a
-    test that fakes `act` or an `edges` entry is not answered from an
-    earlier test's verdicts."""
-    engine._SYMBOLIC.clear()
-    engine._CYCLIC.clear()
+    test that fakes `act`, an `edges` entry or a defect's data is not
+    answered from an earlier test's verdicts, and a test that counts the
+    builds of a defect's data sees every one."""
+    _clear_label_tables()
     yield
-    engine._SYMBOLIC.clear()
-    engine._CYCLIC.clear()
+    _clear_label_tables()

@@ -345,6 +345,55 @@ def test_template_shorthand_documents(tmp_path):
     assert out["decomposition"] == [["RR(a=0,x=0)", 1]]
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"p": 3, "template": "diamond", "corners": {"top": 1},
+      "defects": ["FqR(x=1;q=1)", "LL(a=1,x=2)"]}, "bogus"),
+    ({"p": 5, "template": "vertical",
+      "defects": ["RFr(x=1;r=2)", "FrR(z=3;r=2)"]}, "top"),
+], ids=["diamond", "vertical"])
+def test_a_template_document_naming_a_corner_it_lacks_exits_6(tmp_path, doc,
+                                                             name):
+    """A diamond has only the corners bottom and top, a vertical stack
+    none: any other name is refused, as the associator template already
+    refuses one, not silently dropped."""
+    from annulus.structures import StructureError, compound_from_json
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("decompose", str(path)).returncode == 0
+    doc = {**doc, "corners": {**doc.get("corners", {}), name: 2}}
+    with pytest.raises(StructureError, match="unknown corner names"):
+        compound_from_json(doc)
+    path.write_text(json.dumps(doc))
+    r = run_cli("decompose", str(path))
+    assert r.returncode == 6, r.stderr
+    assert (f"bad structure document: unknown corner names ['{name}']"
+            in r.stderr)
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, named", [
+    (("associator", "-p", "2", "R", "R", "R", "--corner", "mu0=1", "--table",
+      "-o", "{out}"), ("wall labels", "--corner")),
+    (("associator", "-p", "2", "--corner", "mu0=1", "--table"), ("--corner",)),
+    (("associator", "-p", "2", "R", "R", "R", "-o", "{out}"), ("-o",)),
+    (("table", "vertical", "-p", "2", "--golden", "-o", "{out}"),
+     ("--golden",)),
+    (("table", "horizontal", "-p", "2", "--golden"), ("--golden",)),
+], ids=["associator-table-walls-corner", "associator-table-corner",
+        "associator-output", "table-vertical-golden",
+        "table-horizontal-golden"])
+def test_an_option_the_command_would_ignore_is_a_usage_error(tmp_path, args,
+                                                            named):
+    out = tmp_path / "a.json"
+    r = run_cli(*(a.format(out=out) for a in args))
+    assert r.returncode == 2, r.stderr
+    for option in named:
+        assert option in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_text_format():
     r = run_cli("fuse-horizontal", "-p", "3", "--format", "text",
                 "FqR(x=1;q=2)", "LL(a=1,x=2)", "--corner", "top=1")

@@ -9,7 +9,7 @@ import pytest
 
 from annulus import engine
 from annulus.defects import enumerate_defects, parse_defect
-from annulus.engine import DefectTable, QuotientRep, apply_idempotent, decompose
+from annulus.engine import QuotientRep, apply_idempotent, decompose
 from annulus.scalars import Cyc, CycField
 from annulus.structures import (
     StructureError, horizontal_compound, vertical_compound,
@@ -202,7 +202,8 @@ def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
 def test_decompose_makes_one_field_element_per_defect_tried(monkeypatch):
     """Once the reps' action memos are warm, decompose adds and multiplies
     no Cyc: its one field element per candidate defect whose source grade
-    is nonzero comes from root_sum."""
+    is nonzero comes from root_sum. The candidates are read from the
+    engine's table of them, which the warming call filled."""
 
     def refuse(*args):
         raise AssertionError("Cyc arithmetic in decompose")
@@ -215,8 +216,8 @@ def test_decompose_makes_one_field_element_per_defect_tried(monkeypatch):
     for cd in structures:
         decompose(QuotientRep(cd))  # warms the reps' action memos
         qr = QuotientRep(cd)
-        lower, upper = cd.structure.external_walls()
-        tried = sum(1 for _, grade in DefectTable().candidates(lower, upper)
+        walls = cd.structure.external_walls()
+        tried = sum(1 for _, grade in engine._CANDIDATES[walls]
                     if qr.grade_dim(grade)) if qr.total_dim() else 0
         sums = []
         with monkeypatch.context() as m:

@@ -1,5 +1,6 @@
-"""Corner sweeps: the drivers share one structure, one rep per (vertex,
-corner value) and one defect table across a call's corner assignments. The
+"""Corner sweeps: the drivers share one structure and one rep per (vertex,
+corner value) across a call's corner assignments, and each candidate
+defect's phase terms and grade dimensions are built once per process. The
 results must equal those of fresh compounds built per assignment."""
 
 import itertools
@@ -11,7 +12,7 @@ from annulus import engine
 from annulus.defects import DefectLabel, parse_defect
 from annulus.engine import QuotientRep, decompose
 from annulus.fusion import associator, horizontal_fuse
-from annulus.reps import TrivalentRep
+from annulus.reps import BIVALENT, TrivalentRep
 from annulus.structures import (
     CornerSweep, StructureError, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names,
@@ -129,7 +130,7 @@ def test_sweep_builds_generator_args_once_and_memos_per_rep():
 
 def test_a_driver_call_builds_each_defects_grade_dims_once(monkeypatch):
     """The completeness check reads each defect's grade dimensions from the
-    call's defect table."""
+    engine's per-process table, so one call builds each once."""
     calls = Counter()
     plain = DefectLabel.grade_dims
 
@@ -143,6 +144,31 @@ def test_a_driver_call_builds_each_defects_grade_dims_once(monkeypatch):
     result = associator(t, t, t)
     assert sum(1 for _, out in result.outcomes if out) > 1
     assert calls and set(calls.values()) == {1}
+
+
+def test_two_driver_calls_build_each_defects_data_once(monkeypatch):
+    """A second associator call on the same walls builds no candidate
+    defect's phase terms or grade dimensions again: both are kept once per
+    process, keyed by the frozen defect label."""
+    terms, dims = Counter(), Counter()
+    for key, entry in BIVALENT.items():
+        def idem(prm, w, plain=entry["idem"], key=key):
+            terms[key, tuple(prm.items()), w.params] += 1
+            return plain(prm, w)
+
+        monkeypatch.setitem(entry, "idem", idem)
+    plain_dims = DefectLabel.grade_dims
+
+    def counted(self):
+        dims[self] += 1
+        return plain_dims(self)
+
+    monkeypatch.setattr(DefectLabel, "grade_dims", counted)
+    t = BimoduleLabel.parse("T", 3)
+    first = associator(t, t, t)
+    assert associator(t, t, t) == first
+    assert terms and set(terms.values()) == {1}
+    assert dims and set(dims.values()) == {1}
 
 
 def test_without_a_sweep_every_compound_is_fresh():
