@@ -101,13 +101,20 @@ def cmd_fuse_vertical(args):
     d2, c2 = _parse_defect(args.defects[1], args.p)
     if c1 or c2:
         raise CliError(EXIT_PARSE, "vertical fusion takes no corner annotations")
+    _emit(_run_driver(vertical_fuse, d1, d2).to_json(), args.format)
+
+
+def _run_driver(driver, *args, **kwargs):
+    """Call a fusion or associator driver; its errors leave as exit codes:
+    a size limit 4, a bad corner assignment 2, mismatched walls 3."""
     try:
-        result = vertical_fuse(d1, d2)
+        return driver(*args, **kwargs)
     except SizeLimitError as exc:
         raise CliError(EXIT_SIZE, str(exc))
+    except CornerError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
     except StructureError as exc:
         raise CliError(EXIT_WALLS, str(exc))
-    _emit(result.to_json(), args.format)
 
 
 def cmd_fuse_horizontal(args):
@@ -115,14 +122,7 @@ def cmd_fuse_horizontal(args):
     d1, c1 = _parse_defect(args.defects[0], args.p)
     d2, c2 = _parse_defect(args.defects[1], args.p)
     corners = _merge_corners(args, c1, c2)
-    try:
-        result = horizontal_fuse(d1, d2, corners)
-    except SizeLimitError as exc:
-        raise CliError(EXIT_SIZE, str(exc))
-    except CornerError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
-    except StructureError as exc:
-        raise CliError(EXIT_WALLS, str(exc))
+    result = _run_driver(horizontal_fuse, d1, d2, corners)
     _emit(result.to_json(), args.format)
 
 
@@ -162,15 +162,7 @@ def cmd_associator(args):
         walls = [BimoduleLabel.parse(t, args.p) for t in args.walls]
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    corners = _merge_corners(args)
-    try:
-        result = associator(*walls, corners=corners)
-    except SizeLimitError as exc:
-        raise CliError(EXIT_SIZE, str(exc))
-    except CornerError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
-    except StructureError as exc:
-        raise CliError(EXIT_WALLS, str(exc))
+    result = _run_driver(associator, *walls, corners=_merge_corners(args))
     if args.golden:
         _diff_golden([result], args.golden)
     _emit(result.to_json(), args.format)

@@ -193,7 +193,7 @@ def parse_annotated_defect(text: str, p: int):
         k, _, v = piece.partition("=")
         wall_params[k.strip()] = int(v)
 
-    def build_wall(piece, is_lower):
+    def build_wall(piece):
         if piece in ("T", "L", "R"):
             return BimoduleLabel(piece, None, p)
         if piece == "F0":
@@ -209,8 +209,8 @@ def parse_annotated_defect(text: str, p: int):
             raise ValueError(f"{text!r}: {piece} requires a nonzero parameter")
         return BimoduleLabel(kind, value, p)
 
-    lower = build_wall(pieces[0], True)
-    upper = build_wall(pieces[1], False)
+    lower = build_wall(pieces[0])
+    upper = build_wall(pieces[1])
     allowed = {"Fq": "q", "Fr": "r", "Xk": "k", "Xl": "l"}
     used = {allowed[piece] for piece in pieces if piece in allowed}
     if set(wall_params) - used:

@@ -839,7 +839,7 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
     return total
 
 
-def decompose(qr: QuotientRep, check_complete: bool = True):
+def decompose(qr: QuotientRep):
     """Isotypic decomposition of a 2-string quotient representation.
 
     The multiplicity of a defect d is the trace of its idempotent
@@ -850,8 +850,9 @@ def decompose(qr: QuotientRep, check_complete: bool = True):
     once, by `root_sum`. The candidates of a wall pair, with their source
     grades, are built once per process, and so are their terms
     (`phase_terms`). Returns [(DefectLabel, multiplicity)] with positive
-    multiplicities; for external boundaries with more or fewer strings the
-    quotient itself is returned unchanged (unsupported, per contract).
+    multiplicities, checked by `verify_completeness`; for external
+    boundaries with more or fewer strings the quotient itself is returned
+    unchanged (unsupported, per contract).
     """
     if len(qr.cd.structure.external) != 2:
         return qr
@@ -887,8 +888,7 @@ def decompose(qr: QuotientRep, check_complete: bool = True):
                 f"{total.symbolic()}, not a multiplicity")
         if mult:
             out.append((d, int(mult)))
-    if check_complete:
-        verify_completeness(qr, out)
+    verify_completeness(qr, out)
     return out
 
 

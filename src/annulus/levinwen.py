@@ -401,6 +401,8 @@ def patch_from_json(doc: dict) -> LatticePatch:
     p = doc["p"]
     vertices = {}
     for v in doc["vertices"]:
+        if v["id"] in vertices:
+            raise StructureError(f"duplicate vertex id {v['id']!r}")
         direction = v["template"]
         w1 = BimoduleLabel.parse(v["walls"][0], p)
         w2 = BimoduleLabel.parse(v["walls"][1], p)

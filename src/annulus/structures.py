@@ -42,7 +42,7 @@ BUBBLE_SIGN = {
     ("tri12", "left"): -1, ("tri12", "right"): 1, ("tri12", "mid"): -1,
 }
 
-_EXT = "__ext__"
+_OUTSIDE = object()  # the outside "vertex": no vertex id equals it
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,21 @@ class DomainWallStructure:
         if (sorted(e.eid for e in self.edges if None in e.ends)
                 != sorted(self.external)):
             raise StructureError("external list must name exactly the stub edges")
-        faces = self._trace_faces()
-        self.external_faces, internal = faces
-        self.left_face, self.right_face = self._orient_external()
+        internal = []
+        self.left_face = self.right_face = None
+        for corners, outer in self._trace_faces():
+            if not outer:
+                internal.append(corners)
+            elif len(self.external) == 2:
+                # a face arriving at the outer end of the bottom stub leaves
+                # the outside along the top one: it is the left region
+                if 0 in outer:
+                    self.left_face = corners
+                if 1 in outer:
+                    self.right_face = corners
+        if len(self.external) == 2 and None in (self.left_face,
+                                                self.right_face):
+            raise StructureError("could not orient the external boundary")
         if cavities is None:
             self.cavities = internal
         else:
@@ -133,101 +145,52 @@ class DomainWallStructure:
                 raise StructureError(
                     "declared cavities do not match the internal faces of the structure")
 
-    def _slot_of(self, eid, vid):
-        e = self.edge_by_id[eid]
-        for end in e.ends:
-            if end is not None and end[0] == vid:
-                return end[1]
-        raise StructureError(f"edge {eid} does not touch {vid}")
-
     def _trace_faces(self):
-        """Orbits of the next-dart map; returns (external faces, internal faces).
+        """Every face as (corners, outer): an orbit of h -> twin[rot[h]].
 
-        A dart is (eid, head) with head a vertex id or _EXT; corners of a face
-        are the (vid, region) pairs swept at each internal vertex.
+        A half-edge is (vid, slot), or (_OUTSIDE, i) for the outer end of
+        the i-th stub in `external`. `twin` pairs the two ends of an edge;
+        `rot` is the next half-edge counterclockwise about the same vertex
+        (about the outside, the next stub). Each arrival at a vertex adds
+        the corner (vid, region after the slot); `outer` lists the stubs
+        whose outer end the face arrives at. Each face starts at its least
+        (edge id, arrival vertex, slot), an outer end first.
         """
-        ccw_edges = {}
+        n = len(self.external)
+        twin, rot, key, outer_end = {}, {}, {}, {}
+        for i, eid in enumerate(self.external):
+            h = outer_end[eid] = (_OUTSIDE, i)
+            rot[h], key[h] = (_OUTSIDE, (i + 1) % n), (eid,)
         for vid, template in self.vertices.items():
-            order = []
-            for slot in TEMPLATE_CCW[template]:
-                order.append(self._edge_at(vid, slot).eid)
-            ccw_edges[vid] = order
-        ccw_edges[_EXT] = list(self.external)
-
-        def head_of(eid, tail):
-            e = self.edge_by_id[eid]
-            ends = [end[0] if end is not None else _EXT for end in e.ends]
-            if ends[0] == tail:
-                return ends[1]
-            if ends[1] == tail:
-                return ends[0]
-            raise StructureError(f"dart error on {eid}")
-
-        darts = []
+            ccw = TEMPLATE_CCW[template]
+            for slot, nxt in zip(ccw, ccw[1:] + ccw[:1]):
+                rot[(vid, slot)] = (vid, nxt)
+                key[(vid, slot)] = (self._slot_edge[(vid, slot)].eid, vid, slot)
         for e in self.edges:
-            ends = [end[0] if end is not None else _EXT for end in e.ends]
-            darts.append((e.eid, ends[0]))
-            darts.append((e.eid, ends[1]))
-
-        def next_dart(dart):
-            eid, head = dart
-            order = ccw_edges[head]
-            idx = order.index(eid)
-            out_eid = order[(idx + 1) % len(order)]
-            return (out_eid, head_of(out_eid, head))
-
-        remaining = set(darts)
-        external_faces, internal_faces = [], []
-        while remaining:
-            start = min(remaining)
-            face_darts = []
-            d = start
-            while True:
-                face_darts.append(d)
-                remaining.discard(d)
-                d = next_dart(d)
-                if d == start:
-                    break
-            corners = []
-            through_ext = False
-            for (eid, head) in face_darts:
-                if head == _EXT:
-                    through_ext = True
-                    continue
-                slot = self._slot_of(eid, head)
-                region = REGION_AFTER[self.vertices[head]][slot]
-                corners.append((head, region))
-            if through_ext:
-                external_faces.append((face_darts, corners))
-            else:
-                internal_faces.append(corners)
-        return external_faces, internal_faces
+            a, b = (end or outer_end[e.eid] for end in e.ends)
+            twin[a], twin[b] = b, a
+        faces, seen = [], set()
+        for h in sorted(rot, key=key.__getitem__):
+            if h in seen:
+                continue
+            corners, outer = [], []
+            while h not in seen:
+                seen.add(h)
+                vid, slot = h
+                if vid is _OUTSIDE:
+                    outer.append(slot)
+                else:
+                    corners.append(
+                        (vid, REGION_AFTER[self.vertices[vid]][slot]))
+                h = twin[rot[h]]
+            faces.append((corners, outer))
+        return faces
 
     def _edge_at(self, vid, slot):
         try:
             return self._slot_edge[(vid, slot)]
         except KeyError:
             raise StructureError(f"no edge at {(vid, slot)}") from None
-
-    def _orient_external(self):
-        """For a 2-stub structure: (left corners, right corners)."""
-        if len(self.external) != 2:
-            return None, None
-        bottom, top = self.external
-        left = right = None
-        for face_darts, corners in self.external_faces:
-            dart_eids = {eid for eid, head in face_darts if head != _EXT}
-            # the face leaving the outside vertex along `top` is the left one
-            for i, (eid, head) in enumerate(face_darts):
-                if head == _EXT:
-                    out_eid, _ = face_darts[(i + 1) % len(face_darts)]
-                    if out_eid == top:
-                        left = corners
-                    elif out_eid == bottom:
-                        right = corners
-        if left is None or right is None:
-            raise StructureError("could not orient the external boundary")
-        return left, right
 
     def external_walls(self):
         return tuple(self.edge_by_id[eid].wall for eid in self.external)
@@ -462,11 +425,12 @@ def compound_from_json(doc: dict) -> CompoundDefect:
             walls = [BimoduleLabel.parse(t, p) for t in doc["walls"]]
             return associator_compound(*walls, corners=corners)
         raise StructureError(f"unknown template {template!r}")
-    vertices = {}
     vertex_docs = {}
     for v in doc["vertices"]:
-        vertices[v["id"]] = v["template"]
+        if v["id"] in vertex_docs:
+            raise StructureError(f"duplicate vertex id {v['id']!r}")
         vertex_docs[v["id"]] = v
+    vertices = {vid: v["template"] for vid, v in vertex_docs.items()}
     edges = []
     for e in doc["edges"]:
         ends = []

@@ -260,7 +260,7 @@ def test_criterion_7_decomposition_completeness():
             from annulus.structures import vertical_compound
 
             qr = QuotientRep(vertical_compound(d1, d2))
-            out = decompose(qr, check_complete=False)
+            out = decompose(qr)
             verify_completeness(qr, out)
             checked += 1
         for _ in range(6):
@@ -271,7 +271,7 @@ def test_criterion_7_decomposition_completeness():
             names = associator_corner_names(m, n, pw)
             corners = {nm: rng.randrange(p) for nm in names}
             qr = QuotientRep(associator_compound(m, n, pw, corners))
-            out = decompose(qr, check_complete=False)
+            out = decompose(qr)
             verify_completeness(qr, out)
             checked += 1
     _report(7, f"sum_d mult*dim(grade) == quotient dim on every grade ({checked} random structures; also enforced inside every decompose above)", t0)

@@ -308,6 +308,40 @@ def test_an_unknown_name_in_a_document_is_named(tmp_path, command, doc,
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    # a second entry must not silently replace the first
+    ("decompose", _malformed_structure(lambda d: d["vertices"].append(
+        {**d["vertices"][0], "defect": "XkXk(a=1,x=0;k=1)"})),
+     "bad structure document: duplicate vertex id 'v1'"),
+    ("lw", _malformed_patch(lambda d: d["vertices"].append(d["vertices"][3])),
+     "bad patch document: duplicate vertex id 'h0_b'"),
+], ids=["decompose", "lw"])
+def test_a_repeated_vertex_id_is_named(tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    assert r.returncode == 6, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_a_vertex_named_like_the_outside_decomposes_as_any_other(tmp_path):
+    """No vertex id can stand for the outside of the disc."""
+    doc = compound_to_json(vertical_compound(
+        parse_defect("XkF0(x=1;k=1)", 3), parse_defect("F0Xl(x=2;l=1)", 3)))
+    out = []
+    for name in ("v1", "__ext__"):
+        doc["vertices"][0]["id"] = name
+        for end in (doc["edges"][0]["to"], doc["edges"][1]["from"]):
+            end[0] = name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("decompose", str(path))
+        assert r.returncode == 0, r.stderr
+        out.append(r.stdout)
+    assert out[0] == out[1]
+
+
 def test_lw_violated_term_report(tmp_path):
     from annulus.levinwen import hexagon_chain_patch
 

@@ -11,12 +11,14 @@ from annulus.engine import (
     QuotientRep, SizeLimitError, apply_idempotent, boundary_action,
     bubble_action, decompose, edge_labels_of, enumerate_basis,
 )
+from annulus.levinwen import defect_line_patch, hexagon_chain_patch
 from annulus.reps import BivalentRep
 from annulus.scalars import CycField, mod_inverse
 from annulus.structures import (
-    BUBBLE_SIGN, CompoundDefect, Edge, DomainWallStructure, StructureError,
-    associator_compound, associator_corner_names, compound_from_json,
-    compound_to_json, horizontal_compound, vertical_compound,
+    BUBBLE_SIGN, TEMPLATE_CCW, CompoundDefect, Edge, DomainWallStructure,
+    StructureError, associator_compound, associator_corner_names,
+    compound_from_json, compound_to_json, horizontal_compound,
+    horizontal_corner_names, vertical_compound,
 )
 from annulus.walls import all_walls, wall
 from matrix_quotient import cavity_symmetrizer
@@ -56,6 +58,66 @@ def test_associator_faces():
     cavs = [set(c) for c in s.cavities]
     assert {("v1", "mid"), ("v2", "left"), ("v3", "mid")} in cavs
     assert {("v2", "mid"), ("v3", "right"), ("v4", "mid")} in cavs
+
+
+def _euler_characteristic(s):
+    """V - E + F of a structure's traced faces, the outside counted as one
+    vertex when there are stubs."""
+    return (len(s.vertices) + bool(s.external) - len(s.edges)
+            + len(s._trace_faces()))
+
+
+def _template_structures(p):
+    walls = all_walls(p)
+    for m, n, pw in itertools.product(walls, repeat=3):
+        corners = dict.fromkeys(associator_corner_names(m, n, pw), 0)
+        yield associator_compound(m, n, pw, corners).structure
+        yield vertical_compound(enumerate_defects(m, n)[0],
+                                enumerate_defects(n, pw)[0]).structure
+    for a, b, c, d in itertools.product(walls, repeat=4):
+        d1, d2 = enumerate_defects(a, b)[0], enumerate_defects(c, d)[0]
+        corners = dict.fromkeys(horizontal_corner_names(d1, d2), 0)
+        yield horizontal_compound(d1, d2, corners.get("bottom"),
+                                  corners.get("top")).structure
+
+
+def _patch_structure(patch):
+    """A lattice patch read as a structure, its dangling edges the stubs.
+    `external` lists the stubs in the reverse of the order a walk around the
+    outer boundary meets them, turning to the next slot counterclockwise at
+    each vertex, as a face walk does."""
+    templates = {vid: rep.direction for vid, rep in patch.vertices.items()}
+    first = next(e for e in patch.edges if None in e.ends)
+    (vid, slot), order, e = next(filter(None, first.ends)), [], None
+    while e is not first:
+        ccw = TEMPLATE_CCW[templates[vid]]
+        slot = ccw[(ccw.index(slot) + 1) % len(ccw)]
+        e = patch._slot_edge[(vid, slot)]
+        far = e.ends[1] if e.ends[0] == (vid, slot) else e.ends[0]
+        if far is None:
+            order.append(e.eid)  # out to the boundary and back
+        else:
+            vid, slot = far
+    return DomainWallStructure(patch.p, templates, patch.edges, order[::-1])
+
+
+def test_traced_faces_satisfy_eulers_formula():
+    """V - E + F = 2 on the sphere: for every p = 2, 3 template structure,
+    for hexagon chains and the defect line read as structures, and for a
+    self-loop, whose two sides are two faces."""
+    for p in (2, 3):
+        for s in _template_structures(p):
+            assert _euler_characteristic(s) == 2
+        for patch in [defect_line_patch(p)] + [
+                hexagon_chain_patch(p, n) for n in (1, 2, 4)]:
+            s = _patch_structure(patch)
+            assert len(s.cavities) == len(patch.faces)
+            assert _euler_characteristic(s) == 2
+    d = parse_defect("TT(a=0,b=0)", 3)
+    loop = [Edge("loop", d.lower, (("v", "lower"), ("v", "upper")))]
+    s = DomainWallStructure(3, {"v": "bivalent"}, loop, [])
+    assert s.cavities == [[("v", "right")], [("v", "left")]]
+    assert _euler_characteristic(s) == 2
 
 
 def test_wall_mismatch_rejected():
