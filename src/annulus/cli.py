@@ -101,20 +101,22 @@ def cmd_fuse_vertical(args):
     d2, c2 = _parse_defect(args.defects[1], args.p)
     if c1 or c2:
         raise CliError(EXIT_PARSE, "vertical fusion takes no corner annotations")
-    _emit(_run_driver(vertical_fuse, d1, d2).to_json(), args.format)
+    _emit(_call(EXIT_WALLS, vertical_fuse, d1, d2).to_json(), args.format)
 
 
-def _run_driver(driver, *args, **kwargs):
-    """Call a fusion or associator driver; its errors leave as exit codes:
-    a size limit 4, a bad corner assignment 2, mismatched walls 3."""
+def _call(structure_code, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its errors leaving as exit codes: a size limit
+    4, a bad corner assignment 2 and any other StructureError
+    `structure_code` (3, mismatched walls, for the fusion drivers; 6 for a
+    document's structure or patch)."""
     try:
-        return driver(*args, **kwargs)
+        return fn(*args, **kwargs)
     except SizeLimitError as exc:
         raise CliError(EXIT_SIZE, str(exc))
     except CornerError as exc:
         raise CliError(EXIT_PARSE, str(exc))
     except StructureError as exc:
-        raise CliError(EXIT_WALLS, str(exc))
+        raise CliError(structure_code, str(exc))
 
 
 def cmd_fuse_horizontal(args):
@@ -122,7 +124,7 @@ def cmd_fuse_horizontal(args):
     d1, c1 = _parse_defect(args.defects[0], args.p)
     d2, c2 = _parse_defect(args.defects[1], args.p)
     corners = _merge_corners(args, c1, c2)
-    result = _run_driver(horizontal_fuse, d1, d2, corners)
+    result = _call(EXIT_WALLS, horizontal_fuse, d1, d2, corners)
     _emit(result.to_json(), args.format)
 
 
@@ -162,7 +164,8 @@ def cmd_associator(args):
         walls = [BimoduleLabel.parse(t, args.p) for t in args.walls]
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    result = _run_driver(associator, *walls, corners=_merge_corners(args))
+    result = _call(EXIT_WALLS, associator, *walls,
+                   corners=_merge_corners(args))
     if args.golden:
         _diff_golden([result], args.golden)
     _emit(result.to_json(), args.format)
@@ -216,10 +219,7 @@ def cmd_table(args):
         _refuse_ignored(f"table {args.kind}", ("--golden", args.golden))
     if args.output:
         _check_output(args.output)
-    try:
-        doc = generate_table(args.kind, args.p)
-    except SizeLimitError as exc:
-        raise CliError(EXIT_SIZE, str(exc))
+    doc = _call(EXIT_WALLS, generate_table, args.kind, args.p)
     if args.kind == "associator" and args.golden:
         _diff_golden([FusionResult.from_json(e) for e in doc["entries"]],
                      args.golden)
@@ -250,13 +250,8 @@ def _load_document(load, path, what):
 
 def cmd_decompose(args):
     cd = _load_document(load_compound, args.structure, "structure")
-    try:
-        qr = QuotientRep(cd)
-        result = decompose(qr)
-    except SizeLimitError as exc:
-        raise CliError(EXIT_SIZE, str(exc))
-    except StructureError as exc:
-        raise CliError(EXIT_STRUCTURE, str(exc))
+    qr = _call(EXIT_STRUCTURE, QuotientRep, cd)
+    result = _call(EXIT_STRUCTURE, decompose, qr)
     if result is qr:
         doc = {
             "p": cd.p,
@@ -280,13 +275,8 @@ def cmd_decompose(args):
 
 def cmd_lw(args):
     patch = _load_document(load_patch, args.patch, "patch")
-    try:
-        commute = patch.check_commutation()
-        dim = patch.ground_space_dim()
-    except SizeLimitError as exc:
-        raise CliError(EXIT_SIZE, str(exc))
-    except StructureError as exc:
-        raise CliError(EXIT_STRUCTURE, str(exc))
+    commute = _call(EXIT_STRUCTURE, patch.check_commutation)
+    dim = _call(EXIT_STRUCTURE, patch.ground_space_dim)
     doc = {
         "p": patch.p,
         "faces": len(patch.faces),

@@ -600,11 +600,11 @@ def _apply_args(reps: dict, vec: tuple, vertex_args: list, N: int):
 
 
 def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
-    """The `_vertex_args` of one bubble or boundary generator, keyed by
-    `key`, with the action memos of cd's reps. The per-vertex args, from
-    build() -> {vertex: args}, are built once per structure, so the
-    compounds of a corner sweep share them; each compound keeps its own
-    list of memos."""
+    """The `_vertex_args` of one bubble, boundary or lattice-face
+    generator, keyed by `key`, with the action memos of cd's reps. The
+    per-vertex args, from build() -> {vertex: args}, are built once per
+    structure, so the compounds of a corner sweep share them; each compound
+    keeps its own list of memos."""
     cache = cd.__dict__.setdefault("_generator_args", {})
     out = cache.get(key)
     if out is None:

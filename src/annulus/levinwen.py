@@ -7,23 +7,28 @@ face terms insert a group-labeled loop in the face and absorb it into the six
 surrounding vertices, shifting the face's edge labels accordingly. All
 operators are exact projectors on the finite patch.
 
-A patch runs on the compound engine's code: the edges and incidence check of
-`structures`, and the engine's basis solve, loop args, checked generator
-tables and orbit count, with each face handled as a cavity's bubble is.
+A patch is a compound defect: its vertices and edges form a domain wall
+structure whose stubs are the dangling edges, and its faces are internal
+faces of that structure. The structure validates the patch and traces its
+faces, and the engine's basis solve, loop args, checked generator tables and
+orbit count run on the compound, each face handled as a cavity's bubble is.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
 from .engine import (
-    _cyclic_generators, _loop_args, _monomial_orbits,
-    _solve_basis, _vertex_args, _with_memos,
+    _cyclic_generators, _generator_args, _loop_args, _monomial_orbits,
+    _solve_basis, edge_labels_of,
 )
 from .reps import TrivalentRep
 from .scalars import cyc_field
-from .structures import StructureError, check_incidence
+from .structures import (
+    CompoundDefect, DomainWallStructure, StructureError, corner_multiset,
+)
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
 
@@ -31,15 +36,18 @@ from .walls import STAR, BimoduleLabel
 class LatticePatch:
     """Finite honeycomb fragment with explicit faces and boundary policy.
 
-    edges: `structures.Edge`s, validated by `structures.check_incidence`
-    as a structure's are; faces: list of corner lists [(vid, region), ...];
-    pinned: {eid: object} fixing dangling edge values (free dangling edges
-    enumerate all objects). The consistent basis is solved over F_p by the
-    engine's `_solve_basis`; ANNULUS_MAX_BASIS bounds its size before any
-    state is built. A face is a loop, as a cavity is: the engine's
-    `_loop_args` gives its args, and `_cyclic_generators` builds the table
-    of H_{f,1}, the only face table kept, and checks the group law, as it
-    does for a compound's bubbles.
+    edges: `structures.Edge`s; faces: list of corner lists [(vid, region),
+    ...]; pinned: {eid: object} fixing dangling edge values (free dangling
+    edges enumerate all objects). `compound` is the patch read as a
+    compound defect, over a `DomainWallStructure` whose stubs are the
+    dangling edges: the structure checks the edges, walls and incidence,
+    and every face must be one of its traced internal faces, as a multiset
+    of corners; any subset of them may be given. The consistent basis is
+    solved over F_p by the engine's `_solve_basis`; ANNULUS_MAX_BASIS
+    bounds its size before any state is built. A face is a loop, as a
+    cavity is: the engine's `_loop_args` gives its args, and
+    `_cyclic_generators` builds the table of H_{f,1}, the only face table
+    kept, and checks the group law, as it does for a compound's bubbles.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -47,28 +55,17 @@ class LatticePatch:
         self.p = p
         self.field = cyc_field(p)
         self.vertices: dict[str, TrivalentRep] = dict(vertices)
-        self._templates = {vid: rep.direction
-                           for vid, rep in self.vertices.items()}
         self.edges = list(edges)
-        self.edge_by_id = {e.eid: e for e in self.edges}
         self.faces = [list(f) for f in faces]
         self.pinned = dict(pinned or {})
-        self._slot_edge = check_incidence(self._templates, self.edges)
-        self._validate()
-        self._order = list(self.vertices)
-        self._basis = None
-        self._face_args_cache: dict = {}
-        self._gens = None
-
-    def _validate(self):
-        for (vid, slot), e in self._slot_edge.items():
-            wall = self.vertices[vid].wall_of_slot(slot)
-            if wall != e.wall:
-                raise StructureError(
-                    f"edge {e.eid}: wall {e.wall.name()} != vertex "
-                    f"{vid} slot wall {wall.name()}")
+        structure = DomainWallStructure(
+            p, {vid: rep.direction for vid, rep in self.vertices.items()},
+            self.edges, [e.eid for e in self.edges if None in e.ends])
+        self.compound = CompoundDefect(structure, self.vertices)
+        self._edge_at = structure._edge_at
+        self._basis = self._gens = None
         for eid in self.pinned:
-            e = self.edge_by_id.get(eid)
+            e = structure.edge_by_id.get(eid)
             if e is None:
                 raise StructureError(f"pinned edge {eid!r} is no edge of the "
                                      "patch")
@@ -76,38 +73,26 @@ class LatticePatch:
                 raise StructureError(f"cannot pin interior edge {eid}")
             if self.pinned[eid] not in e.wall.simple_objects():
                 raise StructureError(f"pin value for {eid} is not an object")
-        for face in self.faces:
-            for vid, region in face:
-                if vid not in self.vertices:
-                    raise StructureError(f"face references unknown vertex {vid}")
-                if region not in ("left", "right", "mid"):
-                    raise StructureError(f"bad region {region!r}")
+        traced = set(map(corner_multiset, structure.cavities))
+        for i, face in enumerate(self.faces):
+            if corner_multiset(face) not in traced:
+                raise StructureError(f"face {i} is no face of the patch")
 
     # -- basis ------------------------------------------------------------
 
     def vertex_order(self):
-        return list(self._order)
+        return self.compound.vertex_order
 
     def consistent_basis(self):
         """States where every edge label equals both endpoint gradings and
         pinned values; these span the common kernel of all vertex terms."""
         if self._basis is None:
-            self._basis = _solve_basis(self._order, self.vertices,
+            self._basis = _solve_basis(self.vertex_order(), self.vertices,
                                        self._edge_at, self.pinned, "patch")
         return self._basis
 
-    def _edge_at(self, vid, slot):
-        try:
-            return self._slot_edge[(vid, slot)]
-        except KeyError:
-            raise StructureError(f"no edge at {(vid, slot)}") from None
-
     def edge_labels_of(self, state):
-        labels = {}
-        for vid, vec in zip(self.vertex_order(), state):
-            for slot, lab in self.vertices[vid].edge_labels(vec).items():
-                labels[self._edge_at(vid, slot).eid] = lab
-        return labels
+        return edge_labels_of(self.compound, state)
 
     # -- operators ---------------------------------------------------------
 
@@ -117,7 +102,8 @@ class LatticePatch:
 
         The plain path, independent of the memos and tables below: the
         exponents of the vertices' `act` summed, then made a root."""
-        args = _loop_args(self.faces[face_idx], self._templates, g)
+        args = _loop_args(self.faces[face_idx],
+                          self.compound.structure.vertices, g)
         k = 0
         out = []
         for vid, vec in zip(self.vertex_order(), state):
@@ -130,23 +116,11 @@ class LatticePatch:
 
     def _face_args(self, face_idx: int, g: int) -> list:
         """[(position, vertex, args, action memo)] of the g-labeled loop in
-        one face, for every vertex it touches."""
-        key = (face_idx, g)
-        out = self._face_args_cache.get(key)
-        if out is None:
-            out = self._face_args_cache[key] = _with_memos(
-                _vertex_args(self._order, _loop_args(
-                    self.faces[face_idx], self._templates, g)),
-                self.vertices)
-        return out
-
-    def _vertex_act(self, vid, args, memo, vec):
-        """One vertex action: (k in Z/N, new local vector), the phase being
-        zeta_N^k, memoised on the vertex's rep as the engine does."""
-        hit = memo.get(vec)
-        if hit is None:
-            hit = memo[vec] = self.vertices[vid].act(vec, args)
-        return hit
+        one face: the compound's generator args, built once per (face, g)."""
+        return _generator_args(
+            self.compound, ("face", face_idx, g),
+            lambda: _loop_args(self.faces[face_idx],
+                               self.compound.structure.vertices, g))
 
     def _face_generators(self) -> list:
         """gens[f][i] = (j, k): H_{f,1} sends consistent basis state i to
@@ -167,22 +141,18 @@ class LatticePatch:
         """Per-vertex count of violated edge-match terms for a raw state whose
         edge degrees of freedom are given explicitly. The state must hold one
         local basis vector per vertex, in vertex order."""
-        if len(state) != len(self._order):
+        if len(state) != len(self.vertices):
             raise StructureError(
                 f"state has {len(state)} vertex vectors, patch has "
-                f"{len(self._order)} vertices")
-        for vid, vec in zip(self._order, state):
-            if vec not in self.vertices[vid].basis():
-                raise StructureError(
-                    f"vertex {vid}: {list(vec)} is not a local basis vector")
+                f"{len(self.vertices)} vertices")
         report = {}
         for vid, vec in zip(self.vertex_order(), state):
             rep = self.vertices[vid]
-            bad = 0
-            for slot, lab in rep.edge_labels(vec).items():
-                eid = self._edge_at(vid, slot).eid
-                if edge_values.get(eid, lab) != lab:
-                    bad += 1
+            if vec not in rep.basis():
+                raise StructureError(
+                    f"vertex {vid}: {list(vec)} is not a local basis vector")
+            bad = sum(edge_values.get(self._edge_at(vid, slot).eid, lab) != lab
+                      for slot, lab in rep.edge_labels(vec).items())
             if bad:
                 report[vid] = bad
         return report
@@ -198,42 +168,38 @@ class LatticePatch:
         """
         N = self.field.N
         report = {"faces": len(self.faces), "face_pairs": 0, "ok": True}
+        # at[f][g]: {vertex: (args, memo)} of the g-labeled loop in face f
+        at = [[{vid: (args, memo)
+                for _, vid, args, memo in self._face_args(f, g)}
+               for g in range(self.p)] for f in range(len(self.faces))]
         for i, j in itertools.combinations(range(len(self.faces)), 2):
             shared = {v for v, _ in self.faces[i]} & {v for v, _ in self.faces[j]}
             if not shared:
                 continue
             report["face_pairs"] += 1
-            for g in range(self.p):
-                for h in range(self.p):
-                    mismatch = sum(
-                        self._vertex_commutator_phase(vid, i, j, g, h)
-                        for vid in shared)
-                    if mismatch % N:
-                        report["ok"] = False
-                        report.setdefault("violations", []).append(
-                            {"faces": [i, j], "g": g, "h": h})
+            for g, h in itertools.product(range(self.p), repeat=2):
+                mismatch = sum(
+                    self._vertex_commutator_phase(self.vertices[vid],
+                                                  at[i][g][vid], at[j][h][vid])
+                    for vid in shared)
+                if mismatch % N:
+                    report["ok"] = False
+                    report.setdefault("violations", []).append(
+                        {"faces": [i, j], "g": g, "h": h})
         return report
 
-    def _args_at(self, face_idx, g, vid):
-        """(args, memo) of the g-labeled loop in a face at one vertex."""
-        for _, v, args, memo in self._face_args(face_idx, g):
-            if v == vid:
-                return args, memo
-        raise KeyError(vid)
-
-    def _vertex_commutator_phase(self, vid, face_i, face_j, g, h) -> int:
-        """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at one
-        vertex; k must be state-independent (asserted by evaluation over the
-        full local basis)."""
-        ai, mi = self._args_at(face_i, g, vid)
-        aj, mj = self._args_at(face_j, h, vid)
+    def _vertex_commutator_phase(self, rep, loop_i, loop_j) -> int:
+        """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at a vertex
+        of rep, from the (args, memo) there of U_i(g) and U_j(h); k must be
+        state-independent (asserted on the full local basis)."""
         N = self.field.N
+        ti, tj = (_full_memo(rep, *loop) for loop in (loop_i, loop_j))
         ratio = None
-        for vec in self.vertices[vid].basis():
-            p1, v1 = self._vertex_act(vid, aj, mj, vec)
-            p2, v2 = self._vertex_act(vid, ai, mi, v1)
-            q1, w1 = self._vertex_act(vid, ai, mi, vec)
-            q2, w2 = self._vertex_act(vid, aj, mj, w1)
+        for vec in rep.basis():
+            p1, v1 = tj[vec]
+            p2, v2 = ti[v1]
+            q1, w1 = ti[vec]
+            q2, w2 = tj[w1]
             if v2 != w2:
                 raise StructureError("face relabelings do not commute")
             r = (p1 + p2 - q1 - q2) % N
@@ -268,6 +234,16 @@ class LatticePatch:
         return len(found[1])
 
 
+def _full_memo(rep, args, memo: dict) -> dict:
+    """memo, rep's action memo for args, filled for every local vector. Its
+    keys are local vectors, and an action maps the local basis to itself."""
+    if len(memo) < len(rep.basis()):
+        for x in rep.basis():
+            if x not in memo:
+                memo[x] = rep.act(x, args)
+    return memo
+
+
 # --------------------------------------------------------------------------
 # Patch builders
 # --------------------------------------------------------------------------
@@ -283,9 +259,12 @@ def hexagon_chain_patch(p: int, n_faces: int, wall_name: str = "Xk:1",
     """A horizontal chain of hexagons, all edges on one wall (the bulk model).
 
     Interior vertices alternate 2:1 / 1:2; dangling edges are pinned to the
-    wall's first simple object unless pin=False.
+    wall's first simple object unless pin=False. Every 2:1 vertex holds one
+    rep, and so does every 1:2 vertex, so equal vertices share their action
+    memos as the compounds of a corner sweep do.
     """
     w = BimoduleLabel.parse(wall_name, p)
+    tri21, tri12 = TrivalentRep("tri21", w, w), TrivalentRep("tri12", w, w)
     vertices: dict[str, TrivalentRep] = {}
     edges: list[PatchEdge] = []
     faces = []
@@ -304,15 +283,15 @@ def hexagon_chain_patch(p: int, n_faces: int, wall_name: str = "Xk:1",
         names = _hex_vertex_names(i)
         # left column shared with previous hexagon
         if i == 0:
-            vertices[names["ul"]] = TrivalentRep("tri12", w, w)
-            vertices[names["ll"]] = TrivalentRep("tri21", w, w)
+            vertices[names["ul"]] = tri12
+            vertices[names["ll"]] = tri21
             add_edge(f"h{i}_w", ((names["ul"], "bottom"), (names["ll"], "top")))
             dangle(f"h{i}_ul_r", (names["ul"], "tl"))
             dangle(f"h{i}_ll_r", (names["ll"], "bl"))
-        vertices[names["t"]] = TrivalentRep("tri21", w, w)
-        vertices[names["b"]] = TrivalentRep("tri12", w, w)
-        vertices[names["ur"]] = TrivalentRep("tri12", w, w)
-        vertices[names["lr"]] = TrivalentRep("tri21", w, w)
+        vertices[names["t"]] = tri21
+        vertices[names["b"]] = tri12
+        vertices[names["ur"]] = tri12
+        vertices[names["lr"]] = tri21
         ul = names["ul"] if i == 0 else _hex_vertex_names(i - 1)["ur"]
         ll = names["ll"] if i == 0 else _hex_vertex_names(i - 1)["lr"]
         add_edge(f"h{i}_nw", ((ul, "tr"), (names["t"], "bl")))
@@ -337,7 +316,8 @@ def hexagon_chain_patch(p: int, n_faces: int, wall_name: str = "Xk:1",
 def defect_line_patch(p: int) -> LatticePatch:
     """Two hexagons in an X_1 bulk crossed by F_0, T and L defect lines
     meeting at a junction on the shared edge (the defect-line ground-state
-    configuration)."""
+    configuration). Vertices with equal templates and walls hold one rep."""
+    tri = functools.cache(TrivalentRep)
     x1 = BimoduleLabel("X", 1, p)
     f0 = BimoduleLabel("F", 0, p)
     tw = BimoduleLabel("T", None, p)
@@ -345,17 +325,17 @@ def defect_line_patch(p: int) -> LatticePatch:
 
     vertices = {
         # hexagon boundary, left cell
-        "ul0": TrivalentRep("tri12", x1, x1),
-        "ll0": TrivalentRep("tri21", x1, x1),
-        "t0": TrivalentRep("tri21", x1, x1),
+        "ul0": tri("tri12", x1, x1),
+        "ll0": tri("tri21", x1, x1),
+        "t0": tri("tri21", x1, x1),
         # junction: F_0 (from hexagon 0) and T (hexagon 1) merge into L
-        "b0": TrivalentRep("tri12", x1, f0),      # lower-left of hexagon 0
-        "jn": TrivalentRep("tri21", f0, tw),      # bottom of the shared edge
-        "tj": TrivalentRep("tri12", x1, lw),      # top of the shared edge
-        "t1": TrivalentRep("tri21", lw, x1),      # L line exits upward here
-        "b1": TrivalentRep("tri12", tw, x1),      # lower-right, T line enters
-        "ur1": TrivalentRep("tri12", x1, x1),
-        "lr1": TrivalentRep("tri21", x1, x1),
+        "b0": tri("tri12", x1, f0),      # lower-left of hexagon 0
+        "jn": tri("tri21", f0, tw),      # bottom of the shared edge
+        "tj": tri("tri12", x1, lw),      # top of the shared edge
+        "t1": tri("tri21", lw, x1),      # L line exits upward here
+        "b1": tri("tri12", tw, x1),      # lower-right, T line enters
+        "ur1": tri("tri12", x1, x1),
+        "lr1": tri("tri21", x1, x1),
     }
     edges = [
         PatchEdge("w0", x1, (("ul0", "bottom"), ("ll0", "top"))),
@@ -412,9 +392,8 @@ def patch_from_json(doc: dict) -> LatticePatch:
     for e in doc["edges"]:
         ends = tuple(tuple(end) if end else None for end in e["ends"])
         edges.append(PatchEdge(e["id"], BimoduleLabel.parse(e["wall"], p), ends))
-    pinned = {}
-    for eid, value in (doc.get("pinned") or {}).items():
-        pinned[eid] = tuple(value) if isinstance(value, list) else value
+    pinned = {eid: tuple(value) if isinstance(value, list) else value
+              for eid, value in (doc.get("pinned") or {}).items()}
     faces = [[(vid, region) for vid, region in face] for face in doc["faces"]]
     return LatticePatch(p, vertices, edges, faces, pinned)
 

@@ -3,13 +3,16 @@
 A structure is combinatorial: vertices carry a template fixing the cyclic
 (counterclockwise) order of their edge slots, so faces can be traced from the
 rotation system alone; no geometric embedding is ever computed. Cavities are
-declared by callers (or derived) and validated against the traced faces; the
-two external regions are always derived.
+declared by callers (or derived) and validated against the traced faces, as
+multisets of corners; the two external regions are always derived. A
+Levin-Wen lattice patch is read as a structure too, its dangling edges the
+stubs and its faces among the derived cavities.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .defects import DefectLabel, parse_defect
@@ -62,8 +65,7 @@ def check_incidence(templates: dict, edges: list) -> dict:
     template} and return {(vid, slot): edge}. Edge ids are unique; every
     edge has two ends, not both dangling; every vertex has a known template;
     every end names a known vertex and one of its template's slots; and
-    every slot of every vertex is used by exactly one edge. Structures and
-    lattice patches share this check."""
+    every slot of every vertex is used by exactly one edge."""
     for vid, template in templates.items():
         if template not in TEMPLATE_SLOTS:
             raise StructureError(
@@ -96,13 +98,21 @@ def check_incidence(templates: dict, edges: list) -> dict:
     return slot_edge
 
 
+def corner_multiset(corners) -> frozenset:
+    """The corners [(vid, region), ...] of a face or cavity as a hashable
+    multiset: order does not count, and a corner listed twice counts twice,
+    as it adds its argument twice to a loop."""
+    return frozenset(Counter((vid, region) for vid, region in corners).items())
+
+
 class DomainWallStructure:
     """Validated combinatorial structure with traced faces.
 
     vertices: ordered {vid: template}; edges: list of Edge; external: stub
     edge ids in disc-boundary order ([bottom, top] for 2-string structures);
     cavities: list of corner lists [(vid, region), ...] (None derives them
-    from the internal faces).
+    from the internal faces). Declared cavities must be the internal faces,
+    in any order, each compared as a `corner_multiset`.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, external: list,
@@ -132,16 +142,12 @@ class DomainWallStructure:
                     self.left_face = corners
                 if 1 in outer:
                     self.right_face = corners
-        if len(self.external) == 2 and None in (self.left_face,
-                                                self.right_face):
-            raise StructureError("could not orient the external boundary")
         if cavities is None:
             self.cavities = internal
         else:
             self.cavities = [list(c) for c in cavities]
-            declared = {frozenset((v, r) for v, r in c) for c in self.cavities}
-            derived = {frozenset(c) for c in internal}
-            if declared != derived:
+            if (Counter(map(corner_multiset, self.cavities))
+                    != Counter(map(corner_multiset, internal))):
                 raise StructureError(
                     "declared cavities do not match the internal faces of the structure")
 

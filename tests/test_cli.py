@@ -217,8 +217,9 @@ def test_lw_command(tmp_path):
 
 
 def test_lw_open_face_exit_code(tmp_path):
-    """A face whose loop does not close leaves the consistent subspace: the
-    command exits with the structure code and no traceback."""
+    """A face whose loop does not close is no traced face of the patch: the
+    document is refused as it loads, with the structure code and no
+    traceback."""
     from annulus.levinwen import hexagon_chain_patch
 
     doc = patch_to_json(hexagon_chain_patch(3, 1))
@@ -227,7 +228,22 @@ def test_lw_open_face_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli("lw", str(path))
     assert r.returncode == 6
-    assert "face 0 left the consistent subspace" in r.stderr
+    assert "bad patch document: face 0 is no face of the patch" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_lw_merged_faces_exit_code(tmp_path):
+    """Two hexagons of a chain merged into one "face" are no face of the
+    patch: exit 6, naming the face, not a ground space of dimension 3."""
+    from annulus.levinwen import hexagon_chain_patch
+
+    doc = patch_to_json(hexagon_chain_patch(3, 2))
+    doc["faces"] = [doc["faces"][0] + doc["faces"][1]]
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lw", str(path))
+    assert r.returncode == 6, r.stdout
+    assert "bad patch document: face 0 is no face of the patch" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -92,7 +92,7 @@ def _patch_structure(patch):
     while e is not first:
         ccw = TEMPLATE_CCW[templates[vid]]
         slot = ccw[(ccw.index(slot) + 1) % len(ccw)]
-        e = patch._slot_edge[(vid, slot)]
+        e = patch.compound.structure._edge_at(vid, slot)
         far = e.ends[1] if e.ends[0] == (vid, slot) else e.ends[0]
         if far is None:
             order.append(e.eid)  # out to the boundary and back
@@ -480,6 +480,35 @@ def test_bad_cavity_declaration_rejected():
     doc["cavities"] = [[["vb", "left"], ["vt", "mid"]]]
     with pytest.raises(StructureError, match="cavities"):
         compound_from_json(doc)
+
+
+def test_a_cavity_listing_a_corner_twice_is_refused():
+    """A declared cavity is a multiset of corners: listing ("v4", "mid")
+    twice in cavity 1 of the p = 3 [T,R,L] associator would add its bubble
+    argument twice, and the quotient would read 0 instead of 9. Cavities
+    compared as sets let it pass."""
+    p = 3
+    walls = [wall(p, "T"), wall(p, "R"), wall(p, "L")]
+    corners = dict.fromkeys(associator_corner_names(*walls), 1)
+    doc = compound_to_json(associator_compound(*walls, corners))
+    assert QuotientRep(compound_from_json(doc)).total_dim() == 9
+    assert ["v4", "mid"] in doc["cavities"][1]
+    doc["cavities"][1].append(["v4", "mid"])
+    with pytest.raises(StructureError, match="declared cavities"):
+        compound_from_json(doc)
+    # the same corners in another order are the same cavity
+    doc["cavities"][1] = doc["cavities"][1][-2::-1]
+    assert QuotientRep(compound_from_json(doc)).total_dim() == 9
+
+
+def test_two_stub_structures_have_two_distinct_external_regions():
+    """Every outer stub end lies in one traced face, so both external
+    regions of a two-stub structure are found, non-empty and distinct."""
+    for p in (2, 3):
+        for s in _template_structures(p):
+            assert len(s.external) == 2
+            assert s.left_face and s.right_face
+            assert s.left_face != s.right_face
 
 
 def _assert_empty_quotient(qr):

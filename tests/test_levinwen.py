@@ -339,6 +339,33 @@ def test_unknown_pinned_edge_is_refused_by_name():
         LatticePatch(2, b.vertices, b.edges, b.faces, {"nope": 0})
 
 
+def test_a_face_must_be_a_traced_face_of_the_patch():
+    """A face is one internal face of the patch's structure, compared as a
+    multiset of corners: two merged hexagons, a corner listed twice and an
+    open loop are refused; reordered corners and any subset of the faces
+    are not."""
+    full = hexagon_chain_patch(3, 2)
+    merged = [full.faces[0] + full.faces[1]]
+    twice = [full.faces[0], full.faces[1] + full.faces[1][:1]]
+    open_loop = [full.faces[0][:-1]]
+    for faces in (merged, twice, open_loop):
+        with pytest.raises(StructureError,
+                           match=f"^face {len(faces) - 1} is no face of "
+                                 "the patch$"):
+            LatticePatch(3, full.vertices, full.edges, faces, full.pinned)
+    for faces in ([full.faces[1][::-1]], full.faces[:1], []):
+        LatticePatch(3, full.vertices, full.edges, faces, full.pinned)
+
+
+def test_a_wall_at_another_prime_is_named():
+    """A patch whose walls are at p = 2 built at p = 3 is refused by its
+    structure's wall check, not by a face's group law."""
+    b = hexagon_chain_patch(2, 1)
+    with pytest.raises(StructureError,
+                       match="wall modulus 2 != structure p=3"):
+        LatticePatch(3, b.vertices, b.edges, b.faces, b.pinned)
+
+
 def test_duplicate_edge_ids_are_refused():
     """An edge id used twice would merge two edges into one and drop the
     equations of the second, so the free chain would count 128 consistent
