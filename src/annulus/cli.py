@@ -20,9 +20,9 @@ from .fusion import (
     CornerError, FusionResult, associator, check_associator_against_golden,
     generate_table, horizontal_fuse, load_golden_associators, vertical_fuse,
 )
-from .levinwen import load_patch
+from .levinwen import patch_from_json
 from .scalars import is_prime
-from .structures import StructureError, load_compound
+from .structures import StructureError, compound_from_json
 from .walls import BimoduleLabel
 
 EXIT_PARSE = 2
@@ -236,20 +236,27 @@ def cmd_table(args):
         _emit(doc, args.format)
 
 
-def _load_document(load, path, what):
-    """load(path): an unreadable file is a usage error, and a malformed
-    document exits with the structure code as a "bad {what} document"."""
+def _load_document(build, path, what):
+    """build(the JSON object in the file at path): an unreadable file is a
+    usage error, and a malformed document exits with the structure code as
+    a "bad {what} document", naming a missing entry."""
     try:
-        return load(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise StructureError("expected a JSON object")
+        return build(doc)
     except OSError as exc:
         raise _unreadable(path, exc)
-    except (StructureError, ValueError, KeyError, TypeError, IndexError,
+    except KeyError as exc:
+        raise CliError(EXIT_STRUCTURE, f"bad {what} document: no {exc} entry")
+    except (StructureError, ValueError, TypeError, IndexError,
             AttributeError) as exc:
         raise CliError(EXIT_STRUCTURE, f"bad {what} document: {exc}")
 
 
 def cmd_decompose(args):
-    cd = _load_document(load_compound, args.structure, "structure")
+    cd = _load_document(compound_from_json, args.structure, "structure")
     qr = _call(EXIT_STRUCTURE, QuotientRep, cd)
     result = _call(EXIT_STRUCTURE, decompose, qr)
     if result is qr:
@@ -274,38 +281,23 @@ def cmd_decompose(args):
 
 
 def cmd_lw(args):
-    patch = _load_document(load_patch, args.patch, "patch")
+    patch = _load_document(patch_from_json, args.patch, "patch")
     commute = _call(EXIT_STRUCTURE, patch.check_commutation)
     dim = _call(EXIT_STRUCTURE, patch.ground_space_dim)
     doc = {
         "p": patch.p,
         "faces": len(patch.faces),
-        "consistent_states": len(patch.consistent_basis()),
+        "consistent_states": len(patch.ground_space.raw_basis),
         "commuting": commute["ok"],
         "ground_space_dim": dim,
     }
     if args.state:
-        try:
-            with open(args.state) as fh:
-                state_doc = json.load(fh)
-        except OSError as exc:
-            raise _unreadable(args.state, exc)
-        except ValueError as exc:
-            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
-        try:
-            edge_values = {
-                eid: (tuple(v) if isinstance(v, list) else v)
-                for eid, v in state_doc["edges"].items()}
-            state = tuple(tuple(v) for v in state_doc["vertices"])
-        except KeyError as exc:
-            raise CliError(EXIT_STRUCTURE,
-                           f"bad state document: no {exc} entry")
-        except (TypeError, AttributeError) as exc:
-            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
-        try:
-            doc["violated_terms"] = patch.violated_terms(edge_values, state)
-        except StructureError as exc:
-            raise CliError(EXIT_STRUCTURE, f"bad state document: {exc}")
+        doc["violated_terms"] = _load_document(
+            lambda state: patch.violated_terms(
+                {eid: (tuple(v) if isinstance(v, list) else v)
+                 for eid, v in state["edges"].items()},
+                tuple(tuple(v) for v in state["vertices"])),
+            args.state, "state")
     _emit(doc, args.format)
 
 

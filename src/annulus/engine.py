@@ -14,13 +14,15 @@ pivot's column computed from the columns of the lower variables in its row.
 When the equations are inconsistent there is no labeling, and the quotient
 ends at the solve: every later step is vacuous on an empty basis. A bubble
 is a loop through its cavity's corners (`_loop_args`); it generates a strict
-Z/p action when Bub_u = Bub_1^u, which `_cyclic_generators` checks vertex by
-vertex (`_strict_cyclic`) as it builds Bub_1's table, each vertex's verdict
-once per rep key and loop args (`_vertex_cyclic`). A Levin-Wen face is a
-loop of the same kind and goes through the same two functions. The product
-of the cavity symmetrizers averages over G, so the quotient has one orbit
-sum per orbit whose stabilizer acts trivially (an admissible orbit), and a
-grade's dimension is its number of admissible orbits. Boundary generators
+Z/p action when Bub_u = Bub_1^u, which `QuotientRep` checks vertex by vertex
+(`_strict_cyclic`) as it builds Bub_1's table, each vertex's verdict once
+per rep key and loop args (`_vertex_cyclic`). A Levin-Wen patch is a
+compound whose pinned dangling edges are pins and whose faces are cavities,
+and its ground space is that compound's `QuotientRep`. The product of the
+cavity symmetrizers averages over G, so the quotient has one orbit sum per
+orbit whose stabilizer acts trivially (an admissible orbit), and a grade's
+dimension is its number of admissible orbits. Generators are compared, A B
+against B A, by one function (`_commutator_phases`). Boundary generators
 commute with G and map orbit sums to roots of unity times orbit sums, so a
 generator's trace (character) is the histogram over Z/N of the phases of the
 orbit sums it fixes. The multiplicity of a candidate defect is the trace of
@@ -370,44 +372,22 @@ def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:
     return labels
 
 
-def _external_grades(cd: CompoundDefect, basis: list) -> list[tuple]:
-    """Tuple of external-edge labels of every basis vector, in the
-    structure's boundary order. Each external edge's one vertex end is found
-    once; the enumerator already made the labeling consistent."""
+def _external_grades(cd: CompoundDefect, basis: list,
+                     stubs: list) -> list[tuple]:
+    """Tuple of the labels of the stubs `stubs` of every basis vector, in
+    the order given. Each stub's one vertex end is found once, and its label
+    read once per local vector that occurs there; the enumerator already
+    made the labeling consistent."""
     position = {vid: i for i, vid in enumerate(cd.vertex_order)}
-    ends = []
-    for eid in cd.structure.external:
+    columns = []
+    for eid in stubs:
         (vid, slot), = [end for end in cd.structure.edge_by_id[eid].ends
                         if end is not None]
-        ends.append((position[vid], cd.reps[vid], slot))
-    return [tuple(rep.edge_labels(vec[pos])[slot] for pos, rep, slot in ends)
-            for vec in basis]
-
-
-def _cyclic_generators(basis: list, index: dict, loops: list, reps: dict,
-                       N: int, left: str, not_cyclic: str,
-                       grade_of: list | None = None) -> list:
-    """The monomial table [(j, k)] of T_1 on `basis` for every loop c: T_1
-    sends state i to zeta_N^k times state j. loops[c][u] holds the vertex
-    args of loop c's T_u, for u = 0..p-1. An image that is no basis state,
-    or that lies in another grade when `grade_of` is given, raises
-    StructureError(left.format(c)); T_u != T_1^u (`_strict_cyclic`) raises
-    StructureError(not_cyclic.format(c)). The bubbles of a compound and the
-    faces of a lattice patch both come through here."""
-    tables = []
-    for c, acts in enumerate(loops):
-        gen = []
-        for i, vec in enumerate(basis):
-            k, new = _apply_args(reps, vec, acts[1], N)
-            j = index.get(new)
-            if j is None or (grade_of is not None
-                             and grade_of[j] != grade_of[i]):
-                raise StructureError(left.format(c))
-            gen.append((j, k))
-        if not _strict_cyclic(gen, basis, acts, reps, N):
-            raise StructureError(not_cyclic.format(c))
-        tables.append(gen)
-    return tables
+        pos, rep = position[vid], cd.reps[vid]
+        local = [vec[pos] for vec in basis]
+        label = {x: rep.edge_labels(x)[slot] for x in set(local)}
+        columns.append(list(map(label.__getitem__, local)))
+    return list(zip(*columns)) if columns else [()] * len(basis)
 
 
 def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
@@ -461,7 +441,7 @@ def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
         j, k, length = i, 0, 0
         while True:
             seen[j] = True
-            j, dk = gen[j]
+            dk, j = gen[j]
             k += dk
             length += 1
             if j == i or length == p:
@@ -505,7 +485,7 @@ def _vertex_cyclic(rep, by_u: list):
 
 def _monomial_orbits(n: int, gens: list, N: int):
     """Orbits of the group generated by commuting monomial tables
-    gens[c][i] = (j, k) on basis vectors 0..n-1.
+    gens[c][i] = (k, j) on basis vectors 0..n-1.
 
     Returns None if two generators do not commute (phases included).
     Otherwise returns (orbit, members): orbit[i] = (root, a) with root the
@@ -518,13 +498,8 @@ def _monomial_orbits(n: int, gens: list, N: int):
     Cost O(n * len(gens)^2)."""
     for c, gen in enumerate(gens):
         for other in gens[c + 1:]:
-            for i in range(n):
-                j1, k1 = gen[i]
-                j2, k2 = other[j1]
-                l1, m1 = other[i]
-                l2, m2 = gen[l1]
-                if j2 != l2 or (k1 + k2 - m1 - m2) % N:
-                    return None
+            if not _commutator_phases(gen, other, range(n), N) <= {0}:
+                return None
     orbit: list = [None] * n
     admissible = {}
     for root in range(n):
@@ -537,7 +512,7 @@ def _monomial_orbits(n: int, gens: list, N: int):
             i = stack.pop()
             a = orbit[i][1]
             for gen in gens:
-                j, k = gen[i]
+                k, j = gen[i]
                 b = (a + k) % N
                 seen = orbit[j]
                 if seen is None:
@@ -551,6 +526,24 @@ def _monomial_orbits(n: int, gens: list, N: int):
         if admissible[root]:
             members.setdefault(root, []).append(i)
     return orbit, members
+
+
+def _commutator_phases(a, b, states, N: int) -> set:
+    """The set of k in Z/N with A B x = zeta_N^k B A x over x in `states`,
+    with None in it when A B x and B A x are different states for some x:
+    A and B commute on `states` when the set is at most {0}. A and B are
+    monomial maps indexed by state, a[x] = (exponent, image), as `act`
+    returns them: generator tables or action memos. Bubbles are compared
+    with each other and with a boundary generator through here, and lattice
+    faces vertex by vertex."""
+    phases = set()
+    for x in states:
+        k1, y = b[x]
+        k2, y = a[y]
+        k3, z = a[x]
+        k4, z = b[z]
+        phases.add((k1 + k2 - k3 - k4) % N if y == z else None)
+    return phases
 
 
 def _loop_args(corners, template_of, g: int) -> dict:
@@ -600,11 +593,11 @@ def _apply_args(reps: dict, vec: tuple, vertex_args: list, N: int):
 
 
 def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
-    """The `_vertex_args` of one bubble, boundary or lattice-face
-    generator, keyed by `key`, with the action memos of cd's reps. The
-    per-vertex args, from build() -> {vertex: args}, are built once per
-    structure, so the compounds of a corner sweep share them; each compound
-    keeps its own list of memos."""
+    """The `_vertex_args` of one bubble or boundary generator, keyed by
+    `key`, with the action memos of cd's reps. The per-vertex args, from
+    build() -> {vertex: args}, are built once per structure, so the
+    compounds of a corner sweep share them; each compound keeps its own
+    list of memos."""
     cache = cd.__dict__.setdefault("_generator_args", {})
     out = cache.get(key)
     if out is None:
@@ -661,81 +654,113 @@ def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
 
 
 class QuotientRep:
-    """Bubble-invariant compound representation, graded by external labels.
+    """Bubble-invariant compound representation, graded by stub labels.
 
-    The bubbles Bub_{c,1} of the C cavities generate G = (Z/p)^C, which acts
-    monomially on the raw basis and keeps every grade; the product of the
-    cavity symmetrizers is G's averaging projector P. At each grade, im P
-    has one basis vector per admissible orbit of G: the orbit sum, which
-    `image` holds as a column {local index: zeta_N^a}. A boundary generator
-    commutes with G, so it sends each orbit sum to a root of unity times an
-    orbit sum."""
+    The bubbles Bub_{c,1} of the listed cavities (indices into the traced
+    ones, all by default) generate G = (Z/p)^C, which acts monomially on the
+    raw basis and keeps every grade; the product of the cavity symmetrizers
+    is G's averaging projector P. At each grade, im P has one basis vector
+    per admissible orbit of G: the orbit sum, which `image` holds as a
+    column {local index: zeta_N^a}. A boundary generator commutes with G,
+    so it sends each orbit sum to a root of unity times an orbit sum.
+    `pins` {stub id: object} fixes stubs, and the grade is the labels of the
+    others. Refusals name a loop by its position in `cavities`, worded by
+    the class attributes below; G's orbits are counted when first read."""
 
-    def __init__(self, cd: CompoundDefect):
+    basis_name = "compound"
+    left_grade = ("cavity {}: bubble action left the external grade; "
+                  "cavity declaration is inconsistent")
+    not_cyclic = ("cavity {}: cavity symmetrizer is not idempotent; "
+                  "slot conventions violated for this structure")
+    not_commuting = "bubbles of distinct cavities do not commute"
+
+    def __init__(self, cd: CompoundDefect, pins: dict | None = None,
+                 cavities=None):
         self.cd = cd
         self.field = cyc_field(cd.p)
-        self.raw_basis = enumerate_basis(cd)
+        self.cavities = list(range(len(cd.structure.cavities))
+                             if cavities is None else cavities)
+        # a compound's solve is `enumerate_basis`, its own traced stage
+        self.raw_basis = enumerate_basis(cd) if pins is None else _solve_basis(
+            cd.vertex_order, cd.reps, cd.structure._edge_at, pins,
+            self.basis_name)
         self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}
-        self._roots: dict = {}
-        self._members: dict = {}
         self._chars: dict = {}
         if not self.raw_basis:
             # no consistent labeling: every step below is vacuous, and the
             # structure has already validated what they would read
+            self._orbits = [], {}, {}, {}
             return
-        self._grade_of = _external_grades(cd, self.raw_basis)
+        self._grade_of = _external_grades(
+            cd, self.raw_basis,
+            [eid for eid in cd.structure.external if eid not in (pins or ())])
         for i, grade in enumerate(self._grade_of):
             self.grades.setdefault(grade, []).append(i)
         self._gens = self._bubble_generators()
-        found = _monomial_orbits(len(self.raw_basis), self._gens, self.field.N)
-        if found is None:
-            raise StructureError("bubbles of distinct cavities do not commute")
-        self._orbit, self._members = found
-        # the admissible orbit roots of every grade, in raw order, and the
-        # position of each root among those of its grade
-        self._roots = {grade: [] for grade in self.grades}
-        for root in self._members:
-            self._roots[self._grade_of[root]].append(root)
-        self._position = {root: pos for roots in self._roots.values()
-                          for pos, root in enumerate(roots)}
 
     def _bubble_generators(self) -> list:
-        """The table of Bub_{c,1} on the raw basis for every cavity c, once
-        it is checked to keep every grade and Bub_{c,u} to equal
-        Bub_{c,1}^u."""
-        cd = self.cd
-        loops = [[_bubble_args(cd, cav, u) for u in range(cd.p)]
-                 for cav in range(len(cd.structure.cavities))]
-        return _cyclic_generators(
-            self.raw_basis, self.raw_index, loops, cd.reps, self.field.N,
-            "cavity {}: bubble action left the external grade; "
-            "cavity declaration is inconsistent",
-            "cavity {}: cavity symmetrizer is not idempotent; "
-            "slot conventions violated for this structure", self._grade_of)
+        """The monomial table [(k, j)] of Bub_{c,1} on the raw basis for the
+        c-th listed cavity: it sends state i to zeta_N^k times state j. An
+        image that is no basis state or lies in another grade raises
+        `left_grade`, and Bub_{c,u} != Bub_{c,1}^u (`_strict_cyclic`)
+        `not_cyclic`, each naming c."""
+        cd, N = self.cd, self.field.N
+        index, grade_of = self.raw_index, self._grade_of
+        tables = []
+        for c, cavity in enumerate(self.cavities):
+            acts = [_bubble_args(cd, cavity, u) for u in range(cd.p)]
+            gen = []
+            for i, vec in enumerate(self.raw_basis):
+                k, new = _apply_args(cd.reps, vec, acts[1], N)
+                j = index.get(new)
+                if j is None or grade_of[j] != grade_of[i]:
+                    raise StructureError(self.left_grade.format(c))
+                gen.append((k, j))
+            if not _strict_cyclic(gen, self.raw_basis, acts, cd.reps, N):
+                raise StructureError(self.not_cyclic.format(c))
+            tables.append(gen)
+        return tables
+
+    @functools.cached_property
+    def _orbits(self) -> tuple:
+        """(orbit, members, roots, position): `_monomial_orbits`' orbit and
+        members, once G's generators are checked to commute, the admissible
+        orbit roots of every grade, in raw order, and the position of each
+        root among those of its grade."""
+        found = _monomial_orbits(len(self.raw_basis), self._gens, self.field.N)
+        if found is None:
+            raise StructureError(self.not_commuting)
+        orbit, members = found
+        roots = {grade: [] for grade in self.grades}
+        for root in members:
+            roots[self._grade_of[root]].append(root)
+        position = {root: pos for rs in roots.values()
+                    for pos, root in enumerate(rs)}
+        return orbit, members, roots, position
 
     @functools.cached_property
     def image(self) -> dict:
         """Per grade, one orbit-sum column {local index: zeta_N^a} for every
         admissible orbit, in the order of the orbits' first raw indices."""
+        orbit, members, roots, _ = self._orbits
         root_pow = self.field.root_pow
         out = {}
         for grade, idxs in self.grades.items():
             local = {raw: j for j, raw in enumerate(idxs)}
             out[grade] = [
-                {local[i]: root_pow(self._orbit[i][1])
-                 for i in self._members[root]}
-                for root in self._roots[grade]]
+                {local[i]: root_pow(orbit[i][1]) for i in members[root]}
+                for root in roots[grade]]
         return out
 
     def grade_dim(self, grade) -> int:
-        return len(self._roots.get(grade, ()))
+        return len(self._orbits[2].get(grade, ()))
 
     def grade_dims(self) -> dict:
-        return {g: len(roots) for g, roots in self._roots.items() if roots}
+        return {g: len(roots) for g, roots in self._orbits[2].items() if roots}
 
     def total_dim(self) -> int:
-        return len(self._members)
+        return len(self._orbits[1])
 
     def _orbit_map(self, grade, g: int, h: int):
         """Boundary (g, h) on the orbit sums of `grade`: (target grade,
@@ -746,46 +771,32 @@ class QuotientRep:
         orbit (phases included) and map it onto an admissible orbit of the
         same size; then it preserves im P."""
         cd, N = self.cd, self.field.N
+        orbit, members, roots, position = self._orbits
         args = _boundary_args(cd, g, h)
         target = None
         entries = []
-        for root in self._roots[grade]:
-            members = self._members[root]
+        for root in roots[grade]:
             image = {}
-            for i in members:
+            for i in members[root]:
                 k, new = _apply_args(cd.reps, self.raw_basis[i], args, N)
                 j = self.raw_index.get(new)
                 if j is None:
                     raise StructureError(
                         "boundary action left the compound basis")
-                image[i] = (j, k)
-            j, k = image[root]
+                image[i] = (k, j)
+            k, j = image[root]
             if target is None:
                 target = self._grade_of[j]
             elif target != self._grade_of[j]:
                 raise StructureError("boundary action split a grade")
-            troot, a = self._orbit[j]
-            if (troot not in self._members
-                    or len(self._members[troot]) != len(members)
-                    or not self._commutes(image, members)):
+            troot, a = orbit[j]
+            if (troot not in members or len(members[troot]) != len(image)
+                    or any(not _commutator_phases(image, gen, image, N) <= {0}
+                           for gen in self._gens)):
                 raise StructureError(
                     "boundary action does not preserve the bubble quotient")
-            entries.append((self._position[troot], (k - a) % N))
+            entries.append((position[troot], (k - a) % N))
         return (grade if target is None else target), entries
-
-    def _commutes(self, image: dict, members: list) -> bool:
-        """Whether B Bub_{c,1} = Bub_{c,1} B on the given orbit, with B's
-        table `image` {i: (j, k)}."""
-        N = self.field.N
-        for gen in self._gens:
-            for i in members:
-                j, k = image[i]
-                i2, k1 = gen[i]
-                j2, k2 = image[i2]
-                j3, k3 = gen[j]
-                if j2 != j3 or (k1 + k2 - k - k3) % N:
-                    return False
-        return True
 
     def boundary_matrix(self, grade, g: int, h: int):
         """Boundary (g, h) on the quotient, from `grade` to its image grade:

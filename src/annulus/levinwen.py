@@ -10,8 +10,8 @@ operators are exact projectors on the finite patch.
 A patch is a compound defect: its vertices and edges form a domain wall
 structure whose stubs are the dangling edges, and its faces are internal
 faces of that structure. The structure validates the patch and traces its
-faces, and the engine's basis solve, loop args, checked generator tables and
-orbit count run on the compound, each face handled as a cavity's bubble is.
+faces, and the ground space is the engine's `QuotientRep` of that compound,
+with the pinned edges as pins and the faces as the cavities it symmetrizes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import itertools
 import json
 
 from .engine import (
-    _cyclic_generators, _generator_args, _loop_args, _monomial_orbits,
-    _solve_basis, edge_labels_of,
+    QuotientRep, _bubble_args, _commutator_phases, _loop_args, _solve_basis,
+    edge_labels_of,
 )
 from .reps import TrivalentRep
 from .scalars import cyc_field
@@ -31,6 +31,16 @@ from .structures import (
 )
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
+
+
+class _FaceQuotient(QuotientRep):
+    """A patch's ground space: its compound's quotient by the face loops,
+    each refusal worded for faces."""
+
+    basis_name = "patch"
+    left_grade = "face {} left the consistent subspace"
+    not_cyclic = "face {} does not carry a strict group action"
+    not_commuting = "face relabelings do not commute"
 
 
 class LatticePatch:
@@ -42,12 +52,12 @@ class LatticePatch:
     compound defect, over a `DomainWallStructure` whose stubs are the
     dangling edges: the structure checks the edges, walls and incidence,
     and every face must be one of its traced internal faces, as a multiset
-    of corners; any subset of them may be given. The consistent basis is
-    solved over F_p by the engine's `_solve_basis`; ANNULUS_MAX_BASIS
-    bounds its size before any state is built. A face is a loop, as a
-    cavity is: the engine's `_loop_args` gives its args, and
-    `_cyclic_generators` builds the table of H_{f,1}, the only face table
-    kept, and checks the group law, as it does for a compound's bubbles.
+    of corners; any subset of them may be given. `cavities[f]` is the index
+    of face f among the traced ones, so face f's loop is that cavity's
+    bubble (`engine._bubble_args`). `ground_space` is the compound's
+    `QuotientRep` with the pins and these cavities: its basis solve,
+    bounded by ANNULUS_MAX_BASIS before any state is built, its checked
+    table of each H_{f,1} and its orbit count.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -63,7 +73,6 @@ class LatticePatch:
             self.edges, [e.eid for e in self.edges if None in e.ends])
         self.compound = CompoundDefect(structure, self.vertices)
         self._edge_at = structure._edge_at
-        self._basis = self._gens = None
         for eid in self.pinned:
             e = structure.edge_by_id.get(eid)
             if e is None:
@@ -73,10 +82,14 @@ class LatticePatch:
                 raise StructureError(f"cannot pin interior edge {eid}")
             if self.pinned[eid] not in e.wall.simple_objects():
                 raise StructureError(f"pin value for {eid} is not an object")
-        traced = set(map(corner_multiset, structure.cavities))
+        traced = {corner_multiset(c): i
+                  for i, c in enumerate(structure.cavities)}
+        self.cavities = []
         for i, face in enumerate(self.faces):
-            if corner_multiset(face) not in traced:
+            cavity = traced.get(corner_multiset(face))
+            if cavity is None:
                 raise StructureError(f"face {i} is no face of the patch")
+            self.cavities.append(cavity)
 
     # -- basis ------------------------------------------------------------
 
@@ -85,11 +98,10 @@ class LatticePatch:
 
     def consistent_basis(self):
         """States where every edge label equals both endpoint gradings and
-        pinned values; these span the common kernel of all vertex terms."""
-        if self._basis is None:
-            self._basis = _solve_basis(self.vertex_order(), self.vertices,
-                                       self._edge_at, self.pinned, "patch")
-        return self._basis
+        pinned values; these span the common kernel of all vertex terms.
+        Solved on each call; `ground_space.raw_basis` is the same list."""
+        return _solve_basis(self.vertex_order(), self.vertices, self._edge_at,
+                            self.pinned, "patch")
 
     def edge_labels_of(self, state):
         return edge_labels_of(self.compound, state)
@@ -114,33 +126,24 @@ class LatticePatch:
             out.append(vec)
         return self.field.root_pow(k), tuple(out)
 
-    def _face_args(self, face_idx: int, g: int) -> list:
-        """[(position, vertex, args, action memo)] of the g-labeled loop in
-        one face: the compound's generator args, built once per (face, g)."""
-        return _generator_args(
-            self.compound, ("face", face_idx, g),
-            lambda: _loop_args(self.faces[face_idx],
-                               self.compound.structure.vertices, g))
-
-    def _face_generators(self) -> list:
-        """gens[f][i] = (j, k): H_{f,1} sends consistent basis state i to
-        zeta_N^k times state j. A face whose image leaves the consistent
-        basis, or whose H_{f,g} is not H_{f,1}^g, is a StructureError."""
-        if self._gens is None:
-            basis = self.consistent_basis()
-            loops = [[self._face_args(f, g) for g in range(self.p)]
-                     for f in range(len(self.faces))]
-            self._gens = _cyclic_generators(
-                basis, {s: i for i, s in enumerate(basis)}, loops,
-                self.vertices, self.field.N,
-                "face {} left the consistent subspace",
-                "face {} does not carry a strict group action")
-        return self._gens
+    @functools.cached_property
+    def ground_space(self) -> QuotientRep:
+        """The compound's quotient with the pins and the faces' cavities,
+        built and checked on first read."""
+        return _FaceQuotient(self.compound, self.pinned, self.cavities)
 
     def violated_terms(self, edge_values: dict, state) -> dict:
         """Per-vertex count of violated edge-match terms for a raw state whose
-        edge degrees of freedom are given explicitly. The state must hold one
-        local basis vector per vertex, in vertex order."""
+        edge degrees of freedom are given explicitly. Each given edge must be
+        an edge of the patch and its value an object of its wall, and the
+        state must hold one local basis vector per vertex, in vertex order."""
+        edge_by_id = self.compound.structure.edge_by_id
+        for eid, value in edge_values.items():
+            if eid not in edge_by_id:
+                raise StructureError(f"edge {eid!r} is no edge of the patch")
+            if value not in edge_by_id[eid].wall.simple_objects():
+                raise StructureError(f"edge {eid}: {json.dumps(value)} is not "
+                                     "an object of its wall")
         if len(state) != len(self.vertices):
             raise StructureError(
                 f"state has {len(state)} vertex vectors, patch has "
@@ -170,8 +173,8 @@ class LatticePatch:
         report = {"faces": len(self.faces), "face_pairs": 0, "ok": True}
         # at[f][g]: {vertex: (args, memo)} of the g-labeled loop in face f
         at = [[{vid: (args, memo)
-                for _, vid, args, memo in self._face_args(f, g)}
-               for g in range(self.p)] for f in range(len(self.faces))]
+                for _, vid, args, memo in _bubble_args(self.compound, c, g)}
+               for g in range(self.p)] for c in self.cavities]
         for i, j in itertools.combinations(range(len(self.faces)), 2):
             shared = {v for v, _ in self.faces[i]} & {v for v, _ in self.faces[j]}
             if not shared:
@@ -192,29 +195,22 @@ class LatticePatch:
         """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at a vertex
         of rep, from the (args, memo) there of U_i(g) and U_j(h); k must be
         state-independent (asserted on the full local basis)."""
-        N = self.field.N
-        ti, tj = (_full_memo(rep, *loop) for loop in (loop_i, loop_j))
-        ratio = None
-        for vec in rep.basis():
-            p1, v1 = tj[vec]
-            p2, v2 = ti[v1]
-            q1, w1 = ti[vec]
-            q2, w2 = tj[w1]
-            if v2 != w2:
-                raise StructureError("face relabelings do not commute")
-            r = (p1 + p2 - q1 - q2) % N
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise StructureError("state-dependent commutator phase")
-        return ratio or 0
+        phases = _commutator_phases(_full_memo(rep, *loop_i),
+                                    _full_memo(rep, *loop_j), rep.basis(),
+                                    self.field.N)
+        if None in phases:
+            raise StructureError("face relabelings do not commute")
+        if len(phases) > 1:
+            raise StructureError("state-dependent commutator phase")
+        return phases.pop()
 
     def assert_face_group_rep(self) -> None:
         """Each face's operators form a strict Z/p action on the consistent
         basis (needed for H_f idempotency and the orbit count): H_{f,1}
         keeps the basis, H_{f,g} = H_{f,1}^g with equal phases for every g
-        and every basis state, and H_{f,1}^p is the identity."""
-        self._face_generators()
+        and every basis state, and H_{f,1}^p is the identity. The ground
+        space checks this as it builds each face's table."""
+        self.ground_space
 
     def ground_space_dim(self) -> int:
         """Exact dimension of the joint +1 eigenspace of all terms.
@@ -224,14 +220,10 @@ class LatticePatch:
         When the U_{f,1} commute, prod_f H_f averages over G = (Z/p)^F,
         which acts monomially on the face tables; its image has one vector
         per orbit whose stabilizer acts trivially, so the dimension is the
-        number of such orbits.
+        number of such orbits, the ground space's `total_dim`.
         """
         self.assert_face_group_rep()
-        found = _monomial_orbits(len(self.consistent_basis()),
-                                 self._face_generators(), self.field.N)
-        if found is None:
-            raise StructureError("face relabelings do not commute")
-        return len(found[1])
+        return self.ground_space.total_dim()
 
 
 def _full_memo(rep, args, memo: dict) -> dict:
@@ -418,8 +410,3 @@ def patch_to_json(patch: LatticePatch) -> dict:
             for eid, v in patch.pinned.items()
         },
     }
-
-
-def load_patch(path: str) -> LatticePatch:
-    with open(path) as fh:
-        return patch_from_json(json.load(fh))

@@ -11,7 +11,6 @@ stubs and its faces among the derived cavities.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -471,8 +470,3 @@ def compound_to_json(cd: CompoundDefect) -> dict:
         elif rep.has_corner:
             vdoc["corner"] = rep.corner
     return doc
-
-
-def load_compound(path: str) -> CompoundDefect:
-    with open(path) as fh:
-        return compound_from_json(json.load(fh))

@@ -78,9 +78,10 @@ class BimoduleLabel:
         for prefix, kind in (("Fq:", "F"), ("Xk:", "X"), ("F", "F"), ("X", "X")):
             if text.startswith(prefix):
                 try:
-                    return BimoduleLabel(kind, int(text[len(prefix):]), p)
+                    param = int(text[len(prefix):])
                 except ValueError:
                     break
+                return BimoduleLabel(kind, param, p)
         raise ValueError(f"cannot parse wall label {text!r}")
 
     def simple_objects(self) -> list:

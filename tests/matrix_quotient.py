@@ -1,9 +1,9 @@
 """Reference quotients and projectors by exact linear algebra.
 
 The engine's `QuotientRep` counts orbits of the bubble group and takes
-multiplicities from characters, and `LatticePatch.ground_space_dim` counts
-orbits of the face group. This module computes the same things the slow way,
-as independent of the engine as it allows:
+multiplicities from characters; `LatticePatch.ground_space_dim` is the same
+orbit count, with the patch's faces as the cavities. This module computes
+the same things the slow way, as independent of the engine as it allows:
 
 - `cavity_symmetrizer`: (1/p) sum_g Bub_g on the raw compound basis, summed
   entry by entry as plain `Cyc` values from the public `bubble_action`;
@@ -11,7 +11,8 @@ as independent of the engine as it allows:
   pivot image basis, every boundary image solved in that span, and each
   defect's multiplicity as the exact rank of its idempotent's matrix;
 - `face_matrix` and `face_projector`: H_{f,g} and (1/p) sum_g H_{f,g} of a
-  lattice patch on its consistent basis, from `LatticePatch.face_action`.
+  lattice patch on its consistent basis, from `LatticePatch.face_action`;
+- `dense_ground_dim`: the rank of the product of a patch's face projectors.
 """
 
 from annulus.defects import enumerate_defects, idempotent
@@ -56,6 +57,19 @@ def face_projector(patch, face_idx):
     for g in range(patch.p):
         acc = acc + face_matrix(patch, face_idx, g)
     return acc.scale(patch.field.inv_p)
+
+
+def dense_ground_dim(patch):
+    """Independent oracle: assemble every face projector as an exact matrix on
+    the vertex-term kernel and take the rank of their product by elimination."""
+    basis = patch.consistent_basis()
+    n = len(basis)
+    total = ExactMatrix.identity(patch.field, n)
+    for f in range(len(patch.faces)):
+        proj = face_projector(patch, f)
+        assert (proj @ proj) == proj  # exact projector
+        total = proj @ total
+    return total.rank()
 
 
 class MatrixQuotient:

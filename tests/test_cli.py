@@ -498,6 +498,92 @@ def test_lw_state_must_hold_one_basis_vector_per_vertex(tmp_path):
     assert json.loads(r.stdout)["violated_terms"] == {}
 
 
+@pytest.mark.parametrize("edges, message", [
+    ({"nope": 99}, "bad state document: edge 'nope' is no edge of the patch"),
+    ({"h0_w": [0, 0]},
+     "bad state document: edge h0_w: [0, 0] is not an object of its wall"),
+], ids=["unknown-edge", "not-an-object"])
+def test_lw_state_refuses_a_bad_edge_entry(tmp_path, edges, message):
+    """An edge entry of a state document must name an edge of the patch
+    and an object of its wall: a mistyped id is not read as no violation,
+    nor a value of the wrong shape as an ordinary one."""
+    patch = hexagon_chain_patch(2, 1)
+    ppath = tmp_path / "patch.json"
+    ppath.write_text(json.dumps(patch_to_json(patch)))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({
+        "edges": edges,
+        "vertices": [list(v) for v in patch.consistent_basis()[0]]}))
+    r = run_cli("lw", str(ppath), "--state", str(spath))
+    assert r.returncode == 6, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("lw", _malformed_patch(lambda d: d.__delitem__("faces")),
+     "bad patch document: no 'faces' entry"),
+    ("decompose", _malformed_structure(lambda d: d.__delitem__("edges")),
+     "bad structure document: no 'edges' entry"),
+    ("lw", [_malformed_patch(lambda d: None)],
+     "bad patch document: expected a JSON object"),
+    ("decompose", 3, "bad structure document: expected a JSON object"),
+], ids=["lw-missing", "decompose-missing", "lw-list", "decompose-number"])
+def test_a_document_says_what_it_lacks(tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    assert r.returncode == 6, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_a_state_document_must_be_an_object(tmp_path):
+    ppath = tmp_path / "patch.json"
+    ppath.write_text(json.dumps(patch_to_json(defect_line_patch(2))))
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps([]))
+    r = run_cli("lw", str(ppath), "--state", str(spath))
+    assert r.returncode == 6, r.stdout
+    assert "bad state document: expected a JSON object" in r.stderr
+
+
+def test_a_wall_label_naming_no_wall_gives_the_reason(tmp_path):
+    """Xk:0 and a wall at p = 4 parse, but name no wall: the message says
+    why, with the command line's code 2 and a document's code 6."""
+    r = run_cli("associator", "-p", "3", "Xk:0", "R", "R")
+    assert r.returncode == 2, r.stdout
+    assert "X_k requires k nonzero" in r.stderr
+    doc = patch_to_json(hexagon_chain_patch(3, 1))
+    doc["p"] = 4
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lw", str(path))
+    assert r.returncode == 6, r.stdout
+    assert "bad patch document: modulus 4 is not prime" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_a_free_chain_decomposes_to_its_ground_space(tmp_path, p, n):
+    """A free chain written as a structure document, its dangling edges the
+    stubs and its cavities derived: the quotient's grade dimensions sum to
+    the patch's ground-space dimension, p^(2n+3)."""
+    patch = hexagon_chain_patch(p, n, pin=False)
+    structure = compound_to_json(patch.compound)
+    del structure["cavities"]
+    assert structure["external"] == [
+        e.eid for e in patch.edges if None in e.ends]
+    spath, ppath = tmp_path / "structure.json", tmp_path / "patch.json"
+    spath.write_text(json.dumps(structure))
+    ppath.write_text(json.dumps(patch_to_json(patch)))
+    dec, lw = run_cli("decompose", str(spath)), run_cli("lw", str(ppath))
+    assert dec.returncode == lw.returncode == 0, dec.stderr + lw.stderr
+    dims = json.loads(dec.stdout)["quotient_grade_dims"]
+    assert sum(dims.values()) == json.loads(lw.stdout)["ground_space_dim"]
+    assert sum(dims.values()) == p ** (2 * n + 3)
+
+
 def test_golden_document_without_cells_or_without_the_cell(tmp_path):
     """A golden document with no cells is a usage error; one that lacks the
     cell being checked is a golden mismatch."""

@@ -74,7 +74,7 @@ def reference_strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
         j, k, length = i, 0, 0
         while True:
             seen[j] = True
-            j, dk = gen[j]
+            dk, j = gen[j]
             k += dk
             length += 1
             if j == i or length == p:

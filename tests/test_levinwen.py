@@ -14,20 +14,7 @@ from annulus.linalg import ExactMatrix
 from annulus.reps import TrivalentRep
 from annulus.structures import DomainWallStructure, StructureError
 from annulus.walls import BimoduleLabel
-from matrix_quotient import face_matrix, face_projector
-
-
-def dense_ground_dim(patch):
-    """Independent oracle: assemble every face projector as an exact matrix on
-    the vertex-term kernel and take the rank of their product by elimination."""
-    basis = patch.consistent_basis()
-    n = len(basis)
-    total = ExactMatrix.identity(patch.field, n)
-    for f in range(len(patch.faces)):
-        proj = face_projector(patch, f)
-        assert (proj @ proj) == proj  # exact projector
-        total = proj @ total
-    return total.rank()
+from matrix_quotient import dense_ground_dim, face_matrix, face_projector
 
 
 def cyc_trace_dim(patch):
@@ -391,7 +378,7 @@ def test_face_tables_match_face_action():
     it, and H_{f,g} from `face_action` is that table applied g times."""
     for patch in _table_patches():
         basis = patch.consistent_basis()
-        gens = patch._face_generators()
+        gens = patch.ground_space._gens
         assert len(gens) == len(patch.faces)
         for f, gen in enumerate(gens):
             assert len(gen) == len(basis)
@@ -401,7 +388,7 @@ def test_face_tables_match_face_action():
                     phase, new = patch.face_action(f, g, state)
                     assert j is not None and basis[j] == new
                     assert phase == patch.field.root_pow(k)
-                    j, dk = gen[j]
+                    dk, j = gen[j]
                     k += dk
 
 
@@ -430,18 +417,20 @@ def test_pinned_chain_p5_n5_has_one_ground_state():
 
 def _with_tables(monkeypatch, patch, gens):
     """Give every face of `patch` a hand-made H_{f,1} table. The tables go
-    through the engine's `_cyclic_generators` and its checks: the images of
-    H_{f,1} that it reads from `_apply_args` are replaced by the tables'."""
+    through the patch's ground space, a `QuotientRep`, and its checks: the
+    images of H_{f,1} that it reads from `_apply_args` are replaced by the
+    tables'. The ground space is built afresh on its next read."""
     basis = patch.consistent_basis()
     index = {s: i for i, s in enumerate(basis)}
-    face_of = {id(patch._face_args(f, 1)): f for f in range(len(gens))}
+    face_of = {id(engine._bubble_args(patch.compound, patch.cavities[f], 1)): f
+               for f in range(len(gens))}
 
     def apply_args(reps, vec, vertex_args, N):
         j, k = gens[face_of[id(vertex_args)]][index[vec]]
         return k, basis[j]
 
     monkeypatch.setattr(engine, "_apply_args", apply_args)
-    patch._gens = None
+    patch.__dict__.pop("ground_space", None)
     return patch
 
 
@@ -481,7 +470,8 @@ def _loop_phase(monkeypatch, extra):
 
 def _args_of(patch, face, g, vid):
     """The args of the g-labeled loop in `face` at vertex `vid`."""
-    (args,) = [a for _, v, a, _ in patch._face_args(face, g) if v == vid]
+    (args,) = [a for _, v, a, _ in engine._bubble_args(
+        patch.compound, patch.cavities[face], g) if v == vid]
     return dict(args)
 
 

@@ -122,3 +122,17 @@ def test_wall_product_unit():
 def test_interpretations_exist():
     for w in _all_walls(3):
         assert isinstance(w.interpretation(), str) and w.interpretation()
+
+
+def test_parse_gives_the_constructors_reason():
+    """Only a parameter that is no integer is unparseable; a label that
+    parses but names no wall says why, as the constructor does."""
+    with pytest.raises(ValueError, match="X_k requires k nonzero"):
+        BimoduleLabel.parse("Xk:0", 3)
+    for text in ("Xk:1", "T", "F0", "Fq:2"):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            BimoduleLabel.parse(text, 4)
+    for text in ("Xk:one", "Fq:", "Q"):
+        with pytest.raises(ValueError, match="cannot parse wall label"):
+            BimoduleLabel.parse(text, 3)
+    assert BimoduleLabel.parse("Xk:4", 3) == wall(3, "X", 1)
