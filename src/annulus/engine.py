@@ -7,23 +7,24 @@ root of unity times one basis vector). A phase is held as its exponent e in
 Z/N of zeta_N from the rep tables to the trace: a rep's `act` returns e, a
 loop's exponent is the sum over its vertices, and only `root_sum`,
 `root_pow` and the matrix references make field elements. Every rep's edge
-labels are affine in its free labels, so the consistent labelings are the
-solutions of linear equations over F_p, which `_solve_basis` eliminates;
-`_list_solutions` then lists them one column (variable) at a time, each
-pivot's column computed from the columns of the lower variables in its row.
-When the equations are inconsistent there is no labeling, and the quotient
-ends at the solve: every later step is vacuous on an empty basis. A bubble
-is a loop through its cavity's corners (`_loop_args`); it generates a strict
-Z/p action when Bub_u = Bub_1^u, which `QuotientRep` checks vertex by vertex
-(`_strict_cyclic`) as it builds Bub_1's table, each vertex's verdict once
-per rep key and loop args (`_vertex_cyclic`). A Levin-Wen patch is a
-compound whose pinned dangling edges are pins and whose faces are cavities,
-and its ground space is that compound's `QuotientRep`. The product of the
+labels are affine in its free labels, so the consistent labelings, of a
+compound or of a Levin-Wen patch with pins, are the solutions of linear
+equations over F_p, which `enumerate_basis` eliminates and then lists one
+column (variable) at a time (`_list_solutions`). When the equations are
+inconsistent there is no labeling, and the quotient ends at the solve. A
+bubble is a loop through its cavity's corners (`_loop_args`). Every vertex
+action translates the free labels with a phase affine in them, and each is
+read once, on symbols, as a translation t and a phase form L.x + c
+(`_affine_action`). The group laws are decided on these forms: a bubble
+generates a strict Z/p action when Bub_u = Bub_1^u (`_strict_cyclic`), and
+two loops commute up to the phase sum_v L_a.t_b - L_b.t_a (`_commutator`),
+for bubbles, boundary generators and lattice faces alike. A Levin-Wen
+patch's ground space is the `QuotientRep` of its compound, its pinned
+dangling edges the pins and its faces the cavities. The product of the
 cavity symmetrizers averages over G, so the quotient has one orbit sum per
 orbit whose stabilizer acts trivially (an admissible orbit), and a grade's
-dimension is its number of admissible orbits. Generators are compared, A B
-against B A, by one function (`_commutator_phases`). Boundary generators
-commute with G and map orbit sums to roots of unity times orbit sums, so a
+dimension is its number of admissible orbits. Boundary generators commute
+with G and map orbit sums to roots of unity times orbit sums, so a
 generator's trace (character) is the histogram over Z/N of the phases of the
 orbit sums it fixes. The multiplicity of a candidate defect is the trace of
 its idempotent on the quotient. Every idempotent coefficient is p^-j
@@ -40,19 +41,17 @@ independent per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
 cached roots. Two results depend only on a rep's labels, and the process
-keeps them in module-level tables keyed by `rep.key`: each rep key's
-symbolic labels, which `_solve_basis` reads, and each vertex's cyclic
-verdict per rep key and args of T_0..T_{p-1}, which `_strict_cyclic`
-reads. Likewise `decompose` keeps, per wall pair, the candidate defects
-with their source grades and, per defect, its grade dimensions, and
-`defects.phase_terms` caches each defect's terms. Each vertex rep carries
-a memo of its actions (`act`'s exponent and image per args and local
-vector), shared by every compound or lattice patch that holds the rep. A
-driver's corner sweep builds one structure and one rep per (vertex, corner
-value) for all its corner assignments, so the compounds of one sweep share
-the per-vertex args of every bubble and boundary generator, kept on the
-structure, and the memos of every vertex whose corner they agree on. A
-sweep lives for one driver call.
+keeps them in module-level tables keyed by `rep.key`: its symbolic labels
+and the affine form of each of its actions. Likewise `decompose` keeps, per
+wall pair, the candidate defects with their source grades and, per defect,
+its grade dimensions, and `defects.phase_terms` caches each defect's terms.
+Each vertex rep carries a memo of its actions (`act`'s exponent and image
+per args and local vector), shared by every compound or lattice patch that
+holds the rep. A driver's corner sweep builds one structure and one rep per
+(vertex, corner value) for all its corner assignments, so the compounds of
+one sweep share the per-vertex args of every bubble and boundary generator,
+kept on the structure, and the memos of every vertex whose corner they
+agree on. A sweep lives for one driver call.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from .walls import STAR
 
 # for the life of the process, as equal rep keys mean equal tables
 _SYMBOLIC: dict = {}  # rep key -> `_symbolic_labels`
-_CYCLIC: dict = {}  # (rep key, sorted args of each T_u) -> `_vertex_cyclic`
+_AFFINE: dict = {}  # rep key -> {sorted args: `_affine_action`}
 # and as frozen walls and defect labels fix their defects' data
 _CANDIDATES: dict = {}  # (lower, upper) walls -> ((defect, source grade), ...)
 _GRADE_DIMS: dict = {}  # defect -> `DefectLabel.grade_dims`, only read
@@ -96,17 +95,11 @@ def max_basis() -> int:
     return limit
 
 
-def enumerate_basis(cd: CompoundDefect) -> list[tuple]:
-    """All consistent labelings: one free-label tuple per vertex, such that
-    every internal edge gets the same object from both endpoints."""
-    return _solve_basis(cd.vertex_order, cd.reps, cd.structure._edge_at, {},
-                        "compound")
-
-
 class _Form:
     """c + sum_j a_j v_j: an affine form in the free labels v of one local
     vector, with integer coefficients. It is the symbol that
-    `_symbolic_labels` passes to a rep's `edges` entry, so it defines only
+    `_symbolic_labels` passes to a rep's `edges` entry and `_affine_action`
+    to its `act` entry, so it defines only
     +, -, multiplication by an integer and % p; any other use of a free
     label (a product of two labels, a comparison, a truth test, an index)
     raises TypeError."""
@@ -186,11 +179,12 @@ def _symbolic_labels(rep, vid) -> dict:
             f"({exc})") from None
 
 
-def _solve_basis(order, reps: dict, edge_at, pins: dict,
-                 what: str) -> list[tuple]:
-    """Consistent labelings of the vertices `order`: one local basis vector
-    per vertex, such that both ends of every edge carry the same object and
-    every edge named in `pins` carries its pinned object.
+def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
+                    what: str = "compound") -> list[tuple]:
+    """All consistent labelings of cd: one local basis vector per vertex,
+    such that both ends of every edge carry the same object and every stub
+    named in `pins` {stub id: object} carries its pinned object; `what`
+    names the basis in the size-limit refusal.
 
     Every rep's edge labels are affine in its free labels, so the
     consistent labelings are the solutions of linear equations over F_p in
@@ -200,6 +194,7 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
     `_list_solutions` lists the solutions one variable (column) at a time.
     ANNULUS_MAX_BASIS bounds the number of solutions, p^(free variables),
     before any is built."""
+    order, reps, pins = cd.vertex_order, cd.reps, pins or {}
     limit = max_basis()
     if not order:
         return [()]
@@ -219,7 +214,7 @@ def _solve_basis(order, reps: dict, edge_at, pins: dict,
     seen = set()
     for vid in order:
         for slot in reps[vid].slots:
-            e = edge_at(vid, slot)
+            e = cd.structure._edge_at(vid, slot)
             if e.eid in seen:
                 continue
             seen.add(e.eid)
@@ -390,116 +385,124 @@ def _external_grades(cd: CompoundDefect, basis: list,
     return list(zip(*columns)) if columns else [()] * len(basis)
 
 
-def _strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
-                   N: int) -> bool:
-    """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
-    T_1^p is the identity; then (1/p) sum_u T_u is an idempotent. acts[u]
-    holds the vertex args of T_u, and gen is T_1's table on `basis`, which
-    T_1 keeps.
+def _affine_action(rep, vid, args: dict) -> tuple:
+    """act(., args) of rep at vertex vid as (t, L, c): the local vector x
+    goes to x + t (mod p) with exponent L.x + c (mod N). `act` is evaluated
+    once, on one `_Form` per free label. An image that is no translation,
+    or a use of a label that is not affine, is a StructureError naming the
+    vertex and args; so is, at p = 2, an odd coefficient in L: L.x mod 4
+    then depends on x's representative, and commutator phases on the
+    state."""
+    n = len(rep.free_names)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    try:
+        e, new = rep.act(tuple(_Form(u) for u in units), args)
+    except TypeError:
+        new = ()
+    if len(new) != n or not all(isinstance(x, _Form) and x.coef == u
+                                for x, u in zip(new, units)):
+        raise StructureError(f"vertex {vid}: action {args} is not a "
+                             "translation with an affine phase")
+    linear, const = (e.coef, e.const) if isinstance(e, _Form) else (
+        (0,) * n, e)
+    if rep.p == 2 and any(a % 2 for a in linear):
+        raise StructureError(
+            f"vertex {vid}: action {args} has a phase i^v at p = 2, a "
+            "state-dependent commutator phase")
+    return tuple(x.const for x in new), linear, const
 
-    T_u and T_1^u act vertex by vertex. Their images agree on a state when
-    they agree at every vertex on its local vector, which `_vertex_cyclic`
-    decides once per rep key and args for every local vector. Their phases
-    are sums of vertex exponents, and a vertex's defect, T_u's exponent
-    minus that of its part of T_1 applied u times, may be nonzero and
-    cancel against other vertices. So the defects are summed in Z/N over
-    the basis only at vertices where one is nonzero. T_1^p = 1 is read off
-    the cycles of gen: each must have length 1 or p, with a phase sum that
-    vanishes when taken p/length times."""
-    p = len(acts)
-    by_vertex: dict = {}
-    for u, vertex_args in enumerate(acts):
-        for pos, vid, args, _ in vertex_args:
-            by_vertex.setdefault((pos, vid), [None] * p)[u] = args
-    defects = []
-    for (pos, vid), by_u in by_vertex.items():
+
+def _loop_forms(vertex_args: list, reps: dict) -> dict:
+    """{position: (t, L, c)} of every vertex a loop acts on, as
+    `_affine_action` gives it, once per process per rep key and args. A rep
+    holds its key's part of `_AFFINE`, so a lookup hashes only the args."""
+    out = {}
+    for i, vid, args, _ in vertex_args:
         rep = reps[vid]
-        key = (rep.key, tuple(None if args is None
-                              else tuple(sorted(args.items()))
-                              for args in by_u))
-        found = _CYCLIC.get(key)
-        if found is None:
-            found = _CYCLIC[key] = _vertex_cyclic(rep, by_u)
-        mismatched, table = found
-        if mismatched and any(vec[pos] in mismatched for vec in basis):
-            return False
-        if table:
-            defects.append((pos, table))
-    if defects:
-        for vec in basis:
-            total = [0] * p
-            for pos, table in defects:
-                defect = table.get(vec[pos])
-                if defect:
-                    total = [a + b for a, b in zip(total, defect)]
-            if any(a % N for a in total):
+        table = rep.affine_forms
+        if table is None:
+            table = rep.affine_forms = _AFFINE.setdefault(rep.key, {})
+        key = tuple(sorted(args.items()))
+        form = table.get(key)
+        if form is None:
+            form = table[key] = _affine_action(rep, vid, args)
+        out[i] = form
+    return out
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _commutator(a: dict, b: dict, N: int) -> int:
+    """The k in Z/N with A B = zeta_N^k B A for loops given by their
+    `_loop_forms`: translations commute, and at a vertex both act on, A
+    after B adds L_a.t_b to the phase and B after A adds L_b.t_a."""
+    k = 0
+    for i, (ta, la, _) in a.items():
+        other = b.get(i)
+        if other is not None:
+            k += _dot(la, other[0]) - _dot(other[1], ta)
+    return k % N
+
+
+@functools.cache
+def _powers(form: tuple, p: int, N: int) -> tuple:
+    """The forms of T^0, ..., T^p at a vertex where T has `form` (t, L, c):
+    T^u translates by u t with exponent u (L.x + c) + L.t u(u-1)/2."""
+    t, lin, c = form
+    s = _dot(lin, t)
+    return tuple((tuple(u * a % p for a in t), tuple(u * a % N for a in lin),
+                  (u * c + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
+
+
+def _strict_cyclic(basis: list, acts: list, reps: dict, N: int) -> bool:
+    """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
+    T_1^p is the identity, on `basis`; then (1/p) sum_u T_u is an
+    idempotent. acts[u] holds the vertex args of T_u, a loop through the
+    vertices of T_1.
+
+    Each vertex action is a translation with an affine phase
+    (`_loop_forms`), so, with T_p for T_0, T_u = T_1^u for u = 0..p when
+    at every vertex T_u translates as T_1^u (`_powers`) does and the
+    differences of their phase forms, summed over the vertices, vanish on
+    the basis. The differences may cancel between vertices; they are
+    evaluated state by state only when a linear part is nonzero."""
+    p = len(acts)
+    forms = [_loop_forms(vertex_args, reps) for vertex_args in acts]
+    consts, linear = [0] * (p + 1), []
+    for pos, one in forms[1].items():
+        for u, want in enumerate(_powers(one, p, N)):
+            got = forms[u % p][pos]
+            if got == want:
+                continue
+            if got[0] != want[0]:
                 return False
-    seen = [False] * len(gen)
-    for i in range(len(gen)):
-        if seen[i]:
-            continue
-        j, k, length = i, 0, 0
-        while True:
-            seen[j] = True
-            dk, j = gen[j]
-            k += dk
-            length += 1
-            if j == i or length == p:
-                break
-        if j != i or p % length or k * (p // length) % N:
+            consts[u] += got[2] - want[2]
+            lin = tuple((a - b) % N for a, b in zip(got[1], want[1]))
+            if any(lin):
+                linear.append((u, pos, lin))
+    for vec in basis if linear else basis[:1]:
+        total = list(consts)
+        for u, pos, lin in linear:
+            total[u] += _dot(lin, vec[pos])
+        if any(c % N for c in total):
             return False
     return True
-
-
-def _vertex_cyclic(rep, by_u: list):
-    """T_u against T_1^u at one vertex, for u = 0..p-1, on every local
-    vector of rep; by_u[u] holds T_u's args there, None where T_u does not
-    act. Returns (the frozenset of local vectors whose image under some T_u
-    is not their image under T_1^u, {local vector: [defect of T_u for each
-    u]} for the other vectors with a nonzero defect), a defect being T_u's
-    exponent minus that of T_1 applied u times, in Z/N. It calls rep.act
-    directly, so the rep's memos do not grow."""
-    N, p = rep.N, len(by_u)
-    basis = rep.basis()
-    maps = [None if args is None else {x: rep.act(x, args) for x in basis}
-            for args in by_u]
-    one = maps[1]
-    mismatched = set()
-    defects = {}
-    for x in basis:
-        cur, total, defect = x, 0, None
-        for u, table in enumerate(maps):
-            k, y = (0, x) if table is None else table[x]
-            if y != cur:
-                mismatched.add(x)
-                defects.pop(x, None)
-                break
-            if (k - total) % N:
-                if defect is None:
-                    defect = defects[x] = [0] * p
-                defect[u] = (k - total) % N
-            k, cur = (0, cur) if one is None else one[cur]
-            total += k
-    return frozenset(mismatched), defects
 
 
 def _monomial_orbits(n: int, gens: list, N: int):
     """Orbits of the group generated by commuting monomial tables
     gens[c][i] = (k, j) on basis vectors 0..n-1.
 
-    Returns None if two generators do not commute (phases included).
-    Otherwise returns (orbit, members): orbit[i] = (root, a) with root the
-    orbit's first index and some group element sending root to zeta_N^a
-    times vector i; members maps the root of every admissible orbit, in
+    Returns (orbit, members): orbit[i] = (root, a) with root the orbit's
+    first index and some group element sending root to zeta_N^a times
+    vector i; members maps the root of every admissible orbit, in
     increasing order, to its indices. An orbit is admissible when the phases
     agree along every generator edge, that is when its stabilizer acts
     trivially; the averaging projector of the group then has one image
     vector per admissible orbit, sum_i zeta_N^a(i) e_i, and kills the rest.
-    Cost O(n * len(gens)^2)."""
-    for c, gen in enumerate(gens):
-        for other in gens[c + 1:]:
-            if not _commutator_phases(gen, other, range(n), N) <= {0}:
-                return None
+    Cost O(n * len(gens))."""
     orbit: list = [None] * n
     admissible = {}
     for root in range(n):
@@ -526,24 +529,6 @@ def _monomial_orbits(n: int, gens: list, N: int):
         if admissible[root]:
             members.setdefault(root, []).append(i)
     return orbit, members
-
-
-def _commutator_phases(a, b, states, N: int) -> set:
-    """The set of k in Z/N with A B x = zeta_N^k B A x over x in `states`,
-    with None in it when A B x and B A x are different states for some x:
-    A and B commute on `states` when the set is at most {0}. A and B are
-    monomial maps indexed by state, a[x] = (exponent, image), as `act`
-    returns them: generator tables or action memos. Bubbles are compared
-    with each other and with a boundary generator through here, and lattice
-    faces vertex by vertex."""
-    phases = set()
-    for x in states:
-        k1, y = b[x]
-        k2, y = a[y]
-        k3, z = a[x]
-        k4, z = b[z]
-        phases.add((k1 + k2 - k3 - k4) % N if y == z else None)
-    return phases
 
 
 def _loop_args(corners, template_of, g: int) -> dict:
@@ -680,10 +665,7 @@ class QuotientRep:
         self.field = cyc_field(cd.p)
         self.cavities = list(range(len(cd.structure.cavities))
                              if cavities is None else cavities)
-        # a compound's solve is `enumerate_basis`, its own traced stage
-        self.raw_basis = enumerate_basis(cd) if pins is None else _solve_basis(
-            cd.vertex_order, cd.reps, cd.structure._edge_at, pins,
-            self.basis_name)
+        self.raw_basis = enumerate_basis(cd, pins, self.basis_name)
         self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}
         self._chars: dict = {}
@@ -704,12 +686,14 @@ class QuotientRep:
         c-th listed cavity: it sends state i to zeta_N^k times state j. An
         image that is no basis state or lies in another grade raises
         `left_grade`, and Bub_{c,u} != Bub_{c,1}^u (`_strict_cyclic`)
-        `not_cyclic`, each naming c."""
+        `not_cyclic`, each naming c. Each Bub_{c,1}'s `_loop_forms` are read
+        first, and kept."""
         cd, N = self.cd, self.field.N
         index, grade_of = self.raw_index, self._grade_of
-        tables = []
+        tables, self._forms = [], []
         for c, cavity in enumerate(self.cavities):
             acts = [_bubble_args(cd, cavity, u) for u in range(cd.p)]
+            self._forms.append(_loop_forms(acts[1], cd.reps))
             gen = []
             for i, vec in enumerate(self.raw_basis):
                 k, new = _apply_args(cd.reps, vec, acts[1], N)
@@ -717,7 +701,7 @@ class QuotientRep:
                 if j is None or grade_of[j] != grade_of[i]:
                     raise StructureError(self.left_grade.format(c))
                 gen.append((k, j))
-            if not _strict_cyclic(gen, self.raw_basis, acts, cd.reps, N):
+            if not _strict_cyclic(self.raw_basis, acts, cd.reps, N):
                 raise StructureError(self.not_cyclic.format(c))
             tables.append(gen)
         return tables
@@ -725,13 +709,14 @@ class QuotientRep:
     @functools.cached_property
     def _orbits(self) -> tuple:
         """(orbit, members, roots, position): `_monomial_orbits`' orbit and
-        members, once G's generators are checked to commute, the admissible
-        orbit roots of every grade, in raw order, and the position of each
-        root among those of its grade."""
-        found = _monomial_orbits(len(self.raw_basis), self._gens, self.field.N)
-        if found is None:
+        members, once G's generators are checked to commute (`_commutator`),
+        the admissible orbit roots of every grade, in raw order, and the
+        position of each root among those of its grade."""
+        N = self.field.N
+        if any(_commutator(a, b, N)
+               for a, b in itertools.combinations(self._forms, 2)):
             raise StructureError(self.not_commuting)
-        orbit, members = found
+        orbit, members = _monomial_orbits(len(self.raw_basis), self._gens, N)
         roots = {grade: [] for grade in self.grades}
         for root in members:
             roots[self._grade_of[root]].append(root)
@@ -767,12 +752,15 @@ class QuotientRep:
         [(target position, k)] per source orbit), meaning that the orbit sum
         goes to zeta_N^k times the target grade's orbit sum at that position.
 
-        The generator must commute with every Bub_{c,1} on each admissible
-        orbit (phases included) and map it onto an admissible orbit of the
-        same size; then it preserves im P."""
+        The generator must map each admissible orbit onto an admissible
+        orbit of the same size and commute with every Bub_{c,1}, phases
+        included (`_commutator`, once per call); then it preserves im P."""
         cd, N = self.cd, self.field.N
         orbit, members, roots, position = self._orbits
         args = _boundary_args(cd, g, h)
+        forms = _loop_forms(args, cd.reps) if roots[grade] else {}
+        commutes = not any(_commutator(forms, bubble, N)
+                           for bubble in self._forms)
         target = None
         entries = []
         for root in roots[grade]:
@@ -790,9 +778,8 @@ class QuotientRep:
             elif target != self._grade_of[j]:
                 raise StructureError("boundary action split a grade")
             troot, a = orbit[j]
-            if (troot not in members or len(members[troot]) != len(image)
-                    or any(not _commutator_phases(image, gen, image, N) <= {0}
-                           for gen in self._gens)):
+            if (not commutes or troot not in members
+                    or len(members[troot]) != len(image)):
                 raise StructureError(
                     "boundary action does not preserve the bubble quotient")
             entries.append((position[troot], (k - a) % N))

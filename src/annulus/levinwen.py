@@ -21,13 +21,14 @@ import itertools
 import json
 
 from .engine import (
-    QuotientRep, _bubble_args, _commutator_phases, _loop_args, _solve_basis,
-    edge_labels_of,
+    QuotientRep, _bubble_args, _commutator, _loop_args, _loop_forms,
+    edge_labels_of, enumerate_basis,
 )
 from .reps import TrivalentRep
 from .scalars import cyc_field
 from .structures import (
-    CompoundDefect, DomainWallStructure, StructureError, corner_multiset,
+    CompoundDefect, DomainWallStructure, StructureError, _document_p, _shaped,
+    corner_multiset,
 )
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
@@ -100,8 +101,7 @@ class LatticePatch:
         """States where every edge label equals both endpoint gradings and
         pinned values; these span the common kernel of all vertex terms.
         Solved on each call; `ground_space.raw_basis` is the same list."""
-        return _solve_basis(self.vertex_order(), self.vertices, self._edge_at,
-                            self.pinned, "patch")
+        return enumerate_basis(self.compound, self.pinned, "patch")
 
     def edge_labels_of(self, state):
         return edge_labels_of(self.compound, state)
@@ -165,44 +165,27 @@ class LatticePatch:
 
         H_z terms are diagonal (trivially mutually commuting); H_{z}/H_f
         commute because face actions shift edge and grading labels equally
-        (asserted structurally); face/face commutation is checked per shared
-        vertex on the full local state space, with state-independent phase
-        mismatches, as exponents in Z/N, summed over the shared vertices.
+        (asserted structurally). Each vertex action is a translation with
+        an affine phase (`engine._loop_forms`), so two face loops commute up
+        to one state-independent phase, the sum over their shared vertices
+        of L_i.t_j - L_j.t_i in Z/N (`engine._commutator`); a face pair
+        whose phase is nonzero for some (g, h) is a violation.
         """
         N = self.field.N
         report = {"faces": len(self.faces), "face_pairs": 0, "ok": True}
-        # at[f][g]: {vertex: (args, memo)} of the g-labeled loop in face f
-        at = [[{vid: (args, memo)
-                for _, vid, args, memo in _bubble_args(self.compound, c, g)}
+        # at[f][g]: the forms of the g-labeled loop in face f
+        at = [[_loop_forms(_bubble_args(self.compound, c, g), self.vertices)
                for g in range(self.p)] for c in self.cavities]
         for i, j in itertools.combinations(range(len(self.faces)), 2):
-            shared = {v for v, _ in self.faces[i]} & {v for v, _ in self.faces[j]}
-            if not shared:
+            if not {v for v, _ in self.faces[i]} & {v for v, _ in self.faces[j]}:
                 continue
             report["face_pairs"] += 1
             for g, h in itertools.product(range(self.p), repeat=2):
-                mismatch = sum(
-                    self._vertex_commutator_phase(self.vertices[vid],
-                                                  at[i][g][vid], at[j][h][vid])
-                    for vid in shared)
-                if mismatch % N:
+                if _commutator(at[i][g], at[j][h], N):
                     report["ok"] = False
                     report.setdefault("violations", []).append(
                         {"faces": [i, j], "g": g, "h": h})
         return report
-
-    def _vertex_commutator_phase(self, rep, loop_i, loop_j) -> int:
-        """The k in Z/N with U_i(g)U_j(h) = zeta_N^k U_j(h)U_i(g) at a vertex
-        of rep, from the (args, memo) there of U_i(g) and U_j(h); k must be
-        state-independent (asserted on the full local basis)."""
-        phases = _commutator_phases(_full_memo(rep, *loop_i),
-                                    _full_memo(rep, *loop_j), rep.basis(),
-                                    self.field.N)
-        if None in phases:
-            raise StructureError("face relabelings do not commute")
-        if len(phases) > 1:
-            raise StructureError("state-dependent commutator phase")
-        return phases.pop()
 
     def assert_face_group_rep(self) -> None:
         """Each face's operators form a strict Z/p action on the consistent
@@ -224,16 +207,6 @@ class LatticePatch:
         """
         self.assert_face_group_rep()
         return self.ground_space.total_dim()
-
-
-def _full_memo(rep, args, memo: dict) -> dict:
-    """memo, rep's action memo for args, filled for every local vector. Its
-    keys are local vectors, and an action maps the local basis to itself."""
-    if len(memo) < len(rep.basis()):
-        for x in rep.basis():
-            if x not in memo:
-                memo[x] = rep.act(x, args)
-    return memo
 
 
 # --------------------------------------------------------------------------
@@ -370,23 +343,25 @@ def defect_line_patch(p: int) -> LatticePatch:
 
 
 def patch_from_json(doc: dict) -> LatticePatch:
-    p = doc["p"]
+    p = _document_p(doc)
     vertices = {}
     for v in doc["vertices"]:
         if v["id"] in vertices:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
-        direction = v["template"]
-        w1 = BimoduleLabel.parse(v["walls"][0], p)
-        w2 = BimoduleLabel.parse(v["walls"][1], p)
-        vertices[v["id"]] = TrivalentRep(direction, w1, w2,
+        w1, w2 = (BimoduleLabel.parse(w, p) for w in _shaped(
+            v["walls"], ("first", "second"), f"vertex {v['id']}: walls"))
+        vertices[v["id"]] = TrivalentRep(v["template"], w1, w2,
                                          corner=v.get("corner"))
     edges = []
     for e in doc["edges"]:
-        ends = tuple(tuple(end) if end else None for end in e["ends"])
+        ends = tuple(tuple(_shaped(end, ("vertex", "slot"),
+                                   f"edge {e['id']}: an end"))
+                     if end else None for end in e["ends"])
         edges.append(PatchEdge(e["id"], BimoduleLabel.parse(e["wall"], p), ends))
     pinned = {eid: tuple(value) if isinstance(value, list) else value
               for eid, value in (doc.get("pinned") or {}).items()}
-    faces = [[(vid, region) for vid, region in face] for face in doc["faces"]]
+    faces = [[tuple(_shaped(c, ("vertex", "region"), f"face {i}: a corner"))
+              for c in face] for i, face in enumerate(doc["faces"])]
     return LatticePatch(p, vertices, edges, faces, pinned)
 
 

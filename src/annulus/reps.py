@@ -15,9 +15,12 @@ the Rep classes):
             consistent labelings as linear equations over F_p
   act    -- (free, args...) -> (e, new free tuple): the generator sends the
             vector to zeta_N^e times the new one, e an integer that the
-            Rep classes reduce mod N (`scalars.root_order`); e, too, must
-            be affine in the free labels, so that the entry can be
-            evaluated on the engine's symbols as `edges` is
+            Rep classes reduce mod N (`scalars.root_order`); each free
+            label must go to itself plus a constant, and e must be affine
+            in the free labels (at p = 2 with even coefficients, a sign per
+            label), so that the engine evaluates the entry once per args on
+            its symbols, as `edges`, and reads it as a translation with a
+            phase form
   mu     -- whether the family carries a corner parameter (multiplicity p)
 """
 
@@ -775,6 +778,9 @@ class _TableRep:
         # {sorted args: {local vector: act(vector, args)}}; filled by the
         # engine and the lattice on first use
         self.action_memo: dict = {}
+        # the engine's affine reading of this key's actions,
+        # `engine._AFFINE[key]`, attached on first use
+        self.affine_forms: dict | None = None
 
     def basis(self):
         if self._basis is None:

@@ -11,6 +11,7 @@ stubs and its faces among the derived cavities.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -401,6 +402,22 @@ def horizontal_corner_names(d1, d2) -> list[str]:
 # --------------------------------------------------------------------------
 
 
+def _shaped(value, shape: tuple, what: str):
+    """value, a document entry that must be a list [shape...]; anything
+    else is a StructureError that names `what`."""
+    if not isinstance(value, (list, tuple)) or len(value) != len(shape):
+        raise StructureError(f"{what} must be [{', '.join(shape)}], got "
+                             f"{json.dumps(value)}")
+    return value
+
+
+def _document_p(doc: dict) -> int:
+    p = doc["p"]
+    if type(p) is not int:
+        raise StructureError(f"p must be an integer, got {json.dumps(p)}")
+    return p
+
+
 def compound_from_json(doc: dict) -> CompoundDefect:
     """Build a compound defect from the structure document format.
 
@@ -411,7 +428,7 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     (any for "vertical"; other than "bottom" and "top" for "diamond") is a
     StructureError.
     """
-    p = doc["p"]
+    p = _document_p(doc)
     template = doc.get("template")
     if template is not None:
         corners = {k: int(v) for k, v in (doc.get("corners") or {}).items()}
@@ -420,14 +437,16 @@ def compound_from_json(doc: dict) -> CompoundDefect:
                 {"bottom", "top"} if template == "diamond" else set())
             if unknown:
                 raise StructureError(f"unknown corner names {sorted(unknown)}")
-            d1, d2 = (parse_defect(t, p) for t in doc["defects"])
+            d1, d2 = (parse_defect(t, p) for t in _shaped(
+                doc["defects"], ("d1", "d2"), f"{template} template defects"))
             if template == "vertical":
                 return vertical_compound(d1, d2)
             return horizontal_compound(d1, d2,
                                        corner_bottom=corners.get("bottom"),
                                        corner_top=corners.get("top"))
         if template == "associator":
-            walls = [BimoduleLabel.parse(t, p) for t in doc["walls"]]
+            walls = [BimoduleLabel.parse(t, p) for t in _shaped(
+                doc["walls"], ("M", "N", "P"), "associator template walls")]
             return associator_compound(*walls, corners=corners)
         raise StructureError(f"unknown template {template!r}")
     vertex_docs = {}
@@ -441,10 +460,16 @@ def compound_from_json(doc: dict) -> CompoundDefect:
         ends = []
         for key in ("from", "to"):
             end = e.get(key)
-            ends.append(tuple(end) if end else None)
+            ends.append(tuple(_shaped(end, ("vertex", "slot"),
+                                      f"edge {e['id']}: an end"))
+                        if end else None)
         edges.append(Edge(e["id"], BimoduleLabel.parse(e["wall"], p), tuple(ends)))
-    structure = DomainWallStructure(
-        p, vertices, edges, doc["external"], doc.get("cavities"))
+    cavities = doc.get("cavities")
+    if cavities is not None:
+        cavities = [[_shaped(c, ("vertex", "region"), f"cavity {i}: a corner")
+                     for c in cavity] for i, cavity in enumerate(cavities)]
+    structure = DomainWallStructure(p, vertices, edges, doc["external"],
+                                    cavities)
     reps = {}
     for vid, template in vertices.items():
         vdoc = vertex_docs[vid]

@@ -10,7 +10,7 @@ from annulus import defects, engine  # noqa: E402
 
 def _clear_label_tables():
     engine._SYMBOLIC.clear()
-    engine._CYCLIC.clear()
+    engine._AFFINE.clear()
     engine._CANDIDATES.clear()
     engine._GRADE_DIMS.clear()
     defects.phase_terms.cache_clear()
@@ -20,7 +20,7 @@ def _clear_label_tables():
 def empty_label_tables():
     """Start and end every test with empty process-wide label tables, so a
     test that fakes `act`, an `edges` entry or a defect's data is not
-    answered from an earlier test's verdicts, and a test that counts the
+    answered from an earlier test's forms, and a test that counts the
     builds of a defect's data sees every one."""
     _clear_label_tables()
     yield

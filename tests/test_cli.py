@@ -10,7 +10,9 @@ from annulus.fusion import FusionResult
 from annulus.levinwen import (
     defect_line_patch, hexagon_chain_patch, patch_to_json,
 )
-from annulus.structures import compound_to_json, vertical_compound
+from annulus.structures import (
+    compound_to_json, horizontal_compound, vertical_compound,
+)
 from annulus.defects import parse_defect, trivial_defect
 from annulus.walls import wall
 
@@ -530,6 +532,49 @@ def test_lw_state_refuses_a_bad_edge_entry(tmp_path, edges, message):
     ("decompose", 3, "bad structure document: expected a JSON object"),
 ], ids=["lw-missing", "decompose-missing", "lw-list", "decompose-number"])
 def test_a_document_says_what_it_lacks(tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    assert r.returncode == 6, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _diamond_doc(change):
+    doc = compound_to_json(horizontal_compound(
+        parse_defect("FqR(x=1;q=2)", 3), parse_defect("LL(a=1,x=2)", 3),
+        corner_top=1))
+    return change(doc) or doc
+
+
+def _set_first(doc, key, value):
+    next(e for e in doc["edges"] if e.get(key))[key] = value
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("decompose", {"p": 3, "template": "associator", "walls": ["R", "R"]},
+     'associator template walls must be [M, N, P], got ["R", "R"]'),
+    ("decompose", {"p": 3, "template": "vertical", "defects": ["RR(x=1)"]},
+     'vertical template defects must be [d1, d2], got ["RR(x=1)"]'),
+    ("decompose", _diamond_doc(
+        lambda d: d["cavities"][0].__setitem__(0, ["vt"])),
+     'cavity 0: a corner must be [vertex, region], got ["vt"]'),
+    ("decompose", _diamond_doc(lambda d: _set_first(d, "to", ["vb"])),
+     'an end must be [vertex, slot], got ["vb"]'),
+    ("decompose", _diamond_doc(lambda d: d.__setitem__("p", "3")),
+     'p must be an integer, got "3"'),
+    ("lw", _malformed_patch(lambda d: d.__setitem__("p", "2")),
+     'p must be an integer, got "2"'),
+    ("lw", _malformed_patch(lambda d: d["faces"][0][0].append(1)),
+     "face 0: a corner must be [vertex, region], got "),
+    ("lw", _malformed_patch(lambda d: d["vertices"][0].update(walls=["X1"])),
+     ': walls must be [first, second], got ["X1"]'),
+], ids=["associator-walls", "vertical-defects", "cavity-corner", "edge-end",
+        "structure-p", "patch-p", "face-corner", "vertex-walls"])
+def test_a_malformed_entry_is_named(tmp_path, command, doc, message):
+    """An entry of the wrong shape or type is named with what it must be,
+    not reported in Python's words (a missing argument, an unpacking or
+    index error, an ordering of str and int); the exit code stays 6."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     r = run_cli(command, str(path))

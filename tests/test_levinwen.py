@@ -415,47 +415,6 @@ def test_pinned_chain_p5_n5_has_one_ground_state():
     assert patch.ground_space_dim() == 1
 
 
-def _with_tables(monkeypatch, patch, gens):
-    """Give every face of `patch` a hand-made H_{f,1} table. The tables go
-    through the patch's ground space, a `QuotientRep`, and its checks: the
-    images of H_{f,1} that it reads from `_apply_args` are replaced by the
-    tables'. The ground space is built afresh on its next read."""
-    basis = patch.consistent_basis()
-    index = {s: i for i, s in enumerate(basis)}
-    face_of = {id(engine._bubble_args(patch.compound, patch.cavities[f], 1)): f
-               for f in range(len(gens))}
-
-    def apply_args(reps, vec, vertex_args, N):
-        j, k = gens[face_of[id(vertex_args)]][index[vec]]
-        return k, basis[j]
-
-    monkeypatch.setattr(engine, "_apply_args", apply_args)
-    patch.__dict__.pop("ground_space", None)
-    return patch
-
-
-def test_face_generators_that_do_not_commute_are_rejected(monkeypatch):
-    """Two faces of a p = 2 chain (four states), each given a table that is
-    a strict Z/2 action: the swaps (0 1) and (1 2) do not commute, and
-    neither do (0 1) and a sign at state 0, through phases alone."""
-    patch = hexagon_chain_patch(2, 2)
-    assert len(patch.consistent_basis()) == 4
-    ident = [(i, 0) for i in range(4)]
-    swap01 = [(1, 0), (0, 0), (2, 0), (3, 0)]
-    swap12 = [(0, 0), (2, 0), (1, 0), (3, 0)]
-    twist01 = [(1, 1), (0, 3), (2, 0), (3, 0)]
-    sign0 = [(0, 2), (1, 0), (2, 0), (3, 0)]
-    for first, second in ((swap01, swap12), (twist01, sign0)):
-        _with_tables(monkeypatch, patch, [first, second])
-        patch.assert_face_group_rep()
-        with pytest.raises(StructureError,
-                           match="face relabelings do not commute"):
-            patch.ground_space_dim()
-    # commuting tables pass: the orbits {0, 1}, {2}, {3}, all admissible
-    _with_tables(monkeypatch, patch, [swap01, ident])
-    assert patch.ground_space_dim() == 3
-
-
 def _loop_phase(monkeypatch, extra):
     """Add extra(vertex, local vector, args) to the exponent of every vertex
     action, multiplying its phase by zeta_N to that power."""
@@ -475,16 +434,65 @@ def _args_of(patch, face, g, vid):
     return dict(args)
 
 
+def _swapped_images(monkeypatch, rep, args_once):
+    """Swap the two entries of rep's image under args_once: no
+    translation of the free labels."""
+    orig = TrivalentRep.act
+
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
+        if self is rep and args == args_once:
+            new = (new[1], new[0])
+        return e, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+
+
+def test_face_generators_that_do_not_commute_are_rejected(monkeypatch):
+    """Two faces of a p = 2 chain share the vertices h0_ur and h0_lr. An
+    extra phase i^(2 v_0) on face 1's loop at h0_ur, where face 0 moves
+    v_0, makes H_{0,1} H_{1,1} = -H_{1,1} H_{0,1}; each face alone is
+    still a strict Z/2 action. A sign there commutes, and the ground space
+    stays one state. Swapped images, which could break commutation through
+    the images alone, are no translation and are refused as such, at the
+    first vertex with that rep and args: h0_ul, in face 0."""
+    for extra, ok in ((lambda vec: 2 * vec[0], False), (lambda vec: 2, True)):
+        with monkeypatch.context() as mp:
+            engine._AFFINE.clear()
+            patch = hexagon_chain_patch(2, 2)
+            rep = patch.vertices["h0_ur"]
+            once = _args_of(patch, 1, 1, "h0_ur")
+            _loop_phase(mp, lambda r, vec, args:
+                        extra(vec) if r is rep and args == once else 0)
+            patch.assert_face_group_rep()
+            assert patch.check_commutation()["ok"] is ok
+            if ok:
+                assert patch.ground_space_dim() == cyc_trace_dim(patch) == 1
+            else:
+                with pytest.raises(StructureError,
+                                   match="face relabelings do not commute"):
+                    patch.ground_space_dim()
+    engine._AFFINE.clear()
+    patch = hexagon_chain_patch(2, 2)
+    _swapped_images(monkeypatch, patch.vertices["h0_ur"],
+                    _args_of(patch, 1, 1, "h0_ur"))
+    with pytest.raises(StructureError, match="^vertex h0_ul: action .* is not "
+                                             "a translation"):
+        patch.ground_space_dim()
+
+
 def test_group_check_compares_phases(monkeypatch):
-    """Relabelings that obey the group law, where H_{0,2} carries one phase
-    other than H_{0,1}^2's: zeta_3 at vertex h0_t, on the local vector of
-    the first basis state only. That is no strict group action."""
+    """Relabelings that obey the group law, where H_{0,2} carries a phase
+    other than H_{0,1}^2's: zeta_3^(v_0) at vertex h0_t, which is 1 on the
+    first basis state and not on the others. That is no strict group
+    action."""
     patch = hexagon_chain_patch(3, 1)
     rep = patch.vertices["h0_t"]
-    x = patch.consistent_basis()[0][patch.vertex_order().index("h0_t")]
+    at_t = patch.vertex_order().index("h0_t")
+    assert {state[at_t][0] for state in patch.consistent_basis()} == {0, 1, 2}
     twice = _args_of(patch, 0, 2, "h0_t")
     _loop_phase(monkeypatch, lambda r, vec, args:
-                int(r is rep and vec == x and args == twice))
+                vec[0] if r is rep and args == twice else 0)
     with pytest.raises(StructureError, match="strict group action"):
         patch.assert_face_group_rep()
     with pytest.raises(StructureError, match="strict group action"):
@@ -512,16 +520,34 @@ def test_group_check_compares_images(monkeypatch):
 
 
 def test_group_check_needs_the_pth_power_to_vanish(monkeypatch):
-    """p = 2 tables with T_0 the identity and T_1 the generator, where T_1^2
-    is no identity: a 3-cycle, or a swap whose phases sum to i."""
+    """At p = 2, H_{0,1} with a constant phase i at vertex h0_t keeps the
+    basis and H_{0,0} is the identity, but H_{0,1}^2 is -1. Images that
+    H_{0,1}^2 does not send home, (v_0, v_1) -> (v_1, v_0 + v_1) at h0_t,
+    a 3-cycle of the nonzero local vectors, are no translation and are
+    refused as such."""
     patch = hexagon_chain_patch(2, 2)
-    ident = [(i, 0) for i in range(4)]
-    cycle = [(1, 0), (2, 0), (0, 0), (3, 0)]
-    twisted = [(1, 1), (0, 0), (2, 0), (3, 0)]
-    for gen in (cycle, twisted):
-        _with_tables(monkeypatch, patch, [gen, ident])
+    rep = patch.vertices["h0_t"]
+    once = _args_of(patch, 0, 1, "h0_t")
+    with monkeypatch.context() as mp:
+        _loop_phase(mp, lambda r, vec, args:
+                    1 if r is rep and args == once else 0)
         with pytest.raises(StructureError, match="face 0 does not carry"):
             patch.assert_face_group_rep()
+    engine._AFFINE.clear()
+    patch = hexagon_chain_patch(2, 2)
+    rep = patch.vertices["h0_t"]
+    orig = TrivalentRep.act
+
+    def act(self, vec, args):
+        e, new = orig(self, vec, args)
+        if self is rep and args == once:
+            new = (new[1], (new[0] + new[1]) % 2)
+        return e, new
+
+    monkeypatch.setattr(TrivalentRep, "act", act)
+    with pytest.raises(StructureError, match="^vertex h0_t: action .* is not "
+                                             "a translation"):
+        patch.assert_face_group_rep()
 
 
 def test_phase_defects_that_cancel_between_vertices_pass(monkeypatch):
@@ -529,13 +555,14 @@ def test_phase_defects_that_cancel_between_vertices_pass(monkeypatch):
     local vector: each vertex alone breaks H_{0,2} = H_{0,1}^2, but the
     product over the face does not, and the ground space is unchanged.
     With zeta_3 at both vertices the defects add up and are refused. The
-    engine keeps each vertex's verdict per rep key and args, so each branch
-    starts from empty tables and the phase is keyed the same way."""
+    engine keeps each vertex action's form per rep key and args, so each
+    branch starts from empty tables and fresh reps, and the phase is keyed
+    the same way."""
     patch = hexagon_chain_patch(3, 1)
     want = patch.ground_space_dim()
     for shift_b, ok in ((-1, True), (1, False)):
         engine._SYMBOLIC.clear()
-        engine._CYCLIC.clear()
+        engine._AFFINE.clear()
         patch = hexagon_chain_patch(3, 1)
         t, b = patch.vertices["h0_t"], patch.vertices["h0_b"]
         at_t = t.key, _args_of(patch, 0, 2, "h0_t")

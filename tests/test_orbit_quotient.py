@@ -134,6 +134,7 @@ def test_boundary_phase_that_breaks_commutation_is_rejected(monkeypatch):
                                    parse_defect("F0R(x=1)", p))
 
     assert decompose(QuotientRep(structure()))
+    engine._AFFINE.clear()  # it holds d2's plain actions now
     cd = structure()
     _extra_phase(monkeypatch, cd.reps["d2"],
                  lambda vec, args: vec[0] if args.get("right") else 0)

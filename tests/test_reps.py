@@ -1,12 +1,13 @@
 """Representation-table checks: tabulated examples, functoriality, Theta."""
 
 import itertools
+import operator
 import random
 
 import pytest
 
 from annulus.defects import enumerate_defects, parse_defect
-from annulus.engine import _Form
+from annulus.engine import _Form, _affine_action
 from annulus.reps import (
     TRI12, TRI21, BivalentRep, TrivalentRep, composition_phase_bivalent,
     composition_phase_trivalent, theta_exponent,
@@ -345,3 +346,21 @@ def test_every_action_is_a_translation_with_an_affine_phase():
                 else:
                     assert 0 <= e < rep.N
     assert (reps, actions) == (1584, 69040)
+
+
+def test_every_affine_form_gives_act_on_every_local_vector():
+    """The engine's reading of an action, (t, L, c) from one evaluation on
+    symbols, sends every local vector x to x + t with exponent L.x + c,
+    as `act` does on x itself, for every rep and args tuple at p = 2, 3."""
+    actions = 0
+    for p in (2, 3):
+        for rep, regions in _every_rep(p):
+            for values in itertools.product(range(p), repeat=len(regions)):
+                args = dict(zip(regions, values))
+                t, linear, c = _affine_action(rep, "v", args)
+                actions += 1
+                for x in rep.basis():
+                    assert rep.act(x, args) == (
+                        (sum(map(operator.mul, linear, x)) + c) % rep.N,
+                        tuple((a + b) % p for a, b in zip(x, t))), rep.key
+    assert actions == 7040
