@@ -9,49 +9,46 @@ loop's exponent is the sum over its vertices, and only `root_sum`,
 `root_pow` and the matrix references make field elements. Every rep's edge
 labels are affine in its free labels, so the consistent labelings, of a
 compound or of a Levin-Wen patch with pins, are the solutions of linear
-equations over F_p, which `enumerate_basis` eliminates and then lists one
-column (variable) at a time (`_list_solutions`). When the equations are
-inconsistent there is no labeling, and the quotient ends at the solve. A
-bubble is a loop through its cavity's corners (`_loop_args`). Every vertex
-action translates the free labels with a phase affine in them, and each is
-read once, on symbols, as a translation t and a phase form L.x + c
-(`_affine_action`). The group laws are decided on these forms: a bubble
+equations over F_p, solved as x = x0 + B f over the free variables f
+(`enumerate_basis`); state i is the f whose base-p digits spell i, and no
+state is listed. Every vertex action translates the free labels with a phase
+affine in them, and each is read once, on symbols, as a translation t and a
+phase form L.x + c (`_affine_action`). Composed with B, a loop (a bubble
+through its cavity's corners, a boundary generator or a lattice face)
+translates f digit by digit with a phase affine in f (`SolvedBasis.loop`),
+so its table is index arithmetic, and a stub label is an affine form in f,
+which grades the states. The group laws are decided on the forms: a bubble
 generates a strict Z/p action when Bub_u = Bub_1^u (`_strict_cyclic`), and
-two loops commute up to the phase sum_v L_a.t_b - L_b.t_a (`_commutator`),
-for bubbles, boundary generators and lattice faces alike. A Levin-Wen
-patch's ground space is the `QuotientRep` of its compound, its pinned
-dangling edges the pins and its faces the cavities. The product of the
-cavity symmetrizers averages over G, so the quotient has one orbit sum per
-orbit whose stabilizer acts trivially (an admissible orbit), and a grade's
-dimension is its number of admissible orbits. Boundary generators commute
-with G and map orbit sums to roots of unity times orbit sums, so a
-generator's trace (character) is the histogram over Z/N of the phases of the
-orbit sums it fixes. The multiplicity of a candidate defect is the trace of
-its idempotent on the quotient. Every idempotent coefficient is p^-j
-zeta_N^e (`defects.phase_terms`), so that trace is one integer histogram
-over Z/N divided by p^J, J the largest j, and it becomes a field element
-only once per defect, to be read as a rational.
-`QuotientRep.boundary_matrix` and `apply_idempotent` give the same boundary
-operators as exact matrices from the `Cyc` idempotent; `decompose` does not
-use them.
+two loops commute up to the phase L_a.t_b - L_b.t_a (`_bracket`), summed
+over the vertices for lattice faces (`_commutator`). A Levin-Wen patch's
+ground space is the `QuotientRep` of its compound, its pinned dangling edges
+the pins and its faces the cavities. The product of the cavity symmetrizers
+averages over G, so the quotient has one orbit sum per orbit whose
+stabilizer acts trivially (an admissible orbit), and a grade's dimension is
+its number of admissible orbits. Boundary generators commute with G and map
+orbit sums to roots of unity times orbit sums, so a generator's trace
+(character) is the histogram over Z/N of the phases of the orbit sums it
+fixes. The multiplicity of a candidate defect is the trace of its idempotent
+on the quotient. Every idempotent coefficient is p^-j zeta_N^e
+(`defects.phase_terms`), so that trace is one integer histogram over Z/N
+divided by p^J, J the largest j, and it becomes a field element only once
+per defect, to be read as a rational. `QuotientRep.boundary_matrix` and
+`apply_idempotent` give the boundary operators as exact matrices, and
+`bubble_action` and `boundary_action` act on listed states by `act`;
+`decompose` uses none of them.
 
 Structures and compound defects are immutable once validated; basis
 enumeration, bubble application and per-defect characters are pure and
 independent per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
-cached roots. Two results depend only on a rep's labels, and the process
-keeps them in module-level tables keyed by `rep.key`: its symbolic labels
-and the affine form of each of its actions. Likewise `decompose` keeps, per
-wall pair, the candidate defects with their source grades and, per defect,
-its grade dimensions, and `defects.phase_terms` caches each defect's terms.
-Each vertex rep carries a memo of its actions (`act`'s exponent and image
-per args and local vector), shared by every compound or lattice patch that
-holds the rep. A driver's corner sweep builds one structure and one rep per
-(vertex, corner value) for all its corner assignments, so the compounds of
-one sweep share the per-vertex args of every bubble and boundary generator,
-kept on the structure, and the memos of every vertex whose corner they
-agree on. A sweep lives for one driver call.
+cached roots. The process keeps, keyed by `rep.key`, each rep's symbolic
+labels and the affine form of each of its actions; per wall pair, the
+candidate defects with their source grades; and per defect its grade
+dimensions, while `defects.phase_terms` caches each defect's terms. The
+compounds of a driver's corner sweep share one structure, which keeps the
+per-vertex args of every bubble and boundary generator, and one rep per
+(vertex, corner value). A sweep lives for one driver call.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ import functools
 import itertools
 import operator
 import os
+from collections.abc import Sequence
 
 from .defects import DefectLabel, enumerate_defects, idempotent, phase_terms
 from .linalg import ExactMatrix
@@ -180,27 +178,22 @@ def _symbolic_labels(rep, vid) -> dict:
 
 
 def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
-                    what: str = "compound") -> list[tuple]:
-    """All consistent labelings of cd: one local basis vector per vertex,
-    such that both ends of every edge carry the same object and every stub
-    named in `pins` {stub id: object} carries its pinned object; `what`
-    names the basis in the size-limit refusal.
+                    what: str = "compound") -> "SolvedBasis":
+    """All consistent labelings of cd, solved (`SolvedBasis`): one local
+    basis vector per vertex, such that both ends of every edge carry the
+    same object and every stub in `pins` {stub id: object} its pinned
+    object; `what` names the basis in the size-limit refusal.
 
-    Every rep's edge labels are affine in its free labels, so the
-    consistent labelings are the solutions of linear equations over F_p in
-    the free labels of all vertices, numbered in vertex order. Each
-    equation is eliminated with its pivot on its highest variable, so a
-    pivot variable is a function of lower variables only, and
-    `_list_solutions` lists the solutions one variable (column) at a time.
-    ANNULUS_MAX_BASIS bounds the number of solutions, p^(free variables),
-    before any is built."""
+    The labelings solve linear equations over F_p in the free labels of all
+    vertices, numbered in vertex order. Each is eliminated with its pivot
+    on its highest variable, so each pivot is a function of the free
+    variables f: x = x0 + B f. ANNULUS_MAX_BASIS bounds the number of
+    solutions, p^(free variables), before any state or table is built."""
     order, reps, pins = cd.vertex_order, cd.reps, pins or {}
     limit = max_basis()
-    if not order:
-        return [()]
-    p = reps[order[0]].p
+    p = cd.p
     labels: dict = {}           # vertex -> (its symbolic labels, offset)
-    bases = []                  # vertex position -> its local basis
+    offsets = []                # vertex position -> its first variable
     n = 0
     for vid in order:
         rep = reps[vid]
@@ -208,8 +201,9 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
         if symbolic is None:
             symbolic = _SYMBOLIC[rep.key] = _symbolic_labels(rep, vid)
         labels[vid] = symbolic, n
-        bases.append(rep.basis())
+        offsets.append(n)
         n += len(rep.free_names)
+    offsets.append(n)
     pivots: dict = {}
     seen = set()
     for vid in order:
@@ -224,76 +218,117 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
                 sides.append((_constant(pins[e.eid]), 0))
             for other in sides[1:]:
                 if not _equate(*sides[0], *other, pivots, p):
-                    return []
-    free = n - len(pivots)
-    if p ** free > limit:
+                    return SolvedBasis(p, offsets, None, [])
+    free = [v for v in range(n) if v not in pivots]
+    if p ** len(free) > limit:
         raise SizeLimitError(
             f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
-            f"{p}^{free} consistent labelings")
-    return _list_solutions(bases, pivots, p)
+            f"{p}^{len(free)} consistent labelings")
+    rows = []                   # variable -> (x0, B row)
+    for v in range(n):
+        row = pivots.get(v)
+        if row is None:
+            rows.append((0, tuple(int(u == v) for u in free)))
+            continue
+        coef, const = row
+        x0, b = -const, [0] * len(free)
+        for u, a in coef.items():
+            if u != v:
+                ux0, ub = rows[u]
+                x0 -= a * ux0
+                b = [y - a * z for y, z in zip(b, ub)]
+        rows.append((x0 % p, tuple(y % p for y in b)))
+    return SolvedBasis(p, offsets, rows, free)
 
 
-def _list_solutions(bases: list, pivots: dict, p: int) -> list[tuple]:
-    """Every solution of the echelon rows `pivots` over F_p, as one local
-    vector per vertex: vertex i holds the next len(bases[i][0]) variables
-    and lists its local vectors in bases[i].
+class SolvedBasis(Sequence):
+    """The consistent labelings as x = x0 + B f over the free variables
+    `free`: rows[v] is (x0_v, B_v), vertex i holds the variables
+    offsets[i]..offsets[i+1]-1, and state i is the f whose base-p digits,
+    first free variable first, spell i. `rows` is None when the equations
+    are inconsistent: there is no state. As a sequence, it is its states
+    listed as one local vector per vertex, on first read only."""
 
-    The solutions are built as one column per variable, in variable order.
-    A free variable's column is 0..p-1, repeated; a pivot's column is
-    (-const - sum a*column_u) mod p over its row. The first free variable
-    runs slowest, so two solutions first differ at a free variable and
-    their order is the product order of the local bases. A column depends
-    only on the free variables up to it: it is kept at length p^(those
-    variables) and stretched (each entry repeated) when a longer column
-    reads it. A vertex's local vectors are its columns zipped, each looked
-    up in bases[i] so that equal ones are one shared tuple, and a column is
-    dropped once its vertex and every pivot that reads it are built."""
-    last = {}  # variable -> the last pivot that reads its column
-    for v, (coef, _) in pivots.items():
-        for u in coef:
-            last[u] = max(last.get(u, u), v)
-    columns: dict = {}
-    per_vertex = []
-    size = 1
+    def __init__(self, p: int, offsets: list, rows, free: list):
+        self.p, self.offsets, self.rows, self.free = p, offsets, rows, free
+        self.size = 0 if rows is None else p ** len(free)
+        rows = rows or []
+        self.vertex_rows = [list(zip(range(a, b), rows[a:b]))
+                            for a, b in zip(offsets, offsets[1:])]
+        self.pivot_rows = [(v, b) for v, (_, b) in enumerate(rows)
+                           if v not in free]
 
-    def column(u):
-        if len(columns[u]) < size:
-            columns[u] = list(_stretch(columns[u], size))
-        return columns[u]
+    def __len__(self) -> int:
+        return self.size
 
-    start = 0
-    for local in bases:
-        stop = start + len(local[0])
-        for v in range(start, stop):
-            row = pivots.get(v)
-            if row is None:
-                columns[v] = list(range(p)) * size
-                size *= p
-                continue
-            coef, const = row
-            col = [-const % p] * size
-            for u, a in coef.items():
-                if u != v:
-                    col = [(y - a * x) % p for y, x in zip(col, column(u))]
-            columns[v] = col
-        table = {x: x for x in local}
-        per_vertex.append(
-            list(map(table.__getitem__,
-                     zip(*[column(u) for u in range(start, stop)])))
-            if stop > start else [()] * size)
-        start = stop
-        for u in [u for u in columns if last.get(u, u) < start]:
-            del columns[u]
-    return list(zip(*(_stretch(vecs, size) for vecs in per_vertex)))
+    def __getitem__(self, i):
+        return self.states[i]
 
+    def __eq__(self, other):
+        if isinstance(other, (list, SolvedBasis)):
+            return self.states == list(other)
+        return NotImplemented
 
-def _stretch(col: list, size: int):
-    """An iterator over col with each entry repeated size // len(col)
-    times."""
-    r = size // len(col)
-    if r == 1:
-        return iter(col)
-    return itertools.chain.from_iterable(itertools.repeat(x, r) for x in col)
+    @functools.cached_property
+    def states(self) -> list[tuple]:
+        """Every state as one local vector per vertex, in state order."""
+        if not self.size:
+            return []
+        full = list(zip(*[self.values(b, x0, self.p) for x0, b in self.rows]))
+        spans = list(zip(self.offsets, self.offsets[1:]))
+        return [tuple(x[a:b] for a, b in spans)
+                for x in full or [()] * self.size]
+
+    def values(self, coef, const: int, modulus: int) -> list:
+        """coef.f + const mod `modulus` at every state."""
+        col = [const % modulus]
+        for a in coef:
+            step = [a * x for x in range(self.p)]
+            col = [(v + s) % modulus for v in col for s in step]
+        return col
+
+    def shifted(self, tau) -> list:
+        """The index of (f + tau) mod p, digit by digit, at every state."""
+        p, col = self.p, [0]
+        for t in tau:
+            step = [(x + t) % p for x in range(p)]
+            col = [v * p + s for v in col for s in step]
+        return col
+
+    def loop(self, forms: dict, modulus: int) -> tuple:
+        """(tau, ell, kappa) of a loop given per vertex position as (t, L, c)
+        (`_loop_forms`): f goes to (f + tau) mod p digit by digit with
+        exponent ell.f + kappa mod `modulus`, exact where that is p, and at
+        p = 2 for even L; a form L.x + c is a loop with t = 0. tau is None
+        when the translation leaves the solutions: at some pivot row it is
+        not B tau."""
+        shift = {}
+        ell, kappa = [0] * len(self.free), 0
+        for pos, (t, lin, c) in forms.items():
+            kappa += c
+            for (v, (x0, b)), s, a in zip(self.vertex_rows[pos], t, lin):
+                if s:
+                    shift[v] = s
+                if a:
+                    kappa += a * x0
+                    ell = [y + a * z for y, z in zip(ell, b)]
+        tau = tuple([shift.get(v, 0) for v in self.free])
+        for v, b in self.pivot_rows if shift else ():
+            if (_dot(b, tau) - shift.get(v, 0)) % self.p:
+                tau = None
+                break
+        return tau, tuple([y % modulus for y in ell]), kappa % modulus
+
+    def image(self, i: int, loop: tuple, N: int) -> tuple:
+        """(k, j): the loop sends state i to zeta_N^k times state j."""
+        tau, ell, kappa = loop
+        j, k, scale = 0, kappa, 1
+        for t, a in zip(reversed(tau), reversed(ell)):
+            i, x = divmod(i, self.p)
+            j += (x + t) % self.p * scale
+            k += a * x
+            scale *= self.p
+        return k % N, j
 
 
 def _constant(obj):
@@ -367,24 +402,6 @@ def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:
     return labels
 
 
-def _external_grades(cd: CompoundDefect, basis: list,
-                     stubs: list) -> list[tuple]:
-    """Tuple of the labels of the stubs `stubs` of every basis vector, in
-    the order given. Each stub's one vertex end is found once, and its label
-    read once per local vector that occurs there; the enumerator already
-    made the labeling consistent."""
-    position = {vid: i for i, vid in enumerate(cd.vertex_order)}
-    columns = []
-    for eid in stubs:
-        (vid, slot), = [end for end in cd.structure.edge_by_id[eid].ends
-                        if end is not None]
-        pos, rep = position[vid], cd.reps[vid]
-        local = [vec[pos] for vec in basis]
-        label = {x: rep.edge_labels(x)[slot] for x in set(local)}
-        columns.append(list(map(label.__getitem__, local)))
-    return list(zip(*columns)) if columns else [()] * len(basis)
-
-
 def _affine_action(rep, vid, args: dict) -> tuple:
     """act(., args) of rep at vertex vid as (t, L, c): the local vector x
     goes to x + t (mod p) with exponent L.x + c (mod N). `act` is evaluated
@@ -415,14 +432,14 @@ def _affine_action(rep, vid, args: dict) -> tuple:
 def _loop_forms(vertex_args: list, reps: dict) -> dict:
     """{position: (t, L, c)} of every vertex a loop acts on, as
     `_affine_action` gives it, once per process per rep key and args. A rep
-    holds its key's part of `_AFFINE`, so a lookup hashes only the args."""
+    holds its key's part of `_AFFINE`, looked up by the sorted args that
+    `_vertex_args` keeps."""
     out = {}
-    for i, vid, args, _ in vertex_args:
+    for i, vid, args, key in vertex_args:
         rep = reps[vid]
         table = rep.affine_forms
         if table is None:
             table = rep.affine_forms = _AFFINE.setdefault(rep.key, {})
-        key = tuple(sorted(args.items()))
         form = table.get(key)
         if form is None:
             form = table[key] = _affine_action(rep, vid, args)
@@ -434,61 +451,43 @@ def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
 
 
+def _bracket(a: tuple, b: tuple) -> int:
+    """L_a.t_b - L_b.t_a for two actions on the same free labels given as
+    (t, L, c): translations commute, A after B adds L_a.t_b to the phase
+    and B after A adds L_b.t_a."""
+    return _dot(a[1], b[0]) - _dot(b[1], a[0])
+
+
 def _commutator(a: dict, b: dict, N: int) -> int:
     """The k in Z/N with A B = zeta_N^k B A for loops given by their
-    `_loop_forms`: translations commute, and at a vertex both act on, A
-    after B adds L_a.t_b to the phase and B after A adds L_b.t_a."""
+    `_loop_forms`: the `_bracket`s of the vertices both act on, summed."""
     k = 0
-    for i, (ta, la, _) in a.items():
+    for i, form in a.items():
         other = b.get(i)
         if other is not None:
-            k += _dot(la, other[0]) - _dot(other[1], ta)
+            k += _bracket(form, other)
     return k % N
 
 
-@functools.cache
-def _powers(form: tuple, p: int, N: int) -> tuple:
-    """The forms of T^0, ..., T^p at a vertex where T has `form` (t, L, c):
-    T^u translates by u t with exponent u (L.x + c) + L.t u(u-1)/2."""
-    t, lin, c = form
-    s = _dot(lin, t)
-    return tuple((tuple(u * a % p for a in t), tuple(u * a % N for a in lin),
-                  (u * c + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
-
-
-def _strict_cyclic(basis: list, acts: list, reps: dict, N: int) -> bool:
+def _strict_cyclic(solved: SolvedBasis, acts: list, reps: dict,
+                   N: int) -> bool:
     """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
-    T_1^p is the identity, on `basis`; then (1/p) sum_u T_u is an
-    idempotent. acts[u] holds the vertex args of T_u, a loop through the
-    vertices of T_1.
+    T_1^p is the identity, on the solutions `solved`; then (1/p) sum_u T_u
+    is an idempotent. acts[u] holds the vertex args of T_u, a loop through
+    the vertices of T_1, and T_1 keeps the solutions.
 
-    Each vertex action is a translation with an affine phase
-    (`_loop_forms`), so, with T_p for T_0, T_u = T_1^u for u = 0..p when
-    at every vertex T_u translates as T_1^u (`_powers`) does and the
-    differences of their phase forms, summed over the vertices, vanish on
-    the basis. The differences may cancel between vertices; they are
-    evaluated state by state only when a linear part is nonzero."""
+    Each T_u is read in the solved coordinates (`SolvedBasis.loop`), where
+    T_1 = (tau, ell, kappa) has the power T_1^u = (u tau, u ell, u kappa +
+    ell.tau u(u-1)/2), T_0 standing for T_1^p; phase defects of single
+    vertices that cancel in the sum over a loop cancel there too."""
     p = len(acts)
-    forms = [_loop_forms(vertex_args, reps) for vertex_args in acts]
-    consts, linear = [0] * (p + 1), []
-    for pos, one in forms[1].items():
-        for u, want in enumerate(_powers(one, p, N)):
-            got = forms[u % p][pos]
-            if got == want:
-                continue
-            if got[0] != want[0]:
-                return False
-            consts[u] += got[2] - want[2]
-            lin = tuple((a - b) % N for a, b in zip(got[1], want[1]))
-            if any(lin):
-                linear.append((u, pos, lin))
-    for vec in basis if linear else basis[:1]:
-        total = list(consts)
-        for u, pos, lin in linear:
-            total[u] += _dot(lin, vec[pos])
-        if any(c % N for c in total):
-            return False
-    return True
+    loops = [solved.loop(_loop_forms(vertex_args, reps), N)
+             for vertex_args in acts]
+    tau, ell, kappa = loops[1]
+    s = _dot(ell, tau)
+    return all(loops[u % p] == (
+        tuple(u * t % p for t in tau), tuple(u * a % N for a in ell),
+        (u * kappa + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
 
 
 def _monomial_orbits(n: int, gens: list, N: int):
@@ -531,22 +530,19 @@ def _monomial_orbits(n: int, gens: list, N: int):
     return orbit, members
 
 
-def _loop_args(corners, template_of, g: int) -> dict:
-    """{vertex: {region: arg}} of a g-labeled loop through `corners`
-    [(vertex, region), ...]: each corner adds BUBBLE_SIGN * g to its region,
-    the sign read at the template template_of[vertex]. A cavity's bubble
-    and a lattice face's loop are both such loops."""
+def _region_args(terms) -> dict:
+    """{vertex: {region: arg}} of a loop, from its (vertex, region, arg)
+    terms, args at one corner summed."""
     args: dict[str, dict[str, int]] = {}
-    for vid, region in corners:
+    for vid, region, x in terms:
         slot_args = args.setdefault(vid, {})
-        slot_args[region] = (slot_args.get(region, 0)
-                             + BUBBLE_SIGN[(template_of[vid], region)] * g)
+        slot_args[region] = slot_args.get(region, 0) + x
     return args
 
 
 def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
-    """(position in `order`, vertex, args, memo key) for every vertex that
-    acts; the key, the sorted args, names the action's memo on a rep."""
+    """(position in `order`, vertex, args, sorted args) for every vertex
+    that acts; the sorted args key the action's form on its rep."""
     out = []
     for i, vid in enumerate(order):
         args = args_by_vertex.get(vid)
@@ -555,69 +551,29 @@ def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
     return out
 
 
-def _with_memos(vertex_args: list, reps: dict) -> list[tuple]:
-    """`_vertex_args` with each memo key replaced by that memo on the
-    vertex's rep, {local vector: (k in Z/N, new local vector)} as rep.act
-    gives them, which every compound or patch that holds the rep shares."""
-    return [(i, vid, args, reps[vid].action_memo.setdefault(key, {}))
-            for i, vid, args, key in vertex_args]
-
-
-def _apply_args(reps: dict, vec: tuple, vertex_args: list, N: int):
-    """Act on every listed vertex: (exponent k in Z/N, new vector), the phase
-    being zeta_N^k. Each vertex's action is memoised on its rep."""
-    exp = 0
-    out = list(vec)
-    for i, vid, args, memo in vertex_args:
-        hit = memo.get(vec[i])
-        if hit is None:
-            hit = memo[vec[i]] = reps[vid].act(vec[i], args)
-        exp += hit[0]
-        out[i] = hit[1]
-    return exp % N, tuple(out)
-
-
 def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
     """The `_vertex_args` of one bubble or boundary generator, keyed by
-    `key`, with the action memos of cd's reps. The per-vertex args, from
-    build() -> {vertex: args}, are built once per structure, so the
-    compounds of a corner sweep share them; each compound keeps its own
-    list of memos."""
-    cache = cd.__dict__.setdefault("_generator_args", {})
-    out = cache.get(key)
+    `key`, from build() -> {vertex: args}. They are built once per
+    structure, so the compounds of a corner sweep share them."""
+    shared = cd.structure.__dict__.setdefault("_generator_args", {})
+    out = shared.get(key)
     if out is None:
-        shared = cd.structure.__dict__.setdefault("_generator_args", {})
-        vertex_args = shared.get(key)
-        if vertex_args is None:
-            vertex_args = shared[key] = _vertex_args(cd.vertex_order, build())
-        out = cache[key] = _with_memos(vertex_args, cd.reps)
+        out = shared[key] = _vertex_args(cd.vertex_order, build())
     return out
 
 
 def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
+    """A g string along the left external region and h along the right."""
     structure = cd.structure
-
-    def build():
-        args: dict[str, dict[str, int]] = {}
-        for vid, region in structure.left_face or ():
-            slot_args = args.setdefault(vid, {})
-            slot_args[region] = slot_args.get(region, 0) + g
-        for vid, region in structure.right_face or ():
-            slot_args = args.setdefault(vid, {})
-            slot_args[region] = slot_args.get(region, 0) + h
-        return args
-
-    return _generator_args(cd, ("boundary", g, h), build)
-
-
-def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
-                    field: CycField):
-    """Absorb a g string along the left external region and h along the right."""
-    k, new = _apply_args(cd.reps, vec, _boundary_args(cd, g, h), field.N)
-    return field.root_pow(k), new
+    return _generator_args(cd, ("boundary", g, h), lambda: _region_args(
+        [(vid, region, g) for vid, region in structure.left_face or ()]
+        + [(vid, region, h) for vid, region in structure.right_face or ()]))
 
 
 def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
+    """A g-labeled loop through the cavity's corners: each corner adds
+    BUBBLE_SIGN * g to its region, the sign read at its vertex's template.
+    A lattice face's loop is the bubble of its cavity."""
     structure = cd.structure
 
     def build():
@@ -625,17 +581,37 @@ def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
             corners = structure.cavities[cavity]
         except IndexError:
             raise StructureError(f"no cavity {cavity}") from None
-        return _loop_args(corners, structure.vertices, g)
+        return _region_args(
+            (vid, region, BUBBLE_SIGN[(structure.vertices[vid], region)] * g)
+            for vid, region in corners)
 
     return _generator_args(cd, ("bubble", cavity, g), build)
 
 
+def _act_on_state(cd: CompoundDefect, vec: tuple, vertex_args: list,
+                  field: CycField):
+    """A loop, given by its `_vertex_args`, on one state by the plain path,
+    which reads no form: the exponents of the vertices' `act` summed, then
+    made a root."""
+    k, out = 0, list(vec)
+    for pos, vid, args, _ in vertex_args:
+        e, out[pos] = cd.reps[vid].act(vec[pos], args)
+        k += e
+    return field.root_pow(k), tuple(out)
+
+
+def boundary_action(cd: CompoundDefect, vec: tuple, g: int, h: int,
+                    field: CycField):
+    """Absorb a g string along the left external region and h along the
+    right (`_act_on_state`)."""
+    return _act_on_state(cd, vec, _boundary_args(cd, g, h), field)
+
+
 def bubble_action(cd: CompoundDefect, cavity: int, g: int, vec: tuple,
                   field: CycField):
-    """Insert a g-labeled loop in the given internal cavity and absorb it."""
-    k, new = _apply_args(cd.reps, vec, _bubble_args(cd, cavity, g),
-                         field.N)
-    return field.root_pow(k), new
+    """Insert a g-labeled loop in the given internal cavity and absorb it
+    (`_act_on_state`)."""
+    return _act_on_state(cd, vec, _bubble_args(cd, cavity, g), field)
 
 
 class QuotientRep:
@@ -649,8 +625,9 @@ class QuotientRep:
     column {local index: zeta_N^a}. A boundary generator commutes with G,
     so it sends each orbit sum to a root of unity times an orbit sum.
     `pins` {stub id: object} fixes stubs, and the grade is the labels of the
-    others. Refusals name a loop by its position in `cavities`, worded by
-    the class attributes below; G's orbits are counted when first read."""
+    others. The raw basis is the `SolvedBasis`, never listed. Refusals name
+    a loop by its position in `cavities`, worded by the class attributes
+    below; G's orbits are counted when first read."""
 
     basis_name = "compound"
     left_grade = ("cavity {}: bubble action left the external grade; "
@@ -666,7 +643,6 @@ class QuotientRep:
         self.cavities = list(range(len(cd.structure.cavities))
                              if cavities is None else cavities)
         self.raw_basis = enumerate_basis(cd, pins, self.basis_name)
-        self.raw_index = {v: i for i, v in enumerate(self.raw_basis)}
         self.grades: dict = {}
         self._chars: dict = {}
         if not self.raw_basis:
@@ -674,47 +650,68 @@ class QuotientRep:
             # structure has already validated what they would read
             self._orbits = [], {}, {}, {}
             return
-        self._grade_of = _external_grades(
-            cd, self.raw_basis,
-            [eid for eid in cd.structure.external if eid not in (pins or ())])
+        self._grade_of, stubs = self._grading(pins or ())
         for i, grade in enumerate(self._grade_of):
             self.grades.setdefault(grade, []).append(i)
-        self._gens = self._bubble_generators()
+        self._gens = self._bubble_generators(stubs)
 
-    def _bubble_generators(self) -> list:
+    def _grading(self, pins) -> tuple:
+        """(grade of every state, linear parts): a grade is the labels of
+        the unpinned stubs, each a form in f, and a loop keeps every grade
+        when it translates each linear part to 0."""
+        cd, solved, p = self.cd, self.raw_basis, self.cd.p
+        position = {vid: i for i, vid in enumerate(cd.vertex_order)}
+        linear = []
+
+        def column(label, pos):
+            if label is STAR:
+                return [STAR] * len(solved)
+            if isinstance(label, tuple):
+                return list(zip(*(column(x, pos) for x in label)))
+            _, ell, kappa = solved.loop(
+                {pos: ((0,) * len(label.coef), label.coef, label.const)}, p)
+            linear.append(ell)
+            return solved.values(ell, kappa, p)
+
+        columns = []
+        for eid in cd.structure.external:
+            if eid not in pins:
+                (vid, slot), = filter(None, cd.structure.edge_by_id[eid].ends)
+                columns.append(column(_SYMBOLIC[cd.reps[vid].key][slot],
+                                      position[vid]))
+        return list(zip(*columns)) or [()] * len(solved), linear
+
+    def _bubble_generators(self, stubs: list) -> list:
         """The monomial table [(k, j)] of Bub_{c,1} on the raw basis for the
-        c-th listed cavity: it sends state i to zeta_N^k times state j. An
-        image that is no basis state or lies in another grade raises
-        `left_grade`, and Bub_{c,u} != Bub_{c,1}^u (`_strict_cyclic`)
-        `not_cyclic`, each naming c. Each Bub_{c,1}'s `_loop_forms` are read
-        first, and kept."""
-        cd, N = self.cd, self.field.N
-        index, grade_of = self.raw_index, self._grade_of
-        tables, self._forms = [], []
+        c-th listed cavity: it sends state i to zeta_N^k times state j. A
+        translation that leaves the solutions or moves a stub label (a form
+        in `stubs`) raises `left_grade`, and Bub_{c,u} != Bub_{c,1}^u
+        (`_strict_cyclic`) `not_cyclic`, each naming c. Each Bub_{c,1} is
+        kept as its `SolvedBasis.loop`."""
+        cd, N, solved = self.cd, self.field.N, self.raw_basis
+        tables, self._loops = [], []
         for c, cavity in enumerate(self.cavities):
             acts = [_bubble_args(cd, cavity, u) for u in range(cd.p)]
-            self._forms.append(_loop_forms(acts[1], cd.reps))
-            gen = []
-            for i, vec in enumerate(self.raw_basis):
-                k, new = _apply_args(cd.reps, vec, acts[1], N)
-                j = index.get(new)
-                if j is None or grade_of[j] != grade_of[i]:
-                    raise StructureError(self.left_grade.format(c))
-                gen.append((k, j))
-            if not _strict_cyclic(self.raw_basis, acts, cd.reps, N):
+            tau, ell, kappa = loop = solved.loop(
+                _loop_forms(acts[1], cd.reps), N)
+            if tau is None or any(_dot(a, tau) % cd.p for a in stubs):
+                raise StructureError(self.left_grade.format(c))
+            if not _strict_cyclic(solved, acts, cd.reps, N):
                 raise StructureError(self.not_cyclic.format(c))
-            tables.append(gen)
+            self._loops.append(loop)
+            tables.append(list(zip(solved.values(ell, kappa, N),
+                                   solved.shifted(tau))))
         return tables
 
     @functools.cached_property
     def _orbits(self) -> tuple:
         """(orbit, members, roots, position): `_monomial_orbits`' orbit and
-        members, once G's generators are checked to commute (`_commutator`),
+        members, once G's generators are checked to commute (`_bracket`),
         the admissible orbit roots of every grade, in raw order, and the
         position of each root among those of its grade."""
         N = self.field.N
-        if any(_commutator(a, b, N)
-               for a, b in itertools.combinations(self._forms, 2)):
+        if any(_bracket(a, b) % N
+               for a, b in itertools.combinations(self._loops, 2)):
             raise StructureError(self.not_commuting)
         orbit, members = _monomial_orbits(len(self.raw_basis), self._gens, N)
         roots = {grade: [] for grade in self.grades}
@@ -752,38 +749,35 @@ class QuotientRep:
         [(target position, k)] per source orbit), meaning that the orbit sum
         goes to zeta_N^k times the target grade's orbit sum at that position.
 
-        The generator must map each admissible orbit onto an admissible
-        orbit of the same size and commute with every Bub_{c,1}, phases
-        included (`_commutator`, once per call); then it preserves im P."""
-        cd, N = self.cd, self.field.N
+        The generator must keep the solutions, map each admissible orbit
+        onto an admissible orbit of the same size and commute with every
+        Bub_{c,1}, phases included (`_bracket`); then it preserves im P, and
+        it is applied to each admissible root only."""
         orbit, members, roots, position = self._orbits
-        args = _boundary_args(cd, g, h)
-        forms = _loop_forms(args, cd.reps) if roots[grade] else {}
-        commutes = not any(_commutator(forms, bubble, N)
-                           for bubble in self._forms)
+        if not roots[grade]:
+            return grade, []
+        N = self.field.N
+        loop = self.raw_basis.loop(
+            _loop_forms(_boundary_args(self.cd, g, h), self.cd.reps), N)
+        if loop[0] is None:
+            raise StructureError("boundary action left the compound basis")
+        commutes = not any(_bracket(loop, bubble) % N
+                           for bubble in self._loops)
         target = None
         entries = []
         for root in roots[grade]:
-            image = {}
-            for i in members[root]:
-                k, new = _apply_args(cd.reps, self.raw_basis[i], args, N)
-                j = self.raw_index.get(new)
-                if j is None:
-                    raise StructureError(
-                        "boundary action left the compound basis")
-                image[i] = (k, j)
-            k, j = image[root]
+            k, j = self.raw_basis.image(root, loop, N)
             if target is None:
                 target = self._grade_of[j]
             elif target != self._grade_of[j]:
                 raise StructureError("boundary action split a grade")
             troot, a = orbit[j]
             if (not commutes or troot not in members
-                    or len(members[troot]) != len(image)):
+                    or len(members[troot]) != len(members[root])):
                 raise StructureError(
                     "boundary action does not preserve the bubble quotient")
             entries.append((position[troot], (k - a) % N))
-        return (grade if target is None else target), entries
+        return target, entries
 
     def boundary_matrix(self, grade, g: int, h: int):
         """Boundary (g, h) on the quotient, from `grade` to its image grade:

@@ -21,7 +21,7 @@ import itertools
 import json
 
 from .engine import (
-    QuotientRep, _bubble_args, _commutator, _loop_args, _loop_forms,
+    QuotientRep, _act_on_state, _bubble_args, _commutator, _loop_forms,
     edge_labels_of, enumerate_basis,
 )
 from .reps import TrivalentRep
@@ -57,8 +57,8 @@ class LatticePatch:
     of face f among the traced ones, so face f's loop is that cavity's
     bubble (`engine._bubble_args`). `ground_space` is the compound's
     `QuotientRep` with the pins and these cavities: its basis solve,
-    bounded by ANNULUS_MAX_BASIS before any state is built, its checked
-    table of each H_{f,1} and its orbit count.
+    bounded by ANNULUS_MAX_BASIS before any state or table is built, its
+    checked table of each H_{f,1} and its orbit count.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -100,8 +100,8 @@ class LatticePatch:
     def consistent_basis(self):
         """States where every edge label equals both endpoint gradings and
         pinned values; these span the common kernel of all vertex terms.
-        Solved on each call; `ground_space.raw_basis` is the same list."""
-        return enumerate_basis(self.compound, self.pinned, "patch")
+        Solved and listed on each call, in `ground_space`'s state order."""
+        return list(enumerate_basis(self.compound, self.pinned, "patch"))
 
     def edge_labels_of(self, state):
         return edge_labels_of(self.compound, state)
@@ -110,21 +110,10 @@ class LatticePatch:
 
     def face_action(self, face_idx: int, g: int, state):
         """H_{f,g} on a consistent basis state: (phase, new state), the
-        phase a `Cyc`.
-
-        The plain path, independent of the memos and tables below: the
-        exponents of the vertices' `act` summed, then made a root."""
-        args = _loop_args(self.faces[face_idx],
-                          self.compound.structure.vertices, g)
-        k = 0
-        out = []
-        for vid, vec in zip(self.vertex_order(), state):
-            a = args.get(vid)
-            if a:
-                e, vec = self.vertices[vid].act(vec, a)
-                k += e
-            out.append(vec)
-        return self.field.root_pow(k), tuple(out)
+        phase a `Cyc`, by the plain path (`engine._act_on_state`), which
+        reads none of the forms and tables below."""
+        loop = _bubble_args(self.compound, self.cavities[face_idx], g)
+        return _act_on_state(self.compound, state, loop, self.field)
 
     @functools.cached_property
     def ground_space(self) -> QuotientRep:
@@ -225,8 +214,7 @@ def hexagon_chain_patch(p: int, n_faces: int, wall_name: str = "Xk:1",
 
     Interior vertices alternate 2:1 / 1:2; dangling edges are pinned to the
     wall's first simple object unless pin=False. Every 2:1 vertex holds one
-    rep, and so does every 1:2 vertex, so equal vertices share their action
-    memos as the compounds of a corner sweep do.
+    rep, and so does every 1:2 vertex.
     """
     w = BimoduleLabel.parse(wall_name, p)
     tri21, tri12 = TrivalentRep("tri21", w, w), TrivalentRep("tri12", w, w)

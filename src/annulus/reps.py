@@ -764,7 +764,7 @@ def _biv_key(lower: BimoduleLabel, upper: BimoduleLabel):
 class _TableRep:
     """What the bivalent and trivalent reps share: the local basis, Z/p per
     free label in product order, the edge labels of each local vector,
-    cached, and the engine's action memo."""
+    cached, and the engine's affine forms of its actions."""
 
     def __init__(self, p: int, entry: dict, key):
         self.p = p
@@ -775,9 +775,6 @@ class _TableRep:
         self.free_names = entry["free"]
         self._basis = None
         self._labels: dict = {}
-        # {sorted args: {local vector: act(vector, args)}}; filled by the
-        # engine and the lattice on first use
-        self.action_memo: dict = {}
         # the engine's affine reading of this key's actions,
         # `engine._AFFINE[key]`, attached on first use
         self.affine_forms: dict | None = None

@@ -276,9 +276,10 @@ def vertical_compound(d1: DefectLabel, d2: DefectLabel) -> CompoundDefect:
 class CornerSweep:
     """What the compounds of one driver call share across its corner
     assignments: the structure, which no corner changes, and one rep per
-    (vertex, corner value), so that each rep's label and action memos fill
-    once for the whole sweep. A sweep serves one set of builder inputs; a
-    driver makes one per call and drops it when the call returns."""
+    (vertex, corner value), so that each rep's cached edge labels and its
+    link to the engine's action forms are made once for the whole sweep. A
+    sweep serves one set of builder inputs; a driver makes one per call and
+    drops it when the call returns."""
 
     def __init__(self):
         self.inputs = None

@@ -512,7 +512,7 @@ def test_two_stub_structures_have_two_distinct_external_regions():
 
 
 def _assert_empty_quotient(qr):
-    assert qr.raw_basis == [] and qr.raw_index == {}
+    assert qr.raw_basis == []
     assert qr.grades == {} and qr.grade_dims() == {}
     assert qr.total_dim() == 0 and qr.image == {}
     assert decompose(qr) == []

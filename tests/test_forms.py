@@ -1,6 +1,8 @@
 """Commutators read from the affine forms of vertex actions
-(`engine._loop_forms`, `engine._commutator`) against the state walk they
-replaced: the phases by which A B x and B A x differ, over every state x."""
+(`engine._loop_forms`, `engine._commutator`), and from those forms in a
+quotient's solved coordinates (`SolvedBasis.loop`, `engine._bracket`),
+against the state walk they replaced: the phases by which A B x and B A x
+differ, over every state x."""
 
 import itertools
 
@@ -8,6 +10,7 @@ import pytest
 
 from annulus import engine
 from annulus.levinwen import defect_line_patch, hexagon_chain_patch
+from state_walk import walk as walk_loop
 from test_engine import _associators
 from test_levinwen import _extra_phase
 
@@ -48,17 +51,16 @@ def _vertex_comparisons(patch):
     out = []
     for i, j in itertools.combinations(range(len(loops)), 2):
         for g, h in itertools.product(range(patch.p), repeat=2):
-            a = {pos: (vid, args) for pos, vid, args, _ in loops[i][g]}
-            b = {pos: (vid, args) for pos, vid, args, _ in loops[j][h]}
+            a = {entry[0]: entry for entry in loops[i][g]}
+            b = {entry[0]: entry for entry in loops[j][h]}
             for pos in a.keys() & b.keys():
-                vid = a[pos][0]
+                vid = a[pos][1]
                 rep = cd.reps[vid]
                 basis = rep.basis()
-                walk = [{x: rep.act(x, args) for x in basis}
-                        for _, args in (a[pos], b[pos])]
-                forms = [engine._loop_forms([(pos, vid, args, None)],
-                                            cd.reps)
-                         for _, args in (a[pos], b[pos])]
+                walk = [{x: rep.act(x, entry[2]) for x in basis}
+                        for entry in (a[pos], b[pos])]
+                forms = [engine._loop_forms([entry], cd.reps)
+                         for entry in (a[pos], b[pos])]
                 out.append(((i, j, g, h), engine._commutator(*forms, N),
                             commutator_phases(*walk, basis, N)))
     return out
@@ -103,27 +105,26 @@ def test_lattice_vertex_commutators_equal_the_walk_under_a_fake(monkeypatch):
 def test_associator_commutators_equal_the_walk(p):
     """Bubble against bubble and every boundary generator against each
     bubble, on the raw basis of every p = 2, 3 associator compound that
-    has one; the boundary images stay in the raw basis."""
+    has one, each loop read in the solved coordinates; the boundary images
+    stay in the raw basis."""
     compared = 0
     for cd in _associators(p):
         qr = engine.QuotientRep(cd)
         if not qr.raw_basis:
             continue
         N, states = qr.field.N, range(len(qr.raw_basis))
-        bubbles = list(zip(qr._forms, qr._gens))
+        listed = list(qr.raw_basis)
+        bubbles = list(zip(qr._loops, qr._gens))
         for (fa, ga), (fb, gb) in itertools.combinations(bubbles, 2):
             assert commutator_phases(ga, gb, states, N) == {
-                engine._commutator(fa, fb, N)}
+                engine._bracket(fa, fb) % N}
             compared += 1
         for g, h in itertools.product(range(p), repeat=2):
             args = engine._boundary_args(cd, g, h)
-            table = []
-            for vec in qr.raw_basis:
-                k, new = engine._apply_args(cd.reps, vec, args, N)
-                table.append((k, qr.raw_index[new]))
-            forms = engine._loop_forms(args, cd.reps)
+            table = walk_loop(cd.reps, listed, args, N)
+            forms = qr.raw_basis.loop(engine._loop_forms(args, cd.reps), N)
             for fb, gb in bubbles:
                 assert commutator_phases(table, gb, states, N) == {
-                    engine._commutator(forms, fb, N)}
+                    engine._bracket(forms, fb) % N}
                 compared += 1
     assert compared == {2: 4608, 3: 33440}[p]

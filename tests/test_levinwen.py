@@ -640,6 +640,7 @@ def test_character_twisted_faces_keep_the_trace_exact(monkeypatch):
     fixed states, and the table trace must still agree with both oracles."""
     untwisted = _f0_hexagon(3)
     assert untwisted.ground_space_dim() == dense_ground_dim(untwisted) == 1
+    engine._AFFINE.clear()  # it holds the plain F_0 actions now
     _extra_phase(monkeypatch, lambda vec, args: abs(args.get("mid", 0)))
     for patch in (hexagon_chain_patch(3, 1), hexagon_chain_patch(3, 2),
                   defect_line_patch(3), _f0_hexagon(3)):

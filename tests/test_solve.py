@@ -80,7 +80,8 @@ def test_compound_labels_that_are_not_affine_are_refused(monkeypatch):
 
 def test_size_limit_counts_the_solutions_before_building_any(monkeypatch):
     """ANNULUS_MAX_BASIS bounds the final p^(free variables), and trips
-    before any state is built; partial labelings no longer count."""
+    before any state or table is built; partial labelings no longer
+    count."""
     want = hexagon_chain_patch(3, 2).consistent_basis()
     monkeypatch.setenv("ANNULUS_MAX_BASIS", str(len(want)))
     assert hexagon_chain_patch(3, 2).consistent_basis() == want
@@ -88,7 +89,7 @@ def test_size_limit_counts_the_solutions_before_building_any(monkeypatch):
     def build(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(engine, "_list_solutions", build)
+    monkeypatch.setattr(engine.SolvedBasis, "values", build)
     monkeypatch.setenv("ANNULUS_MAX_BASIS", str(len(want) - 1))
     with pytest.raises(SizeLimitError, match=r"3\^2 consistent labelings"):
         hexagon_chain_patch(3, 2).consistent_basis()

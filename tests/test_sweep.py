@@ -101,8 +101,9 @@ def test_sweep_shares_the_structure_and_the_corner_free_reps():
 
 def test_sweep_builds_generator_args_once_and_memos_per_rep():
     """The compounds of a sweep read one list of per-vertex args per
-    bubble and boundary generator, kept on their structure, and each looks
-    up the action memos of its own reps, once."""
+    bubble and boundary generator, kept on their structure, and each reads
+    the action forms of its own reps, one table per rep key, by the sorted
+    args kept in that list."""
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
     sweep = CornerSweep()
@@ -114,13 +115,13 @@ def test_sweep_builds_generator_args_once_and_memos_per_rep():
         lists = [args_of(cd) for cd in cds]
         assert "v1" in {vid for _, vid, _, _ in lists[0]}
         for cd, entries in zip(cds, lists):
-            for (i, vid, args, memo), first in zip(entries, lists[0]):
+            forms = engine._loop_forms(entries, cd.reps)
+            for (i, vid, args, key), first in zip(entries, lists[0]):
                 assert args is first[2]
-                key = tuple(sorted(args.items()))
-                assert memo is cd.reps[vid].action_memo[key]
-        v1_memos = [next(memo for _, vid, _, memo in entries if vid == "v1")
-                    for entries in lists]
-        assert len({id(memo) for memo in v1_memos}) == p
+                assert key == tuple(sorted(args.items()))
+                assert forms[i] is cd.reps[vid].affine_forms[key]
+        v1_tables = [cd.reps["v1"].affine_forms for cd in cds]
+        assert len({id(table) for table in v1_tables}) == p
     assert set(cds[0].structure._generator_args) == {
         ("bubble", 0, 2), ("boundary", 1, 2)}
     # a compound builds its list once: a second call returns the same one
