@@ -16,30 +16,36 @@ affine in them, and each is read once, on symbols, as a translation t and a
 phase form L.x + c (`_affine_action`). Composed with B, a loop (a bubble
 through its cavity's corners, a boundary generator or a lattice face)
 translates f digit by digit with a phase affine in f (`SolvedBasis.loop`),
-so its table is index arithmetic, and a stub label is an affine form in f,
-which grades the states. The group laws are decided on the forms: a bubble
-generates a strict Z/p action when Bub_u = Bub_1^u (`_strict_cyclic`), and
-two loops commute up to the phase L_a.t_b - L_b.t_a (`_bracket`), summed
-over the vertices for lattice faces (`_commutator`). A Levin-Wen patch's
-ground space is the `QuotientRep` of its compound, its pinned dangling edges
-the pins and its faces the cavities. The product of the cavity symmetrizers
-averages over G, so the quotient has one orbit sum per orbit whose
-stabilizer acts trivially (an admissible orbit), and a grade's dimension is
-its number of admissible orbits. Boundary generators commute with G and map
-orbit sums to roots of unity times orbit sums, so a generator's trace
-(character) is the histogram over Z/N of the phases of the orbit sums it
-fixes. The multiplicity of a candidate defect is the trace of its idempotent
-on the quotient. Every idempotent coefficient is p^-j zeta_N^e
+and a stub label is an affine form in f, which grades the states. The group
+laws are decided on the forms: a bubble generates a strict Z/p action when
+Bub_u = Bub_1^u (`_strict_cyclic`), and two loops commute up to the phase
+L_a.t_b - L_b.t_a (`_bracket`), summed over the vertices for lattice faces
+(`_commutator`). A Levin-Wen patch's ground space is the `QuotientRep` of
+its compound, its pinned dangling edges the pins and its faces the
+cavities. The product of the cavity symmetrizers averages over G, so the
+quotient has one orbit sum per orbit whose stabilizer acts trivially (an
+admissible orbit), and a grade's dimension is its number of admissible
+orbits. Boundary generators commute with G and map orbit sums to roots of
+unity times orbit sums, so a generator's trace (character) is the histogram
+over Z/N of the phases of the orbit sums it fixes. All of it is counted by
+linear algebra over F_p on the forms (`_rref`, `_solutions`), with no state
+listed and no orbit walked: G's stabilizer is the kernel of its
+translations, the states where it acts trivially form an affine subspace,
+every grade it reaches has the same number of admissible orbits, and a
+character's exponent is an affine form on them (see `QuotientRep`). The
+multiplicity of a candidate defect is the trace of its idempotent on the
+quotient. Every idempotent coefficient is p^-j zeta_N^e
 (`defects.phase_terms`), so that trace is one integer histogram over Z/N
 divided by p^J, J the largest j, and it becomes a field element only once
-per defect, to be read as a rational. `QuotientRep.boundary_matrix` and
-`apply_idempotent` give the boundary operators as exact matrices, and
-`bubble_action` and `boundary_action` act on listed states by `act`;
-`decompose` uses none of them.
+per defect, to be read as a rational. `QuotientRep.image`,
+`QuotientRep.boundary_matrix` and `apply_idempotent` give the orbit sums
+and the boundary operators as exact vectors and matrices, one orbit at a
+time, and `bubble_action` and `boundary_action` act on listed states by
+`act`; `decompose` uses none of them.
 
-Structures and compound defects are immutable once validated; basis
-enumeration, bubble application and per-defect characters are pure and
-independent per grade.
+Structures and compound defects are immutable once validated; the basis
+solve, the bubble loops and per-defect characters are pure and independent
+per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
 cached roots. The process keeps, keyed by `rep.key`, each rep's symbolic
@@ -287,14 +293,6 @@ class SolvedBasis(Sequence):
             col = [(v + s) % modulus for v in col for s in step]
         return col
 
-    def shifted(self, tau) -> list:
-        """The index of (f + tau) mod p, digit by digit, at every state."""
-        p, col = self.p, [0]
-        for t in tau:
-            step = [(x + t) % p for x in range(p)]
-            col = [v * p + s for v in col for s in step]
-        return col
-
     def loop(self, forms: dict, modulus: int) -> tuple:
         """(tau, ell, kappa) of a loop given per vertex position as (t, L, c)
         (`_loop_forms`): f goes to (f + tau) mod p digit by digit with
@@ -318,17 +316,6 @@ class SolvedBasis(Sequence):
                 tau = None
                 break
         return tau, tuple([y % modulus for y in ell]), kappa % modulus
-
-    def image(self, i: int, loop: tuple, N: int) -> tuple:
-        """(k, j): the loop sends state i to zeta_N^k times state j."""
-        tau, ell, kappa = loop
-        j, k, scale = 0, kappa, 1
-        for t, a in zip(reversed(tau), reversed(ell)):
-            i, x = divmod(i, self.p)
-            j += (x + t) % self.p * scale
-            k += a * x
-            scale *= self.p
-        return k % N, j
 
 
 def _constant(obj):
@@ -469,65 +456,69 @@ def _commutator(a: dict, b: dict, N: int) -> int:
     return k % N
 
 
-def _strict_cyclic(solved: SolvedBasis, acts: list, reps: dict,
+def _rref(rows, p: int) -> list:
+    """The reduced row echelon form over F_p of the integer vectors `rows`
+    as [(pivot, row)], by pivot: each row is 1 at its pivot, its first
+    nonzero entry, and 0 at every other row's pivot."""
+    out: dict = {}
+    for row in rows:
+        row = [x % p for x in row]
+        for piv, other in out.items():
+            a = row[piv]
+            if a:
+                row = [(x - a * y) % p for x, y in zip(row, other)]
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is None:
+            continue
+        inv = pow(row[piv], -1, p)
+        row = [x * inv % p for x in row]
+        for q, other in out.items():
+            a = other[piv]
+            if a:
+                out[q] = [(x - a * y) % p for x, y in zip(other, row)]
+        out[piv] = row
+    return sorted(out.items())
+
+
+def _solutions(echelon: list, n: int, p: int):
+    """The x in F_p^n with a.x + c = 0 for every row (a, c) of `echelon`, a
+    `_rref`, as (x0, basis): each is x0 + sum_j u_j basis_j for one u. None
+    when there is none."""
+    x0 = [0] * n
+    for piv, row in echelon:
+        if piv == n:
+            return None
+        x0[piv] = -row[n] % p
+    pivots = {piv for piv, _ in echelon}
+    basis = []
+    for j in range(n):
+        if j not in pivots:
+            v = [int(i == j) for i in range(n)]
+            for piv, row in echelon:
+                v[piv] = -row[j] % p
+            basis.append(v)
+    return x0, basis
+
+
+def _strict_cyclic(solved: SolvedBasis, one: tuple, acts: list, reps: dict,
                    N: int) -> bool:
     """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
     T_1^p is the identity, on the solutions `solved`; then (1/p) sum_u T_u
     is an idempotent. acts[u] holds the vertex args of T_u, a loop through
-    the vertices of T_1, and T_1 keeps the solutions.
+    the vertices of T_1, and T_1 keeps the solutions; `one` is T_1 read in
+    the solved coordinates (`SolvedBasis.loop`), as every other T_u is.
 
-    Each T_u is read in the solved coordinates (`SolvedBasis.loop`), where
-    T_1 = (tau, ell, kappa) has the power T_1^u = (u tau, u ell, u kappa +
-    ell.tau u(u-1)/2), T_0 standing for T_1^p; phase defects of single
-    vertices that cancel in the sum over a loop cancel there too."""
+    There T_1 = (tau, ell, kappa) has the power T_1^u = (u tau, u ell,
+    u kappa + ell.tau u(u-1)/2), T_0 standing for T_1^p; phase defects of
+    single vertices that cancel in the sum over a loop cancel there too."""
     p = len(acts)
-    loops = [solved.loop(_loop_forms(vertex_args, reps), N)
-             for vertex_args in acts]
-    tau, ell, kappa = loops[1]
+    loops = [one if u == 1 else solved.loop(_loop_forms(vertex_args, reps), N)
+             for u, vertex_args in enumerate(acts)]
+    tau, ell, kappa = one
     s = _dot(ell, tau)
     return all(loops[u % p] == (
         tuple(u * t % p for t in tau), tuple(u * a % N for a in ell),
         (u * kappa + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
-
-
-def _monomial_orbits(n: int, gens: list, N: int):
-    """Orbits of the group generated by commuting monomial tables
-    gens[c][i] = (k, j) on basis vectors 0..n-1.
-
-    Returns (orbit, members): orbit[i] = (root, a) with root the orbit's
-    first index and some group element sending root to zeta_N^a times
-    vector i; members maps the root of every admissible orbit, in
-    increasing order, to its indices. An orbit is admissible when the phases
-    agree along every generator edge, that is when its stabilizer acts
-    trivially; the averaging projector of the group then has one image
-    vector per admissible orbit, sum_i zeta_N^a(i) e_i, and kills the rest.
-    Cost O(n * len(gens))."""
-    orbit: list = [None] * n
-    admissible = {}
-    for root in range(n):
-        if orbit[root] is not None:
-            continue
-        orbit[root] = (root, 0)
-        ok = True
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            a = orbit[i][1]
-            for gen in gens:
-                k, j = gen[i]
-                b = (a + k) % N
-                seen = orbit[j]
-                if seen is None:
-                    orbit[j] = (root, b)
-                    stack.append(j)
-                elif seen[1] != b:
-                    ok = False
-        admissible[root] = ok
-    members: dict = {}
-    for i, (root, _) in enumerate(orbit):
-        if admissible[root]:
-            members.setdefault(root, []).append(i)
-    return orbit, members
 
 
 def _region_args(terms) -> dict:
@@ -551,41 +542,45 @@ def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
     return out
 
 
-def _generator_args(cd: CompoundDefect, key, build) -> list[tuple]:
-    """The `_vertex_args` of one bubble or boundary generator, keyed by
-    `key`, from build() -> {vertex: args}. They are built once per
-    structure, so the compounds of a corner sweep share them."""
-    shared = cd.structure.__dict__.setdefault("_generator_args", {})
-    out = shared.get(key)
-    if out is None:
-        out = shared[key] = _vertex_args(cd.vertex_order, build())
-    return out
+def _generator_args(cd: CompoundDefect) -> dict:
+    """{key: `_vertex_args`} of the bubbles and boundary generators read so
+    far, kept on the structure, so the compounds of a corner sweep share
+    them; keyed by ("bubble", cavity, g) and ("boundary", g, h)."""
+    return cd.structure.__dict__.setdefault("_generator_args", {})
 
 
 def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
     """A g string along the left external region and h along the right."""
-    structure = cd.structure
-    return _generator_args(cd, ("boundary", g, h), lambda: _region_args(
-        [(vid, region, g) for vid, region in structure.left_face or ()]
-        + [(vid, region, h) for vid, region in structure.right_face or ()]))
+    shared = _generator_args(cd)
+    out = shared.get(("boundary", g, h))
+    if out is None:
+        structure = cd.structure
+        out = shared["boundary", g, h] = _vertex_args(
+            cd.vertex_order, _region_args(
+                [(vid, region, g) for vid, region in structure.left_face or ()]
+                + [(vid, region, h)
+                   for vid, region in structure.right_face or ()]))
+    return out
 
 
 def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
     """A g-labeled loop through the cavity's corners: each corner adds
     BUBBLE_SIGN * g to its region, the sign read at its vertex's template.
     A lattice face's loop is the bubble of its cavity."""
-    structure = cd.structure
-
-    def build():
+    shared = _generator_args(cd)
+    out = shared.get(("bubble", cavity, g))
+    if out is None:
+        structure = cd.structure
         try:
             corners = structure.cavities[cavity]
         except IndexError:
             raise StructureError(f"no cavity {cavity}") from None
-        return _region_args(
-            (vid, region, BUBBLE_SIGN[(structure.vertices[vid], region)] * g)
-            for vid, region in corners)
-
-    return _generator_args(cd, ("bubble", cavity, g), build)
+        out = shared["bubble", cavity, g] = _vertex_args(
+            cd.vertex_order, _region_args(
+                (vid, region,
+                 BUBBLE_SIGN[(structure.vertices[vid], region)] * g)
+                for vid, region in corners))
+    return out
 
 
 def _act_on_state(cd: CompoundDefect, vec: tuple, vertex_args: list,
@@ -621,13 +616,27 @@ class QuotientRep:
     ones, all by default) generate G = (Z/p)^C, which acts monomially on the
     raw basis and keeps every grade; the product of the cavity symmetrizers
     is G's averaging projector P. At each grade, im P has one basis vector
-    per admissible orbit of G: the orbit sum, which `image` holds as a
-    column {local index: zeta_N^a}. A boundary generator commutes with G,
-    so it sends each orbit sum to a root of unity times an orbit sum.
-    `pins` {stub id: object} fixes stubs, and the grade is the labels of the
-    others. The raw basis is the `SolvedBasis`, never listed. Refusals name
-    a loop by its position in `cavities`, worded by the class attributes
-    below; G's orbits are counted when first read."""
+    per admissible orbit of G, the orbit sum, and a boundary generator,
+    which commutes with G, sends each orbit sum to a root of unity times an
+    orbit sum. `pins` {stub id: object} fixes stubs, and the grade is the
+    labels of the others. The raw basis is the `SolvedBasis`, never listed.
+
+    All of it is linear algebra over F_p in the free labels f. Bub_{c,1}
+    translates f by tau_c with a phase ell_c.f + kappa_c, so g in G moves f
+    by sum_c g_c tau_c, and its stabilizer is K = ker(g -> sum_c g_c tau_c),
+    the same at every state. An orbit is admissible when K acts trivially
+    on it: for each basis vector k of K, the phase of k, composed from the
+    loops (`_group_loop`), is one affine condition on f, exact mod N (at
+    p = 2 it is even, as k^2 = 1). Together they cut out S_adm, an affine
+    subspace, and each grade that the stub forms take on S_adm has
+    p^(dim S_adm - rank of the stub forms on S_adm - rank tau) admissible
+    orbits (`_orbit_space`). A boundary generator with translation beta
+    fixes orbit sums only when beta = sum_c s_c tau_c, and then its
+    eigenvalue on the orbit sum at f is zeta_N^(psi(f) - phi_s(f)), psi its
+    phase and phi_s that of s, an affine form in f (`character`).
+
+    Refusals name a loop by its position in `cavities`, worded by the class
+    attributes below; G's orbits are counted when first read."""
 
     basis_name = "compound"
     left_grade = ("cavity {}: bubble action left the external grade; "
@@ -643,140 +652,320 @@ class QuotientRep:
         self.cavities = list(range(len(cd.structure.cavities))
                              if cavities is None else cavities)
         self.raw_basis = enumerate_basis(cd, pins, self.basis_name)
-        self.grades: dict = {}
         self._chars: dict = {}
-        if not self.raw_basis:
-            # no consistent labeling: every step below is vacuous, and the
-            # structure has already validated what they would read
-            self._orbits = [], {}, {}, {}
-            return
-        self._grade_of, stubs = self._grading(pins or ())
-        for i, grade in enumerate(self._grade_of):
-            self.grades.setdefault(grade, []).append(i)
-        self._gens = self._bubble_generators(stubs)
+        self._boundaries: dict = {}
+        self._shape, self._forms, self._loops = [], [], []
+        if self.raw_basis:
+            self._grading(pins or ())
+            self._loops = self._bubble_loops()
+        else:
+            # no consistent labeling: nothing to grade, act on or count, and
+            # the structure has already validated what those steps read
+            self.grades, self._orbit_space = {}, ([], {}, [], 0)
 
-    def _grading(self, pins) -> tuple:
-        """(grade of every state, linear parts): a grade is the labels of
-        the unpinned stubs, each a form in f, and a loop keeps every grade
-        when it translates each linear part to 0."""
+    def _grading(self, pins) -> None:
+        """A grade is the labels of the unpinned stubs, each a form in f:
+        `_forms` [(ell, kappa)] mod p, whose values `_shape` places in the
+        grade, one getter per stub (`_grade_at`)."""
         cd, solved, p = self.cd, self.raw_basis, self.cd.p
         position = {vid: i for i, vid in enumerate(cd.vertex_order)}
-        linear = []
 
-        def column(label, pos):
+        def shape(label, pos):
             if label is STAR:
-                return [STAR] * len(solved)
+                return lambda values: STAR
             if isinstance(label, tuple):
-                return list(zip(*(column(x, pos) for x in label)))
+                parts = [shape(x, pos) for x in label]
+                return lambda values: tuple([get(values) for get in parts])
             _, ell, kappa = solved.loop(
                 {pos: ((0,) * len(label.coef), label.coef, label.const)}, p)
-            linear.append(ell)
-            return solved.values(ell, kappa, p)
+            self._forms.append((ell, kappa))
+            return operator.itemgetter(len(self._forms) - 1)
 
-        columns = []
         for eid in cd.structure.external:
             if eid not in pins:
                 (vid, slot), = filter(None, cd.structure.edge_by_id[eid].ends)
-                columns.append(column(_SYMBOLIC[cd.reps[vid].key][slot],
-                                      position[vid]))
-        return list(zip(*columns)) or [()] * len(solved), linear
+                self._shape.append(shape(_SYMBOLIC[cd.reps[vid].key][slot],
+                                         position[vid]))
 
-    def _bubble_generators(self, stubs: list) -> list:
-        """The monomial table [(k, j)] of Bub_{c,1} on the raw basis for the
-        c-th listed cavity: it sends state i to zeta_N^k times state j. A
-        translation that leaves the solutions or moves a stub label (a form
-        in `stubs`) raises `left_grade`, and Bub_{c,u} != Bub_{c,1}^u
-        (`_strict_cyclic`) `not_cyclic`, each naming c. Each Bub_{c,1} is
-        kept as its `SolvedBasis.loop`."""
+    def _grade_at(self, f) -> tuple:
+        """The grade of the state with free labels f."""
+        p = self.cd.p
+        values = [(_dot(ell, f) + kappa) % p for ell, kappa in self._forms]
+        return tuple([get(values) for get in self._shape])
+
+    def _stub_image(self, x0, basis) -> tuple:
+        """(grades, fibre) of the affine subspace x0 + span(basis) of f,
+        every f when basis is None: grades {grade: one f in the subspace}
+        for each grade taken there, and fibre a basis of the directions in
+        the subspace along which the grade is constant."""
+        p = self.cd.p
+        forms = [ell for ell, _ in self._forms]
+        if basis is not None:
+            forms = [[_dot(ell, b) for b in basis] for ell in forms]
+        n = len(self.raw_basis.free) if basis is None else len(basis)
+        stubs = _rref([list(ell) + [0] for ell in forms], p)
+        points = [tuple(x0)]
+        for piv, _ in stubs:
+            if basis is None:
+                points = [f[:piv] + (a,) + f[piv + 1:]
+                          for f in points for a in range(p)]
+            else:
+                step = basis[piv]
+                points = [tuple([(x + a * y) % p for x, y in zip(f, step)])
+                          for f in points for a in range(p)]
+        fibre = _solutions(stubs, n, p)[1]
+        if basis is not None:
+            fibre = [tuple(_dot(v, col) % p for col in zip(*basis))
+                     for v in fibre]
+        return {self._grade_at(f): f for f in points}, fibre
+
+    def _bubble_loops(self) -> list:
+        """Bub_{c,1} of the c-th listed cavity as its `SolvedBasis.loop`. A
+        translation that leaves the solutions or moves a stub label raises
+        `left_grade`, and Bub_{c,u} != Bub_{c,1}^u (`_strict_cyclic`)
+        `not_cyclic`, each naming c."""
         cd, N, solved = self.cd, self.field.N, self.raw_basis
-        tables, self._loops = [], []
+        loops = []
         for c, cavity in enumerate(self.cavities):
             acts = [_bubble_args(cd, cavity, u) for u in range(cd.p)]
-            tau, ell, kappa = loop = solved.loop(
-                _loop_forms(acts[1], cd.reps), N)
-            if tau is None or any(_dot(a, tau) % cd.p for a in stubs):
+            loop = solved.loop(_loop_forms(acts[1], cd.reps), N)
+            tau = loop[0]
+            if tau is None or any(_dot(ell, tau) % cd.p
+                                  for ell, _ in self._forms):
                 raise StructureError(self.left_grade.format(c))
-            if not _strict_cyclic(solved, acts, cd.reps, N):
+            if not _strict_cyclic(solved, loop, acts, cd.reps, N):
                 raise StructureError(self.not_cyclic.format(c))
-            self._loops.append(loop)
-            tables.append(list(zip(solved.values(ell, kappa, N),
-                                   solved.shifted(tau))))
-        return tables
+            loops.append(loop)
+        return loops
+
+    def _group_loop(self, s) -> tuple:
+        """(ell, q) of g = (s_c) in G, applied as Bub_1^s_1 first: g sends
+        f to zeta_N^(ell.f + q) times f + sum_c s_c tau_c."""
+        N = self.field.N
+        ell = shift = [0] * len(self.raw_basis.free)
+        q = 0
+        for (tau, lin, kappa), u in zip(self._loops, s):
+            if u:
+                q += (u * kappa + _dot(lin, tau) * (u * (u - 1) // 2)
+                      + u * _dot(lin, shift))
+                ell = [a + u * b for a, b in zip(ell, lin)]
+                shift = [a + u * t for a, t in zip(shift, tau)]
+        return [a % N for a in ell], q % N
 
     @functools.cached_property
-    def _orbits(self) -> tuple:
-        """(orbit, members, roots, position): `_monomial_orbits`' orbit and
-        members, once G's generators are checked to commute (`_bracket`),
-        the admissible orbit roots of every grade, in raw order, and the
-        position of each root among those of its grade."""
-        N = self.field.N
+    def _orbit_space(self) -> tuple:
+        """(span, grades, fibre, m), once G's generators are checked to
+        commute (`_bracket`). span: `_rref` of the rows (tau_c, e_c) that
+        have their pivot in tau, so [(pivot, (t, g))] with g in G moving f
+        by t, a basis of G's translations. grades: {grade: one admissible
+        f} for each grade that admissible states have. fibre: a basis of the
+        translations that keep S_adm and the grade. m: each such grade's
+        number of admissible orbits."""
+        p, N = self.cd.p, self.field.N
         if any(_bracket(a, b) % N
                for a, b in itertools.combinations(self._loops, 2)):
             raise StructureError(self.not_commuting)
-        orbit, members = _monomial_orbits(len(self.raw_basis), self._gens, N)
-        roots = {grade: [] for grade in self.grades}
-        for root in members:
-            roots[self._grade_of[root]].append(root)
-        position = {root: pos for rs in roots.values()
-                    for pos, root in enumerate(rs)}
-        return orbit, members, roots, position
+        d, C = len(self.raw_basis.free), len(self._loops)
+        echelon = _rref([list(tau) + [int(i == c) for i in range(C)]
+                         for c, (tau, _, _) in enumerate(self._loops)], p)
+        span = [(piv, (row[:d], row[d:])) for piv, row in echelon if piv < d]
+        # S_adm = x0 + span(basis), basis None for every f: each k in K,
+        # a row of `echelon` with its pivot past tau, acts trivially. At
+        # p = 2, k^2 = 1 makes k act on the states it fixes by a sign, so
+        # its exponents, read mod N = 4, are even and halve exactly.
+        x0, basis = (0,) * d, None
+        if len(span) < C:
+            q = N // p
+            rows = [[a // q for a in ell] + [const // q]
+                    for ell, const in (self._group_loop(k[d:])
+                                       for _, k in echelon[len(span):])]
+            solved = _solutions(_rref(rows, p), d, p)
+            if solved is None:
+                return span, {}, [], 0
+            x0, basis = solved
+        grades, fibre = self._stub_image(x0, basis)
+        m = p ** (len(fibre) - len(span))
+        return span, grades, fibre, m
+
+    @functools.cached_property
+    def grades(self) -> dict:
+        """{grade: its number of admissible orbits} for every grade that
+        some consistent labeling has."""
+        _, admissible, _, m = self._orbit_space
+        every, _ = self._stub_image((0,) * len(self.raw_basis.free), None)
+        return {grade: m if grade in admissible else 0 for grade in every}
+
+    def grade_dim(self, grade) -> int:
+        return self._orbit_space[3] if grade in self._orbit_space[1] else 0
+
+    def grade_dims(self) -> dict:
+        _, grades, _, m = self._orbit_space
+        return dict.fromkeys(grades, m)
+
+    def total_dim(self) -> int:
+        _, grades, _, m = self._orbit_space
+        return len(grades) * m
+
+    def _boundary_loop(self, g: int, h: int) -> tuple:
+        """Boundary (g, h) read in the solved coordinates."""
+        return self.raw_basis.loop(_loop_forms(
+            _boundary_args(self.cd, g, h), self.cd.reps), self.field.N)
+
+    def _boundary(self, g: int, h: int) -> tuple:
+        """(loop, moved, eigen): boundary (g, h) as its `SolvedBasis.loop`,
+        which must keep the solutions and commute with every Bub_{c,1},
+        phases included (`_bracket`); moved, whether it changes the grade;
+        eigen, when its translation beta is some g' in G's, is (lin, const,
+        flat): its eigenvalue on the orbit sum at admissible f is
+        zeta_N^(lin.f + const), flat when that is the same on all of a
+        grade's admissible orbits; otherwise eigen is None.
+
+        Commuting is enough for the boundary to preserve the quotient. For
+        k in K, the phase of k at f + beta less that at f is ell_k.beta =
+        sum_c k_c ell_c.beta, which commuting makes ell_B.(sum_c k_c tau_c)
+        = 0: the boundary keeps S_adm, and every orbit of G has |G/K|
+        states. And the states of one grade share their stub labels, which
+        beta shifts by the same constants at every state, so a grade's
+        orbit sums go to orbit sums of one grade."""
+        key = (g, h)
+        out = self._boundaries.get(key)
+        if out is not None:
+            return out
+        p, N = self.cd.p, self.field.N
+        loop = self._boundary_loop(g, h)
+        beta, ell, kappa = loop
+        if beta is None:
+            raise StructureError("boundary action left the compound basis")
+        if any(_bracket(loop, bubble) % N for bubble in self._loops):
+            raise StructureError(
+                "boundary action does not preserve the bubble quotient")
+        fibre = self._orbit_space[2]
+        moved = any(_dot(lin, beta) % p for lin, _ in self._forms)
+        eigen = None
+        if not any(beta):
+            eigen = ell, kappa
+        elif not moved:
+            # beta is sum_c s_c tau_c when its orbit's root is 0
+            rest, s = self._root(beta)
+            if not any(rest):
+                ell_s, q_s = self._group_loop(s)
+                eigen = (tuple([(a - b) % N for a, b in zip(ell, ell_s)]),
+                         kappa - q_s)
+        if eigen is not None:
+            lin, const = eigen
+            eigen = lin, const, not any(_dot(lin, w) % N for w in fibre)
+        out = self._boundaries[key] = loop, moved, eigen
+        return out
+
+    def character(self, grade, g: int, h: int):
+        """tr of boundary (g, h) on the quotient at `grade`, which it must
+        keep, as the histogram over Z/N of the phases of the orbit sums it
+        fixes: the trace is sum_k hist[k] zeta_N^k. None when no orbit sum
+        is fixed. The eigenvalue exponent, affine in f, is either the same
+        on all m admissible orbits of the grade, or takes each of its p
+        values on m/p of them (at p = 2, k and k + 2)."""
+        key = (grade, g, h)
+        if key not in self._chars:
+            _, grades, _, m = self._orbit_space
+            f = grades.get(grade)
+            if f is None:
+                if grade not in self.grades:
+                    raise KeyError(f"no such grade {grade!r}")
+                self._chars[key] = None
+                return None
+            _, moved, eigen = self._boundary(g, h)
+            if moved:
+                raise StructureError(
+                    "idempotent generator moved the source grade")
+            hist = None
+            if eigen is not None:
+                N, p = self.field.N, self.cd.p
+                lin, const, flat = eigen
+                k = (_dot(lin, f) + const) % N
+                hist = [0] * N
+                if flat:
+                    hist[k] = m
+                else:
+                    for i in range(p):
+                        hist[(k + i * N // p) % N] = m // p
+                hist = tuple(hist)
+            self._chars[key] = hist
+        return self._chars[key]
+
+    # -- the orbit sums as vectors: for `image` and `boundary_matrix` only
+
+    def _root(self, f) -> tuple:
+        """(root, s): the state of least index in f's orbit, and the g in G
+        that moves it to f. The root is 0 at each pivot of G's translations'
+        `_rref`, whose rows lead at their pivots."""
+        p = self.cd.p
+        f, s = list(f), [0] * len(self._loops)
+        for piv, (t, gs) in self._orbit_space[0]:
+            a = f[piv]
+            if a:
+                f = [(x - a * y) % p for x, y in zip(f, t)]
+                s = [(x + a * y) % p for x, y in zip(s, gs)]
+        return tuple(f), s
+
+    def _roots(self, grade) -> list:
+        """The roots of `grade`'s admissible orbits, in increasing index: the
+        root of its representative plus each translation of the fibre that
+        is 0 at the pivots of G's translations."""
+        p = self.cd.p
+        _, grades, fibre, _ = self._orbit_space
+        if grade not in grades:
+            return []
+        root, _ = self._root(grades[grade])
+        steps = [row for _, row in _rref([self._root(w)[0] for w in fibre], p)]
+        out = []
+        for u in itertools.product(range(p), repeat=len(steps)):
+            f = root
+            for a, step in zip(u, steps):
+                f = tuple((x + a * y) % p for x, y in zip(f, step))
+            out.append(f)
+        return sorted(out)
 
     @functools.cached_property
     def image(self) -> dict:
-        """Per grade, one orbit-sum column {local index: zeta_N^a} for every
+        """Per grade, one orbit-sum column {raw index: zeta_N^a} for every
         admissible orbit, in the order of the orbits' first raw indices."""
-        orbit, members, roots, _ = self._orbits
-        root_pow = self.field.root_pow
+        p, root_pow = self.cd.p, self.field.root_pow
+        span = self._orbit_space[0]
         out = {}
-        for grade, idxs in self.grades.items():
-            local = {raw: j for j, raw in enumerate(idxs)}
-            out[grade] = [
-                {local[i]: root_pow(orbit[i][1]) for i in members[root]}
-                for root in roots[grade]]
+        for grade in self.grades:
+            out[grade] = []
+            for root in self._roots(grade):
+                col = {}
+                for u in itertools.product(range(p), repeat=len(span)):
+                    f, s = root, [0] * len(self._loops)
+                    for a, (_, (t, gs)) in zip(u, span):
+                        f = tuple((x + a * y) % p for x, y in zip(f, t))
+                        s = [(x + a * y) % p for x, y in zip(s, gs)]
+                    ell, q = self._group_loop(s)
+                    col[functools.reduce(lambda i, x: i * p + x, f, 0)] = \
+                        root_pow(_dot(ell, root) + q)
+                out[grade].append(col)
         return out
-
-    def grade_dim(self, grade) -> int:
-        return len(self._orbits[2].get(grade, ()))
-
-    def grade_dims(self) -> dict:
-        return {g: len(roots) for g, roots in self._orbits[2].items() if roots}
-
-    def total_dim(self) -> int:
-        return len(self._orbits[1])
 
     def _orbit_map(self, grade, g: int, h: int):
         """Boundary (g, h) on the orbit sums of `grade`: (target grade,
         [(target position, k)] per source orbit), meaning that the orbit sum
-        goes to zeta_N^k times the target grade's orbit sum at that position.
-
-        The generator must keep the solutions, map each admissible orbit
-        onto an admissible orbit of the same size and commute with every
-        Bub_{c,1}, phases included (`_bracket`); then it preserves im P, and
-        it is applied to each admissible root only."""
-        orbit, members, roots, position = self._orbits
-        if not roots[grade]:
+        goes to zeta_N^k times the target grade's orbit sum at that position,
+        both in `_roots` order. The checks are `_boundary`'s."""
+        roots = self._roots(grade)
+        if not roots:
             return grade, []
-        N = self.field.N
-        loop = self.raw_basis.loop(
-            _loop_forms(_boundary_args(self.cd, g, h), self.cd.reps), N)
-        if loop[0] is None:
-            raise StructureError("boundary action left the compound basis")
-        commutes = not any(_bracket(loop, bubble) % N
-                           for bubble in self._loops)
-        target = None
+        p, N = self.cd.p, self.field.N
+        (beta, ell, kappa), _, _ = self._boundary(g, h)
+        images = [tuple((x + t) % p for x, t in zip(f, beta)) for f in roots]
+        target = self._grade_at(images[0])
+        position = {f: i for i, f in enumerate(self._roots(target))}
         entries = []
-        for root in roots[grade]:
-            k, j = self.raw_basis.image(root, loop, N)
-            if target is None:
-                target = self._grade_of[j]
-            elif target != self._grade_of[j]:
-                raise StructureError("boundary action split a grade")
-            troot, a = orbit[j]
-            if (not commutes or troot not in members
-                    or len(members[troot]) != len(members[root])):
-                raise StructureError(
-                    "boundary action does not preserve the bubble quotient")
-            entries.append((position[troot], (k - a) % N))
+        for f, image in zip(roots, images):
+            troot, s = self._root(image)
+            ell_s, q_s = self._group_loop(s)
+            entries.append((position[troot], (_dot(ell, f) + kappa
+                                              - _dot(ell_s, troot) - q_s) % N))
         return target, entries
 
     def boundary_matrix(self, grade, g: int, h: int):
@@ -790,24 +979,6 @@ class QuotientRep:
         for col, (row, k) in enumerate(entries):
             mat.rows[row][col] = field.root_pow(k)
         return target, mat
-
-    def character(self, grade, g: int, h: int):
-        """tr of boundary (g, h) on the quotient at `grade`, which it must
-        keep, as the histogram over Z/N of the phases of the orbit sums it
-        fixes: the trace is sum_k hist[k] zeta_N^k. None when no orbit sum
-        is fixed."""
-        key = (grade, g, h)
-        if key not in self._chars:
-            target, entries = self._orbit_map(grade, g, h)
-            if target != grade:
-                raise StructureError(
-                    "idempotent generator moved the source grade")
-            hist = [0] * self.field.N
-            for col, (row, k) in enumerate(entries):
-                if row == col:
-                    hist[k] += 1
-            self._chars[key] = tuple(hist) if any(hist) else None
-        return self._chars[key]
 
 
 def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:

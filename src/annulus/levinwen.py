@@ -57,8 +57,9 @@ class LatticePatch:
     of face f among the traced ones, so face f's loop is that cavity's
     bubble (`engine._bubble_args`). `ground_space` is the compound's
     `QuotientRep` with the pins and these cavities: its basis solve,
-    bounded by ANNULUS_MAX_BASIS before any state or table is built, its
-    checked table of each H_{f,1} and its orbit count.
+    bounded by ANNULUS_MAX_BASIS before any state is built, each H_{f,1}
+    read and checked as an affine form in the free labels, and its orbit
+    count.
     """
 
     def __init__(self, p: int, vertices: dict, edges: list, faces: list,
@@ -111,7 +112,7 @@ class LatticePatch:
     def face_action(self, face_idx: int, g: int, state):
         """H_{f,g} on a consistent basis state: (phase, new state), the
         phase a `Cyc`, by the plain path (`engine._act_on_state`), which
-        reads none of the forms and tables below."""
+        reads none of the forms below."""
         loop = _bubble_args(self.compound, self.cavities[face_idx], g)
         return _act_on_state(self.compound, state, loop, self.field)
 
@@ -181,7 +182,7 @@ class LatticePatch:
         basis (needed for H_f idempotency and the orbit count): H_{f,1}
         keeps the basis, H_{f,g} = H_{f,1}^g with equal phases for every g
         and every basis state, and H_{f,1}^p is the identity. The ground
-        space checks this as it builds each face's table."""
+        space checks this on each face's affine form as it is built."""
         self.ground_space
 
     def ground_space_dim(self) -> int:
@@ -190,9 +191,10 @@ class LatticePatch:
         On the consistent subspace (the vertex-term kernel) each face term
         H_f = p^-1 sum_g U_{f,g} averages over the cyclic group of U_{f,1}.
         When the U_{f,1} commute, prod_f H_f averages over G = (Z/p)^F,
-        which acts monomially on the face tables; its image has one vector
-        per orbit whose stabilizer acts trivially, so the dimension is the
-        number of such orbits, the ground space's `total_dim`.
+        which acts monomially on the consistent basis; its image has one
+        vector per orbit whose stabilizer acts trivially, so the dimension
+        is the number of such orbits, the ground space's `total_dim`,
+        counted by linear algebra on the faces' affine forms.
         """
         self.assert_face_group_rep()
         return self.ground_space.total_dim()

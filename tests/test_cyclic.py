@@ -89,13 +89,13 @@ def reference_strict_cyclic(gen: list, basis: list, acts: list, reps: dict,
 @pytest.fixture
 def verdicts(monkeypatch):
     """Every verdict of the engine's `_strict_cyclic`, each checked to
-    equal the reference's on the same arguments and T_1's table, which the
-    engine has checked to keep the basis."""
+    equal the reference's on the same arguments and T_1's table, walked
+    state by state, which the engine has checked to keep the basis."""
     cached = engine._strict_cyclic
     out = []
 
-    def both(solved, acts, reps, N):
-        got = cached(solved, acts, reps, N)
+    def both(solved, one, acts, reps, N):
+        got = cached(solved, one, acts, reps, N)
         basis = list(solved)
         gen = walk(reps, basis, acts[1], N)
         assert got == reference_strict_cyclic(gen, basis, acts, reps, N)

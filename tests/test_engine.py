@@ -373,9 +373,8 @@ def test_symmetrizers_fix_quotient_basis():
     qr = QuotientRep(cd)
     syms = [cavity_symmetrizer(cd, cav, F)
             for cav in range(len(cd.structure.cavities))]
-    for grade, idxs in qr.grades.items():
-        for col in qr.image[grade]:
-            raw = {idxs[j]: v for j, v in col.items()}
+    for cols in qr.image.values():
+        for raw in cols:
             for sym in syms:
                 out = {}
                 for j, v in raw.items():

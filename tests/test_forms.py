@@ -114,7 +114,9 @@ def test_associator_commutators_equal_the_walk(p):
             continue
         N, states = qr.field.N, range(len(qr.raw_basis))
         listed = list(qr.raw_basis)
-        bubbles = list(zip(qr._loops, qr._gens))
+        bubbles = [(loop, walk_loop(cd.reps, listed,
+                                    engine._bubble_args(cd, c, 1), N))
+                   for c, loop in enumerate(qr._loops)]
         for (fa, ga), (fb, gb) in itertools.combinations(bubbles, 2):
             assert commutator_phases(ga, gb, states, N) == {
                 engine._bracket(fa, fb) % N}

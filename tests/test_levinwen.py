@@ -15,6 +15,7 @@ from annulus.reps import TrivalentRep
 from annulus.structures import DomainWallStructure, StructureError
 from annulus.walls import BimoduleLabel
 from matrix_quotient import dense_ground_dim, face_matrix, face_projector
+from state_walk import loop_table
 
 
 def cyc_trace_dim(patch):
@@ -374,11 +375,15 @@ def _table_patches():
 
 
 def test_face_tables_match_face_action():
-    """The generator table of each face is H_{f,1} as `face_action` computes
-    it, and H_{f,g} from `face_action` is that table applied g times."""
+    """The generator of each face, H_{f,1} read in the solved coordinates
+    and applied to each state by digit arithmetic, is H_{f,1} as
+    `face_action` computes it, and H_{f,g} from `face_action` is that table
+    applied g times."""
     for patch in _table_patches():
         basis = patch.consistent_basis()
-        gens = patch.ground_space._gens
+        qr = patch.ground_space
+        gens = [loop_table(qr.raw_basis, loop, qr.field.N)
+                for loop in qr._loops]
         assert len(gens) == len(patch.faces)
         for f, gen in enumerate(gens):
             assert len(gen) == len(basis)

@@ -88,9 +88,8 @@ def test_orbit_sums_are_fixed_by_the_matrix_symmetrizer():
         for col in cols:
             assert len(col) == p and set(col.values()) <= roots
     sym = cavity_symmetrizer(cd, 0, field)
-    for grade, idxs in qr.grades.items():
-        for col in qr.image[grade]:
-            raw = {idxs[j]: v for j, v in col.items()}
+    for cols in qr.image.values():
+        for raw in cols:
             out = {}
             for j, v in raw.items():
                 for i, s in sym.column(j).items():
