@@ -287,7 +287,7 @@ def cmd_lw(args):
     doc = {
         "p": patch.p,
         "faces": len(patch.faces),
-        "consistent_states": len(patch.ground_space.raw_basis),
+        "consistent_states": patch.ground_space.raw_basis.size,
         "commuting": commute["ok"],
         "ground_space_dim": dim,
     }

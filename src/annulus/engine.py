@@ -11,7 +11,14 @@ labels are affine in its free labels, so the consistent labelings, of a
 compound or of a Levin-Wen patch with pins, are the solutions of linear
 equations over F_p, solved as x = x0 + B f over the free variables f
 (`enumerate_basis`); state i is the f whose base-p digits spell i, and no
-state is listed. Every vertex action translates the free labels with a phase
+state is listed. A corner parameter may be left an unknown
+(`reps.VARIABLE`): the tabulated labels and phases are affine in the
+corner mu too, and no translation reads it, so the corners join the free
+labels in the same solve, numbered below every label, and the rows left
+with only corners in them are the corner values that have a labeling. The
+forms below are then read on z = (f, mu), and one quotient serves every
+corner assignment: an assignment only picks the points it has among the
+admissible states. Every vertex action translates the free labels with a phase
 affine in them, and each is read once, on symbols, as a translation t and a
 phase form L.x + c (`_affine_action`). Composed with B, a loop (a bubble
 through its cavity's corners, a boundary generator or a lattice face)
@@ -51,10 +58,9 @@ Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
 cached roots. The process keeps, keyed by `rep.key`, each rep's symbolic
 labels and the affine form of each of its actions; per wall pair, the
 candidate defects with their source grades; and per defect its grade
-dimensions, while `defects.phase_terms` caches each defect's terms. The
-compounds of a driver's corner sweep share one structure, which keeps the
-per-vertex args of every bubble and boundary generator, and one rep per
-(vertex, corner value). A sweep lives for one driver call.
+dimensions, while `defects.phase_terms` caches each defect's terms. A
+structure keeps the per-vertex args of every bubble and boundary generator
+read on it.
 """
 
 from __future__ import annotations
@@ -67,13 +73,14 @@ from collections.abc import Sequence
 
 from .defects import DefectLabel, enumerate_defects, idempotent, phase_terms
 from .linalg import ExactMatrix
+from .reps import VARIABLE
 from .scalars import CycField, cyc_field
 from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
 from .walls import STAR
 
 
 # for the life of the process, as equal rep keys mean equal tables
-_SYMBOLIC: dict = {}  # rep key -> `_symbolic_labels`
+_SYMBOLIC: dict = {}  # rep key, or (rep key, corner value) -> its labels
 _AFFINE: dict = {}  # rep key -> {sorted args: `_affine_action`}
 # and as frozen walls and defect labels fix their defects' data
 _CANDIDATES: dict = {}  # (lower, upper) walls -> ((defect, source grade), ...)
@@ -184,7 +191,7 @@ def _symbolic_labels(rep, vid) -> dict:
 
 
 def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
-                    what: str = "compound") -> "SolvedBasis":
+                    what: str = "compound", corners=None) -> "SolvedBasis":
     """All consistent labelings of cd, solved (`SolvedBasis`): one local
     basis vector per vertex, such that both ends of every edge carry the
     same object and every stub in `pins` {stub id: object} its pinned
@@ -194,21 +201,40 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
     vertices, numbered in vertex order. Each is eliminated with its pivot
     on its highest variable, so each pivot is a function of the free
     variables f: x = x0 + B f. ANNULUS_MAX_BASIS bounds the number of
-    solutions, p^(free variables), before any state or table is built."""
+    solutions, p^(free variables), before any state or table is built.
+
+    A vertex whose corner is `VARIABLE` adds its corner mu to the unknowns:
+    corner j, in vertex order, is variable -1 - j, below every label, so an
+    equation keeps its pivot on a label while it has one. The label
+    pivots, the free labels and the state order are those of the solve at
+    any consistent corner values, and x = x0 + B f + M mu. The rows left
+    with only corners in them are the consistent corner values. Given
+    `corners`, one value per corner, are substituted into the labels before
+    the solve, so that values with no labeling end it at the equation where
+    a solve of a compound built with those values would."""
     order, reps, pins = cd.vertex_order, cd.reps, pins or {}
     limit = max_basis()
     p = cd.p
-    labels: dict = {}           # vertex -> (its symbolic labels, offset)
-    offsets = []                # vertex position -> its first variable
+    labels: dict = {}           # vertex -> (its symbolic labels, variables)
+    offsets = []                # vertex position -> its first label
+    corner_at = []              # corner j -> its vertex position
     n = 0
-    for vid in order:
+    for i, vid in enumerate(order):
         rep = reps[vid]
         symbolic = _SYMBOLIC.get(rep.key)
         if symbolic is None:
             symbolic = _SYMBOLIC[rep.key] = _symbolic_labels(rep, vid)
-        labels[vid] = symbolic, n
+        m = len(rep.free_names) - (rep.corner is VARIABLE)
+        variables = range(n, n + m)
+        if rep.corner is VARIABLE:      # the last entry of its local vector
+            if corners is None:
+                variables = [*variables, -1 - len(corner_at)]
+            else:
+                symbolic = _at_corner(rep, symbolic, corners[len(corner_at)])
+            corner_at.append(i)
+        labels[vid] = symbolic, variables
         offsets.append(n)
-        n += len(rep.free_names)
+        n += m
     offsets.append(n)
     pivots: dict = {}
     seen = set()
@@ -221,7 +247,7 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
             sides = [(labels[v][0][s], labels[v][1])
                      for v, s in (end for end in e.ends if end is not None)]
             if e.eid in pins:
-                sides.append((_constant(pins[e.eid]), 0))
+                sides.append((_constant(pins[e.eid]), ()))
             for other in sides[1:]:
                 if not _equate(*sides[0], *other, pivots, p):
                     return SolvedBasis(p, offsets, None, [])
@@ -230,21 +256,45 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
         raise SizeLimitError(
             f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
             f"{p}^{len(free)} consistent labelings")
-    rows = []                   # variable -> (x0, B row)
+    # z = (f, mu) with a column per unknown corner; a given one is a value
+    k, d = len(corner_at), len(free)
+    width = d + (k if corners is None else 0)
+    zeros = (0,) * width
+    corner_rows = [(0, zeros[:d + j] + (1,) + zeros[d + j + 1:])
+                   if corners is None else (corners[j] % p, ())
+                   for j in range(k)]
+    rows = []                   # label -> (x0, B row, then M row)
+    c = 0                       # the next free label's column
     for v in range(n):
         row = pivots.get(v)
         if row is None:
-            rows.append((0, tuple(int(u == v) for u in free)))
+            rows.append((0, zeros[:c] + (1,) + zeros[c + 1:]))
+            c += 1
             continue
         coef, const = row
-        x0, b = -const, [0] * len(free)
+        x0, b = -const, [0] * width
         for u, a in coef.items():
             if u != v:
-                ux0, ub = rows[u]
+                ux0, ub = rows[u] if u >= 0 else corner_rows[-1 - u]
                 x0 -= a * ux0
                 b = [y - a * z for y, z in zip(b, ub)]
         rows.append((x0 % p, tuple(y % p for y in b)))
-    return SolvedBasis(p, offsets, rows, free)
+    conditions = [(tuple([coef.get(-1 - j, 0) for j in range(k)]), const)
+                  for v, (coef, const) in pivots.items() if v < 0] if k else []
+    return SolvedBasis(p, offsets, rows, free,
+                       list(zip(corner_at, corner_rows)), conditions, width)
+
+
+def _at_corner(rep, symbolic: dict, value: int) -> dict:
+    """The symbolic labels of a rep whose local vector ends with its
+    corner, at that corner's value; once per process per rep key and
+    value."""
+    key = rep.key, value
+    out = _SYMBOLIC.get(key)
+    if out is None:
+        out = _SYMBOLIC[key] = {slot: _substitute(label, value, rep.p)
+                                for slot, label in symbolic.items()}
+    return out
 
 
 class SolvedBasis(Sequence):
@@ -253,15 +303,28 @@ class SolvedBasis(Sequence):
     offsets[i]..offsets[i+1]-1, and state i is the f whose base-p digits,
     first free variable first, spell i. `rows` is None when the equations
     are inconsistent: there is no state. As a sequence, it is its states
-    listed as one local vector per vertex, on first read only."""
+    listed as one local vector per vertex, on first read only.
 
-    def __init__(self, p: int, offsets: list, rows, free: list):
+    With corner variables (`enumerate_basis`), the solved coordinates are
+    z = (f, mu), `width` of them: B_v has one more column per corner, after
+    those of f. `corners` [(position, (x0, B))] gives each corner's row,
+    which ends the local vector of the vertex at that position: a column of
+    z, or, for a given corner value, (value, ()), a constant with no
+    column. `conditions` [(a, c)] cut out the corner values that have a
+    labeling: a.mu + c = 0 mod p for each. Only a basis without corners is
+    listed."""
+
+    def __init__(self, p: int, offsets: list, rows, free: list,
+                 corners=(), conditions=(), width=None):
         self.p, self.offsets, self.rows, self.free = p, offsets, rows, free
+        self.conditions = list(conditions)
+        self.width = len(free) if width is None else width
         self.size = 0 if rows is None else p ** len(free)
-        rows = rows or []
-        self.vertex_rows = [list(zip(range(a, b), rows[a:b]))
+        self.vertex_rows = [list(zip(range(a, b), (rows or [])[a:b]))
                             for a, b in zip(offsets, offsets[1:])]
-        self.pivot_rows = [(v, b) for v, (_, b) in enumerate(rows)
+        for pos, row in corners if rows is not None else ():
+            self.vertex_rows[pos].append((None, row))
+        self.pivot_rows = [(v, b) for v, (_, b) in enumerate(rows or [])
                            if v not in free]
 
     def __len__(self) -> int:
@@ -295,13 +358,14 @@ class SolvedBasis(Sequence):
 
     def loop(self, forms: dict, modulus: int) -> tuple:
         """(tau, ell, kappa) of a loop given per vertex position as (t, L, c)
-        (`_loop_forms`): f goes to (f + tau) mod p digit by digit with
-        exponent ell.f + kappa mod `modulus`, exact where that is p, and at
-        p = 2 for even L; a form L.x + c is a loop with t = 0. tau is None
-        when the translation leaves the solutions: at some pivot row it is
-        not B tau."""
+        (`_loop_forms`): z = (f, mu) goes to (z + tau) mod p digit by digit
+        with exponent ell.z + kappa mod `modulus`, exact where that is p,
+        and at p = 2 for even L; a form L.x + c is a loop with t = 0. A
+        corner is never translated, so tau is 0 on mu. tau is None when the
+        translation leaves the solutions: at some pivot row it is not
+        B tau."""
         shift = {}
-        ell, kappa = [0] * len(self.free), 0
+        ell, kappa = [0] * self.width, 0
         for pos, (t, lin, c) in forms.items():
             kappa += c
             for (v, (x0, b)), s, a in zip(self.vertex_rows[pos], t, lin):
@@ -309,8 +373,10 @@ class SolvedBasis(Sequence):
                     shift[v] = s
                 if a:
                     kappa += a * x0
-                    ell = [y + a * z for y, z in zip(ell, b)]
-        tau = tuple([shift.get(v, 0) for v in self.free])
+                    if b:
+                        ell = [y + a * z for y, z in zip(ell, b)]
+        tau = tuple([shift.get(v, 0) for v in self.free]
+                    + [0] * (self.width - len(self.free)))
         for v, b in self.pivot_rows if shift else ():
             if (_dot(b, tau) - shift.get(v, 0)) % self.p:
                 tau = None
@@ -327,9 +393,19 @@ def _constant(obj):
     return _Form((), obj)
 
 
-def _equate(left, lo: int, right, ro: int, pivots: dict, p: int) -> bool:
+def _substitute(label, value: int, p: int):
+    """A symbolic label of a rep whose local vector ends with its corner,
+    at that corner's value."""
+    if label is STAR:
+        return STAR
+    if isinstance(label, tuple):
+        return tuple(_substitute(x, value, p) for x in label)
+    return _Form(label.coef[:-1], (label.const + label.coef[-1] * value) % p)
+
+
+def _equate(left, lo: list, right, ro: list, pivots: dict, p: int) -> bool:
     """Add the equations left = right to the echelon rows `pivots`, the
-    labels' free variables being numbered from lo and ro. False when the
+    labels' local variables being numbered lo and ro. False when the
     system has become inconsistent: 0 = c with c != 0, or objects of
     different shapes."""
     if left is STAR or right is STAR:
@@ -339,14 +415,14 @@ def _equate(left, lo: int, right, ro: int, pivots: dict, p: int) -> bool:
                 and len(left) == len(right)
                 and all(_equate(a, lo, b, ro, pivots, p)
                         for a, b in zip(left, right)))
-    eq = {lo + j: a for j, a in enumerate(left.coef) if a}
+    eq = {lo[j]: a for j, a in enumerate(left.coef) if a}
     for j, a in enumerate(right.coef):
         if a:
-            c = (eq.get(ro + j, 0) - a) % p
+            c = (eq.get(ro[j], 0) - a) % p
             if c:
-                eq[ro + j] = c
+                eq[ro[j]] = c
             else:
-                del eq[ro + j]
+                del eq[ro[j]]
     return _add_row(eq, (left.const - right.const) % p, pivots, p)
 
 
@@ -544,8 +620,8 @@ def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
 
 def _generator_args(cd: CompoundDefect) -> dict:
     """{key: `_vertex_args`} of the bubbles and boundary generators read so
-    far, kept on the structure, so the compounds of a corner sweep share
-    them; keyed by ("bubble", cavity, g) and ("boundary", g, h)."""
+    far, kept on the structure; keyed by ("bubble", cavity, g) and
+    ("boundary", g, h)."""
     return cd.structure.__dict__.setdefault("_generator_args", {})
 
 
@@ -621,19 +697,31 @@ class QuotientRep:
     orbit sum. `pins` {stub id: object} fixes stubs, and the grade is the
     labels of the others. The raw basis is the `SolvedBasis`, never listed.
 
-    All of it is linear algebra over F_p in the free labels f. Bub_{c,1}
-    translates f by tau_c with a phase ell_c.f + kappa_c, so g in G moves f
-    by sum_c g_c tau_c, and its stabilizer is K = ker(g -> sum_c g_c tau_c),
-    the same at every state. An orbit is admissible when K acts trivially
-    on it: for each basis vector k of K, the phase of k, composed from the
-    loops (`_group_loop`), is one affine condition on f, exact mod N (at
-    p = 2 it is even, as k^2 = 1). Together they cut out S_adm, an affine
-    subspace, and each grade that the stub forms take on S_adm has
-    p^(dim S_adm - rank of the stub forms on S_adm - rank tau) admissible
-    orbits (`_orbit_space`). A boundary generator with translation beta
-    fixes orbit sums only when beta = sum_c s_c tau_c, and then its
-    eigenvalue on the orbit sum at f is zeta_N^(psi(f) - phi_s(f)), psi its
-    phase and phi_s that of s, an affine form in f (`character`).
+    All of it is linear algebra over F_p in the solved coordinates z: the
+    free labels f, and after them the compound's corner variables mu, if
+    any (`enumerate_basis`). Bub_{c,1} translates z by tau_c, which is 0 on
+    mu, with a phase ell_c.z + kappa_c, so g in G moves z by
+    sum_c g_c tau_c, and its stabilizer is K = ker(g -> sum_c g_c tau_c),
+    the same at every state and every corner value. An orbit is admissible
+    when K acts trivially on it: for each basis vector k of K, the phase of
+    k, composed from the loops (`_group_loop`), is one affine condition on
+    z, exact mod N (at p = 2 it is even, as k^2 = 1). Together with the
+    corner values that have a labeling (`SolvedBasis.conditions`) they cut
+    out S_adm, an affine subspace of z. Read at one corner value mu, each
+    grade that the stub forms take on S_adm has
+    p^(dim S_adm - rank of the stub forms and mu on S_adm - rank tau)
+    admissible orbits (`_orbit_space`), and the corner values where S_adm
+    has a point are the `support`. A boundary generator with translation
+    beta fixes orbit sums only when beta = sum_c s_c tau_c, and then its
+    eigenvalue on the orbit sum at z is zeta_N^(psi(z) - phi_s(z)), psi its
+    phase and phi_s that of s, an affine form in z (`character`).
+
+    So one quotient serves every corner value: the loops, the laws and G
+    are read once, and a corner value only picks the points of S_adm, at
+    which the forms are evaluated. The methods that count take the corner
+    values `mu`, () when z has none. Given `corners` are one corner value:
+    the solve adds them as equations and substitutes them, so z is f
+    (`enumerate_basis`).
 
     Refusals name a loop by its position in `cavities`, worded by the class
     attributes below; G's orbits are counted when first read."""
@@ -646,16 +734,16 @@ class QuotientRep:
     not_commuting = "bubbles of distinct cavities do not commute"
 
     def __init__(self, cd: CompoundDefect, pins: dict | None = None,
-                 cavities=None):
+                 cavities=None, corners=None):
         self.cd = cd
         self.field = cyc_field(cd.p)
         self.cavities = list(range(len(cd.structure.cavities))
                              if cavities is None else cavities)
-        self.raw_basis = enumerate_basis(cd, pins, self.basis_name)
+        self.raw_basis = enumerate_basis(cd, pins, self.basis_name, corners)
         self._chars: dict = {}
         self._boundaries: dict = {}
         self._shape, self._forms, self._loops = [], [], []
-        if self.raw_basis:
+        if self.raw_basis.rows is not None:
             self._grading(pins or ())
             self._loops = self._bubble_loops()
         else:
@@ -664,7 +752,7 @@ class QuotientRep:
             self.grades, self._orbit_space = {}, ([], {}, [], 0)
 
     def _grading(self, pins) -> None:
-        """A grade is the labels of the unpinned stubs, each a form in f:
+        """A grade is the labels of the unpinned stubs, each a form in z:
         `_forms` [(ell, kappa)] mod p, whose values `_shape` places in the
         grade, one getter per stub (`_grade_at`)."""
         cd, solved, p = self.cd, self.raw_basis, self.cd.p
@@ -688,21 +776,23 @@ class QuotientRep:
                                          position[vid]))
 
     def _grade_at(self, f) -> tuple:
-        """The grade of the state with free labels f."""
+        """The grade of the state with solved coordinates f."""
         p = self.cd.p
         values = [(_dot(ell, f) + kappa) % p for ell, kappa in self._forms]
         return tuple([get(values) for get in self._shape])
 
     def _stub_image(self, x0, basis) -> tuple:
-        """(grades, fibre) of the affine subspace x0 + span(basis) of f,
-        every f when basis is None: grades {grade: one f in the subspace}
-        for each grade taken there, and fibre a basis of the directions in
-        the subspace along which the grade is constant."""
-        p = self.cd.p
-        forms = [ell for ell, _ in self._forms]
+        """(points, fibre) of the affine subspace x0 + span(basis) of z,
+        every z when basis is None: points {mu: {grade: one z in the
+        subspace}} for each corner value and grade taken there, and fibre a
+        basis of the directions in the subspace along which both are
+        constant."""
+        p, solved = self.cd.p, self.raw_basis
+        d, n = len(solved.free), solved.width
+        forms = [ell for ell, _ in self._forms] + [
+            [int(u == j) for u in range(n)] for j in range(d, n)]
         if basis is not None:
             forms = [[_dot(ell, b) for b in basis] for ell in forms]
-        n = len(self.raw_basis.free) if basis is None else len(basis)
         stubs = _rref([list(ell) + [0] for ell in forms], p)
         points = [tuple(x0)]
         for piv, _ in stubs:
@@ -713,11 +803,14 @@ class QuotientRep:
                 step = basis[piv]
                 points = [tuple([(x + a * y) % p for x, y in zip(f, step)])
                           for f in points for a in range(p)]
-        fibre = _solutions(stubs, n, p)[1]
+        fibre = _solutions(stubs, n if basis is None else len(basis), p)[1]
         if basis is not None:
             fibre = [tuple(_dot(v, col) % p for col in zip(*basis))
                      for v in fibre]
-        return {self._grade_at(f): f for f in points}, fibre
+        image: dict = {}
+        for f in points:
+            image.setdefault(f[d:], {})[self._grade_at(f)] = f
+        return image, fibre
 
     def _bubble_loops(self) -> list:
         """Bub_{c,1} of the c-th listed cavity as its `SolvedBasis.loop`. A
@@ -740,9 +833,9 @@ class QuotientRep:
 
     def _group_loop(self, s) -> tuple:
         """(ell, q) of g = (s_c) in G, applied as Bub_1^s_1 first: g sends
-        f to zeta_N^(ell.f + q) times f + sum_c s_c tau_c."""
+        z to zeta_N^(ell.z + q) times z + sum_c s_c tau_c."""
         N = self.field.N
-        ell = shift = [0] * len(self.raw_basis.free)
+        ell = shift = [0] * self.raw_basis.width
         q = 0
         for (tau, lin, kappa), u in zip(self._loops, s):
             if u:
@@ -754,57 +847,78 @@ class QuotientRep:
 
     @functools.cached_property
     def _orbit_space(self) -> tuple:
-        """(span, grades, fibre, m), once G's generators are checked to
+        """(span, points, fibre, m), once G's generators are checked to
         commute (`_bracket`). span: `_rref` of the rows (tau_c, e_c) that
-        have their pivot in tau, so [(pivot, (t, g))] with g in G moving f
-        by t, a basis of G's translations. grades: {grade: one admissible
-        f} for each grade that admissible states have. fibre: a basis of the
-        translations that keep S_adm and the grade. m: each such grade's
-        number of admissible orbits."""
+        have their pivot in tau, so [(pivot, (t, g))] with g in G moving z
+        by t, a basis of G's translations. points: {mu: {grade: one
+        admissible z}} for each corner value and grade that admissible
+        states have. fibre: a basis of the translations that keep S_adm,
+        the grade and mu. m: each such grade's number of admissible
+        orbits."""
         p, N = self.cd.p, self.field.N
         if any(_bracket(a, b) % N
                for a, b in itertools.combinations(self._loops, 2)):
             raise StructureError(self.not_commuting)
-        d, C = len(self.raw_basis.free), len(self._loops)
+        solved = self.raw_basis
+        n, C = solved.width, len(self._loops)
         echelon = _rref([list(tau) + [int(i == c) for i in range(C)]
                          for c, (tau, _, _) in enumerate(self._loops)], p)
-        span = [(piv, (row[:d], row[d:])) for piv, row in echelon if piv < d]
-        # S_adm = x0 + span(basis), basis None for every f: each k in K,
-        # a row of `echelon` with its pivot past tau, acts trivially. At
-        # p = 2, k^2 = 1 makes k act on the states it fixes by a sign, so
-        # its exponents, read mod N = 4, are even and halve exactly.
-        x0, basis = (0,) * d, None
+        span = [(piv, (row[:n], row[n:])) for piv, row in echelon if piv < n]
+        # S_adm = x0 + span(basis), basis None for every z: the corner
+        # values have a labeling, and each k in K, a row of `echelon` with
+        # its pivot past tau, acts trivially. At p = 2, k^2 = 1 makes k act
+        # on the states it fixes by a sign, so its exponents, read mod
+        # N = 4, are even and halve exactly.
+        rows = [[0] * len(solved.free) + list(a) + [c]
+                for a, c in solved.conditions]
         if len(span) < C:
             q = N // p
-            rows = [[a // q for a in ell] + [const // q]
-                    for ell, const in (self._group_loop(k[d:])
-                                       for _, k in echelon[len(span):])]
-            solved = _solutions(_rref(rows, p), d, p)
-            if solved is None:
+            rows += [[a // q for a in ell] + [const // q]
+                     for ell, const in (self._group_loop(k[n:])
+                                        for _, k in echelon[len(span):])]
+        x0, basis = (0,) * n, None
+        if rows:
+            solution = _solutions(_rref(rows, p), n, p)
+            if solution is None:
                 return span, {}, [], 0
-            x0, basis = solved
-        grades, fibre = self._stub_image(x0, basis)
+            x0, basis = solution
+        points, fibre = self._stub_image(x0, basis)
         m = p ** (len(fibre) - len(span))
-        return span, grades, fibre, m
+        return span, points, fibre, m
 
     @functools.cached_property
     def grades(self) -> dict:
         """{grade: its number of admissible orbits} for every grade that
-        some consistent labeling has."""
-        _, admissible, _, m = self._orbit_space
-        every, _ = self._stub_image((0,) * len(self.raw_basis.free), None)
-        return {grade: m if grade in admissible else 0 for grade in every}
+        some consistent labeling has, of a quotient with no corner
+        variable; with corner variables it is empty."""
+        if self.raw_basis.width > len(self.raw_basis.free):
+            return {}
+        _, points, _, m = self._orbit_space
+        admissible = points.get((), {})
+        every, _ = self._stub_image((0,) * self.raw_basis.width, None)
+        return {grade: m if grade in admissible else 0
+                for grade in every.get((), {})}
 
-    def grade_dim(self, grade) -> int:
-        return self._orbit_space[3] if grade in self._orbit_space[1] else 0
+    def support(self) -> set:
+        """The corner values with an admissible orbit: S_adm's projection
+        onto mu."""
+        return set(self._orbit_space[1])
 
-    def grade_dims(self) -> dict:
-        _, grades, _, m = self._orbit_space
-        return dict.fromkeys(grades, m)
+    def grade_dim(self, grade, mu=()) -> int:
+        _, points, _, m = self._orbit_space
+        return m if grade in points.get(mu, ()) else 0
 
-    def total_dim(self) -> int:
-        _, grades, _, m = self._orbit_space
-        return len(grades) * m
+    def grade_dims(self, mu=()) -> dict:
+        _, points, _, m = self._orbit_space
+        return dict.fromkeys(points.get(mu, ()), m)
+
+    def total_dim(self, mu=None) -> int:
+        """The quotient's dimension at the corner values mu, summed over
+        all of them when mu is None."""
+        _, points, _, m = self._orbit_space
+        if mu is None:
+            return sum(map(len, points.values())) * m
+        return len(points.get(mu, ())) * m
 
     def _boundary_loop(self, g: int, h: int) -> tuple:
         """Boundary (g, h) read in the solved coordinates."""
@@ -857,19 +971,20 @@ class QuotientRep:
         out = self._boundaries[key] = loop, moved, eigen
         return out
 
-    def character(self, grade, g: int, h: int):
-        """tr of boundary (g, h) on the quotient at `grade`, which it must
-        keep, as the histogram over Z/N of the phases of the orbit sums it
-        fixes: the trace is sum_k hist[k] zeta_N^k. None when no orbit sum
-        is fixed. The eigenvalue exponent, affine in f, is either the same
-        on all m admissible orbits of the grade, or takes each of its p
-        values on m/p of them (at p = 2, k and k + 2)."""
-        key = (grade, g, h)
+    def character(self, grade, g: int, h: int, mu=()):
+        """tr of boundary (g, h) on the quotient at `grade` and corner
+        values mu, which it must keep, as the histogram over Z/N of the
+        phases of the orbit sums it fixes: the trace is
+        sum_k hist[k] zeta_N^k. None when no orbit sum is fixed. The
+        eigenvalue exponent, affine in z, is either the same on all m
+        admissible orbits of the grade, or takes each of its p values on
+        m/p of them (at p = 2, k and k + 2)."""
+        key = (mu, grade, g, h)
         if key not in self._chars:
-            _, grades, _, m = self._orbit_space
-            f = grades.get(grade)
+            _, points, _, m = self._orbit_space
+            f = points.get(mu, {}).get(grade)
             if f is None:
-                if grade not in self.grades:
+                if not mu and grade not in self.grades:
                     raise KeyError(f"no such grade {grade!r}")
                 self._chars[key] = None
                 return None
@@ -892,7 +1007,8 @@ class QuotientRep:
             self._chars[key] = hist
         return self._chars[key]
 
-    # -- the orbit sums as vectors: for `image` and `boundary_matrix` only
+    # -- the orbit sums as vectors, of a quotient with no corner variable:
+    # -- for `image` and `boundary_matrix` only
 
     def _root(self, f) -> tuple:
         """(root, s): the state of least index in f's orbit, and the g in G
@@ -912,7 +1028,8 @@ class QuotientRep:
         root of its representative plus each translation of the fibre that
         is 0 at the pivots of G's translations."""
         p = self.cd.p
-        _, grades, fibre, _ = self._orbit_space
+        _, points, fibre, _ = self._orbit_space
+        grades = points.get((), {})
         if grade not in grades:
             return []
         root, _ = self._root(grades[grade])
@@ -1002,18 +1119,38 @@ def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
     return total
 
 
-def decompose(qr: QuotientRep):
-    """Isotypic decomposition of a 2-string quotient representation.
+def rational_trace(hist, p: int):
+    """sum_k hist[k] zeta_N^k, for integers hist over Z/N, as an integer
+    when it is rational, else None; N = p for odd p and 4 for p = 2.
+
+    For odd p, 1, zeta, ..., zeta^(p-2) is a basis of Q(zeta_p), and
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), so the sum is
+    hist[0] - hist[p-1] plus sum_{k=1}^{p-2} (hist[k] - hist[p-1]) zeta^k:
+    rational exactly when hist[1] = ... = hist[p-1], and then
+    hist[0] - hist[1]. At p = 2 it is hist[0] - hist[2] + (hist[1] -
+    hist[3]) i."""
+    if p == 2:
+        return hist[0] - hist[2] if hist[1] == hist[3] else None
+    first = hist[1]
+    if any(x != first for x in hist[2:]):
+        return None
+    return hist[0] - first
+
+
+def decompose(qr: QuotientRep, mu=()):
+    """Isotypic decomposition of a 2-string quotient representation, at the
+    corner values mu (() when it has none).
 
     The multiplicity of a defect d is the trace of its idempotent
     e = sum_t p^-j_t zeta_N^e_t B_t on the quotient at d's source grade,
     which is the rank of e. Each tr(B_t) is a histogram over Z/N
     (`character`), so p^J tr(e), J the largest j_t, is the integer
-    histogram acc[k + e_t] += p^(J - j_t) hist_t[k], made a field element
-    once, by `root_sum`. The candidates of a wall pair, with their source
-    grades, are built once per process, and so are their terms
-    (`phase_terms`). Returns [(DefectLabel, multiplicity)] with positive
-    multiplicities, checked by `verify_completeness`; for external
+    histogram acc[k + e_t] += p^(J - j_t) hist_t[k], read as an integer by
+    `rational_trace`; a field element is made only for the refusal of a
+    trace that is no multiplicity. The candidates of a wall pair, with
+    their source grades, are built once per process, and so are their
+    terms (`phase_terms`). Returns [(DefectLabel, multiplicity)] with
+    positive multiplicities, checked by `verify_completeness`; for external
     boundaries with more or fewer strings the quotient itself is returned
     unchanged (unsupported, per contract).
     """
@@ -1024,41 +1161,41 @@ def decompose(qr: QuotientRep):
     out = []
     # a quotient with no admissible orbit has no candidate to try
     candidates = ()
-    if qr.total_dim():
+    if qr.total_dim(mu):
         walls = qr.cd.structure.external_walls()
         candidates = _CANDIDATES.get(walls)
         if candidates is None:
             candidates = _CANDIDATES[walls] = tuple(
                 (d, d.source_object()) for d in enumerate_defects(*walls))
     for d, grade in candidates:
-        if not qr.grade_dim(grade):
+        if not qr.grade_dim(grade, mu):
             continue
         terms = phase_terms(d)
         top = max(t[0] for t in terms)
         acc = [0] * N
         for j, e, g, h in terms:
-            hist = qr.character(grade, g, h)
+            hist = qr.character(grade, g, h, mu)
             if hist is not None:
                 scale = p ** (top - j)
                 for k, c in enumerate(hist):
                     if c:
                         acc[(k + e) % N] += scale * c
-        total = field.root_sum(acc, p ** top)
-        mult = total.as_rational()
-        if mult is None or mult.denominator != 1 or mult < 0:
+        value, den = rational_trace(acc, p), p ** top
+        if value is None or value % den or value < 0:
             raise StructureError(
                 f"{d.name()}: trace of the idempotent is "
-                f"{total.symbolic()}, not a multiplicity")
-        if mult:
-            out.append((d, int(mult)))
-    verify_completeness(qr, out)
+                f"{field.root_sum(acc, den).symbolic()}, not a multiplicity")
+        if value:
+            out.append((d, value // den))
+    verify_completeness(qr, out, mu)
     return out
 
 
-def verify_completeness(qr: QuotientRep, decomposition) -> None:
-    """Assert sum_d mult_d * dim V^d(grade) == quotient dim at every grade.
-    Each defect's grade dimensions are built once per process."""
-    want = qr.grade_dims()
+def verify_completeness(qr: QuotientRep, decomposition, mu=()) -> None:
+    """Assert sum_d mult_d * dim V^d(grade) == quotient dim at every grade,
+    at the corner values mu. Each defect's grade dimensions are built once
+    per process."""
+    want = qr.grade_dims(mu)
     got: dict = {}
     for d, mult in decomposition:
         dims = _GRADE_DIMS.get(d)

@@ -1,9 +1,12 @@
 """High-level drivers: vertical/horizontal defect fusion and wall associators.
 
 Corner parameters (one per F-type corner of the underlying trivalent
-vertices) are enumerated exhaustively; associator results are additionally
-compressed to exact delta constraints and diffed against the golden table
-shipped in data/associator_table.json.
+vertices) are unknowns of the compound's one basis solve: a driver builds
+one compound and one quotient per call, and reads every corner assignment
+off it, listing those outside the quotient's support as empty without any
+work for them; given corner values are one point of the same solve.
+Associator results are additionally compressed to exact delta constraints
+and diffed against the golden table shipped in data/associator_table.json.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import QuotientRep, decompose
 from .scalars import mod_inverse
 from .structures import (
-    CornerSweep, StructureError, associator_compound, associator_corner_names,
+    StructureError, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
@@ -84,55 +87,57 @@ class FusionResult:
         )
 
 
-def _decomposition(cd) -> tuple:
-    out = decompose(QuotientRep(cd))
+def _decomposition(qr, mu=()) -> tuple:
+    out = decompose(qr, mu)
     return tuple(sorted((d.name(), mult) for d, mult in out))
 
 
 def vertical_fuse(d1: DefectLabel, d2: DefectLabel) -> FusionResult:
     """Stack d1 below d2 and decompose (no corner parameters arise)."""
     cd = vertical_compound(d1, d2)
-    out = _decomposition(cd)
+    out = _decomposition(QuotientRep(cd))
     return FusionResult("vertical", d1.p, (d1.name(), d2.name()), (), (((), out),))
 
 
 def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
                     corners: dict | None = None) -> FusionResult:
-    """Fuse side by side; enumerate corner parameters unless given. The
-    corner assignments share one corner sweep."""
-    p = d1.p
+    """Fuse side by side, at the corner values given, or at every corner
+    assignment (`_outcomes`)."""
     names = tuple(horizontal_corner_names(d1, d2))
-    assignments = _corner_assignments(names, p, corners)
-    sweep = CornerSweep()
-    outcomes = []
-    for assignment in assignments:
-        kw = dict(zip(names, assignment))
-        cd = horizontal_compound(
-            d1, d2, corner_bottom=kw.get("bottom"), corner_top=kw.get("top"),
-            sweep=sweep)
-        outcomes.append((assignment, _decomposition(cd)))
-    return FusionResult("horizontal", p, (d1.name(), d2.name()), names,
-                        tuple(outcomes))
+    point = _corner_point(names, d1.p, corners)
+    outcomes = _outcomes(horizontal_compound(d1, d2), names, point)
+    return FusionResult("horizontal", d1.p, (d1.name(), d2.name()), names,
+                        outcomes)
 
 
 def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                corners: dict | None = None) -> FusionResult:
-    """The compound defect of the [M,N,P] triangle, with delta compression.
-    The corner assignments share one corner sweep."""
+    """The compound defect of the [M,N,P] triangle, at the corner values
+    given, or at every corner assignment (`_outcomes`) with delta
+    compression."""
     p = m.p
     names = tuple(associator_corner_names(m, n, pw))
-    assignments = _corner_assignments(names, p, corners)
-    sweep = CornerSweep()
-    outcomes = []
-    for assignment in assignments:
-        cd = associator_compound(m, n, pw, dict(zip(names, assignment)),
-                                 sweep=sweep)
-        outcomes.append((assignment, _decomposition(cd)))
+    point = _corner_point(names, p, corners)
+    outcomes = _outcomes(associator_compound(m, n, pw), names, point)
     constraints = None
     if corners is None:
         constraints = infer_delta_constraints(names, outcomes, p)
     return FusionResult("associator", p, (m.name(), n.name(), pw.name()),
-                        names, tuple(outcomes), constraints)
+                        names, outcomes, constraints)
+
+
+def _outcomes(cd, names, point) -> tuple:
+    """((assignment, decomposition), ...) of cd, whose corners `names` are
+    unknowns of one solve and one quotient (`QuotientRep`): at `point`
+    alone when it is given, else at every assignment in order. An
+    assignment outside the quotient's support has an empty decomposition,
+    and nothing is computed for it."""
+    if point is not None:
+        return ((point, _decomposition(QuotientRep(cd, corners=point))),)
+    qr = QuotientRep(cd)
+    support = qr.support()
+    return tuple((t, _decomposition(qr, t) if t in support else ())
+                 for t in itertools.product(range(cd.p), repeat=len(names)))
 
 
 class CornerError(StructureError):
@@ -140,18 +145,19 @@ class CornerError(StructureError):
     corners."""
 
 
-def _corner_assignments(names, p, corners):
-    """Every assignment of the corners `names`, or the one `corners` gives,
-    which must name exactly those corners (else CornerError)."""
-    if corners is not None:
-        unknown = set(corners) - set(names)
-        if unknown:
-            raise CornerError(f"unknown corner names {sorted(unknown)}")
-        missing = set(names) - set(corners)
-        if missing:
-            raise CornerError(f"missing corner values {sorted(missing)}")
-        return [tuple(corners[nm] % p for nm in names)]
-    return list(itertools.product(range(p), repeat=len(names)))
+def _corner_point(names, p, corners):
+    """The values `corners` gives, as a tuple aligned with the corners
+    `names` and reduced mod p, or None when it gives none; it must name
+    exactly those corners (else CornerError)."""
+    if corners is None:
+        return None
+    unknown = set(corners) - set(names)
+    if unknown:
+        raise CornerError(f"unknown corner names {sorted(unknown)}")
+    missing = set(names) - set(corners)
+    if missing:
+        raise CornerError(f"missing corner values {sorted(missing)}")
+    return tuple(corners[nm] % p for nm in names)
 
 
 def infer_delta_constraints(names, outcomes, p):

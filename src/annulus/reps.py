@@ -21,7 +21,10 @@ the Rep classes):
             label), so that the engine evaluates the entry once per args on
             its symbols, as `edges`, and reads it as a translation with a
             phase form
-  mu     -- whether the family carries a corner parameter (multiplicity p)
+  mu     -- whether the family carries a corner parameter (multiplicity p);
+            edge labels and phases must be affine in it too, and no
+            translation may read it, so that a corner can be an unknown of
+            the same solve (`VARIABLE`)
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ def theta_exponent(p: int, x: int, a: int, g: int) -> int:
         x, a, g = x % 2, a % 2, g % 2
         return (2 * g * x + a * g) % 4  # -1 = i^2
     return (g * x + a * g * g * mod_inverse(2, p)) % p
+
+
+class _CornerVariable:
+    """The corner of a vertex whose corner value is left an unknown of the
+    engine's basis solve rather than given: the rep's local vector then ends
+    with its corner, which every action keeps."""
+
+    def __repr__(self):
+        return "VARIABLE"
+
+
+VARIABLE = _CornerVariable()
 
 
 class _Walls:
@@ -766,6 +781,8 @@ class _TableRep:
     free label in product order, the edge labels of each local vector,
     cached, and the engine's affine forms of its actions."""
 
+    corner = None
+
     def __init__(self, p: int, entry: dict, key):
         self.p = p
         self.N = root_order(p)
@@ -827,6 +844,10 @@ class TrivalentRep(_TableRep):
 
     direction 'tri21': first/second are the lower-left/lower-right walls and
     the product wall sits on top; 'tri12': first/second on top, product below.
+    A family with a corner parameter takes its value, reduced mod p, or
+    `VARIABLE`: then the corner is the last entry of the local vector,
+    named "mu", and the engine solves for it with the free labels; a family
+    without one ignores `VARIABLE`.
     """
 
     def __init__(self, direction: str, first: BimoduleLabel,
@@ -843,13 +864,16 @@ class TrivalentRep(_TableRep):
             if corner is None:
                 raise ValueError(
                     f"{direction} vertex {first.name()}x{second.name()} needs a corner parameter")
-            corner %= first.p
-        elif corner not in (None, 0):
+            if corner is not VARIABLE:
+                corner %= first.p
+        elif corner is not VARIABLE and corner not in (None, 0):
             raise ValueError(
                 f"{direction} vertex {first.name()}x{second.name()} takes no corner parameter")
         self.corner = corner if entry["mu"] else None
         super().__init__(first.p, entry,
                          (direction, first, second, self.corner))
+        if self.corner is VARIABLE:
+            self.free_names = self.free_names + ("mu",)
         self.walls = _Walls(self.p, first, second, self.third)
         if direction == "tri21":
             self.slots = ("bl", "br", "top")
@@ -870,18 +894,28 @@ class TrivalentRep(_TableRep):
             return self.second
         return self.third
 
+    def _split(self, vec) -> tuple:
+        """(free labels, corner) of a local vector."""
+        if self.corner is VARIABLE:
+            return vec[:-1], vec[-1]
+        return vec, self.corner
+
     def label_map(self, vec) -> dict:
         """{slot: object} of one local vector, from the table entry."""
-        labels = self.entry["edges"](vec, self.corner, self.walls)
+        labels = self.entry["edges"](*self._split(vec), self.walls)
         return {slot: _norm(self.p, lab)
                 for slot, lab in zip(self._pair_slots, labels)}
 
     def act(self, vec, args):
         """(e, new vector): generator (a, b, c) = args' left, right and mid
-        sends vec to zeta_N^e times new, e in Z/N."""
-        e, new = self.entry["act"](vec, self.corner, self.walls,
+        sends vec to zeta_N^e times new, e in Z/N; a corner variable is
+        kept."""
+        free, corner = self._split(vec)
+        e, new = self.entry["act"](free, corner, self.walls,
                                    args.get("left", 0), args.get("right", 0),
                                    args.get("mid", 0))
+        if self.corner is VARIABLE:
+            new = (*new, corner)
         return e % self.N, tuple([x % self.p for x in new])
 
 

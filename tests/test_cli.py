@@ -80,6 +80,31 @@ def test_wall_mismatch_exit_code():
     assert "mismatch" in r.stderr
 
 
+def test_a_corner_value_is_one_point_of_the_sweep():
+    """`--corner` values, reduced mod p, give the full sweep's outcome at
+    that point; an unknown or a missing corner name exits 2 with its
+    message."""
+    walls = ("associator", "-p", "5", "T", "T", "T")
+    sweep = json.loads(run_cli(*walls).stdout)
+    outcome = {tuple(o["corners"]): o for o in sweep["outcomes"]}
+    for values in ((1, 2, 1, 2), (1, 2, 3, 4), (6, 12, 1, -3)):
+        r = run_cli(*walls, *(arg for name, v in zip(
+            ("mu0", "mu1", "nu0", "nu1"), values)
+            for arg in ("--corner", f"{name}={v}")))
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        point = tuple(v % 5 for v in values)
+        assert doc["outcomes"] == [outcome[point]]
+        assert doc["constraints"] is None
+    for extra, message in (
+            (("--corner", "nu1=2", "--corner", "qq=1"),
+             "error: unknown corner names ['qq']\n"),
+            ((), "error: missing corner values ['nu1']\n")):
+        r = run_cli(*walls, "--corner", "mu0=1", "--corner", "mu1=2",
+                    "--corner", "nu0=3", *extra)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
+
+
 def test_size_limit_exit_code(tmp_path, monkeypatch):
     """Every command that builds a compound stops at ANNULUS_MAX_BASIS with
     the size-limit code."""
@@ -215,6 +240,60 @@ def test_lw_command(tmp_path):
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["ground_space_dim"] == 1
+    assert doc["commuting"] is True
+
+
+def _bulk_torus_document(p: int, rows: int, cols: int) -> dict:
+    """A periodic brick-wall honeycomb of bulk (Xk:1) walls as an `lw`
+    document: per row r and column i (mod cols), vertices t and lr
+    (tri21) and b and ur (tri12), 2 rows cols hexagons, no dangling edge,
+    and every traced face listed."""
+    from annulus.structures import DomainWallStructure, Edge
+    from annulus.walls import BimoduleLabel
+
+    def v(name, r, i):
+        return f"{name}{r % rows}_{i % cols}"
+
+    templates, edges = {}, []
+    for r in range(rows):
+        for i in range(cols):
+            templates.update({v("t", r, i): "tri21", v("b", r, i): "tri12",
+                              v("ur", r, i): "tri12", v("lr", r, i): "tri21"})
+            for name, a, b in (
+                    ("nw", (v("ur", r, i - 1), "tr"), (v("t", r, i), "bl")),
+                    ("ne", (v("t", r, i), "br"), (v("ur", r, i), "tl")),
+                    ("e", (v("ur", r, i), "bottom"), (v("lr", r, i), "top")),
+                    ("se", (v("lr", r, i), "bl"), (v("b", r, i), "tr")),
+                    ("sw", (v("b", r, i), "tl"), (v("lr", r, i - 1), "br")),
+                    ("up", (v("t", r, i), "top"),
+                     (v("b", r + 1, i), "bottom"))):
+                edges.append(Edge(v(name, r, i), BimoduleLabel.parse("Xk:1", p),
+                              (a, b)))
+    faces = DomainWallStructure(p, templates, edges, []).cavities
+    return {
+        "p": p,
+        "vertices": [{"id": vid, "template": tpl, "walls": ["Xk:1", "Xk:1"]}
+                     for vid, tpl in templates.items()],
+        "edges": [{"id": e.eid, "wall": "Xk:1",
+                   "ends": [list(end) for end in e.ends]} for e in edges],
+        "faces": [[list(c) for c in face] for face in faces],
+    }
+
+
+def test_lw_counts_more_labelings_than_an_index_holds(tmp_path):
+    """The 4x4 bulk torus at p = 5 has 5^33 consistent labelings, past
+    2^63 - 1. With the size limit raised above that, `lw` counts them as an
+    integer and gives the torus's p^2-dimensional ground space, with no
+    traceback."""
+    p = 5
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(_bulk_torus_document(p, 4, 4)))
+    r = run_cli("lw", str(path), ANNULUS_MAX_BASIS="1" + "0" * 30)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["consistent_states"] == p ** 33 > 2 ** 63 - 1
+    assert doc["faces"] == 32
+    assert doc["ground_space_dim"] == p * p
     assert doc["commuting"] is True
 
 

@@ -10,7 +10,7 @@ from annulus import engine
 from annulus.levinwen import defect_line_patch, hexagon_chain_patch
 from annulus.reps import BivalentRep, TrivalentRep
 from annulus.structures import (
-    CornerSweep, StructureError, associator_compound, associator_corner_names,
+    StructureError, associator_compound, associator_corner_names,
 )
 from annulus.walls import BimoduleLabel, all_walls
 from state_walk import walk
@@ -111,10 +111,8 @@ def test_every_p3_associator_cell_agrees_with_the_reference(verdicts):
     walls = all_walls(p)
     for m, n, pw in itertools.product(walls, repeat=3):
         names = associator_corner_names(m, n, pw)
-        sweep = CornerSweep()
         for values in itertools.product(range(p), repeat=len(names)):
-            cd = associator_compound(m, n, pw, dict(zip(names, values)),
-                                     sweep=sweep)
+            cd = associator_compound(m, n, pw, dict(zip(names, values)))
             engine.QuotientRep(cd)
     assert len(verdicts) > 1000 and all(verdicts)
 

@@ -6,11 +6,12 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus import engine
 from annulus.defects import enumerate_defects, parse_defect
 from annulus.engine import QuotientRep, apply_idempotent, decompose
-from annulus.scalars import Cyc, CycField
+from annulus.scalars import Cyc, CycField, cyc_field
 from annulus.structures import (
     StructureError, horizontal_compound, vertical_compound,
 )
@@ -199,11 +200,12 @@ def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
             decompose(QuotientRep(cd))
 
 
-def test_decompose_makes_one_field_element_per_defect_tried(monkeypatch):
+def test_decompose_makes_no_field_element_for_a_multiplicity(monkeypatch):
     """Once the reps' action memos are warm, decompose adds and multiplies
-    no Cyc: its one field element per candidate defect whose source grade
-    is nonzero comes from root_sum. The candidates are read from the
-    engine's table of them, which the warming call filled."""
+    no Cyc, and makes no field element: the trace of each candidate defect
+    whose source grade is nonzero is read as an integer from its histogram
+    (`engine.rational_trace`). The candidates are read from the engine's
+    table of them, which the warming call filled."""
 
     def refuse(*args):
         raise AssertionError("Cyc arithmetic in decompose")
@@ -227,6 +229,29 @@ def test_decompose_makes_one_field_element_per_defect_tried(monkeypatch):
             for name in ("__add__", "__mul__", "__rmul__", "sub_mul"):
                 m.setattr(Cyc, name, refuse)
             decompose(qr)
-        assert len(sums) == tried
+        assert sums == []
         tried_total += tried
     assert tried_total == 138
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_rational_trace_equals_the_field_element(p, data):
+    """`engine.rational_trace` reads sum_k hist[k] zeta_N^k as an integer
+    exactly when the field element is rational, and to the same value.
+    Half the draws are made rational by hand (hist[1] = ... = hist[p-1],
+    or hist[1] = hist[3] at p = 2), which a uniform draw would almost
+    never give."""
+    field = cyc_field(p)
+    hist = data.draw(st.lists(st.integers(-40, 40), min_size=field.N,
+                              max_size=field.N))
+    if data.draw(st.booleans()):
+        if p == 2:
+            hist[3] = hist[1]
+        else:
+            hist[2:] = [hist[1]] * (p - 2)
+    want = field.root_sum(hist).as_rational()
+    assert engine.rational_trace(hist, p) == want
+    if want is not None:
+        assert want.denominator == 1

@@ -1,23 +1,32 @@
-"""Corner sweeps: the drivers share one structure and one rep per (vertex,
-corner value) across a call's corner assignments, and each candidate
-defect's phase terms and grade dimensions are built once per process. The
-results must equal those of fresh compounds built per assignment."""
+"""Corner sweeps: a driver call builds one compound whose corner values are
+unknowns of its one basis solve, and reads every corner assignment off that
+one quotient; each candidate defect's phase terms and grade dimensions are
+built once per process. The results must equal those of fresh concrete
+compounds built and decomposed per assignment, which this file keeps as the
+oracle."""
 
 import itertools
 from collections import Counter
 
 import pytest
 
-from annulus import engine
+from annulus import engine, fusion
 from annulus.defects import DefectLabel, parse_defect
 from annulus.engine import QuotientRep, decompose
 from annulus.fusion import associator, horizontal_fuse
-from annulus.reps import BIVALENT, TrivalentRep
+from annulus.reps import BIVALENT, TRI21, VARIABLE, TrivalentRep
 from annulus.structures import (
-    CornerSweep, StructureError, associator_compound, associator_corner_names,
+    StructureError, associator_compound, associator_corner_names,
     horizontal_compound, horizontal_corner_names,
 )
 from annulus.walls import BimoduleLabel, all_walls
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructureError as exc:
+        return str(exc)
 
 
 def _fresh(cd) -> tuple:
@@ -43,13 +52,54 @@ def _fresh_horizontal(d1, d2) -> tuple:
     return tuple(out)
 
 
-@pytest.mark.parametrize("p,step", [(2, 1), (3, 4)])
+@pytest.mark.parametrize("p,step", [(2, 1), (3, 1)])
 def test_associator_sweep_matches_fresh_compounds(p, step):
-    """Every p=2 cell and every 4th p=3 cell."""
+    """Every p=2 cell and every p=3 cell."""
     cells = list(itertools.product(all_walls(p), repeat=3))[::step]
     for m, n, pw in cells:
         assert associator(m, n, pw).outcomes == _fresh_associator(m, n, pw), \
             (m.name(), n.name(), pw.name())
+
+
+def test_the_quotient_at_each_corner_value_is_the_concrete_one():
+    """One quotient with the corners as unknowns, read at each corner
+    value, against the quotient of the compound built with those values:
+    the same grades, dimensions and characters (or refusal) at every
+    (g, h). Every p=3 cell with corners, at every corner value."""
+    p = 3
+    cells = [cell for cell in itertools.product(all_walls(p), repeat=3)
+             if associator_corner_names(*cell)]
+    compared = 0
+    for cell in cells:
+        names = associator_corner_names(*cell)
+        qr = QuotientRep(associator_compound(*cell))
+        for t in itertools.product(range(p), repeat=len(names)):
+            concrete = QuotientRep(associator_compound(*cell,
+                                                       dict(zip(names, t))))
+            assert qr.grade_dims(t) == concrete.grade_dims(), (cell, t)
+            assert qr.total_dim(t) == concrete.total_dim()
+            assert (t in qr.support()) == bool(concrete.total_dim())
+            for grade in concrete.grade_dims():
+                for g, h in itertools.product(range(p), repeat=2):
+                    assert _outcome(qr.character, grade, g, h, t) == \
+                        _outcome(concrete.character, grade, g, h), \
+                        (cell, t, grade)
+                    compared += 1
+    assert len(cells) == 144 and compared > 5000
+
+
+def test_four_corner_p5_cells_match_fresh_compounds():
+    """The 16 p=5 cells with four corners, 625 assignments each, of which
+    the golden deltas leave 25 nonempty."""
+    p = 5
+    walls = [BimoduleLabel.parse(t, p) for t in ("T", "L", "R", "F0")]
+    cells = [cell for cell in itertools.product(walls, repeat=3)
+             if len(associator_corner_names(*cell)) == 4]
+    assert len(cells) == 16
+    for cell in cells:
+        result = associator(*cell)
+        assert result.outcomes == _fresh_associator(*cell), cell
+        assert len(result.support()) == p * p
 
 
 @pytest.mark.parametrize("p,params", [
@@ -68,65 +118,109 @@ def test_horizontal_sweep_matches_fresh_compounds(p, params):
         assert result.outcomes == _fresh_horizontal(d1, d2), (d1, d2)
 
 
-def test_sweep_shares_the_structure_and_the_corner_free_reps():
+def _counting(monkeypatch, module, name, calls):
+    plain = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_shares_the_structure_and_the_corner_free_reps(monkeypatch):
+    """A driver call builds one compound, whose corner-carrying vertices
+    hold their corner as a variable, and solves it once; every corner
+    assignment is read off that one quotient."""
+    calls = Counter()
+    for module, name in ((fusion, "associator_compound"),
+                         (fusion, "horizontal_compound"),
+                         (engine, "enumerate_basis")):
+        _counting(monkeypatch, module, name, calls)
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
     assert associator_corner_names(m, n, pw) == ["mu0", "nu1"]
-    sweep = CornerSweep()
-    cds = {t: associator_compound(m, n, pw, {"mu0": t[0], "nu1": t[1]},
-                                  sweep=sweep)
-           for t in itertools.product(range(p), repeat=2)}
-    first = cds[(0, 0)]
-    for (mu0, nu1), cd in cds.items():
-        assert cd.structure is first.structure
-        assert cd.reps["v2"] is first.reps["v2"]
-        assert cd.reps["v3"] is first.reps["v3"]
-        assert cd.reps["v1"] is cds[(mu0, 0)].reps["v1"]
-        assert cd.reps["v4"] is cds[(0, nu1)].reps["v4"]
-        assert cd.reps["v1"].corner == mu0 and cd.reps["v4"].corner == nu1
-    assert len({id(cd.reps["v1"]) for cd in cds.values()}) == p
-    assert len({id(cd.reps["v4"]) for cd in cds.values()}) == p
+    assert len(associator(m, n, pw).outcomes) == p * p
+    assert calls == {"associator_compound": 1, "enumerate_basis": 1}
+    cd = associator_compound(m, n, pw)
+    assert cd.reps["v1"].corner is VARIABLE
+    assert cd.reps["v4"].corner is VARIABLE
+    assert cd.reps["v2"].corner is None and cd.reps["v3"].corner is None
 
+    calls.clear()
     d1 = parse_defect("FqR(x=1;q=1)", p)
     d2 = parse_defect("LL(a=1,x=2)", p)
-    sweep = CornerSweep()
-    cds = [horizontal_compound(d1, d2, corner_top=nu, sweep=sweep)
-           for nu in range(p)]
-    assert len({id(cd.reps["vt"]) for cd in cds}) == p
-    for cd in cds:
-        assert cd.structure is cds[0].structure
-        for vid in ("vb", "d1", "d2"):
-            assert cd.reps[vid] is cds[0].reps[vid]
+    assert len(horizontal_fuse(d1, d2).outcomes) == p
+    assert calls == {"horizontal_compound": 1, "enumerate_basis": 1}
+    assert horizontal_compound(d1, d2).reps["vt"].corner is VARIABLE
 
 
 def test_sweep_builds_generator_args_once_and_memos_per_rep():
-    """The compounds of a sweep read one list of per-vertex args per
-    bubble and boundary generator, kept on their structure, and each reads
-    the action forms of its own reps, one table per rep key, by the sorted
-    args kept in that list."""
+    """The one compound of a driver call reads one list of per-vertex args
+    per bubble and boundary generator, kept on its structure, and the
+    action forms of its reps, one table per rep key, by the sorted args
+    kept in that list; a corner variable's rep has one key, and so one
+    table, for every corner value."""
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
-    sweep = CornerSweep()
-    cds = [associator_compound(m, n, pw, {"mu0": mu0, "nu1": 0}, sweep=sweep)
-           for mu0 in range(p)]
+    cd = associator_compound(m, n, pw)
+    QuotientRep(cd)
     # cavity 0 and the boundary both touch v1, whose corner mu0 varies
-    for args_of in (lambda cd: engine._bubble_args(cd, 0, 2),
-                    lambda cd: engine._boundary_args(cd, 1, 2)):
-        lists = [args_of(cd) for cd in cds]
-        assert "v1" in {vid for _, vid, _, _ in lists[0]}
-        for cd, entries in zip(cds, lists):
-            forms = engine._loop_forms(entries, cd.reps)
-            for (i, vid, args, key), first in zip(entries, lists[0]):
-                assert args is first[2]
-                assert key == tuple(sorted(args.items()))
-                assert forms[i] is cd.reps[vid].affine_forms[key]
-        v1_tables = [cd.reps["v1"].affine_forms for cd in cds]
-        assert len({id(table) for table in v1_tables}) == p
-    assert set(cds[0].structure._generator_args) == {
-        ("bubble", 0, 2), ("boundary", 1, 2)}
+    for entries in (engine._bubble_args(cd, 0, 2),
+                    engine._boundary_args(cd, 1, 2)):
+        assert "v1" in {vid for _, vid, _, _ in entries}
+        forms = engine._loop_forms(entries, cd.reps)
+        for i, vid, args, key in entries:
+            assert key == tuple(sorted(args.items()))
+            assert forms[i] is cd.reps[vid].affine_forms[key]
+    assert cd.reps["v1"].key[-1] is VARIABLE
+    again = associator_compound(m, n, pw)
+    engine._loop_forms(engine._bubble_args(again, 0, 2), again.reps)
+    assert again.reps["v1"].affine_forms is cd.reps["v1"].affine_forms
+    assert {("bubble", 0, 2), ("boundary", 1, 2)} <= set(
+        cd.structure._generator_args)
     # a compound builds its list once: a second call returns the same one
-    assert engine._bubble_args(cds[0], 0, 2) is engine._bubble_args(
-        cds[0], 0, 2)
+    assert engine._bubble_args(cd, 0, 2) is engine._bubble_args(cd, 0, 2)
+
+
+def test_an_assignment_outside_the_support_is_not_decomposed(monkeypatch):
+    """The empty assignments of a sweep are listed from the support with
+    no decomposition; the support is where the decomposition is
+    nonempty."""
+    calls = Counter()
+    _counting(monkeypatch, fusion, "decompose", calls)
+    p = 3
+    t = BimoduleLabel.parse("T", p)
+    result = associator(t, t, t)
+    assert len(result.outcomes) == p ** 4
+    assert calls["decompose"] == len(result.support()) == p * p
+
+
+def test_given_corners_are_one_point_of_the_sweep(monkeypatch):
+    """Given corner values, reduced mod p, give the sweep's outcome at that
+    point; a point with no labeling ends right after the solve, before any
+    loop is read."""
+    p = 5
+    cells = [[BimoduleLabel.parse(w, p) for w in walls]
+             for walls in (("T", "T", "T"), ("L", "T", "R"), ("R", "F0", "L"))]
+    for cell in cells:
+        names = associator_corner_names(*cell)
+        sweep = associator(*cell).outcome_map()
+        for values in [(0, 0, 0, 0), (1, 2, 3, 4), (1, 2, 1, 2), (4, 0, 4, 0),
+                       (6, 7, 11, 12)]:
+            point = tuple(v % p for v in values)
+            got = associator(*cell, corners=dict(zip(names, values)))
+            assert got.outcomes == ((point, tuple(sweep[point].items())),)
+            assert got.constraints is None
+
+    def refuse(self):
+        raise AssertionError("a loop was read")
+
+    monkeypatch.setattr(QuotientRep, "_bubble_loops", refuse)
+    cell = cells[0]
+    names = associator_corner_names(*cell)
+    empty = associator(*cell, corners=dict(zip(names, (1, 2, 3, 4))))
+    assert empty.outcomes == (((1, 2, 3, 4), ()),)
 
 
 def test_a_driver_call_builds_each_defects_grade_dims_once(monkeypatch):
@@ -181,34 +275,50 @@ def test_without_a_sweep_every_compound_is_fresh():
     assert all(a.reps[vid] is not b.reps[vid] for vid in a.reps)
 
 
-def test_a_sweep_serves_one_set_of_inputs():
-    p = 3
-    t, r = BimoduleLabel.parse("T", p), BimoduleLabel.parse("R", p)
-    sweep = CornerSweep()
-    associator_compound(t, t, t, {"mu0": 0, "mu1": 0, "nu0": 0, "nu1": 0},
-                        sweep=sweep)
-    with pytest.raises(ValueError, match="one set of inputs"):
-        associator_compound(t, t, r, {"mu0": 0, "nu0": 0}, sweep=sweep)
-
-
 def test_root_of_unity_check_is_made_per_corner_value(monkeypatch):
-    """An extra zeta_3 on every nontrivial action at corner value 2 only:
-    then T_2 carries one zeta_3 at such a vertex where T_1^2 carries two,
-    so no cavity symmetrizer is idempotent. A memo shared across corner
-    values would answer from corners 0 and 1 and let it pass."""
+    """An extra zeta_3 on every nontrivial action at corner value 2 only.
+    Read per corner value, T_2 would carry one zeta_3 at such a vertex
+    where T_1^2 carries two, so no cavity symmetrizer would be idempotent;
+    read on the corner variable, the phase is no affine form in it, and the
+    action is refused for every corner value at once."""
     plain = TrivalentRep.act
 
     def act(self, vec, args):
         e, new = plain(self, vec, args)
-        if self.corner == 2 and any(args.values()):
+        corner = vec[-1] if self.corner is VARIABLE else self.corner
+        if corner == 2 and any(args.values()):
             e = (e + 1) % self.N
         return e, new
 
     monkeypatch.setattr(TrivalentRep, "act", act)
     p = 3
     t = BimoduleLabel.parse("T", p)
-    with pytest.raises(StructureError, match="symmetrizer is not idempotent"):
+    refused = "is not a translation with an affine phase"
+    with pytest.raises(StructureError, match=refused):
         associator(t, t, t)
-    with pytest.raises(StructureError, match="symmetrizer is not idempotent"):
+    with pytest.raises(StructureError, match=refused):
         horizontal_fuse(parse_defect("FqR(x=1;q=1)", p),
                         parse_defect("LL(a=1,x=2)", p))
+    # a concrete compound at corner value 2 still fails the cyclic check
+    cd = associator_compound(t, t, t, {"mu0": 2, "mu1": 0, "nu0": 2,
+                                       "nu1": 0})
+    with pytest.raises(StructureError, match="symmetrizer is not idempotent"):
+        QuotientRep(cd)
+
+
+def test_a_translation_that_reads_the_corner_is_refused(monkeypatch):
+    """A label translation that reads mu would make G's translations
+    depend on the corner value: the action is refused as a
+    StructureError."""
+    entry = TRI21[("T", "T")]
+    plain = entry["act"]
+
+    def act(v, mu, w, a, b, c):
+        e, new = plain(v, mu, w, a, b, c)
+        return e, (new[0] + c * mu, *new[1:])
+
+    monkeypatch.setitem(entry, "act", act)
+    t = BimoduleLabel.parse("T", 3)
+    with pytest.raises(StructureError,
+                       match="is not a translation with an affine phase"):
+        associator(t, t, t)
