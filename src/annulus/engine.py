@@ -719,9 +719,8 @@ class QuotientRep:
     So one quotient serves every corner value: the loops, the laws and G
     are read once, and a corner value only picks the points of S_adm, at
     which the forms are evaluated. The methods that count take the corner
-    values `mu`, () when z has none. Given `corners` are one corner value:
-    the solve adds them as equations and substitutes them, so z is f
-    (`enumerate_basis`).
+    values `mu`, () when z has none. Given `corners` are one corner value,
+    which the solve substitutes, so z is f (`enumerate_basis`).
 
     Refusals name a loop by its position in `cavities`, worded by the class
     attributes below; G's orbits are counted when first read."""
