@@ -80,7 +80,7 @@ from .walls import STAR
 
 
 # for the life of the process, as equal rep keys mean equal tables
-_SYMBOLIC: dict = {}  # rep key, or (rep key, corner value) -> its labels
+_SYMBOLIC: dict = {}  # rep key -> its labels
 _AFFINE: dict = {}  # rep key -> {sorted args: `_affine_action`}
 # and as frozen walls and defect labels fix their defects' data
 _CANDIDATES: dict = {}  # (lower, upper) walls -> ((defect, source grade), ...)
@@ -191,7 +191,7 @@ def _symbolic_labels(rep, vid) -> dict:
 
 
 def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
-                    what: str = "compound", corners=None) -> "SolvedBasis":
+                    what: str = "compound") -> "SolvedBasis":
     """All consistent labelings of cd, solved (`SolvedBasis`): one local
     basis vector per vertex, such that both ends of every edge carry the
     same object and every stub in `pins` {stub id: object} its pinned
@@ -208,10 +208,7 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
     equation keeps its pivot on a label while it has one. The label
     pivots, the free labels and the state order are those of the solve at
     any consistent corner values, and x = x0 + B f + M mu. The rows left
-    with only corners in them are the consistent corner values. Given
-    `corners`, one value per corner, are substituted into the labels before
-    the solve, so that values with no labeling end it at the equation where
-    a solve of a compound built with those values would."""
+    with only corners in them are the consistent corner values."""
     order, reps, pins = cd.vertex_order, cd.reps, pins or {}
     limit = max_basis()
     p = cd.p
@@ -227,10 +224,7 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
         m = len(rep.free_names) - (rep.corner is VARIABLE)
         variables = range(n, n + m)
         if rep.corner is VARIABLE:      # the last entry of its local vector
-            if corners is None:
-                variables = [*variables, -1 - len(corner_at)]
-            else:
-                symbolic = _at_corner(rep, symbolic, corners[len(corner_at)])
+            variables = [*variables, -1 - len(corner_at)]
             corner_at.append(i)
         labels[vid] = symbolic, variables
         offsets.append(n)
@@ -250,19 +244,15 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
                 sides.append((_constant(pins[e.eid]), ()))
             for other in sides[1:]:
                 if not _equate(*sides[0], *other, pivots, p):
-                    return SolvedBasis(p, offsets, None, [])
+                    return SolvedBasis(p, offsets, None, [], corner_at)
     free = [v for v in range(n) if v not in pivots]
     if p ** len(free) > limit:
         raise SizeLimitError(
             f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
             f"{p}^{len(free)} consistent labelings")
-    # z = (f, mu) with a column per unknown corner; a given one is a value
+    # z = (f, mu): corner j, variable -1 - j, is column d + j
     k, d = len(corner_at), len(free)
-    width = d + (k if corners is None else 0)
-    zeros = (0,) * width
-    corner_rows = [(0, zeros[:d + j] + (1,) + zeros[d + j + 1:])
-                   if corners is None else (corners[j] % p, ())
-                   for j in range(k)]
+    zeros = (0,) * (d + k)
     rows = []                   # label -> (x0, B row, then M row)
     c = 0                       # the next free label's column
     for v in range(n):
@@ -272,29 +262,18 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
             c += 1
             continue
         coef, const = row
-        x0, b = -const, [0] * width
+        x0, b = -const, [0] * (d + k)
         for u, a in coef.items():
-            if u != v:
-                ux0, ub = rows[u] if u >= 0 else corner_rows[-1 - u]
+            if u < 0:
+                b[d - 1 - u] -= a
+            elif u != v:
+                ux0, ub = rows[u]
                 x0 -= a * ux0
                 b = [y - a * z for y, z in zip(b, ub)]
         rows.append((x0 % p, tuple(y % p for y in b)))
     conditions = [(tuple([coef.get(-1 - j, 0) for j in range(k)]), const)
                   for v, (coef, const) in pivots.items() if v < 0] if k else []
-    return SolvedBasis(p, offsets, rows, free,
-                       list(zip(corner_at, corner_rows)), conditions, width)
-
-
-def _at_corner(rep, symbolic: dict, value: int) -> dict:
-    """The symbolic labels of a rep whose local vector ends with its
-    corner, at that corner's value; once per process per rep key and
-    value."""
-    key = rep.key, value
-    out = _SYMBOLIC.get(key)
-    if out is None:
-        out = _SYMBOLIC[key] = {slot: _substitute(label, value, rep.p)
-                                for slot, label in symbolic.items()}
-    return out
+    return SolvedBasis(p, offsets, rows, free, corner_at, conditions)
 
 
 class SolvedBasis(Sequence):
@@ -307,23 +286,24 @@ class SolvedBasis(Sequence):
 
     With corner variables (`enumerate_basis`), the solved coordinates are
     z = (f, mu), `width` of them: B_v has one more column per corner, after
-    those of f. `corners` [(position, (x0, B))] gives each corner's row,
-    which ends the local vector of the vertex at that position: a column of
-    z, or, for a given corner value, (value, ()), a constant with no
-    column. `conditions` [(a, c)] cut out the corner values that have a
-    labeling: a.mu + c = 0 mod p for each. Only a basis without corners is
-    listed."""
+    those of f. `corners` lists the position of each corner's vertex, whose
+    local vector it ends, in the order of mu. `conditions` [(a, c)] cut out
+    the corner values that have a labeling: a.mu + c = 0 mod p for each.
+    Only a basis without corners is listed."""
 
     def __init__(self, p: int, offsets: list, rows, free: list,
-                 corners=(), conditions=(), width=None):
+                 corners=(), conditions=()):
         self.p, self.offsets, self.rows, self.free = p, offsets, rows, free
-        self.conditions = list(conditions)
-        self.width = len(free) if width is None else width
-        self.size = 0 if rows is None else p ** len(free)
+        self.corners, self.conditions = list(corners), list(conditions)
+        d = len(free)
+        self.width = d + len(self.corners)
+        self.size = 0 if rows is None else p ** d
         self.vertex_rows = [list(zip(range(a, b), (rows or [])[a:b]))
                             for a, b in zip(offsets, offsets[1:])]
-        for pos, row in corners if rows is not None else ():
-            self.vertex_rows[pos].append((None, row))
+        zeros = (0,) * self.width
+        for j, pos in enumerate(self.corners if rows is not None else ()):
+            self.vertex_rows[pos].append(
+                (None, (0, zeros[:d + j] + (1,) + zeros[d + j + 1:])))
         self.pivot_rows = [(v, b) for v, (_, b) in enumerate(rows or [])
                            if v not in free]
 
@@ -373,8 +353,7 @@ class SolvedBasis(Sequence):
                     shift[v] = s
                 if a:
                     kappa += a * x0
-                    if b:
-                        ell = [y + a * z for y, z in zip(ell, b)]
+                    ell = [y + a * z for y, z in zip(ell, b)]
         tau = tuple([shift.get(v, 0) for v in self.free]
                     + [0] * (self.width - len(self.free)))
         for v, b in self.pivot_rows if shift else ():
@@ -391,16 +370,6 @@ def _constant(obj):
     if isinstance(obj, tuple):
         return tuple(_constant(x) for x in obj)
     return _Form((), obj)
-
-
-def _substitute(label, value: int, p: int):
-    """A symbolic label of a rep whose local vector ends with its corner,
-    at that corner's value."""
-    if label is STAR:
-        return STAR
-    if isinstance(label, tuple):
-        return tuple(_substitute(x, value, p) for x in label)
-    return _Form(label.coef[:-1], (label.const + label.coef[-1] * value) % p)
 
 
 def _equate(left, lo: list, right, ro: list, pivots: dict, p: int) -> bool:
@@ -719,8 +688,9 @@ class QuotientRep:
     So one quotient serves every corner value: the loops, the laws and G
     are read once, and a corner value only picks the points of S_adm, at
     which the forms are evaluated. The methods that count take the corner
-    values `mu`, () when z has none. Given `corners` are one corner value,
-    which the solve substitutes, so z is f (`enumerate_basis`).
+    values `mu`, one per vertex in `corners` and in that order, () when z
+    has none; any other length is a ValueError. `grades`, `image` and
+    `boundary_matrix` are for a quotient without corner variables.
 
     Refusals name a loop by its position in `cavities`, worded by the class
     attributes below; G's orbits are counted when first read."""
@@ -733,12 +703,12 @@ class QuotientRep:
     not_commuting = "bubbles of distinct cavities do not commute"
 
     def __init__(self, cd: CompoundDefect, pins: dict | None = None,
-                 cavities=None, corners=None):
+                 cavities=None):
         self.cd = cd
         self.field = cyc_field(cd.p)
         self.cavities = list(range(len(cd.structure.cavities))
                              if cavities is None else cavities)
-        self.raw_basis = enumerate_basis(cd, pins, self.basis_name, corners)
+        self.raw_basis = enumerate_basis(cd, pins, self.basis_name)
         self._chars: dict = {}
         self._boundaries: dict = {}
         self._shape, self._forms, self._loops = [], [], []
@@ -749,6 +719,11 @@ class QuotientRep:
             # no consistent labeling: nothing to grade, act on or count, and
             # the structure has already validated what those steps read
             self.grades, self._orbit_space = {}, ([], {}, [], 0)
+
+    @functools.cached_property
+    def corners(self) -> tuple:
+        """The vertices whose corner values mu lists, in that order."""
+        return tuple(self.cd.vertex_order[i] for i in self.raw_basis.corners)
 
     def _grading(self, pins) -> None:
         """A grade is the labels of the unpinned stubs, each a form in z:
@@ -890,7 +865,7 @@ class QuotientRep:
         """{grade: its number of admissible orbits} for every grade that
         some consistent labeling has, of a quotient with no corner
         variable; with corner variables it is empty."""
-        if self.raw_basis.width > len(self.raw_basis.free):
+        if self.corners:
             return {}
         _, points, _, m = self._orbit_space
         admissible = points.get((), {})
@@ -903,21 +878,32 @@ class QuotientRep:
         onto mu."""
         return set(self._orbit_space[1])
 
-    def grade_dim(self, grade, mu=()) -> int:
+    def _at(self, mu) -> tuple:
+        """({grade: one admissible z}, m) at the corner values mu, which
+        must give one value per corner (else ValueError)."""
+        if len(mu) != len(self.corners):
+            raise ValueError(
+                f"{len(self.corners)} corner values wanted for corners "
+                f"{list(self.corners)}, got {tuple(mu)}")
         _, points, _, m = self._orbit_space
-        return m if grade in points.get(mu, ()) else 0
+        return points.get(tuple(mu), {}), m
+
+    def grade_dim(self, grade, mu=()) -> int:
+        points, m = self._at(mu)
+        return m if grade in points else 0
 
     def grade_dims(self, mu=()) -> dict:
-        _, points, _, m = self._orbit_space
-        return dict.fromkeys(points.get(mu, ()), m)
+        points, m = self._at(mu)
+        return dict.fromkeys(points, m)
 
     def total_dim(self, mu=None) -> int:
         """The quotient's dimension at the corner values mu, summed over
         all of them when mu is None."""
-        _, points, _, m = self._orbit_space
         if mu is None:
+            _, points, _, m = self._orbit_space
             return sum(map(len, points.values())) * m
-        return len(points.get(mu, ())) * m
+        points, m = self._at(mu)
+        return len(points) * m
 
     def _boundary_loop(self, g: int, h: int) -> tuple:
         """Boundary (g, h) read in the solved coordinates."""
@@ -980,8 +966,8 @@ class QuotientRep:
         m/p of them (at p = 2, k and k + 2)."""
         key = (mu, grade, g, h)
         if key not in self._chars:
-            _, points, _, m = self._orbit_space
-            f = points.get(mu, {}).get(grade)
+            points, m = self._at(mu)
+            f = points.get(grade)
             if f is None:
                 if not mu and grade not in self.grades:
                     raise KeyError(f"no such grade {grade!r}")
@@ -1006,8 +992,9 @@ class QuotientRep:
             self._chars[key] = hist
         return self._chars[key]
 
-    # -- the orbit sums as vectors, of a quotient with no corner variable:
-    # -- for `image` and `boundary_matrix` only
+    # -- the orbit sums as vectors, of a quotient with no corner variable
+    # -- (`_at(())` refuses one with them): for `image` and
+    # -- `boundary_matrix` only
 
     def _root(self, f) -> tuple:
         """(root, s): the state of least index in f's orbit, and the g in G
@@ -1027,8 +1014,8 @@ class QuotientRep:
         root of its representative plus each translation of the fibre that
         is 0 at the pivots of G's translations."""
         p = self.cd.p
-        _, points, fibre, _ = self._orbit_space
-        grades = points.get((), {})
+        grades, _ = self._at(())
+        fibre = self._orbit_space[2]
         if grade not in grades:
             return []
         root, _ = self._root(grades[grade])
@@ -1046,6 +1033,7 @@ class QuotientRep:
         """Per grade, one orbit-sum column {raw index: zeta_N^a} for every
         admissible orbit, in the order of the orbits' first raw indices."""
         p, root_pow = self.cd.p, self.field.root_pow
+        self._at(())
         span = self._orbit_space[0]
         out = {}
         for grade in self.grades:
@@ -1087,6 +1075,7 @@ class QuotientRep:
     def boundary_matrix(self, grade, g: int, h: int):
         """Boundary (g, h) on the quotient, from `grade` to its image grade:
         (target grade, matrix in orbit-sum coordinates)."""
+        self._at(())
         if grade not in self.grades:
             raise KeyError(f"no such grade {grade!r}")
         field = self.field

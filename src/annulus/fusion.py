@@ -4,7 +4,7 @@ Corner parameters (one per F-type corner of the underlying trivalent
 vertices) are unknowns of the compound's one basis solve: a driver builds
 one compound and one quotient per call, and reads every corner assignment
 off it, listing those outside the quotient's support as empty without any
-work for them; given corner values are one point of the same solve.
+work for them; given corner values build the compound at that point.
 Associator results are additionally compressed to exact delta constraints
 and diffed against the golden table shipped in data/associator_table.json.
 """
@@ -20,8 +20,9 @@ from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import QuotientRep, decompose
 from .scalars import mod_inverse
 from .structures import (
-    StructureError, associator_compound, associator_corner_names,
-    horizontal_compound, horizontal_corner_names, vertical_compound,
+    ASSOCIATOR_CORNERS, HORIZONTAL_CORNERS, StructureError,
+    associator_compound, associator_corner_names, horizontal_compound,
+    horizontal_corner_names, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
 
@@ -102,10 +103,17 @@ def vertical_fuse(d1: DefectLabel, d2: DefectLabel) -> FusionResult:
 def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
                     corners: dict | None = None) -> FusionResult:
     """Fuse side by side, at the corner values given, or at every corner
-    assignment (`_outcomes`)."""
+    assignment (`_sweep`)."""
     names = tuple(horizontal_corner_names(d1, d2))
     point = _corner_point(names, d1.p, corners)
-    outcomes = _outcomes(horizontal_compound(d1, d2), names, point)
+    if point is None:
+        outcomes = _sweep(horizontal_compound(d1, d2), names,
+                          HORIZONTAL_CORNERS)
+    else:
+        at = dict(zip(names, point))
+        cd = horizontal_compound(d1, d2, corner_bottom=at.get("bottom"),
+                                 corner_top=at.get("top"))
+        outcomes = ((point, _decomposition(QuotientRep(cd))),)
     return FusionResult("horizontal", d1.p, (d1.name(), d2.name()), names,
                         outcomes)
 
@@ -113,31 +121,42 @@ def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
 def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                corners: dict | None = None) -> FusionResult:
     """The compound defect of the [M,N,P] triangle, at the corner values
-    given, or at every corner assignment (`_outcomes`) with delta
+    given, or at every corner assignment (`_sweep`) with delta
     compression."""
     p = m.p
     names = tuple(associator_corner_names(m, n, pw))
     point = _corner_point(names, p, corners)
-    outcomes = _outcomes(associator_compound(m, n, pw), names, point)
     constraints = None
-    if corners is None:
+    if point is None:
+        outcomes = _sweep(associator_compound(m, n, pw), names,
+                          ASSOCIATOR_CORNERS)
         constraints = infer_delta_constraints(names, outcomes, p)
+    else:
+        cd = associator_compound(m, n, pw, dict(zip(names, point)))
+        outcomes = ((point, _decomposition(QuotientRep(cd))),)
     return FusionResult("associator", p, (m.name(), n.name(), pw.name()),
                         names, outcomes, constraints)
 
 
-def _outcomes(cd, names, point) -> tuple:
-    """((assignment, decomposition), ...) of cd, whose corners `names` are
-    unknowns of one solve and one quotient (`QuotientRep`): at `point`
-    alone when it is given, else at every assignment in order. An
-    assignment outside the quotient's support has an empty decomposition,
-    and nothing is computed for it."""
-    if point is not None:
-        return ((point, _decomposition(QuotientRep(cd, corners=point))),)
+def _sweep(cd, names, vertex_of: dict) -> tuple:
+    """((assignment, decomposition), ...) at every assignment of the
+    corners `names`, in order, off cd's one quotient (`QuotientRep`), whose
+    corners are unknowns; `vertex_of` maps a corner name to its vertex. The
+    quotient reads corner values in the order of its `corners` vertices.
+    An assignment outside the quotient's support has an empty
+    decomposition, and nothing is computed for it."""
     qr = QuotientRep(cd)
+    vertices = [vertex_of[nm] for nm in names]
+    if sorted(vertices) != sorted(qr.corners):
+        raise StructureError(f"corners {list(names)} are not those of the "
+                             f"compound's vertices {list(qr.corners)}")
+    order = [vertices.index(vid) for vid in qr.corners]
     support = qr.support()
-    return tuple((t, _decomposition(qr, t) if t in support else ())
-                 for t in itertools.product(range(cd.p), repeat=len(names)))
+    out = []
+    for t in itertools.product(range(cd.p), repeat=len(names)):
+        mu = tuple([t[i] for i in order])
+        out.append((t, _decomposition(qr, mu) if mu in support else ()))
+    return tuple(out)
 
 
 class CornerError(StructureError):

@@ -273,6 +273,11 @@ def vertical_compound(d1: DefectLabel, d2: DefectLabel) -> CompoundDefect:
     return CompoundDefect(s, {"v1": BivalentRep(d1), "v2": BivalentRep(d2)})
 
 
+# the vertex of each corner name, by template
+HORIZONTAL_CORNERS = {"bottom": "vb", "top": "vt"}
+ASSOCIATOR_CORNERS = {"mu0": "v1", "mu1": "v2", "nu0": "v3", "nu1": "v4"}
+
+
 def horizontal_compound(d1: DefectLabel, d2: DefectLabel,
                         corner_bottom=VARIABLE,
                         corner_top=VARIABLE) -> CompoundDefect:
@@ -308,12 +313,12 @@ def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel
     """
     missing = VARIABLE if corners is None else None
     corners = dict(corners or {})
-    v1 = TrivalentRep("tri12", m, wall_product(n, pwall),
-                      corner=corners.pop("mu0", missing))
-    v2 = TrivalentRep("tri12", n, pwall, corner=corners.pop("mu1", missing))
-    v3 = TrivalentRep("tri21", m, n, corner=corners.pop("nu0", missing))
-    v4 = TrivalentRep("tri21", v3.third, pwall,
-                      corner=corners.pop("nu1", missing))
+    at = {vid: corners.pop(name, missing)
+          for name, vid in ASSOCIATOR_CORNERS.items()}
+    v1 = TrivalentRep("tri12", m, wall_product(n, pwall), corner=at["v1"])
+    v2 = TrivalentRep("tri12", n, pwall, corner=at["v2"])
+    v3 = TrivalentRep("tri21", m, n, corner=at["v3"])
+    v4 = TrivalentRep("tri21", v3.third, pwall, corner=at["v4"])
     if corners:
         raise StructureError(f"unknown corner names {sorted(corners)}")
     if v1.third != v4.third:

@@ -322,3 +322,50 @@ def test_a_translation_that_reads_the_corner_is_refused(monkeypatch):
     with pytest.raises(StructureError,
                        match="is not a translation with an affine phase"):
         associator(t, t, t)
+
+
+def test_a_corner_variable_quotient_needs_one_value_per_corner():
+    """A quotient whose corners are unknowns counts only at given corner
+    values: without them, or with the wrong number, it refuses instead of
+    reading an empty quotient."""
+    p = 3
+    t = BimoduleLabel.parse("T", p)
+    qr = QuotientRep(associator_compound(t, t, t))
+    assert qr.corners == ("v1", "v2", "v3", "v4")
+    assert qr.total_dim() == sum(qr.total_dim(mu) for mu in qr.support())
+    grade = next(iter(qr.grade_dims((0, 0, 0, 0))))
+    for mu in ((), (0, 0, 0)):
+        with pytest.raises(ValueError, match="4 corner values wanted"):
+            decompose(qr, mu)
+        for call in (lambda: qr.grade_dims(mu), lambda: qr.grade_dim(grade, mu),
+                     lambda: qr.total_dim(mu),
+                     lambda: qr.character(grade, 1, 1, mu),
+                     lambda: engine.verify_completeness(qr, [], mu)):
+            with pytest.raises(ValueError, match="4 corner values wanted"):
+                call()
+    for call in (lambda: qr.image, lambda: qr.boundary_matrix(grade, 1, 1)):
+        with pytest.raises(ValueError, match="4 corner values wanted"):
+            call()
+    assert decompose(qr, (0, 0, 0, 0))
+    concrete = QuotientRep(associator_compound(t, t, t, dict.fromkeys(
+        ("mu0", "mu1", "nu0", "nu1"), 0)))
+    assert concrete.corners == ()
+    with pytest.raises(ValueError, match="0 corner values wanted"):
+        decompose(concrete, (0, 0, 0, 0))
+
+
+def test_corner_names_are_matched_to_their_vertices(monkeypatch):
+    """A sweep reads each assignment of the corner names at the vertices
+    those names belong to, whatever order the names come in. The support
+    mu0 = 2 nu1 is not symmetric in the two names."""
+    p = 5
+    cell = [BimoduleLabel.parse(w, p) for w in ("R", "Fq:2", "R")]
+    names = associator_corner_names(*cell)
+    assert names == ["mu0", "nu1"]
+    want = associator(*cell).outcome_map()
+    monkeypatch.setattr(fusion, "associator_corner_names",
+                        lambda *walls: names[::-1])
+    got = associator(*cell)
+    assert got.corner_names == tuple(names[::-1])
+    assert got.outcome_map() == {t[::-1]: out for t, out in want.items()}
+    assert got.support() != {t for t, out in want.items() if out}
