@@ -46,7 +46,8 @@ def _parse_defect(text, p):
     return label, corners
 
 
-def _emit(doc, fmt, out=sys.stdout):
+def _emit(doc, fmt):
+    out = sys.stdout  # read on each call, so that a redirected stdout gets it
     if fmt == "json":
         json.dump(doc, out, indent=1, sort_keys=True)
         out.write("\n")

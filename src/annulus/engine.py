@@ -58,9 +58,10 @@ Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
 cached roots. The process keeps, keyed by `rep.key`, each rep's symbolic
 labels and the affine form of each of its actions; per wall pair, the
 candidate defects with their source grades; and per defect its grade
-dimensions, while `defects.phase_terms` caches each defect's terms. A
-structure keeps the per-vertex args of every bubble and boundary generator
-read on it.
+dimensions, while `defects.phase_terms` caches each defect's terms. The
+per-vertex args of every bubble and boundary generator are read once per
+structure topology: they are kept on the `structures.Shape` that every
+compound and patch of that topology shares, whatever its walls and reps.
 """
 
 from __future__ import annotations
@@ -587,16 +588,11 @@ def _vertex_args(order, args_by_vertex: dict) -> list[tuple]:
     return out
 
 
-def _generator_args(cd: CompoundDefect) -> dict:
-    """{key: `_vertex_args`} of the bubbles and boundary generators read so
-    far, kept on the structure; keyed by ("bubble", cavity, g) and
-    ("boundary", g, h)."""
-    return cd.structure.__dict__.setdefault("_generator_args", {})
-
-
 def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
-    """A g string along the left external region and h along the right."""
-    shared = _generator_args(cd)
+    """A g string along the left external region and h along the right.
+    Kept in the structure's `Shape.generator_args`, as ("boundary", g, h),
+    for every structure of its topology."""
+    shared = cd.structure.shape.generator_args
     out = shared.get(("boundary", g, h))
     if out is None:
         structure = cd.structure
@@ -611,8 +607,9 @@ def _boundary_args(cd: CompoundDefect, g: int, h: int) -> list[tuple]:
 def _bubble_args(cd: CompoundDefect, cavity: int, g: int) -> list[tuple]:
     """A g-labeled loop through the cavity's corners: each corner adds
     BUBBLE_SIGN * g to its region, the sign read at its vertex's template.
-    A lattice face's loop is the bubble of its cavity."""
-    shared = _generator_args(cd)
+    A lattice face's loop is the bubble of its cavity. Kept in the
+    structure's `Shape.generator_args`, as ("bubble", cavity, g)."""
+    shared = cd.structure.shape.generator_args
     out = shared.get(("bubble", cavity, g))
     if out is None:
         structure = cd.structure

@@ -27,8 +27,8 @@ from .engine import (
 from .reps import TrivalentRep
 from .scalars import cyc_field
 from .structures import (
-    CompoundDefect, DomainWallStructure, StructureError, _document_p, _shaped,
-    corner_multiset,
+    CompoundDefect, DomainWallStructure, StructureError, _document_corner,
+    _document_p, _shaped, corner_multiset,
 )
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
@@ -341,7 +341,7 @@ def patch_from_json(doc: dict) -> LatticePatch:
         w1, w2 = (BimoduleLabel.parse(w, p) for w in _shaped(
             v["walls"], ("first", "second"), f"vertex {v['id']}: walls"))
         vertices[v["id"]] = TrivalentRep(v["template"], w1, w2,
-                                         corner=v.get("corner"))
+                                         corner=_document_corner(v, v["id"]))
     edges = []
     for e in doc["edges"]:
         ends = tuple(tuple(_shaped(end, ("vertex", "slot"),

@@ -7,6 +7,15 @@ declared by callers (or derived) and validated against the traced faces, as
 multisets of corners; the two external regions are always derived. A
 Levin-Wen lattice patch is read as a structure too, its dangling edges the
 stubs and its faces among the derived cavities.
+
+Nothing of this reads a wall. So the process keeps, per topology (the
+vertex ids and templates in order, each edge's id and ends, the external
+list and the declared cavities), the `Shape` it validated and traced, and
+every structure of that topology shares it, with the generator args the
+engine reads on it: the drivers and patches build the same few graphs
+with many labelings. A topology that fails validation is kept nowhere and
+fails on every build. Each edge's wall modulus, and each rep's wall
+against its edge's (`CompoundDefect`), are checked on every build.
 """
 
 from __future__ import annotations
@@ -105,37 +114,30 @@ def corner_multiset(corners) -> frozenset:
     return frozenset(Counter((vid, region) for vid, region in corners).items())
 
 
-class DomainWallStructure:
-    """Validated combinatorial structure with traced faces.
+class Shape:
+    """What a structure's topology fixes, whatever its walls and its
+    defects: the incidence `slot_eid` {(vid, slot): edge id}, the
+    `cavities`, the `left_face` and `right_face` of a 2-string structure,
+    and `generator_args`, the engine's per-vertex args of every bubble and
+    boundary generator read on it so far (`engine._bubble_args`). Built by
+    validating the incidence, the external list and the declared cavities
+    and tracing the faces (`_trace_faces`); a topology that fails any of
+    these raises, and no shape is made."""
 
-    vertices: ordered {vid: template}; edges: list of Edge; external: stub
-    edge ids in disc-boundary order ([bottom, top] for 2-string structures);
-    cavities: list of corner lists [(vid, region), ...] (None derives them
-    from the internal faces). Declared cavities must be the internal faces,
-    in any order, each compared as a `corner_multiset`.
-    """
-
-    def __init__(self, p: int, vertices: dict, edges: list, external: list,
-                 cavities=None):
-        self.p = p
-        self.vertices = dict(vertices)
-        self.edges = list(edges)
-        self.edge_by_id = {e.eid: e for e in self.edges}
-        self.external = list(external)
-        for e in self.edges:
-            if e.wall.p != self.p:
-                raise StructureError(
-                    f"edge {e.eid}: wall modulus {e.wall.p} != structure p={self.p}")
-        self._slot_edge = check_incidence(self.vertices, self.edges)
-        if (sorted(e.eid for e in self.edges if None in e.ends)
-                != sorted(self.external)):
+    def __init__(self, vertices: dict, edges: list, external: list,
+                 cavities):
+        slot_edge = check_incidence(vertices, edges)
+        if (sorted(e.eid for e in edges if None in e.ends)
+                != sorted(external)):
             raise StructureError("external list must name exactly the stub edges")
+        self.slot_eid = {slot: e.eid for slot, e in slot_edge.items()}
         internal = []
         self.left_face = self.right_face = None
-        for corners, outer in self._trace_faces():
+        for corners, outer in _trace_faces(vertices, self.slot_eid, edges,
+                                           external):
             if not outer:
                 internal.append(corners)
-            elif len(self.external) == 2:
+            elif len(external) == 2:
                 # a face arriving at the outer end of the bottom stub leaves
                 # the outside along the top one: it is the left region
                 if 0 in outer:
@@ -150,51 +152,107 @@ class DomainWallStructure:
                     != Counter(map(corner_multiset, internal))):
                 raise StructureError(
                     "declared cavities do not match the internal faces of the structure")
+        self.generator_args: dict = {}
 
-    def _trace_faces(self):
-        """Every face as (corners, outer): an orbit of h -> twin[rot[h]].
 
-        A half-edge is (vid, slot), or (_OUTSIDE, i) for the outer end of
-        the i-th stub in `external`. `twin` pairs the two ends of an edge;
-        `rot` is the next half-edge counterclockwise about the same vertex
-        (about the outside, the next stub). Each arrival at a vertex adds
-        the corner (vid, region after the slot); `outer` lists the stubs
-        whose outer end the face arrives at. Each face starts at its least
-        (edge id, arrival vertex, slot), an outer end first.
-        """
-        n = len(self.external)
-        twin, rot, key, outer_end = {}, {}, {}, {}
-        for i, eid in enumerate(self.external):
-            h = outer_end[eid] = (_OUTSIDE, i)
-            rot[h], key[h] = (_OUTSIDE, (i + 1) % n), (eid,)
-        for vid, template in self.vertices.items():
-            ccw = TEMPLATE_CCW[template]
-            for slot, nxt in zip(ccw, ccw[1:] + ccw[:1]):
-                rot[(vid, slot)] = (vid, nxt)
-                key[(vid, slot)] = (self._slot_edge[(vid, slot)].eid, vid, slot)
+def _trace_faces(vertices: dict, slot_eid: dict, edges: list,
+                 external: list) -> list:
+    """Every face as (corners, outer): an orbit of h -> twin[rot[h]].
+
+    A half-edge is (vid, slot), or (_OUTSIDE, i) for the outer end of the
+    i-th stub in `external`. `twin` pairs the two ends of an edge; `rot` is
+    the next half-edge counterclockwise about the same vertex (about the
+    outside, the next stub). Each arrival at a vertex adds the corner (vid,
+    region after the slot); `outer` lists the stubs whose outer end the
+    face arrives at. Each face starts at its least (edge id, arrival
+    vertex, slot), an outer end first.
+    """
+    n = len(external)
+    twin, rot, key, outer_end = {}, {}, {}, {}
+    for i, eid in enumerate(external):
+        h = outer_end[eid] = (_OUTSIDE, i)
+        rot[h], key[h] = (_OUTSIDE, (i + 1) % n), (eid,)
+    for vid, template in vertices.items():
+        ccw = TEMPLATE_CCW[template]
+        for slot, nxt in zip(ccw, ccw[1:] + ccw[:1]):
+            rot[(vid, slot)] = (vid, nxt)
+            key[(vid, slot)] = (slot_eid[(vid, slot)], vid, slot)
+    for e in edges:
+        a, b = (end or outer_end[e.eid] for end in e.ends)
+        twin[a], twin[b] = b, a
+    faces, seen = [], set()
+    for h in sorted(rot, key=key.__getitem__):
+        if h in seen:
+            continue
+        corners, outer = [], []
+        while h not in seen:
+            seen.add(h)
+            vid, slot = h
+            if vid is _OUTSIDE:
+                outer.append(slot)
+            else:
+                corners.append((vid, REGION_AFTER[vertices[vid]][slot]))
+            h = twin[rot[h]]
+        faces.append((corners, outer))
+    return faces
+
+
+# for the life of the process, as a topology fixes its shape
+_SHAPES: dict = {}  # `_topology` -> `Shape`
+
+
+def _topology(vertices: dict, edges: list, external: list, cavities) -> tuple:
+    """The key of a structure's shape: its vertex ids and templates in
+    order, each edge's id and ends, the external list and the declared
+    cavities (None when derived); no wall."""
+    return (tuple(vertices.items()), tuple((e.eid, e.ends) for e in edges),
+            tuple(external),
+            None if cavities is None else tuple(map(tuple, cavities)))
+
+
+class DomainWallStructure:
+    """Validated combinatorial structure with traced faces.
+
+    vertices: ordered {vid: template}; edges: list of Edge; external: stub
+    edge ids in disc-boundary order ([bottom, top] for 2-string structures);
+    cavities: list of corner lists [(vid, region), ...] (None derives them
+    from the internal faces). Declared cavities must be the internal faces,
+    in any order, each compared as a `corner_multiset`.
+
+    Every structure of one topology (`_topology`) shares its `Shape`, made
+    and kept the first time that topology validates; each edge's wall is
+    checked against p on every build. `cavities`, `left_face` and
+    `right_face` are the shape's.
+    """
+
+    def __init__(self, p: int, vertices: dict, edges: list, external: list,
+                 cavities=None):
+        self.p = p
+        self.vertices = dict(vertices)
+        self.edges = list(edges)
+        self.edge_by_id = {e.eid: e for e in self.edges}
+        self.external = list(external)
         for e in self.edges:
-            a, b = (end or outer_end[e.eid] for end in e.ends)
-            twin[a], twin[b] = b, a
-        faces, seen = [], set()
-        for h in sorted(rot, key=key.__getitem__):
-            if h in seen:
-                continue
-            corners, outer = [], []
-            while h not in seen:
-                seen.add(h)
-                vid, slot = h
-                if vid is _OUTSIDE:
-                    outer.append(slot)
-                else:
-                    corners.append(
-                        (vid, REGION_AFTER[self.vertices[vid]][slot]))
-                h = twin[rot[h]]
-            faces.append((corners, outer))
-        return faces
+            if e.wall.p != self.p:
+                raise StructureError(
+                    f"edge {e.eid}: wall modulus {e.wall.p} != structure p={self.p}")
+        try:
+            key = _topology(self.vertices, self.edges, self.external,
+                            cavities)
+            shape = _SHAPES.get(key)
+        except TypeError:  # an unhashable id, end or corner: never kept
+            key = shape = None
+        if shape is None:
+            shape = Shape(self.vertices, self.edges, self.external, cavities)
+            if key is not None:
+                _SHAPES[key] = shape
+        self.shape = shape
+        self.cavities = shape.cavities
+        self.left_face, self.right_face = shape.left_face, shape.right_face
 
     def _edge_at(self, vid, slot):
         try:
-            return self._slot_edge[(vid, slot)]
+            return self.edge_by_id[self.shape.slot_eid[(vid, slot)]]
         except KeyError:
             raise StructureError(f"no edge at {(vid, slot)}") from None
 
@@ -376,11 +434,25 @@ def _shaped(value, shape: tuple, what: str):
     return value
 
 
+def _document_int(value, what: str) -> int:
+    """value, a document entry that must be an integer; anything else, a
+    bool or a float included, is a StructureError that names `what`."""
+    if type(value) is not int:
+        raise StructureError(f"{what} must be an integer, got "
+                             f"{json.dumps(value)}")
+    return value
+
+
 def _document_p(doc: dict) -> int:
-    p = doc["p"]
-    if type(p) is not int:
-        raise StructureError(f"p must be an integer, got {json.dumps(p)}")
-    return p
+    return _document_int(doc["p"], "p")
+
+
+def _document_corner(vdoc: dict, vid):
+    """A vertex document's corner value: None when it gives none, else an
+    integer (`_document_int`)."""
+    if "corner" not in vdoc:
+        return None
+    return _document_int(vdoc["corner"], f"vertex {vid}: corner")
 
 
 def compound_from_json(doc: dict) -> CompoundDefect:
@@ -396,7 +468,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     p = _document_p(doc)
     template = doc.get("template")
     if template is not None:
-        corners = {k: int(v) for k, v in (doc.get("corners") or {}).items()}
+        corners = {k: _document_int(v, f"corner {k}")
+                   for k, v in (doc.get("corners") or {}).items()}
         if template in ("vertical", "diamond"):
             unknown = set(corners) - (
                 {"bottom", "top"} if template == "diamond" else set())
@@ -431,7 +504,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
         edges.append(Edge(e["id"], BimoduleLabel.parse(e["wall"], p), tuple(ends)))
     cavities = doc.get("cavities")
     if cavities is not None:
-        cavities = [[_shaped(c, ("vertex", "region"), f"cavity {i}: a corner")
+        cavities = [[tuple(_shaped(c, ("vertex", "region"),
+                                   f"cavity {i}: a corner"))
                      for c in cavity] for i, cavity in enumerate(cavities)]
     structure = DomainWallStructure(p, vertices, edges, doc["external"],
                                     cavities)
@@ -447,7 +521,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
             pair = slots[:2] if template == "tri21" else slots[1:]
             w1 = structure._edge_at(vid, pair[0]).wall
             w2 = structure._edge_at(vid, pair[1]).wall
-            reps[vid] = TrivalentRep(template, w1, w2, corner=vdoc.get("corner"))
+            reps[vid] = TrivalentRep(template, w1, w2,
+                                     corner=_document_corner(vdoc, vid))
     return CompoundDefect(structure, reps)
 
 

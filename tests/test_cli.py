@@ -503,6 +503,74 @@ def test_a_template_document_naming_a_corner_it_lacks_exits_6(tmp_path, doc,
     assert "Traceback" not in r.stderr
 
 
+def _t_patch(corner):
+    """An unpinned one-hexagon patch on the wall T, whose every vertex
+    carries a corner: 0, but `corner` at the first."""
+    doc = patch_to_json(hexagon_chain_patch(3, 1, pin=False))
+    for v in doc["vertices"]:
+        v.update(walls=["T", "T"], corner=0)
+    for e in doc["edges"]:
+        e["wall"] = "T"
+    doc["vertices"][0]["corner"] = corner
+    return doc
+
+
+def _explicit_associator(corner):
+    """The [R, Fq:2, R] cell at p = 3 as an explicit graph, with mu0 = 0
+    and nu1 = `corner`."""
+    from annulus.structures import associator_compound
+
+    walls = (wall(3, "R"), wall(3, "F", 2), wall(3, "R"))
+    doc = compound_to_json(associator_compound(*walls, {"mu0": 0, "nu1": 0}))
+    next(v for v in doc["vertices"] if v["id"] == "v4")["corner"] = corner
+    return doc
+
+
+_ASSOCIATOR_TEMPLATE = {"p": 3, "template": "associator",
+                        "walls": ["R", "Fq:2", "R"]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("decompose", {**_ASSOCIATOR_TEMPLATE, "corners": {"mu0": 2.7, "nu1": 1}},
+     "bad structure document: corner mu0 must be an integer, got 2.7"),
+    ("decompose", {**_ASSOCIATOR_TEMPLATE, "corners": {"mu0": 0, "nu1": True}},
+     "bad structure document: corner nu1 must be an integer, got true"),
+    ("decompose", {**_ASSOCIATOR_TEMPLATE, "corners": {"mu0": 0, "nu1": None}},
+     "bad structure document: corner nu1 must be an integer, got null"),
+    ("decompose", _explicit_associator("1"),
+     'bad structure document: vertex v4: corner must be an integer, got "1"'),
+    ("decompose", _explicit_associator(1.0),
+     "bad structure document: vertex v4: corner must be an integer, got 1.0"),
+    ("lw", _t_patch("1"),
+     'bad patch document: vertex h0_ul: corner must be an integer, got "1"'),
+    ("lw", _t_patch(False),
+     "bad patch document: vertex h0_ul: corner must be an integer, got false"),
+], ids=["template-float", "template-bool", "template-null", "graph-string",
+        "graph-float", "patch-string", "patch-bool"])
+def test_a_corner_that_is_no_integer_exits_6(tmp_path, command, doc, message):
+    """A corner value in a document is an integer: a string, a float, a
+    bool or null is refused, naming the corner or its vertex, where an
+    integer there is read."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command, str(path))
+    assert r.returncode == 6, r.stdout
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_the_documents_refused_for_their_corner_run_with_an_integer(tmp_path):
+    path = tmp_path / "doc.json"
+    for command, doc in [
+            ("decompose", {**_ASSOCIATOR_TEMPLATE,
+                           "corners": {"mu0": 2, "nu1": 1}}),
+            ("decompose", _explicit_associator(1)),
+            ("lw", _t_patch(1))]:
+        path.write_text(json.dumps(doc))
+        r = run_cli(command, str(path))
+        assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize("args, named", [
     (("associator", "-p", "2", "R", "R", "R", "--corner", "mu0=1", "--table",
       "-o", "{out}"), ("wall labels", "--corner")),

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from annulus import structures
 from annulus.defects import enumerate_defects, parse_defect, trivial_defect
 from annulus.engine import (
     QuotientRep, SizeLimitError, apply_idempotent, boundary_action,
@@ -64,7 +65,8 @@ def _euler_characteristic(s):
     """V - E + F of a structure's traced faces, the outside counted as one
     vertex when there are stubs."""
     return (len(s.vertices) + bool(s.external) - len(s.edges)
-            + len(s._trace_faces()))
+            + len(structures._trace_faces(s.vertices, s.shape.slot_eid,
+                                          s.edges, s.external)))
 
 
 def _template_structures(p):

@@ -157,7 +157,7 @@ def test_sweep_shares_the_structure_and_the_corner_free_reps(monkeypatch):
 
 def test_sweep_builds_generator_args_once_and_memos_per_rep():
     """The one compound of a driver call reads one list of per-vertex args
-    per bubble and boundary generator, kept on its structure, and the
+    per bubble and boundary generator, kept on its structure's shape, and the
     action forms of its reps, one table per rep key, by the sorted args
     kept in that list; a corner variable's rep has one key, and so one
     table, for every corner value."""
@@ -178,7 +178,7 @@ def test_sweep_builds_generator_args_once_and_memos_per_rep():
     engine._loop_forms(engine._bubble_args(again, 0, 2), again.reps)
     assert again.reps["v1"].affine_forms is cd.reps["v1"].affine_forms
     assert {("bubble", 0, 2), ("boundary", 1, 2)} <= set(
-        cd.structure._generator_args)
+        cd.structure.shape.generator_args)
     # a compound builds its list once: a second call returns the same one
     assert engine._bubble_args(cd, 0, 2) is engine._bubble_args(cd, 0, 2)
 
