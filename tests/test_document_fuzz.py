@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,13 +51,12 @@ def _leaves(doc):
         yield doc
 
 
-def _containers(doc, path=()):
-    """(path, container) of every list and dict in doc, doc first."""
+def _containers(doc):
+    """Every list and dict in doc, doc first."""
     if isinstance(doc, (dict, list)):
-        yield path, doc
-        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        for key, value in items:
-            yield from _containers(value, path + (key,))
+        yield doc
+        for value in (doc.values() if isinstance(doc, dict) else doc):
+            yield from _containers(value)
 
 
 # small values only: a drawn p reaches no large field
@@ -70,7 +70,7 @@ def _mutated(draw, documents):
     pool = sorted({json.dumps(v) for v in _leaves(doc)}) + [
         json.dumps(v) for v in _ODD_VALUES]
     for _ in range(draw(st.integers(1, 3))):
-        _, box = draw(st.sampled_from(list(_containers(doc))))
+        box = draw(st.sampled_from(list(_containers(doc))))
         keys = list(box) if isinstance(box, dict) else list(range(len(box)))
         kind = draw(st.sampled_from(["replace", "delete", "duplicate",
                                      "swap"]))
@@ -92,17 +92,9 @@ def _mutated(draw, documents):
 def _run(command, path, **env):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    saved = {k: os.environ.get(k) for k in env}
-    os.environ.update(env)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, str(path)])
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)])
     return code, out.getvalue(), err.getvalue()
 
 

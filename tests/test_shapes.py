@@ -84,7 +84,11 @@ def test_a_kept_topology_still_checks_every_wall():
      r"slot \('v1', 'bottom'\) not connected"),
     (lambda s: ({**s.vertices, "v2": "tri21"}, s.edges, s.external),
      "edge W2: vertex v2 has no slot 'bottom'"),
-], ids=["external", "missing-edge", "template"])
+    (lambda s: (s.vertices, [Edge(e.eid, e.wall, (e.ends[0], ("v3", "br")))
+                             if e.eid == "M" else e for e in s.edges],
+                s.external),
+     r"slot \('v3', 'br'\) used twice"),
+], ids=["external", "missing-edge", "template", "moved-end"])
 def test_a_refused_topology_is_refused_on_every_build(change, message):
     s = associator_compound(*_walls(3, "T", "T", "T")).structure
     kept = dict(structures._SHAPES)
