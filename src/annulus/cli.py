@@ -22,7 +22,9 @@ from .fusion import (
 )
 from .levinwen import patch_from_json
 from .scalars import is_prime
-from .structures import StructureError, compound_from_json
+from .structures import (
+    StructureError, _document_entries, _document_kind, compound_from_json,
+)
 from .walls import BimoduleLabel
 
 EXIT_PARSE = 2
@@ -281,6 +283,18 @@ def cmd_decompose(args):
     _emit(doc, args.format)
 
 
+def _violated_terms(patch, state: dict) -> dict:
+    """`violated_terms` of the state document {"edges": {edge id: value},
+    "vertices": [one local basis vector per vertex, each a list]}."""
+    edges = _document_kind(state["edges"], dict, "edges")
+    vertices = _document_entries(state["vertices"], "vertices", "vertex",
+                                 list)
+    return patch.violated_terms(
+        {eid: (tuple(v) if isinstance(v, list) else v)
+         for eid, v in edges.items()},
+        tuple(map(tuple, vertices)))
+
+
 def cmd_lw(args):
     patch = _load_document(patch_from_json, args.patch, "patch")
     commute = _call(EXIT_STRUCTURE, patch.check_commutation)
@@ -294,11 +308,7 @@ def cmd_lw(args):
     }
     if args.state:
         doc["violated_terms"] = _load_document(
-            lambda state: patch.violated_terms(
-                {eid: (tuple(v) if isinstance(v, list) else v)
-                 for eid, v in state["edges"].items()},
-                tuple(tuple(v) for v in state["vertices"])),
-            args.state, "state")
+            lambda state: _violated_terms(patch, state), args.state, "state")
     _emit(doc, args.format)
 
 

@@ -33,8 +33,10 @@ cavities. The product of the cavity symmetrizers averages over G, so the
 quotient has one orbit sum per orbit whose stabilizer acts trivially (an
 admissible orbit), and a grade's dimension is its number of admissible
 orbits. Boundary generators commute with G and map orbit sums to roots of
-unity times orbit sums, so a generator's trace (character) is the histogram
-over Z/N of the phases of the orbit sums it fixes. All of it is counted by
+unity times orbit sums, so a generator's trace (character) on a grade is
+m zeta_N^k when it fixes all m of the grade's orbit sums with one phase
+zeta_N^k, and 0 otherwise: then it fixes none, or its phase takes each of
+its p values on as many orbit sums. All of it is counted by
 linear algebra over F_p on the forms (`_rref`, `_solutions`), with no state
 listed and no orbit walked: G's stabilizer is the kernel of its
 translations, the states where it acts trivially form an affine subspace,
@@ -42,9 +44,9 @@ every grade it reaches has the same number of admissible orbits, and a
 character's exponent is an affine form on them (see `QuotientRep`). The
 multiplicity of a candidate defect is the trace of its idempotent on the
 quotient. Every idempotent coefficient is p^-j zeta_N^e
-(`defects.phase_terms`), so that trace is one integer histogram over Z/N
-divided by p^J, J the largest j, and it becomes a field element only once
-per defect, to be read as a rational. `QuotientRep.image`,
+(`defects.phase_terms`), so p^J times that trace, J the largest j, is an
+integer coefficient per exponent in Z/N, one added per term, read as an
+integer with no field element (`rational_trace`). `QuotientRep.image`,
 `QuotientRep.boundary_matrix` and `apply_idempotent` give the orbit sums
 and the boundary operators as exact vectors and matrices, one orbit at a
 time, and `bubble_action` and `boundary_action` act on listed states by
@@ -680,7 +682,10 @@ class QuotientRep:
     has a point are the `support`. A boundary generator with translation
     beta fixes orbit sums only when beta = sum_c s_c tau_c, and then its
     eigenvalue on the orbit sum at z is zeta_N^(psi(z) - phi_s(z)), psi its
-    phase and phi_s that of s, an affine form in z (`character`).
+    phase and phi_s that of s, an affine form in z. When that form is
+    constant along the directions that keep the grade, the trace on a grade
+    of m admissible orbits is m zeta_N^k (`character`); otherwise the
+    exponent takes each of its p values on m/p of them, and the trace is 0.
 
     So one quotient serves every corner value: the loops, the laws and G
     are read once, and a corner value only picks the points of S_adm, at
@@ -911,10 +916,13 @@ class QuotientRep:
         """(loop, moved, eigen): boundary (g, h) as its `SolvedBasis.loop`,
         which must keep the solutions and commute with every Bub_{c,1},
         phases included (`_bracket`); moved, whether it changes the grade;
-        eigen, when its translation beta is some g' in G's, is (lin, const,
-        flat): its eigenvalue on the orbit sum at admissible f is
-        zeta_N^(lin.f + const), flat when that is the same on all of a
-        grade's admissible orbits; otherwise eigen is None.
+        eigen is (lin, const) when its translation beta is some g' in G's
+        and lin vanishes on the fibre: its eigenvalue on the orbit sum at
+        admissible f is then zeta_N^(lin.f + const), the same on all of a
+        grade's admissible orbits. Otherwise eigen is None, and so is the
+        trace on every grade: no orbit sum is fixed, or the exponent takes
+        each of its p values on as many orbits, and the p-th roots of unity
+        sum to 0.
 
         Commuting is enough for the boundary to preserve the quotient. For
         k in K, the phase of k at f + beta less that at f is ell_k.beta =
@@ -947,20 +955,17 @@ class QuotientRep:
                 ell_s, q_s = self._group_loop(s)
                 eigen = (tuple([(a - b) % N for a, b in zip(ell, ell_s)]),
                          kappa - q_s)
-        if eigen is not None:
-            lin, const = eigen
-            eigen = lin, const, not any(_dot(lin, w) % N for w in fibre)
+        if eigen is not None and any(_dot(eigen[0], w) % N for w in fibre):
+            eigen = None
         out = self._boundaries[key] = loop, moved, eigen
         return out
 
     def character(self, grade, g: int, h: int, mu=()):
         """tr of boundary (g, h) on the quotient at `grade` and corner
-        values mu, which it must keep, as the histogram over Z/N of the
-        phases of the orbit sums it fixes: the trace is
-        sum_k hist[k] zeta_N^k. None when no orbit sum is fixed. The
-        eigenvalue exponent, affine in z, is either the same on all m
-        admissible orbits of the grade, or takes each of its p values on
-        m/p of them (at p = 2, k and k + 2)."""
+        values mu, which it must keep, as (k, m): the trace is
+        m zeta_N^k, the eigenvalue exponent k being the same on all m
+        admissible orbits of the grade. None when the trace is 0 (see
+        `_boundary`)."""
         key = (mu, grade, g, h)
         if key not in self._chars:
             points, m = self._at(mu)
@@ -974,19 +979,11 @@ class QuotientRep:
             if moved:
                 raise StructureError(
                     "idempotent generator moved the source grade")
-            hist = None
+            char = None
             if eigen is not None:
-                N, p = self.field.N, self.cd.p
-                lin, const, flat = eigen
-                k = (_dot(lin, f) + const) % N
-                hist = [0] * N
-                if flat:
-                    hist[k] = m
-                else:
-                    for i in range(p):
-                        hist[(k + i * N // p) % N] = m // p
-                hist = tuple(hist)
-            self._chars[key] = hist
+                lin, const = eigen
+                char = (_dot(lin, f) + const) % self.field.N, m
+            self._chars[key] = char
         return self._chars[key]
 
     # -- the orbit sums as vectors, of a quotient with no corner variable
@@ -1128,16 +1125,17 @@ def decompose(qr: QuotientRep, mu=()):
 
     The multiplicity of a defect d is the trace of its idempotent
     e = sum_t p^-j_t zeta_N^e_t B_t on the quotient at d's source grade,
-    which is the rank of e. Each tr(B_t) is a histogram over Z/N
-    (`character`), so p^J tr(e), J the largest j_t, is the integer
-    histogram acc[k + e_t] += p^(J - j_t) hist_t[k], read as an integer by
-    `rational_trace`; a field element is made only for the refusal of a
-    trace that is no multiplicity. The candidates of a wall pair, with
-    their source grades, are built once per process, and so are their
-    terms (`phase_terms`). Returns [(DefectLabel, multiplicity)] with
-    positive multiplicities, checked by `verify_completeness`; for external
-    boundaries with more or fewer strings the quotient itself is returned
-    unchanged (unsupported, per contract).
+    which is the rank of e. Each tr(B_t) is m_t zeta_N^k_t or 0
+    (`character`), so p^J tr(e), J the largest j_t, is
+    sum_k acc[k] zeta_N^k, each term adding p^(J - j_t) m_t to the one
+    acc[k_t + e_t]. `rational_trace` reads it as an integer; a field
+    element is made only for the refusal of a trace that is no
+    multiplicity. The candidates of a wall pair, with their source grades,
+    are built once per process, and so are their terms (`phase_terms`).
+    Returns [(DefectLabel, multiplicity)] with positive multiplicities,
+    checked by `verify_completeness`; for external boundaries with more or
+    fewer strings the quotient itself is returned unchanged (unsupported,
+    per contract).
     """
     if len(qr.cd.structure.external) != 2:
         return qr
@@ -1159,12 +1157,10 @@ def decompose(qr: QuotientRep, mu=()):
         top = max(t[0] for t in terms)
         acc = [0] * N
         for j, e, g, h in terms:
-            hist = qr.character(grade, g, h, mu)
-            if hist is not None:
-                scale = p ** (top - j)
-                for k, c in enumerate(hist):
-                    if c:
-                        acc[(k + e) % N] += scale * c
+            char = qr.character(grade, g, h, mu)
+            if char is not None:
+                k, m = char
+                acc[(k + e) % N] += p ** (top - j) * m
         value, den = rational_trace(acc, p), p ** top
         if value is None or value % den or value < 0:
             raise StructureError(

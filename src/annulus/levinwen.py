@@ -28,7 +28,7 @@ from .reps import TrivalentRep
 from .scalars import cyc_field
 from .structures import (
     CompoundDefect, DomainWallStructure, StructureError, _document_corner,
-    _document_p, _shaped, corner_multiset,
+    _document_entries, _document_kind, _document_p, _shaped, corner_multiset,
 )
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
@@ -335,7 +335,7 @@ def defect_line_patch(p: int) -> LatticePatch:
 def patch_from_json(doc: dict) -> LatticePatch:
     p = _document_p(doc)
     vertices = {}
-    for v in doc["vertices"]:
+    for v in _document_entries(doc["vertices"], "vertices", "vertex", dict):
         if v["id"] in vertices:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
         w1, w2 = (BimoduleLabel.parse(w, p) for w in _shaped(
@@ -343,15 +343,18 @@ def patch_from_json(doc: dict) -> LatticePatch:
         vertices[v["id"]] = TrivalentRep(v["template"], w1, w2,
                                          corner=_document_corner(v, v["id"]))
     edges = []
-    for e in doc["edges"]:
+    for e in _document_entries(doc["edges"], "edges", "edge", dict):
+        ends = _document_kind(e["ends"], list, f"edge {e['id']}: ends")
         ends = tuple(tuple(_shaped(end, ("vertex", "slot"),
                                    f"edge {e['id']}: an end"))
-                     if end else None for end in e["ends"])
+                     if end else None for end in ends)
         edges.append(PatchEdge(e["id"], BimoduleLabel.parse(e["wall"], p), ends))
     pinned = {eid: tuple(value) if isinstance(value, list) else value
-              for eid, value in (doc.get("pinned") or {}).items()}
+              for eid, value in _document_kind(doc.get("pinned") or {}, dict,
+                                               "pinned").items()}
     faces = [[tuple(_shaped(c, ("vertex", "region"), f"face {i}: a corner"))
-              for c in face] for i, face in enumerate(doc["faces"])]
+              for c in face] for i, face in enumerate(
+                  _document_entries(doc["faces"], "faces", "face", list))]
     return LatticePatch(p, vertices, edges, faces, pinned)
 
 

@@ -434,6 +434,28 @@ def _shaped(value, shape: tuple, what: str):
     return value
 
 
+_KIND_NAMES = {dict: "an object", list: "a list"}
+
+
+def _document_kind(value, kind: type, what: str):
+    """value, a document entry that must be a JSON object (kind dict) or
+    list (kind list); anything else is a StructureError that names
+    `what`."""
+    if not isinstance(value, kind):
+        raise StructureError(f"{what} must be {_KIND_NAMES[kind]}, got "
+                             f"{json.dumps(value)}")
+    return value
+
+
+def _document_entries(value, what: str, entry: str, kind: type) -> list:
+    """value, a document list named `what`, each of whose entries must be
+    of `kind` (`_document_kind`); a wrong entry is named by `entry` and its
+    position."""
+    for i, item in enumerate(_document_kind(value, list, what)):
+        _document_kind(item, kind, f"{entry} {i}")
+    return value
+
+
 def _document_int(value, what: str) -> int:
     """value, a document entry that must be an integer; anything else, a
     bool or a float included, is a StructureError that names `what`."""
@@ -469,7 +491,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     template = doc.get("template")
     if template is not None:
         corners = {k: _document_int(v, f"corner {k}")
-                   for k, v in (doc.get("corners") or {}).items()}
+                   for k, v in _document_kind(doc.get("corners") or {}, dict,
+                                              "corners").items()}
         if template in ("vertical", "diamond"):
             unknown = set(corners) - (
                 {"bottom", "top"} if template == "diamond" else set())
@@ -488,13 +511,13 @@ def compound_from_json(doc: dict) -> CompoundDefect:
             return associator_compound(*walls, corners=corners)
         raise StructureError(f"unknown template {template!r}")
     vertex_docs = {}
-    for v in doc["vertices"]:
+    for v in _document_entries(doc["vertices"], "vertices", "vertex", dict):
         if v["id"] in vertex_docs:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
         vertex_docs[v["id"]] = v
     vertices = {vid: v["template"] for vid, v in vertex_docs.items()}
     edges = []
-    for e in doc["edges"]:
+    for e in _document_entries(doc["edges"], "edges", "edge", dict):
         ends = []
         for key in ("from", "to"):
             end = e.get(key)
@@ -506,7 +529,9 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     if cavities is not None:
         cavities = [[tuple(_shaped(c, ("vertex", "region"),
                                    f"cavity {i}: a corner"))
-                     for c in cavity] for i, cavity in enumerate(cavities)]
+                     for c in cavity] for i, cavity in enumerate(
+                         _document_entries(cavities, "cavities", "cavity",
+                                           list))]
     structure = DomainWallStructure(p, vertices, edges, doc["external"],
                                     cavities)
     reps = {}

@@ -11,10 +11,11 @@ from annulus.levinwen import (
     defect_line_patch, hexagon_chain_patch, patch_to_json,
 )
 from annulus.structures import (
-    compound_to_json, horizontal_compound, vertical_compound,
+    associator_compound, compound_to_json, horizontal_compound,
+    vertical_compound,
 )
 from annulus.defects import parse_defect, trivial_defect
-from annulus.walls import wall
+from annulus.walls import BimoduleLabel, wall
 
 # the CLI runs the package these tests import, installed or not
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(annulus.__file__))
@@ -647,6 +648,33 @@ def test_lw_state_must_hold_one_basis_vector_per_vertex(tmp_path):
     assert json.loads(r.stdout)["violated_terms"] == {}
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda s: s.update(edges=[]), "edges must be an object, got []"),
+    (lambda s: s.update(vertices=5), "vertices must be a list, got 5"),
+    (lambda s: s["vertices"].__setitem__(0, "ab"),
+     'vertex 0 must be a list, got "ab"'),
+    (lambda s: s["vertices"].__setitem__(0, {}),
+     "vertex 0 must be a list, got {}"),
+], ids=["edges-list", "vertices-number", "vertex-string", "vertex-object"])
+def test_lw_state_entries_of_the_wrong_kind_are_named(tmp_path, change,
+                                                      message):
+    """A state document's edges must be an object and its vertices a list
+    of lists: a vertex string is not read as its characters, nor an object
+    as its keys."""
+    patch = hexagon_chain_patch(2, 1)
+    ppath = tmp_path / "patch.json"
+    ppath.write_text(json.dumps(patch_to_json(patch)))
+    state = {"edges": {},
+             "vertices": [list(v) for v in patch.consistent_basis()[0]]}
+    change(state)
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(state))
+    r = run_cli("lw", str(ppath), "--state", str(spath))
+    assert r.returncode == 6, r.stdout
+    assert f"bad state document: {message}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("edges, message", [
     ({"nope": 99}, "bad state document: edge 'nope' is no edge of the patch"),
     ({"h0_w": [0, 0]},
@@ -698,6 +726,13 @@ def _set_first(doc, key, value):
     next(e for e in doc["edges"] if e.get(key))[key] = value
 
 
+def _ttt_structure(change):
+    t = BimoduleLabel.parse("T", 3)
+    doc = compound_to_json(associator_compound(
+        t, t, t, dict.fromkeys(("mu0", "mu1", "nu0", "nu1"), 0)))
+    return change(doc) or doc
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("decompose", {"p": 3, "template": "associator", "walls": ["R", "R"]},
      'associator template walls must be [M, N, P], got ["R", "R"]'),
@@ -716,12 +751,35 @@ def _set_first(doc, key, value):
      "face 0: a corner must be [vertex, region], got "),
     ("lw", _malformed_patch(lambda d: d["vertices"][0].update(walls=["X1"])),
      ': walls must be [first, second], got ["X1"]'),
+    ("lw", _malformed_patch(lambda d: d["vertices"].__setitem__(0, "h0_ll")),
+     'bad patch document: vertex 0 must be an object, got "h0_ll"'),
+    ("decompose", _ttt_structure(lambda d: d["edges"].__setitem__(2, "W2")),
+     'bad structure document: edge 2 must be an object, got "W2"'),
+    ("lw", _malformed_patch(lambda d: d.update(vertices=5)),
+     "bad patch document: vertices must be a list, got 5"),
+    ("lw", _malformed_patch(lambda d: d["faces"].__setitem__(0, 3)),
+     "bad patch document: face 0 must be a list, got 3"),
+    ("lw", _malformed_patch(lambda d: d["edges"][0].update(ends=None)),
+     "bad patch document: edge h0_w: ends must be a list, got null"),
+    ("lw", _malformed_patch(lambda d: d.update(pinned=[1])),
+     "bad patch document: pinned must be an object, got [1]"),
+    ("decompose", _ttt_structure(lambda d: d.update(cavities=[5])),
+     "bad structure document: cavity 0 must be a list, got 5"),
+    ("decompose", {"p": 3, "template": "associator",
+                   "walls": ["T", "T", "T"], "corners": [0]},
+     "bad structure document: corners must be an object, got [0]"),
 ], ids=["associator-walls", "vertical-defects", "cavity-corner", "edge-end",
-        "structure-p", "patch-p", "face-corner", "vertex-walls"])
+        "structure-p", "patch-p", "face-corner", "vertex-walls",
+        "patch-vertex-string", "structure-edge-string",
+        "patch-vertices-number", "patch-face-number", "patch-ends-null",
+        "patch-pinned-list", "structure-cavity-number",
+        "structure-corners-list"])
 def test_a_malformed_entry_is_named(tmp_path, command, doc, message):
     """An entry of the wrong shape or type is named with what it must be,
-    not reported in Python's words (a missing argument, an unpacking or
-    index error, an ordering of str and int); the exit code stays 6."""
+    and by its position when it is a list's entry, not reported in
+    Python's words (a missing argument, an unpacking or index error, an
+    ordering of str and int, string indices, a missing attribute); the
+    exit code stays 6."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     r = run_cli(command, str(path))

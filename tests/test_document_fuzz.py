@@ -1,10 +1,12 @@
-"""Mutated structure and patch documents through the CLI, in one process.
+"""Mutated structure, patch and state documents through the CLI, in one
+process.
 
-Each drawn document runs twice through `annulus decompose` or `annulus lw`,
-so that its second run meets the shapes, label forms and candidate tables
-its first run (and every earlier example) kept, and once more with
-ANNULUS_MAX_BASIS raised. Every run ends with a documented exit code and
-no traceback, and the two runs print the same and exit alike: a kept
+Each drawn document runs twice through `annulus decompose`, `annulus lw` or
+`annulus lw --state`, so that its second run meets the shapes, label forms
+and candidate tables its first run (and every earlier example) kept, and
+once more with ANNULUS_MAX_BASIS raised. Every run ends with a documented
+exit code, no traceback and none of Python's own messages for an entry of
+the wrong type, and the two runs print the same and exit alike: a kept
 shape never skips a check that a fresh build makes.
 """
 
@@ -23,6 +25,10 @@ from annulus.structures import associator_compound, compound_to_json
 from annulus.walls import BimoduleLabel
 
 EXIT_CODES = {0, 2, 3, 4, 6}
+# Python's words for an entry of the wrong type, which a refusal must not
+# pass through in place of naming the entry
+PYTHON_MESSAGES = ("has no attribute", "string indices", "not subscriptable",
+                   "not iterable")
 
 
 def _structure_documents():
@@ -38,6 +44,21 @@ def _structure_documents():
 def _patch_documents():
     return [patch_to_json(hexagon_chain_patch(2, 2)),
             patch_to_json(hexagon_chain_patch(3, 1, pin=False))]
+
+
+_STATE_PATCH = hexagon_chain_patch(3, 1)
+
+
+def _state_documents():
+    """A consistent state of `_STATE_PATCH`, and one with an interior edge
+    moved off its endpoints' labels."""
+    state = _STATE_PATCH.consistent_basis()[0]
+    edges = _STATE_PATCH.edge_labels_of(state)
+    vertices = [list(v) for v in state]
+    interior = next(e.eid for e in _STATE_PATCH.edges if all(e.ends))
+    moved = {**edges, interior: (edges[interior] + 1) % 3}
+    return [{"edges": edges, "vertices": vertices},
+            {"edges": moved, "vertices": vertices}]
 
 
 def _leaves(doc):
@@ -89,24 +110,30 @@ def _mutated(draw, documents):
     return doc
 
 
-def _run(command, path, **env):
+def _run(args, **env):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path)])
+        code = cli.main(args)
     return code, out.getvalue(), err.getvalue()
 
 
-def _check(command, doc, path):
+def _assert_documented(run):
+    code, _, err = run
+    assert code in EXIT_CODES, run
+    assert "Traceback" not in err
+    assert not any(text in err for text in PYTHON_MESSAGES), err
+
+
+def _check(args, doc, path):
+    """Run args, which read doc from path, as the module docstring says."""
     path.write_text(json.dumps(doc))
-    first = _run(command, path)
-    assert first[0] in EXIT_CODES, first
-    assert "Traceback" not in first[2]
-    assert _run(command, path) == first
-    raised = _run(command, path, ANNULUS_MAX_BASIS=str(10 ** 9))
-    assert raised[0] in EXIT_CODES, raised
-    assert "Traceback" not in raised[2]
+    first = _run(args)
+    _assert_documented(first)
+    assert _run(args) == first
+    raised = _run(args, ANNULUS_MAX_BASIS=str(10 ** 9))
+    _assert_documented(raised)
     if first[0] != 4:
         assert raised == first
 
@@ -119,10 +146,23 @@ def scratch(tmp_path_factory):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(doc=_mutated(_structure_documents()))
 def test_mutated_structure_documents_run_alike_twice(scratch, doc):
-    _check("decompose", doc, scratch)
+    _check(["decompose", str(scratch)], doc, scratch)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(doc=_mutated(_patch_documents()))
 def test_mutated_patch_documents_run_alike_twice(scratch, doc):
-    _check("lw", doc, scratch)
+    _check(["lw", str(scratch)], doc, scratch)
+
+
+@pytest.fixture(scope="module")
+def state_patch(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "patch.json"
+    path.write_text(json.dumps(patch_to_json(_STATE_PATCH)))
+    return path
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(doc=_mutated(_state_documents()))
+def test_mutated_state_documents_run_alike_twice(scratch, state_patch, doc):
+    _check(["lw", str(state_patch), "--state", str(scratch)], doc, scratch)

@@ -203,9 +203,11 @@ def test_perturbed_idempotent_gives_no_multiplicity(monkeypatch):
 def test_decompose_makes_no_field_element_for_a_multiplicity(monkeypatch):
     """Once the reps' action memos are warm, decompose adds and multiplies
     no Cyc, and makes no field element: the trace of each candidate defect
-    whose source grade is nonzero is read as an integer from its histogram
-    (`engine.rational_trace`). The candidates are read from the engine's
-    table of them, which the warming call filled."""
+    whose source grade is nonzero is read as an integer
+    (`engine.rational_trace`) from one integer per exponent in Z/N, each of
+    its terms adding its one-exponent character (`QuotientRep.character`).
+    The candidates are read from the engine's table of them, which the
+    warming call filled."""
 
     def refuse(*args):
         raise AssertionError("Cyc arithmetic in decompose")
