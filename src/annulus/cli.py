@@ -132,15 +132,19 @@ def cmd_fuse_horizontal(args):
 
 
 def _merge_corners(args, *annotations):
-    corners = {}
-    for ann in annotations:
-        corners.update(ann)
+    """Annotated and --corner values by name; a name given twice exits 2."""
+    pairs = [pair for ann in annotations for pair in ann.items()]
     for piece in args.corner or ():
         name, _, value = piece.partition("=")
         try:
-            corners[name.strip()] = int(value)
+            pairs.append((name.strip(), int(value)))
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad corner assignment {piece!r}")
+    corners = {}
+    for name, value in pairs:
+        if name in corners:
+            raise CliError(EXIT_PARSE, f"corner {name} named twice")
+        corners[name] = value
     return corners or None
 
 

@@ -167,7 +167,10 @@ def parse_annotated_defect(text: str, p: int):
         ann = ann[:-1]
         for piece in filter(None, (s.strip() for s in ann.split(","))):
             k, _, v = piece.partition("=")
-            corners[k.strip()] = int(v) % p
+            k = k.strip()
+            if k in corners:
+                raise ValueError(f"corner {k} named twice")
+            corners[k] = int(v) % p
         text = base.strip()
     if text.endswith(")"):
         name, _, rest = text.partition("(")

@@ -36,21 +36,21 @@ orbits. Boundary generators commute with G and map orbit sums to roots of
 unity times orbit sums, so a generator's trace (character) on a grade is
 m zeta_N^k when it fixes all m of the grade's orbit sums with one phase
 zeta_N^k, and 0 otherwise: then it fixes none, or its phase takes each of
-its p values on as many orbit sums. All of it is counted by
-linear algebra over F_p on the forms (`_rref`, `_solutions`), with no state
-listed and no orbit walked: G's stabilizer is the kernel of its
-translations, the states where it acts trivially form an affine subspace,
-every grade it reaches has the same number of admissible orbits, and a
-character's exponent is an affine form on them (see `QuotientRep`). The
-multiplicity of a candidate defect is the trace of its idempotent on the
-quotient. Every idempotent coefficient is p^-j zeta_N^e
-(`defects.phase_terms`), so p^J times that trace, J the largest j, is an
-integer coefficient per exponent in Z/N, one added per term, read as an
-integer with no field element (`rational_trace`). `QuotientRep.image`,
-`QuotientRep.boundary_matrix` and `apply_idempotent` give the orbit sums
-and the boundary operators as exact vectors and matrices, one orbit at a
-time, and `bubble_action` and `boundary_action` act on listed states by
-`act`; `decompose` uses none of them.
+its p values on as many orbit sums. All of it is counted by linear algebra
+over F_p on the forms, by the elimination that solved the basis (`_add_row`,
+read by `_solve`), with no state listed and no orbit walked: G's stabilizer
+is the kernel of its translations, the states where it acts trivially form
+an affine subspace, every grade it reaches has the same number of
+admissible orbits, and a character's exponent is an affine form on them
+(see `QuotientRep`). The multiplicity of a candidate defect is the trace
+of its idempotent on the quotient. Every idempotent coefficient is
+p^-j zeta_N^e (`defects.phase_terms`), so p^J times that trace, J the
+largest j, is an integer coefficient per exponent in Z/N, one added per
+term, read as an integer with no field element (`rational_trace`).
+`QuotientRep.image`, `QuotientRep.boundary_matrix` and `apply_idempotent`
+give the orbit sums and the boundary operators as exact vectors and
+matrices, one orbit at a time, and `bubble_action` and `boundary_action`
+act on listed states by `act`; `decompose` uses none of them.
 
 Structures and compound defects are immutable once validated; the basis
 solve, the bubble loops and per-defect characters are pure and independent
@@ -202,9 +202,9 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
 
     The labelings solve linear equations over F_p in the free labels of all
     vertices, numbered in vertex order. Each is eliminated with its pivot
-    on its highest variable, so each pivot is a function of the free
-    variables f: x = x0 + B f. ANNULUS_MAX_BASIS bounds the number of
-    solutions, p^(free variables), before any state or table is built.
+    on its highest variable (`_add_row`), so each pivot is a function of
+    the free variables f: x = x0 + B f (`_solve`). ANNULUS_MAX_BASIS bounds
+    the solutions, p^(free variables), before any state or table is built.
 
     A vertex whose corner is `VARIABLE` adds its corner mu to the unknowns:
     corner j, in vertex order, is variable -1 - j, below every label, so an
@@ -253,27 +253,8 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
         raise SizeLimitError(
             f"{what} basis exceeds ANNULUS_MAX_BASIS={limit}: "
             f"{p}^{len(free)} consistent labelings")
-    # z = (f, mu): corner j, variable -1 - j, is column d + j
-    k, d = len(corner_at), len(free)
-    zeros = (0,) * (d + k)
-    rows = []                   # label -> (x0, B row, then M row)
-    c = 0                       # the next free label's column
-    for v in range(n):
-        row = pivots.get(v)
-        if row is None:
-            rows.append((0, zeros[:c] + (1,) + zeros[c + 1:]))
-            c += 1
-            continue
-        coef, const = row
-        x0, b = -const, [0] * (d + k)
-        for u, a in coef.items():
-            if u < 0:
-                b[d - 1 - u] -= a
-            elif u != v:
-                ux0, ub = rows[u]
-                x0 -= a * ux0
-                b = [y - a * z for y, z in zip(b, ub)]
-        rows.append((x0 % p, tuple(y % p for y in b)))
+    k = len(corner_at)
+    rows = _solve(pivots, n, p, k)
     conditions = [(tuple([coef.get(-1 - j, 0) for j in range(k)]), const)
                   for v, (coef, const) in pivots.items() if v < 0] if k else []
     return SolvedBasis(p, offsets, rows, free, corner_at, conditions)
@@ -399,10 +380,12 @@ def _equate(left, lo: list, right, ro: list, pivots: dict, p: int) -> bool:
 
 
 def _add_row(eq: dict, const: int, pivots: dict, p: int) -> bool:
-    """Reduce sum_v eq[v] x_v + const = 0 by the rows in `pivots` and keep
-    it as the row of its highest variable, scaled to coefficient 1 there.
-    Every row's variables are at most its pivot. False if it reduces to a
-    nonzero constant."""
+    """Reduce sum_v eq[v] x_v + const = 0, eq holding no zero coefficient,
+    by the rows in `pivots` and keep it as the row of its highest
+    variable, scaled to coefficient 1 there. Every row's variables are at
+    most its pivot. False if it reduces to a nonzero constant. The engine's
+    one elimination over F_p: of the labels (`enumerate_basis`) and of the
+    quotient's systems (`_echelon`); `_solve` reads solutions off it."""
     while eq:
         h = max(eq)
         row = pivots.get(h)
@@ -421,6 +404,35 @@ def _add_row(eq: dict, const: int, pivots: dict, p: int) -> bool:
                 eq.pop(v, None)
         const = (const - a * rconst) % p
     return const == 0
+
+
+def _solve(pivots: dict, n: int, p: int, k: int = 0) -> list:
+    """The solutions of the consistent `_add_row` rows `pivots` in the
+    variables 0..n-1 and the parameters -1..-k, as x = x0 + B z: [(x0_v,
+    B_v)] for v in 0..n-1, z being the free variables (those with no row)
+    in increasing order, then the parameters; rows with a parameter for
+    pivot are not read. Back-substitution, pivot by pivot upwards."""
+    d = n - sum(v >= 0 for v in pivots)
+    zeros = (0,) * (d + k)
+    rows = []                   # variable -> (x0, B row)
+    c = 0                       # the next free variable's column
+    for v in range(n):
+        row = pivots.get(v)
+        if row is None:
+            rows.append((0, zeros[:c] + (1,) + zeros[c + 1:]))
+            c += 1
+            continue
+        coef, const = row
+        x0, b = -const, [0] * (d + k)
+        for u, a in coef.items():
+            if u < 0:
+                b[d - 1 - u] -= a
+            elif u != v:
+                ux0, ub = rows[u]
+                x0 -= a * ux0
+                b = [y - a * z for y, z in zip(b, ub)]
+        rows.append((x0 % p, tuple(y % p for y in b)))
+    return rows
 
 
 def edge_labels_of(cd: CompoundDefect, vec: tuple) -> dict:
@@ -504,48 +516,42 @@ def _commutator(a: dict, b: dict, N: int) -> int:
     return k % N
 
 
-def _rref(rows, p: int) -> list:
-    """The reduced row echelon form over F_p of the integer vectors `rows`
-    as [(pivot, row)], by pivot: each row is 1 at its pivot, its first
-    nonzero entry, and 0 at every other row's pivot."""
-    out: dict = {}
-    for row in rows:
-        row = [x % p for x in row]
-        for piv, other in out.items():
-            a = row[piv]
-            if a:
-                row = [(x - a * y) % p for x, y in zip(row, other)]
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        inv = pow(row[piv], -1, p)
-        row = [x * inv % p for x in row]
-        for q, other in out.items():
-            a = other[piv]
-            if a:
-                out[q] = [(x - a * y) % p for x, y in zip(other, row)]
-        out[piv] = row
-    return sorted(out.items())
-
-
-def _solutions(echelon: list, n: int, p: int):
-    """The x in F_p^n with a.x + c = 0 for every row (a, c) of `echelon`, a
-    `_rref`, as (x0, basis): each is x0 + sum_j u_j basis_j for one u. None
-    when there is none."""
-    x0 = [0] * n
-    for piv, row in echelon:
-        if piv == n:
+def _echelon(rows, p: int):
+    """The `_add_row` rows of the equations a.z + c = 0, given as (a, c),
+    z_j numbered len(a) - 1 - j so that a row's pivot, its highest variable,
+    is its first nonzero entry in z; None when they are inconsistent."""
+    pivots: dict = {}
+    for a, c in rows:
+        eq = {len(a) - 1 - j: x % p for j, x in enumerate(a) if x % p}
+        if not _add_row(eq, c % p, pivots, p):
             return None
-        x0[piv] = -row[n] % p
-    pivots = {piv for piv, _ in echelon}
-    basis = []
-    for j in range(n):
-        if j not in pivots:
-            v = [int(i == j) for i in range(n)]
-            for piv, row in echelon:
-                v[piv] = -row[j] % p
-            basis.append(v)
-    return x0, basis
+    return pivots
+
+
+def _leading(pivots: dict, n: int) -> list:
+    """The rows of an `_echelon` over n coordinates in z order, by pivot:
+    [(j, row)], row 1 at j and 0 before it."""
+    return sorted((n - 1 - h, [coef.get(n - 1 - j, 0) for j in range(n)])
+                  for h, (coef, _) in pivots.items())
+
+
+def _subspace(pivots: dict, n: int, p: int) -> tuple:
+    """(x0, {j: basis_j}): the solutions z of an `_echelon` over n
+    coordinates, x0 + sum_j z_j basis_j over the coordinates j with no row,
+    in increasing order (`_solve`)."""
+    rows = _solve(pivots, n, p)[::-1]
+    free = [j for j in range(n) if n - 1 - j not in pivots]
+    return (tuple([x0 for x0, _ in rows]),
+            dict(zip(free, list(zip(*[b for _, b in rows]))[::-1])))
+
+
+def _affine_points(x0, steps, p: int) -> list:
+    """x0 + sum_i a_i steps_i mod p for every a, the last a_i fastest."""
+    points = [tuple(x0)]
+    for step in steps:
+        points = [tuple([(x + a * y) % p for x, y in zip(f, step)])
+                  for f in points for a in range(p)]
+    return points
 
 
 def _strict_cyclic(solved: SolvedBasis, one: tuple, acts: list, reps: dict,
@@ -686,6 +692,9 @@ class QuotientRep:
     constant along the directions that keep the grade, the trace on a grade
     of m admissible orbits is m zeta_N^k (`character`); otherwise the
     exponent takes each of its p values on m/p of them, and the trace is 0.
+    Each system is eliminated as the basis was, z numbered from its end
+    (`_echelon`): a pivot is its row's first nonzero entry in z, and an
+    orbit's state of least index is 0 at G's translations' pivots.
 
     So one quotient serves every corner value: the loops, the laws and G
     are read once, and a corner value only picks the points of S_adm, at
@@ -757,32 +766,23 @@ class QuotientRep:
         values = [(_dot(ell, f) + kappa) % p for ell, kappa in self._forms]
         return tuple([get(values) for get in self._shape])
 
-    def _stub_image(self, x0, basis) -> tuple:
-        """(points, fibre) of the affine subspace x0 + span(basis) of z,
-        every z when basis is None: points {mu: {grade: one z in the
-        subspace}} for each corner value and grade taken there, and fibre a
-        basis of the directions in the subspace along which both are
-        constant."""
-        p, solved = self.cd.p, self.raw_basis
-        d, n = len(solved.free), solved.width
-        forms = [ell for ell, _ in self._forms] + [
-            [int(u == j) for u in range(n)] for j in range(d, n)]
-        if basis is not None:
-            forms = [[_dot(ell, b) for b in basis] for ell in forms]
-        stubs = _rref([list(ell) + [0] for ell in forms], p)
-        points = [tuple(x0)]
-        for piv, _ in stubs:
-            if basis is None:
-                points = [f[:piv] + (a,) + f[piv + 1:]
-                          for f in points for a in range(p)]
-            else:
-                step = basis[piv]
-                points = [tuple([(x + a * y) % p for x, y in zip(f, step)])
-                          for f in points for a in range(p)]
-        fibre = _solutions(stubs, n if basis is None else len(basis), p)[1]
-        if basis is not None:
-            fibre = [tuple(_dot(v, col) % p for col in zip(*basis))
-                     for v in fibre]
+    def _stub_image(self, rows: list):
+        """(points, fibre) of S, the z where the equations `rows` [(a, c)],
+        a.z + c = 0, hold, or None when there is none: points {mu: {grade:
+        one z in S}} for each corner value and grade taken on S, and fibre
+        a basis of the directions in S along which both are constant."""
+        p, d, n = self.cd.p, len(self.raw_basis.free), self.raw_basis.width
+        space = _echelon(rows, p)
+        if space is None:
+            return None
+        held = _echelon([(a, 0) for a, _ in rows] + [
+            (ell, 0) for ell, _ in self._forms] + [
+            ([int(i == j) for i in range(n)], 0) for j in range(d, n)], p)
+        x0, basis = _subspace(space, n, p)
+        # a form not constant on S pivots at a free coordinate of S: a step
+        points = _affine_points(x0, [basis[n - 1 - h] for h in sorted(
+            held.keys() - space.keys(), reverse=True)], p)
+        fibre = list(_subspace(held, n, p)[1].values())
         image: dict = {}
         for f in points:
             image.setdefault(f[d:], {})[self._grade_at(f)] = f
@@ -824,43 +824,36 @@ class QuotientRep:
     @functools.cached_property
     def _orbit_space(self) -> tuple:
         """(span, points, fibre, m), once G's generators are checked to
-        commute (`_bracket`). span: `_rref` of the rows (tau_c, e_c) that
-        have their pivot in tau, so [(pivot, (t, g))] with g in G moving z
-        by t, a basis of G's translations. points: {mu: {grade: one
-        admissible z}} for each corner value and grade that admissible
+        commute (`_bracket`). span: the `_echelon` rows of the (tau_c, e_c)
+        with their pivot in tau, by pivot, [(pivot, t + g)] with g in G
+        moving z by t, a basis of G's translations. points: {mu: {grade:
+        one admissible z}} for each corner value and grade that admissible
         states have. fibre: a basis of the translations that keep S_adm,
-        the grade and mu. m: each such grade's number of admissible
-        orbits."""
+        the grade and mu. m: each such grade's number of admissible orbits."""
         p, N = self.cd.p, self.field.N
         if any(_bracket(a, b) % N
                for a, b in itertools.combinations(self._loops, 2)):
             raise StructureError(self.not_commuting)
         solved = self.raw_basis
         n, C = solved.width, len(self._loops)
-        echelon = _rref([list(tau) + [int(i == c) for i in range(C)]
-                         for c, (tau, _, _) in enumerate(self._loops)], p)
-        span = [(piv, (row[:n], row[n:])) for piv, row in echelon if piv < n]
-        # S_adm = x0 + span(basis), basis None for every z: the corner
-        # values have a labeling, and each k in K, a row of `echelon` with
-        # its pivot past tau, acts trivially. At p = 2, k^2 = 1 makes k act
-        # on the states it fixes by a sign, so its exponents, read mod
-        # N = 4, are even and halve exactly.
-        rows = [[0] * len(solved.free) + list(a) + [c]
-                for a, c in solved.conditions]
-        if len(span) < C:
-            q = N // p
-            rows += [[a // q for a in ell] + [const // q]
-                     for ell, const in (self._group_loop(k[n:])
-                                        for _, k in echelon[len(span):])]
-        x0, basis = (0,) * n, None
-        if rows:
-            solution = _solutions(_rref(rows, p), n, p)
-            if solution is None:
-                return span, {}, [], 0
-            x0, basis = solution
-        points, fibre = self._stub_image(x0, basis)
-        m = p ** (len(fibre) - len(span))
-        return span, points, fibre, m
+        echelon = _leading(_echelon(
+            [(tau + tuple([int(i == c) for i in range(C)]), 0)
+             for c, (tau, _, _) in enumerate(self._loops)], p), n + C)
+        span = [(piv, row) for piv, row in echelon if piv < n]
+        # S_adm: the corner values have a labeling, and each k in K, a row
+        # of `echelon` with its pivot past tau, acts trivially. At p = 2,
+        # k^2 = 1 makes k act on the states it fixes by a sign, so its
+        # exponents, read mod N = 4, are even and halve exactly.
+        q = N // p
+        image = self._stub_image(
+            [((0,) * len(solved.free) + a, c) for a, c in solved.conditions]
+            + [([a // q for a in ell], const // q)
+               for ell, const in (self._group_loop(k[n:])
+                                  for _, k in echelon[len(span):])])
+        if image is None:
+            return span, {}, [], 0
+        points, fibre = image
+        return span, points, fibre, p ** (len(fibre) - len(span))
 
     @functools.cached_property
     def grades(self) -> dict:
@@ -871,7 +864,7 @@ class QuotientRep:
             return {}
         _, points, _, m = self._orbit_space
         admissible = points.get((), {})
-        every, _ = self._stub_image((0,) * self.raw_basis.width, None)
+        every, _ = self._stub_image([])
         return {grade: m if grade in admissible else 0
                 for grade in every.get((), {})}
 
@@ -993,14 +986,14 @@ class QuotientRep:
     def _root(self, f) -> tuple:
         """(root, s): the state of least index in f's orbit, and the g in G
         that moves it to f. The root is 0 at each pivot of G's translations'
-        `_rref`, whose rows lead at their pivots."""
-        p = self.cd.p
+        `_echelon`, whose rows, taken by pivot, lead at their pivots."""
+        p, n = self.cd.p, len(f)
         f, s = list(f), [0] * len(self._loops)
-        for piv, (t, gs) in self._orbit_space[0]:
+        for piv, row in self._orbit_space[0]:
             a = f[piv]
             if a:
-                f = [(x - a * y) % p for x, y in zip(f, t)]
-                s = [(x + a * y) % p for x, y in zip(s, gs)]
+                f = [(x - a * y) % p for x, y in zip(f, row)]
+                s = [(x + a * y) % p for x, y in zip(s, row[n:])]
         return tuple(f), s
 
     def _roots(self, grade) -> list:
@@ -1013,14 +1006,9 @@ class QuotientRep:
         if grade not in grades:
             return []
         root, _ = self._root(grades[grade])
-        steps = [row for _, row in _rref([self._root(w)[0] for w in fibre], p)]
-        out = []
-        for u in itertools.product(range(p), repeat=len(steps)):
-            f = root
-            for a, step in zip(u, steps):
-                f = tuple((x + a * y) % p for x, y in zip(f, step))
-            out.append(f)
-        return sorted(out)
+        steps = [row for _, row in _leading(_echelon(
+            [(self._root(w)[0], 0) for w in fibre], p), len(root))]
+        return sorted(_affine_points(root, steps, p))
 
     @functools.cached_property
     def image(self) -> dict:
@@ -1028,20 +1016,18 @@ class QuotientRep:
         admissible orbit, in the order of the orbits' first raw indices."""
         p, root_pow = self.cd.p, self.field.root_pow
         self._at(())
-        span = self._orbit_space[0]
+        # each point (f, s): the state f, and the g in G moving the root to f
+        span = [row for _, row in self._orbit_space[0]]
+        n, zeros = self.raw_basis.width, (0,) * len(self._loops)
         out = {}
         for grade in self.grades:
             out[grade] = []
             for root in self._roots(grade):
                 col = {}
-                for u in itertools.product(range(p), repeat=len(span)):
-                    f, s = root, [0] * len(self._loops)
-                    for a, (_, (t, gs)) in zip(u, span):
-                        f = tuple((x + a * y) % p for x, y in zip(f, t))
-                        s = [(x + a * y) % p for x, y in zip(s, gs)]
-                    ell, q = self._group_loop(s)
-                    col[functools.reduce(lambda i, x: i * p + x, f, 0)] = \
-                        root_pow(_dot(ell, root) + q)
+                for fs in _affine_points(root + zeros, span, p):
+                    ell, q = self._group_loop(fs[n:])
+                    index = functools.reduce(lambda i, x: i * p + x, fs[:n], 0)
+                    col[index] = root_pow(_dot(ell, root) + q)
                 out[grade].append(col)
         return out
 

@@ -340,15 +340,17 @@ def patch_from_json(doc: dict) -> LatticePatch:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
         w1, w2 = (BimoduleLabel.parse(w, p) for w in _shaped(
             v["walls"], ("first", "second"), f"vertex {v['id']}: walls"))
-        vertices[v["id"]] = TrivalentRep(v["template"], w1, w2,
-                                         corner=_document_corner(v, v["id"]))
+        vertices[v["id"]] = TrivalentRep(
+            _document_kind(v["template"], str, f"vertex {v['id']}: template"),
+            w1, w2, corner=_document_corner(v, v["id"]))
     edges = []
     for e in _document_entries(doc["edges"], "edges", "edge", dict):
         ends = _document_kind(e["ends"], list, f"edge {e['id']}: ends")
         ends = tuple(tuple(_shaped(end, ("vertex", "slot"),
                                    f"edge {e['id']}: an end"))
                      if end else None for end in ends)
-        edges.append(PatchEdge(e["id"], BimoduleLabel.parse(e["wall"], p), ends))
+        wall = _document_kind(e["wall"], str, f"edge {e['id']}: wall")
+        edges.append(PatchEdge(e["id"], BimoduleLabel.parse(wall, p), ends))
     pinned = {eid: tuple(value) if isinstance(value, list) else value
               for eid, value in _document_kind(doc.get("pinned") or {}, dict,
                                                "pinned").items()}

@@ -236,16 +236,11 @@ class DomainWallStructure:
             if e.wall.p != self.p:
                 raise StructureError(
                     f"edge {e.eid}: wall modulus {e.wall.p} != structure p={self.p}")
-        try:
-            key = _topology(self.vertices, self.edges, self.external,
-                            cavities)
-            shape = _SHAPES.get(key)
-        except TypeError:  # an unhashable id, end or corner: never kept
-            key = shape = None
+        key = _topology(self.vertices, self.edges, self.external, cavities)
+        shape = _SHAPES.get(key)
         if shape is None:
-            shape = Shape(self.vertices, self.edges, self.external, cavities)
-            if key is not None:
-                _SHAPES[key] = shape
+            shape = _SHAPES[key] = Shape(self.vertices, self.edges,
+                                         self.external, cavities)
         self.shape = shape
         self.cavities = shape.cavities
         self.left_face, self.right_face = shape.left_face, shape.right_face
@@ -426,21 +421,24 @@ def horizontal_corner_names(d1, d2) -> list[str]:
 
 
 def _shaped(value, shape: tuple, what: str):
-    """value, a document entry that must be a list [shape...]; anything
-    else is a StructureError that names `what`."""
+    """value, a document entry that must be a list [shape...] of strings;
+    anything else is a StructureError that names `what`, or `what` and the
+    part that is no string."""
     if not isinstance(value, (list, tuple)) or len(value) != len(shape):
         raise StructureError(f"{what} must be [{', '.join(shape)}], got "
                              f"{json.dumps(value)}")
+    for name, part in zip(shape, value):
+        _document_kind(part, str, f"{what}: {name}")
     return value
 
 
-_KIND_NAMES = {dict: "an object", list: "a list"}
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _document_kind(value, kind: type, what: str):
-    """value, a document entry that must be a JSON object (kind dict) or
-    list (kind list); anything else is a StructureError that names
-    `what`."""
+    """value, a document entry that must be a JSON object (kind dict), list
+    (kind list) or string (kind str); anything else is a StructureError
+    that names `what`."""
     if not isinstance(value, kind):
         raise StructureError(f"{what} must be {_KIND_NAMES[kind]}, got "
                              f"{json.dumps(value)}")
@@ -449,10 +447,12 @@ def _document_kind(value, kind: type, what: str):
 
 def _document_entries(value, what: str, entry: str, kind: type) -> list:
     """value, a document list named `what`, each of whose entries must be
-    of `kind` (`_document_kind`); a wrong entry is named by `entry` and its
-    position."""
+    of `kind` (`_document_kind`), and an object (a vertex or an edge) have
+    a string id; a wrong entry is named by `entry` and its position."""
     for i, item in enumerate(_document_kind(value, list, what)):
         _document_kind(item, kind, f"{entry} {i}")
+        if kind is dict:
+            _document_kind(item["id"], str, f"{entry} {i}: id")
     return value
 
 
@@ -515,7 +515,9 @@ def compound_from_json(doc: dict) -> CompoundDefect:
         if v["id"] in vertex_docs:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
         vertex_docs[v["id"]] = v
-    vertices = {vid: v["template"] for vid, v in vertex_docs.items()}
+    vertices = {vid: _document_kind(v["template"], str,
+                                    f"vertex {vid}: template")
+                for vid, v in vertex_docs.items()}
     edges = []
     for e in _document_entries(doc["edges"], "edges", "edge", dict):
         ends = []
@@ -524,7 +526,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
             ends.append(tuple(_shaped(end, ("vertex", "slot"),
                                       f"edge {e['id']}: an end"))
                         if end else None)
-        edges.append(Edge(e["id"], BimoduleLabel.parse(e["wall"], p), tuple(ends)))
+        wall = _document_kind(e["wall"], str, f"edge {e['id']}: wall")
+        edges.append(Edge(e["id"], BimoduleLabel.parse(wall, p), tuple(ends)))
     cavities = doc.get("cavities")
     if cavities is not None:
         cavities = [[tuple(_shaped(c, ("vertex", "region"),
@@ -532,15 +535,16 @@ def compound_from_json(doc: dict) -> CompoundDefect:
                      for c in cavity] for i, cavity in enumerate(
                          _document_entries(cavities, "cavities", "cavity",
                                            list))]
-    structure = DomainWallStructure(p, vertices, edges, doc["external"],
-                                    cavities)
+    structure = DomainWallStructure(p, vertices, edges, _document_entries(
+        doc["external"], "external", "external stub", str), cavities)
     reps = {}
     for vid, template in vertices.items():
         vdoc = vertex_docs[vid]
         if template == "bivalent":
             if "defect" not in vdoc:
                 raise StructureError(f"bivalent vertex {vid} needs a defect label")
-            reps[vid] = BivalentRep(parse_defect(vdoc["defect"], p))
+            reps[vid] = BivalentRep(parse_defect(_document_kind(
+                vdoc["defect"], str, f"vertex {vid}: defect"), p))
         else:
             slots = TEMPLATE_SLOTS[template]
             pair = slots[:2] if template == "tri21" else slots[1:]

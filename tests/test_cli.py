@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,59 @@ def test_wrong_corner_name_is_a_usage_error(monkeypatch):
         monkeypatch.setattr(cli, name, fault)
         with pytest.raises(ValueError, match="mixed moduli"):
             cli.main(argv)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("associator", "-p", "3", "T", "T", "T", "--corner", "mu0=1",
+      "--corner", "mu0=2", "--corner", "mu1=0", "--corner", "nu0=0",
+      "--corner", "nu1=0"), "error: corner mu0 named twice\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[top=1,top=2]", "TT(0,0)"),
+     "error: bad defect label 'TT(0,0)[top=1,top=2]': corner top named "
+     "twice\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[top=1]", "TT(0,0)[top=1]"),
+     "error: corner top named twice\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[bottom=1]", "TT(0,0)",
+      "--corner", "bottom=1", "--corner", "top=0"),
+     "error: corner bottom named twice\n"),
+], ids=["option-twice", "one-annotation", "two-annotations",
+        "annotation-and-option"])
+def test_a_corner_named_twice_is_a_usage_error(args, message):
+    """A corner given twice, with the same value or another, in --corner,
+    in one annotation, or in an annotation and again elsewhere, exits 2
+    naming it, where the last value used to win."""
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr == message
+
+
+# SHA-256 of each table's stdout as recorded; output must stay byte-identical
+_TABLE_DIGESTS = {
+    ("associator", "-p", "2", "--table"):
+        "f6c7fd4cc676db5e0c1d4dd0c896116d9e37b99ee51c36bbb90298245e84e437",
+    ("associator", "-p", "3", "--table"):
+        "4fc9da286dc715a01eec05fdc85c22b9b334d19874262130a523d0cdda55dbb4",
+    ("associator", "-p", "5", "--table"):
+        "afcaaaea70a5292549f7ffcba6c1a52206e27db8d399e6feff1d945df6d37e90",
+    ("table", "vertical", "-p", "2"):
+        "c905390b96ef95af95837747806865cc227c43110bcdea286908ad754d2051c1",
+    ("table", "vertical", "-p", "3"):
+        "911614bfe05f6ede6fdf8b2b35ba0b420b7590f495c8c45222bea808a15c9960",
+    ("table", "horizontal", "-p", "2"):
+        "b4f0bfb28f3b33a0b48126b1f09da7ccd72778f3b8ecdbcb62091933c15a0573",
+}
+
+
+@pytest.mark.parametrize("argv", list(_TABLE_DIGESTS), ids=[
+    "associator-p2", "associator-p3", "associator-p5", "vertical-p2",
+    "vertical-p3", "horizontal-p2"])
+def test_table_output_is_byte_identical(capsys, argv):
+    """The tables' JSON, run in-process, hashes to the digest recorded for
+    it: a change to the engine may not change one byte of them."""
+    from annulus import cli
+
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[argv]
 
 
 def test_unwritable_table_output_is_a_usage_error(tmp_path):
@@ -768,12 +822,65 @@ def _ttt_structure(change):
     ("decompose", {"p": 3, "template": "associator",
                    "walls": ["T", "T", "T"], "corners": [0]},
      "bad structure document: corners must be an object, got [0]"),
+    ("lw", _malformed_patch(lambda d: d["vertices"][0].update(id={})),
+     "bad patch document: vertex 0: id must be a string, got {}"),
+    ("lw", _malformed_patch(lambda d: d["edges"][0]["ends"].__setitem__(
+        0, [["v1", "left"], "bottom"])),
+     'bad patch document: edge h0_w: an end: vertex must be a string, got '
+     '["v1", "left"]'),
+    ("lw", _malformed_patch(lambda d: d["edges"][0].update(id=[1])),
+     "bad patch document: edge 0: id must be a string, got [1]"),
+    ("lw", _malformed_patch(lambda d: d["edges"][0].update(wall=["T"])),
+     'bad patch document: edge h0_w: wall must be a string, got ["T"]'),
+    ("lw", _malformed_patch(lambda d: d["vertices"][0].update(template=3)),
+     "bad patch document: vertex h0_ul: template must be a string, got 3"),
+    ("lw", _malformed_patch(lambda d: d["vertices"][0]["walls"].__setitem__(
+        1, ["Xk:1"])),
+     'bad patch document: vertex h0_ul: walls: second must be a string, '
+     'got ["Xk:1"]'),
+    ("lw", _malformed_patch(lambda d: d["faces"][0][0].__setitem__(1, 2)),
+     "bad patch document: face 0: a corner: region must be a string, got 2"),
+    ("decompose", _ttt_structure(lambda d: d["vertices"][0].update(id={})),
+     "bad structure document: vertex 0: id must be a string, got {}"),
+    ("decompose", _ttt_structure(lambda d: d["edges"][1].__setitem__(
+        "from", [["v1", "left"], "tl"])),
+     'bad structure document: edge M: an end: vertex must be a string, '
+     'got ["v1", "left"]'),
+    ("decompose", _ttt_structure(lambda d: d["edges"][0].update(id=[1])),
+     "bad structure document: edge 0: id must be a string, got [1]"),
+    ("decompose", _ttt_structure(lambda d: d.update(
+        external=[["bottom"], "top"])),
+     'bad structure document: external stub 0 must be a string, got '
+     '["bottom"]'),
+    ("decompose", _ttt_structure(lambda d: d["edges"][1].update(wall=["T"])),
+     'bad structure document: edge M: wall must be a string, got ["T"]'),
+    ("decompose", _ttt_structure(lambda d: d["vertices"][0].update(
+        template=["tri12"])),
+     'bad structure document: vertex v1: template must be a string, got '
+     '["tri12"]'),
+    ("decompose", _ttt_structure(lambda d: d["cavities"][0][0].__setitem__(
+        0, {})),
+     "bad structure document: cavity 0: a corner: vertex must be a string, "
+     "got {}"),
+    ("decompose", _diamond_doc(lambda d: next(
+        v for v in d["vertices"] if "defect" in v).update(defect=[1])),
+     "bad structure document: vertex d1: defect must be a string, got [1]"),
+    ("decompose", {"p": 3, "template": "associator",
+                   "walls": ["T", ["T"], "T"]},
+     'bad structure document: associator template walls: N must be a '
+     'string, got ["T"]'),
 ], ids=["associator-walls", "vertical-defects", "cavity-corner", "edge-end",
         "structure-p", "patch-p", "face-corner", "vertex-walls",
         "patch-vertex-string", "structure-edge-string",
         "patch-vertices-number", "patch-face-number", "patch-ends-null",
         "patch-pinned-list", "structure-cavity-number",
-        "structure-corners-list"])
+        "structure-corners-list", "patch-vertex-id", "patch-end-vertex",
+        "patch-edge-id", "patch-edge-wall", "patch-template",
+        "patch-vertex-wall", "patch-face-region", "structure-vertex-id",
+        "structure-end-vertex", "structure-edge-id", "structure-external",
+        "structure-edge-wall", "structure-template",
+        "structure-cavity-vertex", "structure-defect",
+        "associator-template-wall"])
 def test_a_malformed_entry_is_named(tmp_path, command, doc, message):
     """An entry of the wrong shape or type is named with what it must be,
     and by its position when it is a list's entry, not reported in

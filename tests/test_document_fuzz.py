@@ -28,7 +28,8 @@ EXIT_CODES = {0, 2, 3, 4, 6}
 # Python's words for an entry of the wrong type, which a refusal must not
 # pass through in place of naming the entry
 PYTHON_MESSAGES = ("has no attribute", "string indices", "not subscriptable",
-                   "not iterable")
+                   "not iterable", "unhashable type",
+                   "not supported between instances")
 
 
 def _structure_documents():

@@ -1,6 +1,9 @@
 """The consistent basis as the solutions of linear equations over F_p."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus import engine
 from annulus.defects import enumerate_defects, parse_defect
@@ -93,3 +96,75 @@ def test_size_limit_counts_the_solutions_before_building_any(monkeypatch):
     monkeypatch.setenv("ANNULUS_MAX_BASIS", str(len(want) - 1))
     with pytest.raises(SizeLimitError, match=r"3\^2 consistent labelings"):
         hexagon_chain_patch(3, 2).consistent_basis()
+
+
+@st.composite
+def _systems(draw):
+    """(p, n, k, rows): at most four equations coef.(x, mu) + const = 0
+    over F_p, p in 2, 3, 5, in n <= 5 variables x_0..x_{n-1} and k <= 2
+    parameters mu_1..mu_k, the variables -1..-k, that a drawn point
+    solves. One time in three a last row is a combination of the others
+    with its constant moved by 1, so that the system is inconsistent."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    vector = st.tuples(*[st.integers(0, p - 1)] * (n + k))
+    point = draw(vector)
+    rows = [(coef, -engine._dot(coef, point))
+            for coef in draw(st.lists(vector, max_size=4))]
+    if rows and draw(st.integers(0, 2)) == 0:
+        scale = [draw(st.integers(0, p - 1)) for _ in rows]
+        rows = rows[:3] + [(
+            tuple(sum(a * row[0][i] for a, row in zip(scale, rows))
+                  for i in range(n + k)),
+            sum(a * c for a, (_, c) in zip(scale, rows)) + 1)]
+    return p, n, k, rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(system=_systems())
+def test_solve_lists_the_brute_force_solutions(system):
+    """The `_add_row` echelon of a drawn system, read by `_solve`, against
+    every assignment of the variables and parameters: an inconsistent
+    system is refused and has no solution; a consistent one gives, over
+    every z = (f, mu) whose mu meets the rows of parameters alone, exactly
+    the solutions, each once. Its free variables are its non-pivots, each
+    its own column of B, and a variable is free exactly when the
+    solutions with the variables below it fixed take all its p values,
+    the parameters being below every variable: the state order."""
+    p, n, k, rows = system
+    names = [*range(n), *(-1 - j for j in range(k))]
+    solutions = {
+        z for z in itertools.product(range(p), repeat=n + k)
+        if all((engine._dot(coef, z) + c) % p == 0 for coef, c in rows)}
+    pivots = {}
+    if not all(engine._add_row(
+            {v: a % p for v, a in zip(names, coef) if a % p}, c % p,
+            pivots, p) for coef, c in rows):
+        assert solutions == set()
+        return
+    for v, (coef, _) in pivots.items():
+        assert max(coef) == v and coef[v] == 1
+    conditions = [(coef, c) for v, (coef, c) in pivots.items() if v < 0]
+    solved = engine._solve(pivots, n, p, k)
+    free = [v for v in range(n) if v not in pivots]
+    listed = []
+    for f in itertools.product(range(p), repeat=len(free)):
+        for mu in itertools.product(range(p), repeat=k):
+            params = dict(zip(names[n:], mu))
+            if any((sum(a * params[u] for u, a in coef.items()) + c) % p
+                   for coef, c in conditions):
+                continue
+            listed.append(tuple((x0 + engine._dot(b, f + mu)) % p
+                                for x0, b in solved) + mu)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == solutions
+    for j, v in enumerate(free):
+        assert solved[v] == (0, tuple(int(i == j)
+                                      for i in range(len(free) + k)))
+    for v in range(n):
+        below = [i for i, u in enumerate(names) if u < v]
+        values = {}
+        for z in solutions:
+            values.setdefault(tuple(z[i] for i in below), set()).add(z[v])
+        assert all(len(x) == (p if v in free else 1)
+                   for x in values.values()), v

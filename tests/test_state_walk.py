@@ -232,8 +232,9 @@ def _drawn_loops(draw, p):
         if p == 2:
             kappa = kappa & 2 | engine._dot(ell, tau) % 4 // 2
         bubbles.append((tau, ell, kappa))
-    _, annihilator = engine._solutions(
-        engine._rref([tau + (0,) for tau, _, _ in bubbles], p), d, p)
+    annihilator = list(engine._subspace(
+        engine._echelon([(tau, 0) for tau, _, _ in bubbles], p), d, p)[1]
+        .values())
 
     def vanishing():
         coef = [draw(digit) for _ in annihilator]
