@@ -137,6 +137,8 @@ def _merge_corners(args, *annotations):
     for piece in args.corner or ():
         name, _, value = piece.partition("=")
         try:
+            if not name.strip():
+                raise ValueError
             pairs.append((name.strip(), int(value)))
         except ValueError:
             raise CliError(EXIT_PARSE, f"bad corner assignment {piece!r}")

@@ -158,19 +158,42 @@ def parse_defect(text: str, p: int) -> DefectLabel:
     return label
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got "
+                         f"{text.strip()!r}") from None
+
+
+def _named_ints(pieces, what: str) -> dict:
+    """{name: integer} of the "name=value" `pieces`, each a `what`
+    (parameter, wall parameter or corner): a name given twice, an empty
+    one or a value that is no integer is a ValueError naming it."""
+    values = {}
+    for piece in pieces:
+        k, _, v = piece.partition("=")
+        k = k.strip()
+        if not k:
+            raise ValueError(f"bad {what} assignment {piece!r}")
+        if k in values:
+            raise ValueError(f"{what} {k} named twice")
+        values[k] = _int(v, f"{what} {k}")
+    return values
+
+
+def _pieces(text: str) -> list:
+    return [s for s in (s.strip() for s in text.split(",")) if s]
+
+
 def parse_annotated_defect(text: str, p: int):
     """Parse 'NAME(params;wallparams)[corners]' -> (DefectLabel, corners dict)."""
     text = text.strip()
     corners = {}
     if text.endswith("]"):
         base, _, ann = text.partition("[")
-        ann = ann[:-1]
-        for piece in filter(None, (s.strip() for s in ann.split(","))):
-            k, _, v = piece.partition("=")
-            k = k.strip()
-            if k in corners:
-                raise ValueError(f"corner {k} named twice")
-            corners[k] = int(v) % p
+        corners = {k: v % p
+                   for k, v in _named_ints(_pieces(ann[:-1]), "corner").items()}
         text = base.strip()
     if text.endswith(")"):
         name, _, rest = text.partition("(")
@@ -191,10 +214,7 @@ def parse_annotated_defect(text: str, p: int):
     if len(pieces) != 2:
         raise ValueError(f"defect name {name!r} must name a wall pair")
     par_part, _, wall_part = rest.partition(";")
-    wall_params = {}
-    for piece in filter(None, (s.strip() for s in wall_part.split(","))):
-        k, _, v = piece.partition("=")
-        wall_params[k.strip()] = int(v)
+    wall_params = _named_ints(_pieces(wall_part), "wall parameter")
 
     def build_wall(piece):
         if piece in ("T", "L", "R"):
@@ -225,14 +245,10 @@ def parse_annotated_defect(text: str, p: int):
         raise ValueError("FqFr requires distinct q, r")
     entry = BIVALENT[_biv_key(lower, upper)]
     pnames = entry["params"]
-    values: dict[str, int] = {}
-    positional = []
-    for piece in filter(None, (s.strip() for s in par_part.split(","))):
-        if "=" in piece:
-            k, _, v = piece.partition("=")
-            values[k.strip()] = int(v)
-        else:
-            positional.append(int(piece))
+    pieces = _pieces(par_part)
+    values = _named_ints([s for s in pieces if "=" in s], "parameter")
+    positional = [_int(s, f"parameter {i + 1}")
+                  for i, s in enumerate(pieces) if "=" not in s]
     if positional and values:
         raise ValueError(f"{text!r}: mix of positional and keyword parameters")
     if positional:

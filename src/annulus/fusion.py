@@ -1,10 +1,13 @@
 """High-level drivers: vertical/horizontal defect fusion and wall associators.
 
 Corner parameters (one per F-type corner of the underlying trivalent
-vertices) are unknowns of the compound's one basis solve: a driver builds
-one compound and one quotient per call, and reads every corner assignment
-off it, listing those outside the quotient's support as empty without any
-work for them; given corner values build the compound at that point.
+vertices) are named by the compound's builder (`CompoundDefect.corner_names`,
+in vertex order), which also refuses given values that do not name exactly
+those corners. Left unknowns of the compound's one basis solve, they are
+the quotient's corners in the same order: every driver builds one compound
+and one quotient per call (`_fuse`), and reads every corner assignment off
+it, listing those outside the quotient's support as empty without any work
+for them; given corner values build the compound at that point.
 Associator results are additionally compressed to exact delta constraints
 and diffed against the golden table shipped in data/associator_table.json.
 """
@@ -13,16 +16,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .defects import DefectLabel, enumerate_defects, trivial_defect
 from .engine import QuotientRep, decompose
 from .scalars import mod_inverse
 from .structures import (
-    ASSOCIATOR_CORNERS, HORIZONTAL_CORNERS, StructureError,
-    associator_compound, associator_corner_names, horizontal_compound,
-    horizontal_corner_names, vertical_compound,
+    CornerError, associator_compound, horizontal_compound, vertical_compound,
 )
 from .walls import BimoduleLabel, all_walls, wall_product
 
@@ -95,88 +96,49 @@ def _decomposition(qr, mu=()) -> tuple:
 
 def vertical_fuse(d1: DefectLabel, d2: DefectLabel) -> FusionResult:
     """Stack d1 below d2 and decompose (no corner parameters arise)."""
-    cd = vertical_compound(d1, d2)
-    out = _decomposition(QuotientRep(cd))
-    return FusionResult("vertical", d1.p, (d1.name(), d2.name()), (), (((), out),))
+    return _fuse("vertical", vertical_compound(d1, d2), (d1, d2))
 
 
 def horizontal_fuse(d1: DefectLabel, d2: DefectLabel,
                     corners: dict | None = None) -> FusionResult:
     """Fuse side by side, at the corner values given, or at every corner
-    assignment (`_sweep`)."""
-    names = tuple(horizontal_corner_names(d1, d2))
-    point = _corner_point(names, d1.p, corners)
-    if point is None:
-        outcomes = _sweep(horizontal_compound(d1, d2), names,
-                          HORIZONTAL_CORNERS)
-    else:
-        at = dict(zip(names, point))
-        cd = horizontal_compound(d1, d2, corner_bottom=at.get("bottom"),
-                                 corner_top=at.get("top"))
-        outcomes = ((point, _decomposition(QuotientRep(cd))),)
-    return FusionResult("horizontal", d1.p, (d1.name(), d2.name()), names,
-                        outcomes)
+    assignment (`_fuse`)."""
+    return _fuse("horizontal", horizontal_compound(d1, d2, corners),
+                 (d1, d2), corners)
 
 
 def associator(m: BimoduleLabel, n: BimoduleLabel, pw: BimoduleLabel,
                corners: dict | None = None) -> FusionResult:
     """The compound defect of the [M,N,P] triangle, at the corner values
-    given, or at every corner assignment (`_sweep`) with delta
+    given, or at every corner assignment (`_fuse`) with delta
     compression."""
-    p = m.p
-    names = tuple(associator_corner_names(m, n, pw))
-    point = _corner_point(names, p, corners)
-    constraints = None
-    if point is None:
-        outcomes = _sweep(associator_compound(m, n, pw), names,
-                          ASSOCIATOR_CORNERS)
-        constraints = infer_delta_constraints(names, outcomes, p)
-    else:
-        cd = associator_compound(m, n, pw, dict(zip(names, point)))
-        outcomes = ((point, _decomposition(QuotientRep(cd))),)
-    return FusionResult("associator", p, (m.name(), n.name(), pw.name()),
-                        names, outcomes, constraints)
+    result = _fuse("associator", associator_compound(m, n, pw, corners),
+                   (m, n, pw), corners)
+    if corners is not None:
+        return result
+    return replace(result, constraints=infer_delta_constraints(
+        result.corner_names, result.outcomes, result.p))
 
 
-def _sweep(cd, names, vertex_of: dict) -> tuple:
-    """((assignment, decomposition), ...) at every assignment of the
-    corners `names`, in order, off cd's one quotient (`QuotientRep`), whose
-    corners are unknowns; `vertex_of` maps a corner name to its vertex. The
-    quotient reads corner values in the order of its `corners` vertices.
-    An assignment outside the quotient's support has an empty
-    decomposition, and nothing is computed for it."""
+def _fuse(kind: str, cd, inputs, corners=None) -> FusionResult:
+    """The result of the compound cd, built at the given `corners`: one
+    decomposition at that point; or built with none, its corners unknowns:
+    its one quotient (`QuotientRep`) read at every assignment of
+    `cd.corner_names`, which are the quotient's corners in its order. An
+    assignment outside the quotient's support has an empty decomposition,
+    and nothing is computed for it."""
+    names, p = cd.corner_names, cd.p
     qr = QuotientRep(cd)
-    vertices = [vertex_of[nm] for nm in names]
-    if sorted(vertices) != sorted(qr.corners):
-        raise StructureError(f"corners {list(names)} are not those of the "
-                             f"compound's vertices {list(qr.corners)}")
-    order = [vertices.index(vid) for vid in qr.corners]
-    support = qr.support()
-    out = []
-    for t in itertools.product(range(cd.p), repeat=len(names)):
-        mu = tuple([t[i] for i in order])
-        out.append((t, _decomposition(qr, mu) if mu in support else ()))
-    return tuple(out)
-
-
-class CornerError(StructureError):
-    """Given corner values that do not name exactly the structure's
-    corners."""
-
-
-def _corner_point(names, p, corners):
-    """The values `corners` gives, as a tuple aligned with the corners
-    `names` and reduced mod p, or None when it gives none; it must name
-    exactly those corners (else CornerError)."""
-    if corners is None:
-        return None
-    unknown = set(corners) - set(names)
-    if unknown:
-        raise CornerError(f"unknown corner names {sorted(unknown)}")
-    missing = set(names) - set(corners)
-    if missing:
-        raise CornerError(f"missing corner values {sorted(missing)}")
-    return tuple(corners[nm] % p for nm in names)
+    if corners is not None:
+        point = tuple(corners[nm] % p for nm in names)
+        outcomes = ((point, _decomposition(qr)),)
+    else:
+        support = qr.support()
+        outcomes = tuple(
+            (t, _decomposition(qr, t) if t in support else ())
+            for t in itertools.product(range(p), repeat=len(names)))
+    return FusionResult(kind, p, tuple(x.name() for x in inputs), names,
+                        outcomes)
 
 
 def infer_delta_constraints(names, outcomes, p):

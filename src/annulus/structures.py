@@ -79,8 +79,11 @@ def check_incidence(templates: dict, edges: list) -> dict:
         if template not in TEMPLATE_SLOTS:
             raise StructureError(
                 f"vertex {vid}: unknown template {template!r}")
-    if len({e.eid for e in edges}) != len(edges):
-        raise StructureError("duplicate edge ids")
+    first = {}
+    for i, e in enumerate(edges):
+        if first.setdefault(e.eid, i) != i:
+            raise StructureError(f"duplicate edge ids: edges {first[e.eid]} "
+                                 f"and {i} are both {e.eid!r}")
     slot_edge = {}
     for e in edges:
         if len(e.ends) != 2:
@@ -275,12 +278,18 @@ class DomainWallStructure:
 
 
 class CompoundDefect:
-    """A structure with a representation assigned to every vertex."""
+    """A structure with a representation assigned to every vertex.
 
-    def __init__(self, structure: DomainWallStructure, reps: dict):
+    `corner_names` names the corners its vertices carry, in vertex order,
+    as the built-in templates name them (`_trivalent_reps`); a compound
+    read from an explicit graph or a patch names none."""
+
+    def __init__(self, structure: DomainWallStructure, reps: dict,
+                 corner_names: tuple = ()):
         self.structure = structure
         self.p = structure.p
         self.reps = dict(reps)
+        self.corner_names = corner_names
         if set(self.reps) != set(structure.vertices):
             raise StructureError("assignment must cover exactly the vertices")
         for vid, rep in self.reps.items():
@@ -309,8 +318,41 @@ class CompoundDefect:
 # --------------------------------------------------------------------------
 
 
-def vertical_compound(d1: DefectLabel, d2: DefectLabel) -> CompoundDefect:
-    """d1 stacked below d2; d1's upper wall must equal d2's lower wall."""
+class CornerError(StructureError):
+    """Given corner values that do not name exactly a compound's corners."""
+
+
+def _trivalent_reps(corners: dict | None, vertex_of: dict,
+                    vertices: list) -> tuple:
+    """({vid: TrivalentRep}, corner names) for `vertices`, a list of
+    (corner name, direction, first wall, second wall) in vertex order, the
+    vertex of each name `vertex_of[name]`: the names are those of the
+    vertices whose family carries a corner, in that order. With no
+    `corners` each carried corner is `reps.VARIABLE`, an unknown of the
+    basis solve; a dict must give a value to each carried corner and to no
+    other name (else CornerError)."""
+    carried = tuple(name for name, direction, first, second in vertices
+                    if (TRI21 if direction == "tri21" else TRI12)[
+                        (first.ekind(), second.ekind())]["mu"])
+    if corners is None:
+        corners = dict.fromkeys(carried, VARIABLE)
+    elif corners.keys() != set(carried):
+        unknown = corners.keys() - set(carried)
+        if unknown:
+            raise CornerError(f"unknown corner names {sorted(unknown)}")
+        raise CornerError("missing corner values "
+                          f"{sorted(set(carried) - corners.keys())}")
+    reps = {vertex_of[name]: TrivalentRep(direction, first, second,
+                                          corner=corners.get(name))
+            for name, direction, first, second in vertices}
+    return reps, carried
+
+
+def vertical_compound(d1: DefectLabel, d2: DefectLabel,
+                      corners: dict | None = None) -> CompoundDefect:
+    """d1 stacked below d2; d1's upper wall must equal d2's lower wall. It
+    has no corner, so `corners`, when given, must be empty."""
+    _trivalent_reps(corners, {}, [])
     if d1.upper != d2.lower:
         raise StructureError(
             f"wall mismatch: {d1.name()} upper is {d1.upper.name()}, "
@@ -332,13 +374,18 @@ ASSOCIATOR_CORNERS = {"mu0": "v1", "mu1": "v2", "nu0": "v3", "nu1": "v4"}
 
 
 def horizontal_compound(d1: DefectLabel, d2: DefectLabel,
-                        corner_bottom=VARIABLE,
-                        corner_top=VARIABLE) -> CompoundDefect:
+                        corners: dict | None = None) -> CompoundDefect:
     """The diamond: d1 on the left, d2 on the right, one internal cavity.
 
-    A corner not given is an unknown of the basis solve (`reps.VARIABLE`)."""
-    vb = TrivalentRep("tri12", d1.lower, d2.lower, corner=corner_bottom)
-    vt = TrivalentRep("tri21", d1.upper, d2.upper, corner=corner_top)
+    Corner names: bottom at the split (vb), top at the merge (vt), each
+    carried when its vertex's family has a corner parameter. With no
+    `corners`, each carried corner is an unknown of the basis solve
+    (`reps.VARIABLE`); a dict must give exactly the carried ones
+    (`_trivalent_reps`)."""
+    reps, names = _trivalent_reps(corners, HORIZONTAL_CORNERS, [
+        ("bottom", "tri12", d1.lower, d2.lower),
+        ("top", "tri21", d1.upper, d2.upper)])
+    vb, vt = reps["vb"], reps["vt"]
     edges = [
         Edge("bottom", vb.third, (None, ("vb", "bottom"))),
         Edge("a1", d1.lower, (("vb", "tl"), ("d1", "lower"))),
@@ -352,7 +399,8 @@ def horizontal_compound(d1: DefectLabel, d2: DefectLabel,
         {"vb": "tri12", "d1": "bivalent", "d2": "bivalent", "vt": "tri21"},
         edges, ["bottom", "top"])
     return CompoundDefect(structure, {"vb": vb, "d1": BivalentRep(d1),
-                                      "d2": BivalentRep(d2), "vt": vt})
+                                      "d2": BivalentRep(d2), "vt": vt},
+                          names)
 
 
 def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel,
@@ -360,20 +408,17 @@ def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel
     """The triangle [M,N,P]: two 1:2 splits, two 2:1 merges, two cavities.
 
     Corner names: mu0 at the bottom split (W1 -> M, N*P), mu1 at the upper
-    split (N*P -> N, P), nu0 at the M,N merge, nu1 at the top merge. With
-    no `corners`, every corner is an unknown of the basis solve
-    (`reps.VARIABLE`); a dict must give each one.
+    split (N*P -> N, P), nu0 at the M,N merge, nu1 at the top merge, each
+    carried when its vertex's family has a corner parameter. With no
+    `corners`, each carried corner is an unknown of the basis solve
+    (`reps.VARIABLE`); a dict must give exactly the carried ones
+    (`_trivalent_reps`).
     """
-    missing = VARIABLE if corners is None else None
-    corners = dict(corners or {})
-    at = {vid: corners.pop(name, missing)
-          for name, vid in ASSOCIATOR_CORNERS.items()}
-    v1 = TrivalentRep("tri12", m, wall_product(n, pwall), corner=at["v1"])
-    v2 = TrivalentRep("tri12", n, pwall, corner=at["v2"])
-    v3 = TrivalentRep("tri21", m, n, corner=at["v3"])
-    v4 = TrivalentRep("tri21", v3.third, pwall, corner=at["v4"])
-    if corners:
-        raise StructureError(f"unknown corner names {sorted(corners)}")
+    reps, names = _trivalent_reps(corners, ASSOCIATOR_CORNERS, [
+        ("mu0", "tri12", m, wall_product(n, pwall)),
+        ("mu1", "tri12", n, pwall), ("nu0", "tri21", m, n),
+        ("nu1", "tri21", wall_product(m, n), pwall)])
+    v1, v2, v3, v4 = reps.values()
     if v1.third != v4.third:
         raise StructureError("wall product is not associative?!")
     edges = [
@@ -388,31 +433,7 @@ def associator_compound(m: BimoduleLabel, n: BimoduleLabel, pwall: BimoduleLabel
     structure = DomainWallStructure(
         m.p, {"v1": "tri12", "v2": "tri12", "v3": "tri21", "v4": "tri21"},
         edges, ["bottom", "top"])
-    return CompoundDefect(structure,
-                          {"v1": v1, "v2": v2, "v3": v3, "v4": v4})
-
-
-def associator_corner_names(m, n, pwall) -> list[str]:
-    """The corner parameters the [M,N,P] structure actually carries."""
-    names = []
-    if TRI12[(m.ekind(), wall_product(n, pwall).ekind())]["mu"]:
-        names.append("mu0")
-    if TRI12[(n.ekind(), pwall.ekind())]["mu"]:
-        names.append("mu1")
-    if TRI21[(m.ekind(), n.ekind())]["mu"]:
-        names.append("nu0")
-    if TRI21[(wall_product(m, n).ekind(), pwall.ekind())]["mu"]:
-        names.append("nu1")
-    return names
-
-
-def horizontal_corner_names(d1, d2) -> list[str]:
-    names = []
-    if TRI12[(d1.lower.ekind(), d2.lower.ekind())]["mu"]:
-        names.append("bottom")
-    if TRI21[(d1.upper.ekind(), d2.upper.ekind())]["mu"]:
-        names.append("top")
-    return names
+    return CompoundDefect(structure, reps, names)
 
 
 # --------------------------------------------------------------------------
@@ -483,9 +504,8 @@ def compound_from_json(doc: dict) -> CompoundDefect:
     Besides explicit graphs, the built-in templates are accepted as
     shorthand: {"p", "template": "vertical"|"diamond", "defects": [d1, d2],
     "corners": {...}} and {"p", "template": "associator", "walls":
-    [M, N, P], "corners": {...}}. A corner name the template does not have
-    (any for "vertical"; other than "bottom" and "top" for "diamond") is a
-    StructureError.
+    [M, N, P], "corners": {...}}. "corners" must give exactly the corners
+    the template's builder carries (`CornerError`).
     """
     p = _document_p(doc)
     template = doc.get("template")
@@ -494,17 +514,11 @@ def compound_from_json(doc: dict) -> CompoundDefect:
                    for k, v in _document_kind(doc.get("corners") or {}, dict,
                                               "corners").items()}
         if template in ("vertical", "diamond"):
-            unknown = set(corners) - (
-                {"bottom", "top"} if template == "diamond" else set())
-            if unknown:
-                raise StructureError(f"unknown corner names {sorted(unknown)}")
             d1, d2 = (parse_defect(t, p) for t in _shaped(
                 doc["defects"], ("d1", "d2"), f"{template} template defects"))
-            if template == "vertical":
-                return vertical_compound(d1, d2)
-            return horizontal_compound(d1, d2,
-                                       corner_bottom=corners.get("bottom"),
-                                       corner_top=corners.get("top"))
+            build = (vertical_compound if template == "vertical"
+                     else horizontal_compound)
+            return build(d1, d2, corners)
         if template == "associator":
             walls = [BimoduleLabel.parse(t, p) for t in _shaped(
                 doc["walls"], ("M", "N", "P"), "associator template walls")]

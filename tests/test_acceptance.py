@@ -228,7 +228,7 @@ def test_criterion_6_quotient_correctness():
         q, x, z, c, nu = (p - 1, 1 % p, 2 % p, 1 % p, (p + 1) // 2)
         cd = horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
                                  parse_defect(f"LL(a={c},x={z})", p),
-                                 corner_top=nu)
+                                 {"top": nu})
         qr = QuotientRep(cd)
         assert qr.total_dim() == p * p
         shift = mod_inverse(q, p) * (x + z - nu) % p
@@ -269,10 +269,9 @@ def test_criterion_7_decomposition_completeness():
             checked += 1
         for _ in range(6):
             m, n, pw = (walls[rng.randrange(len(walls))] for _ in range(3))
-            from annulus.structures import (
-                associator_compound, associator_corner_names)
+            from annulus.structures import associator_compound
 
-            names = associator_corner_names(m, n, pw)
+            names = associator_compound(m, n, pw).corner_names
             corners = {nm: rng.randrange(p) for nm in names}
             qr = QuotientRep(associator_compound(m, n, pw, corners))
             out = decompose(qr)

@@ -210,6 +210,48 @@ def test_a_corner_named_twice_is_a_usage_error(args, message):
     assert r.stderr == message
 
 
+@pytest.mark.parametrize("args, message", [
+    (("fuse-vertical", "-p", "3", "FqR(x=1,x=2;q=1)", "RR(a=0,x=0)"),
+     "error: bad defect label 'FqR(x=1,x=2;q=1)': parameter x named twice\n"),
+    (("fuse-vertical", "-p", "3", "XkXk(a=0,x=0;k=1,k=2)", "TT(a=0,b=0)"),
+     "error: bad defect label 'XkXk(a=0,x=0;k=1,k=2)': wall parameter k "
+     "named twice\n"),
+    (("fuse-vertical", "-p", "3", "TT(a=x,b=0)", "TT(a=0,b=0)"),
+     "error: bad defect label 'TT(a=x,b=0)': parameter a must be an "
+     "integer, got 'x'\n"),
+    (("fuse-vertical", "-p", "3", "TT(x,0)", "TT(a=0,b=0)"),
+     "error: bad defect label 'TT(x,0)': parameter 1 must be an integer, "
+     "got 'x'\n"),
+    (("fuse-vertical", "-p", "3", "XkXk(a=0,x=0;k=y)", "TT(a=0,b=0)"),
+     "error: bad defect label 'XkXk(a=0,x=0;k=y)': wall parameter k must be "
+     "an integer, got 'y'\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[top=x]", "TT(0,0)"),
+     "error: bad defect label 'TT(0,0)[top=x]': corner top must be an "
+     "integer, got 'x'\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[top]", "TT(0,0)"),
+     "error: bad defect label 'TT(0,0)[top]': corner top must be an "
+     "integer, got ''\n"),
+    (("fuse-vertical", "-p", "3", "TT(a=0,b=0))", "TT(a=0,b=0)"),
+     "error: bad defect label 'TT(a=0,b=0))': parameter b must be an "
+     "integer, got '0)'\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)[=1]", "TT(0,0)"),
+     "error: bad defect label 'TT(0,0)[=1]': bad corner assignment '=1'\n"),
+    (("fuse-horizontal", "-p", "3", "TT(0,0)", "TT(0,0)", "--corner", "=1"),
+     "error: bad corner assignment '=1'\n"),
+], ids=["parameter-twice", "wall-parameter-twice", "parameter-text",
+        "positional-text", "wall-parameter-text", "corner-text",
+        "corner-no-value", "extra-parenthesis", "annotation-no-name",
+        "option-no-name"])
+def test_a_bad_piece_of_a_label_is_named(args, message):
+    """A defect label's parameter, wall parameter or corner named twice,
+    or with a value that is no integer, exits 2 naming it and its text,
+    where the last value used to win or Python's int() spoke; so does a
+    corner assignment with no name."""
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr == message
+
+
 # SHA-256 of each table's stdout as recorded; output must stay byte-identical
 _TABLE_DIGESTS = {
     ("associator", "-p", "2", "--table"):
@@ -540,8 +582,7 @@ def test_template_shorthand_documents(tmp_path):
 def test_a_template_document_naming_a_corner_it_lacks_exits_6(tmp_path, doc,
                                                              name):
     """A diamond has only the corners bottom and top, a vertical stack
-    none: any other name is refused, as the associator template already
-    refuses one, not silently dropped."""
+    none: any other name is refused, not silently dropped."""
     from annulus.structures import StructureError, compound_from_json
 
     path = tmp_path / "doc.json"
@@ -556,6 +597,34 @@ def test_a_template_document_naming_a_corner_it_lacks_exits_6(tmp_path, doc,
     assert (f"bad structure document: unknown corner names ['{name}']"
             in r.stderr)
     assert "Traceback" not in r.stderr
+
+
+_DIAMOND_TEMPLATE = {"p": 3, "template": "diamond",
+                     "defects": ["FqR(x=1;q=1)", "LL(a=1,x=2)"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_DIAMOND_TEMPLATE, "missing corner values ['top']"),
+    ({**_DIAMOND_TEMPLATE, "corners": {"top": 1, "bottom": 0}},
+     "unknown corner names ['bottom']"),
+    ({"p": 3, "template": "associator", "walls": ["R", "Fq:2", "R"],
+      "corners": {"mu0": 2}}, "missing corner values ['nu1']"),
+    ({"p": 3, "template": "associator", "walls": ["R", "Fq:2", "R"],
+      "corners": {"mu0": 2, "nu1": 1, "mu1": 0}},
+     "unknown corner names ['mu1']"),
+], ids=["diamond-missing", "diamond-uncarried-0", "associator-missing",
+        "associator-uncarried-0"])
+def test_a_template_document_gives_exactly_the_cells_corners(tmp_path, doc,
+                                                             message):
+    """A template document's corners are checked by the template's builder,
+    as a driver's are: a corner the cell carries and the document leaves
+    out is named as missing, and a name the cell lacks is refused even at
+    value 0."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("decompose", str(path))
+    assert r.returncode == 6, r.stdout
+    assert r.stderr == f"error: bad structure document: {message}\n"
 
 
 def _t_patch(corner):
@@ -772,7 +841,7 @@ def test_a_document_says_what_it_lacks(tmp_path, command, doc, message):
 def _diamond_doc(change):
     doc = compound_to_json(horizontal_compound(
         parse_defect("FqR(x=1;q=2)", 3), parse_defect("LL(a=1,x=2)", 3),
-        corner_top=1))
+        {"top": 1}))
     return change(doc) or doc
 
 
@@ -869,6 +938,9 @@ def _ttt_structure(change):
                    "walls": ["T", ["T"], "T"]},
      'bad structure document: associator template walls: N must be a '
      'string, got ["T"]'),
+    ("lw", _malformed_patch(lambda d: d["edges"][1].update(
+        id=d["edges"][0]["id"])),
+     "bad patch document: duplicate edge ids: edges 0 and 1 are both 'h0_w'"),
 ], ids=["associator-walls", "vertical-defects", "cavity-corner", "edge-end",
         "structure-p", "patch-p", "face-corner", "vertex-walls",
         "patch-vertex-string", "structure-edge-string",
@@ -880,7 +952,7 @@ def _ttt_structure(change):
         "structure-end-vertex", "structure-edge-id", "structure-external",
         "structure-edge-wall", "structure-template",
         "structure-cavity-vertex", "structure-defect",
-        "associator-template-wall"])
+        "associator-template-wall", "patch-edge-id-twice"])
 def test_a_malformed_entry_is_named(tmp_path, command, doc, message):
     """An entry of the wrong shape or type is named with what it must be,
     and by its position when it is a list's entry, not reported in

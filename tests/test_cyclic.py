@@ -9,9 +9,7 @@ import pytest
 from annulus import engine
 from annulus.levinwen import defect_line_patch, hexagon_chain_patch
 from annulus.reps import BivalentRep, TrivalentRep
-from annulus.structures import (
-    StructureError, associator_compound, associator_corner_names,
-)
+from annulus.structures import StructureError, associator_compound
 from annulus.walls import BimoduleLabel, all_walls
 from state_walk import walk
 from test_levinwen import (
@@ -110,7 +108,7 @@ def test_every_p3_associator_cell_agrees_with_the_reference(verdicts):
     p = 3
     walls = all_walls(p)
     for m, n, pw in itertools.product(walls, repeat=3):
-        names = associator_corner_names(m, n, pw)
+        names = associator_compound(m, n, pw).corner_names
         for values in itertools.product(range(p), repeat=len(names)):
             cd = associator_compound(m, n, pw, dict(zip(names, values)))
             engine.QuotientRep(cd)

@@ -17,9 +17,8 @@ from annulus.reps import BivalentRep
 from annulus.scalars import CycField, mod_inverse
 from annulus.structures import (
     BUBBLE_SIGN, TEMPLATE_CCW, CompoundDefect, Edge, DomainWallStructure,
-    StructureError, associator_compound, associator_corner_names,
-    compound_from_json, compound_to_json, horizontal_compound,
-    horizontal_corner_names, vertical_compound,
+    StructureError, associator_compound, compound_from_json,
+    compound_to_json, horizontal_compound, vertical_compound,
 )
 from annulus.walls import all_walls, wall
 from matrix_quotient import cavity_symmetrizer
@@ -42,7 +41,7 @@ def test_vertical_faces():
 def test_diamond_faces():
     d1 = parse_defect("FqR(x=0;q=1)", 3)
     d2 = parse_defect("LL(a=0,x=0)", 3)
-    cd = horizontal_compound(d1, d2, corner_top=0)
+    cd = horizontal_compound(d1, d2, {"top": 0})
     s = cd.structure
     assert _corners(s.left_face) == {("vb", "left"), ("d1", "left"), ("vt", "left")}
     assert _corners(s.right_face) == {("vb", "right"), ("d2", "right"), ("vt", "right")}
@@ -72,15 +71,14 @@ def _euler_characteristic(s):
 def _template_structures(p):
     walls = all_walls(p)
     for m, n, pw in itertools.product(walls, repeat=3):
-        corners = dict.fromkeys(associator_corner_names(m, n, pw), 0)
+        corners = dict.fromkeys(associator_compound(m, n, pw).corner_names, 0)
         yield associator_compound(m, n, pw, corners).structure
         yield vertical_compound(enumerate_defects(m, n)[0],
                                 enumerate_defects(n, pw)[0]).structure
     for a, b, c, d in itertools.product(walls, repeat=4):
         d1, d2 = enumerate_defects(a, b)[0], enumerate_defects(c, d)[0]
-        corners = dict.fromkeys(horizontal_corner_names(d1, d2), 0)
-        yield horizontal_compound(d1, d2, corners.get("bottom"),
-                                  corners.get("top")).structure
+        corners = dict.fromkeys(horizontal_compound(d1, d2).corner_names, 0)
+        yield horizontal_compound(d1, d2, corners).structure
 
 
 def _patch_structure(patch):
@@ -144,7 +142,7 @@ def test_basis_counts():
     assert len(enumerate_basis(cd)) == p * p
     # diamond of the first horizontal example: p^3 before the quotient
     cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
-                             parse_defect("LL(a=0,x=1)", p), corner_top=0)
+                             parse_defect("LL(a=0,x=1)", p), {"top": 0})
     assert len(enumerate_basis(cd)) == p ** 3
 
 
@@ -188,7 +186,7 @@ def test_diamond_boundary_action_composes():
     p = 3
     F = CycField(p)
     cd = horizontal_compound(parse_defect("FqR(x=1;q=2)", p),
-                             parse_defect("LL(a=1,x=2)", p), corner_top=2)
+                             parse_defect("LL(a=1,x=2)", p), {"top": 2})
     basis = enumerate_basis(cd)
     for vec in basis[:9]:
         for g in range(p):
@@ -213,7 +211,7 @@ def test_bubble_fqr_ll_phase():
     p, q, x, z, c, nu = 5, 2, 1, 3, 2, 4
     F = CycField(p)
     cd = horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
-                             parse_defect(f"LL(a={c},x={z})", p), corner_top=nu)
+                             parse_defect(f"LL(a={c},x={z})", p), {"top": nu})
     for vec in enumerate_basis(cd):
         (m, n), (t,), (_,), (_, _) = vec  # vb=(m,n), d1=(t,), d2=(n,), vt=(t,c+n)
         for g in range(p):
@@ -289,7 +287,7 @@ def test_symmetrizer_image_conditions():
     # F_qR(x) x LL(c,z): survivors have t = q^{-1}(x+z-nu) + m
     q, x, z, c, nu = 2, 1, 2, 1, 2
     cd = horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
-                             parse_defect(f"LL(a={c},x={z})", p), corner_top=nu)
+                             parse_defect(f"LL(a={c},x={z})", p), {"top": nu})
     qr = QuotientRep(cd)
     assert qr.total_dim() == p * p
     shift = mod_inverse(q, p) * (x + z - nu) % p
@@ -354,7 +352,7 @@ def test_symmetrizers_commute_with_boundary():
     p = 3
     F = CycField(p)
     cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
-                             parse_defect("LL(a=2,x=0)", p), corner_top=1)
+                             parse_defect("LL(a=2,x=0)", p), {"top": 1})
     qr = QuotientRep(cd)
     for grade in qr.grade_dims():
         for g in range(p):
@@ -391,7 +389,7 @@ def test_quotient_boundary_matrices_between_grades():
     """Boundary generators permute the quotient grades and act invertibly."""
     p = 3
     cd = horizontal_compound(parse_defect("FqR(x=1;q=2)", p),
-                             parse_defect("LL(a=1,x=0)", p), corner_top=0)
+                             parse_defect("LL(a=1,x=0)", p), {"top": 0})
     qr = QuotientRep(cd)
     for grade in qr.grade_dims():
         (m, n), (t, u) = grade
@@ -423,7 +421,7 @@ def test_size_limit(monkeypatch):
     monkeypatch.setenv("ANNULUS_MAX_BASIS", "10")
     p = 5
     cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
-                             parse_defect("LL(a=0,x=0)", p), corner_top=0)
+                             parse_defect("LL(a=0,x=0)", p), {"top": 0})
     with pytest.raises(SizeLimitError,
                        match="compound basis exceeds ANNULUS_MAX_BASIS=10"):
         enumerate_basis(cd)
@@ -490,7 +488,7 @@ def test_a_cavity_listing_a_corner_twice_is_refused():
     compared as sets let it pass."""
     p = 3
     walls = [wall(p, "T"), wall(p, "R"), wall(p, "L")]
-    corners = dict.fromkeys(associator_corner_names(*walls), 1)
+    corners = dict.fromkeys(associator_compound(*walls).corner_names, 1)
     doc = compound_to_json(associator_compound(*walls, corners))
     assert QuotientRep(compound_from_json(doc)).total_dim() == 9
     assert ["v4", "mid"] in doc["cavities"][1]
@@ -529,7 +527,7 @@ def test_inconsistent_assignment_gives_the_empty_quotient():
     ends at the solve, with an empty surface."""
     p = 3
     t, l = wall(p, "T"), wall(p, "L")
-    assert associator_corner_names(t, l, t) == ["mu1", "nu1"]
+    assert associator_compound(t, l, t).corner_names == ("mu1", "nu1")
     cd = associator_compound(t, l, t, {"mu1": 0, "nu1": 1})
     _assert_empty_quotient(QuotientRep(cd))
     doc = compound_to_json(cd)
@@ -574,7 +572,7 @@ def _brute_force_basis(cd):
 
 def _associators(p):
     for m, n, pw in itertools.product(all_walls(p), repeat=3):
-        names = associator_corner_names(m, n, pw)
+        names = associator_compound(m, n, pw).corner_names
         for vals in itertools.product(range(p), repeat=len(names)):
             yield associator_compound(m, n, pw, dict(zip(names, vals)))
 
@@ -585,7 +583,7 @@ def _diamonds_p3():
         for nu in range(p):
             yield horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
                                       parse_defect(f"LL(a={c},x={z})", p),
-                                      corner_top=nu)
+                                      {"top": nu})
     for k, l in ((1, 2), (2, 1)):
         for z in range(p):
             yield horizontal_compound(parse_defect(f"XkXl(;k={k},l={l})", p),
@@ -651,7 +649,7 @@ def _phase_structures():
     for p in (2, 3, 5):
         yield horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
                                   parse_defect(f"LL(a=1,x={p - 1})", p),
-                                  corner_top=1)
+                                  {"top": 1})
         if p > 2:  # X_k X_l needs k != l
             yield horizontal_compound(parse_defect("XkXl(;k=1,l=2)", p),
                                       parse_defect("F0R(x=1)", p))

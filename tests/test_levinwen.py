@@ -277,7 +277,7 @@ def _one_vertex_edges():
 
 @pytest.mark.parametrize("change, message", [
     (lambda es: es[:2] + [PatchEdge("e1", es[2].wall, es[2].ends)],
-     "duplicate edge ids"),
+     "duplicate edge ids: edges 0 and 2 are both 'e1'"),
     (lambda es: es[:2] + [PatchEdge("e3", es[2].wall, es[2].ends + (None,))],
      "edge e3 must have two ends"),
     (lambda es: es + [PatchEdge("e4", es[0].wall, (None, None))],

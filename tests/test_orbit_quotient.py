@@ -38,7 +38,7 @@ def _criterion_2_p5():
         for nu in range(p):
             yield horizontal_compound(parse_defect(f"FqR(x={x};q={q})", p),
                                       parse_defect(f"LL(a={c},x={z})", p),
-                                      corner_top=nu)
+                                      {"top": nu})
     for k, l, z in ((1, 2, 0), (3, 1, 4)):
         yield horizontal_compound(parse_defect(f"XkXl(;k={k},l={l})", p),
                                   parse_defect(f"F0R(x={z})", p))
@@ -115,7 +115,7 @@ def test_state_dependent_bubble_phase_is_rejected(monkeypatch):
     label: Bub_u then carries t where Bub_1^u carries u*t."""
     p = 3
     cd = horizontal_compound(parse_defect("FqR(x=1;q=1)", p),
-                             parse_defect("LL(a=1,x=2)", p), corner_top=1)
+                             parse_defect("LL(a=1,x=2)", p), {"top": 1})
     _extra_phase(monkeypatch, cd.reps["d1"],
                  lambda vec, args: vec[0] if args.get("right") else 0)
     with pytest.raises(StructureError,
@@ -149,7 +149,7 @@ def test_bubble_that_leaves_its_grade_is_rejected(monkeypatch):
     that stays in the basis but moves the external labels."""
     p = 3
     cd = horizontal_compound(parse_defect("FqR(x=1;q=2)", p),
-                             parse_defect("LL(a=1,x=2)", p), corner_top=2)
+                             parse_defect("LL(a=1,x=2)", p), {"top": 2})
     assert QuotientRep(cd).total_dim()
     boundary = engine._boundary_args
     monkeypatch.setattr(engine, "_bubble_args",

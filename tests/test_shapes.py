@@ -9,8 +9,7 @@ from annulus.fusion import associator
 from annulus.levinwen import hexagon_chain_patch
 from annulus.structures import (
     CompoundDefect, DomainWallStructure, Edge, StructureError,
-    associator_compound, associator_corner_names, compound_from_json,
-    compound_to_json,
+    associator_compound, compound_from_json, compound_to_json,
 )
 from annulus.walls import BimoduleLabel
 
@@ -23,7 +22,7 @@ def _support_point(m, n, pw):
     """A corner dict at which the [M,N,P] cell decomposes to something."""
     result = associator(m, n, pw)
     values = next(v for v, out in result.outcomes if out)
-    return dict(zip(associator_corner_names(m, n, pw), values))
+    return dict(zip(associator_compound(m, n, pw).corner_names, values))
 
 
 def test_compounds_of_one_topology_share_their_shape_not_their_walls():

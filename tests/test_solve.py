@@ -75,7 +75,7 @@ def test_compound_labels_that_are_not_affine_are_refused(monkeypatch):
         BIVALENT[("L", "L", None)], "edges",
         lambda v, d, w: (v[0], d["a"] + v[0] if v[0] else v[0]))
     cd = horizontal_compound(parse_defect("FqR(x=1;q=2)", 3),
-                             parse_defect("LL(a=1,x=2)", 3), corner_top=2)
+                             parse_defect("LL(a=1,x=2)", 3), {"top": 2})
     with pytest.raises(StructureError,
                        match=r"vertex d2: edge labels are not affine"):
         enumerate_basis(cd)

@@ -20,8 +20,7 @@ from annulus.levinwen import (
 )
 from annulus.reps import BivalentRep, TrivalentRep
 from annulus.structures import (
-    StructureError, associator_compound, associator_corner_names,
-    compound_to_json,
+    StructureError, associator_compound, compound_to_json,
 )
 from annulus.scalars import cyc_field
 from annulus.walls import BimoduleLabel, all_walls
@@ -149,7 +148,7 @@ def _associator_cells(draw):
     p = draw(st.sampled_from([2, 3]))
     walls = [draw(st.sampled_from(all_walls(p))) for _ in range(3)]
     corners = {name: draw(st.integers(0, p - 1))
-               for name in associator_corner_names(*walls)}
+               for name in associator_compound(*walls).corner_names}
     return associator_compound(*walls, corners)
 
 

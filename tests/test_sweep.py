@@ -11,13 +11,13 @@ from collections import Counter
 import pytest
 
 from annulus import engine, fusion
-from annulus.defects import DefectLabel, parse_defect
+from annulus.defects import DefectLabel, enumerate_defects, parse_defect
 from annulus.engine import QuotientRep, decompose
 from annulus.fusion import associator, horizontal_fuse
 from annulus.reps import BIVALENT, TRI21, VARIABLE, TrivalentRep
 from annulus.structures import (
-    StructureError, associator_compound, associator_corner_names,
-    horizontal_compound, horizontal_corner_names,
+    ASSOCIATOR_CORNERS, HORIZONTAL_CORNERS, StructureError,
+    associator_compound, horizontal_compound,
 )
 from annulus.walls import BimoduleLabel, all_walls
 
@@ -35,21 +35,17 @@ def _fresh(cd) -> tuple:
 
 
 def _fresh_associator(m, n, pw) -> tuple:
-    names = associator_corner_names(m, n, pw)
+    names = associator_compound(m, n, pw).corner_names
     return tuple(
         (t, _fresh(associator_compound(m, n, pw, dict(zip(names, t)))))
         for t in itertools.product(range(m.p), repeat=len(names)))
 
 
 def _fresh_horizontal(d1, d2) -> tuple:
-    names = horizontal_corner_names(d1, d2)
-    out = []
-    for t in itertools.product(range(d1.p), repeat=len(names)):
-        kw = dict(zip(names, t))
-        cd = horizontal_compound(d1, d2, corner_bottom=kw.get("bottom"),
-                                 corner_top=kw.get("top"))
-        out.append((t, _fresh(cd)))
-    return tuple(out)
+    names = horizontal_compound(d1, d2).corner_names
+    return tuple(
+        (t, _fresh(horizontal_compound(d1, d2, dict(zip(names, t)))))
+        for t in itertools.product(range(d1.p), repeat=len(names)))
 
 
 @pytest.mark.parametrize("p,step", [(2, 1), (3, 1)])
@@ -68,10 +64,10 @@ def test_the_quotient_at_each_corner_value_is_the_concrete_one():
     (g, h). Every p=3 cell with corners, at every corner value."""
     p = 3
     cells = [cell for cell in itertools.product(all_walls(p), repeat=3)
-             if associator_corner_names(*cell)]
+             if associator_compound(*cell).corner_names]
     compared = 0
     for cell in cells:
-        names = associator_corner_names(*cell)
+        names = associator_compound(*cell).corner_names
         qr = QuotientRep(associator_compound(*cell))
         for t in itertools.product(range(p), repeat=len(names)):
             concrete = QuotientRep(associator_compound(*cell,
@@ -94,7 +90,7 @@ def test_four_corner_p5_cells_match_fresh_compounds():
     p = 5
     walls = [BimoduleLabel.parse(t, p) for t in ("T", "L", "R", "F0")]
     cells = [cell for cell in itertools.product(walls, repeat=3)
-             if len(associator_corner_names(*cell)) == 4]
+             if len(associator_compound(*cell).corner_names) == 4]
     assert len(cells) == 16
     for cell in cells:
         result = associator(*cell)
@@ -139,7 +135,7 @@ def test_sweep_shares_the_structure_and_the_corner_free_reps(monkeypatch):
         _counting(monkeypatch, module, name, calls)
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
-    assert associator_corner_names(m, n, pw) == ["mu0", "nu1"]
+    assert associator_compound(m, n, pw).corner_names == ("mu0", "nu1")
     assert len(associator(m, n, pw).outcomes) == p * p
     assert calls == {"associator_compound": 1, "enumerate_basis": 1}
     cd = associator_compound(m, n, pw)
@@ -204,7 +200,7 @@ def test_given_corners_are_one_point_of_the_sweep(monkeypatch):
     cells = [[BimoduleLabel.parse(w, p) for w in walls]
              for walls in (("T", "T", "T"), ("L", "T", "R"), ("R", "F0", "L"))]
     for cell in cells:
-        names = associator_corner_names(*cell)
+        names = associator_compound(*cell).corner_names
         sweep = associator(*cell).outcome_map()
         for values in [(0, 0, 0, 0), (1, 2, 3, 4), (1, 2, 1, 2), (4, 0, 4, 0),
                        (6, 7, 11, 12)]:
@@ -218,7 +214,7 @@ def test_given_corners_are_one_point_of_the_sweep(monkeypatch):
 
     monkeypatch.setattr(QuotientRep, "_bubble_loops", refuse)
     cell = cells[0]
-    names = associator_corner_names(*cell)
+    names = associator_compound(*cell).corner_names
     empty = associator(*cell, corners=dict(zip(names, (1, 2, 3, 4))))
     assert empty.outcomes == (((1, 2, 3, 4), ()),)
 
@@ -354,18 +350,37 @@ def test_a_corner_variable_quotient_needs_one_value_per_corner():
         decompose(concrete, (0, 0, 0, 0))
 
 
-def test_corner_names_are_matched_to_their_vertices(monkeypatch):
-    """A sweep reads each assignment of the corner names at the vertices
-    those names belong to, whatever order the names come in. The support
-    mu0 = 2 nu1 is not symmetric in the two names."""
-    p = 5
-    cell = [BimoduleLabel.parse(w, p) for w in ("R", "Fq:2", "R")]
-    names = associator_corner_names(*cell)
-    assert names == ["mu0", "nu1"]
-    want = associator(*cell).outcome_map()
-    monkeypatch.setattr(fusion, "associator_corner_names",
-                        lambda *walls: names[::-1])
-    got = associator(*cell)
-    assert got.corner_names == tuple(names[::-1])
-    assert got.outcome_map() == {t[::-1]: out for t, out in want.items()}
-    assert got.support() != {t for t, out in want.items() if out}
+def _wall_pair_defects(p):
+    """The defects of a diamond for each p-wall pair below and each above:
+    the first defect of (a, b) beside the first of (c, d)."""
+    walls = all_walls(p)
+    for a, b, c, d in itertools.product(walls, repeat=4):
+        yield (enumerate_defects(a, b)[0], enumerate_defects(c, d)[0])
+
+
+def test_a_compound_names_the_corners_of_its_quotient():
+    """A builder names its corners in vertex order: through the template's
+    vertex of each name, they are the quotient's corners, in its order, so
+    a sweep reads each assignment at the vertices its names belong to. A
+    build at given values names the same corners and holds each value at
+    its vertex. Every p=3 associator cell and every p=3 wall pair of a
+    diamond."""
+    p = 3
+    builds = [(associator_compound, cell, ASSOCIATOR_CORNERS)
+              for cell in itertools.product(all_walls(p), repeat=3)]
+    builds += [(horizontal_compound, pair, HORIZONTAL_CORNERS)
+               for pair in _wall_pair_defects(p)]
+    named = Counter()
+    for build, args, vertex_of in builds:
+        cd = build(*args)
+        names = cd.corner_names
+        assert tuple(vertex_of[nm] for nm in names) == \
+            QuotientRep(cd).corners, args
+        values = {nm: i + 1 for i, nm in enumerate(names)}
+        concrete = build(*args, values)
+        assert concrete.corner_names == names
+        for nm, vid in vertex_of.items():
+            want = values[nm] % p if nm in values else None
+            assert concrete.reps[vid].corner == want, (args, nm)
+        named[len(names)] += 1
+    assert len(builds) == 512 + 8 ** 4 and set(named) == {0, 1, 2, 4}
