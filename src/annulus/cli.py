@@ -23,7 +23,8 @@ from .fusion import (
 from .levinwen import patch_from_json
 from .scalars import is_prime
 from .structures import (
-    StructureError, _document_entries, _document_kind, compound_from_json,
+    StructureError, _document_entries, _document_int, _document_kind,
+    _document_object, compound_from_json,
 )
 from .walls import BimoduleLabel
 
@@ -290,15 +291,17 @@ def cmd_decompose(args):
 
 
 def _violated_terms(patch, state: dict) -> dict:
-    """`violated_terms` of the state document {"edges": {edge id: value},
-    "vertices": [one local basis vector per vertex, each a list]}."""
+    """`violated_terms` of the state document {"edges": {edge id: object},
+    "vertices": [one local basis vector per vertex, each a list of
+    integers]}."""
     edges = _document_kind(state["edges"], dict, "edges")
     vertices = _document_entries(state["vertices"], "vertices", "vertex",
                                  list)
     return patch.violated_terms(
-        {eid: (tuple(v) if isinstance(v, list) else v)
-         for eid, v in edges.items()},
-        tuple(map(tuple, vertices)))
+        {eid: _document_object(v, f"edge {eid}") for eid, v in edges.items()},
+        tuple(tuple(_document_int(x, f"vertex {i}: entry {j}")
+                    for j, x in enumerate(vec))
+              for i, vec in enumerate(vertices)))
 
 
 def cmd_lw(args):

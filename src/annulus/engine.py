@@ -47,9 +47,8 @@ of its idempotent on the quotient. Every idempotent coefficient is
 p^-j zeta_N^e (`defects.phase_terms`), so p^J times that trace, J the
 largest j, is an integer coefficient per exponent in Z/N, one added per
 term, read as an integer with no field element (`rational_trace`).
-`QuotientRep.image`, `QuotientRep.boundary_matrix` and `apply_idempotent`
-give the orbit sums and the boundary operators as exact vectors and
-matrices, one orbit at a time, and `bubble_action` and `boundary_action`
+`apply_idempotent` gives an idempotent as an exact matrix on the orbit
+sums (`QuotientRep._orbit_map`), and `bubble_action` and `boundary_action`
 act on listed states by `act`; `decompose` uses none of them.
 
 Structures and compound defects are immutable once validated; the basis
@@ -307,18 +306,10 @@ class SolvedBasis(Sequence):
         """Every state as one local vector per vertex, in state order."""
         if not self.size:
             return []
-        full = list(zip(*[self.values(b, x0, self.p) for x0, b in self.rows]))
         spans = list(zip(self.offsets, self.offsets[1:]))
-        return [tuple(x[a:b] for a, b in spans)
-                for x in full or [()] * self.size]
-
-    def values(self, coef, const: int, modulus: int) -> list:
-        """coef.f + const mod `modulus` at every state."""
-        col = [const % modulus]
-        for a in coef:
-            step = [a * x for x in range(self.p)]
-            col = [(v + s) % modulus for v in col for s in step]
-        return col
+        return [tuple(x[a:b] for a, b in spans) for x in _affine_points(
+            [x0 for x0, _ in self.rows], zip(*[b for _, b in self.rows]),
+            self.p)]
 
     def loop(self, forms: dict, modulus: int) -> tuple:
         """(tau, ell, kappa) of a loop given per vertex position as (t, L, c)
@@ -700,8 +691,8 @@ class QuotientRep:
     are read once, and a corner value only picks the points of S_adm, at
     which the forms are evaluated. The methods that count take the corner
     values `mu`, one per vertex in `corners` and in that order, () when z
-    has none; any other length is a ValueError. `grades`, `image` and
-    `boundary_matrix` are for a quotient without corner variables.
+    has none; any other length is a ValueError. `grades` and `_orbit_map`
+    are for a quotient without corner variables.
 
     Refusals name a loop by its position in `cavities`, worded by the class
     attributes below; G's orbits are counted when first read."""
@@ -979,9 +970,8 @@ class QuotientRep:
             self._chars[key] = char
         return self._chars[key]
 
-    # -- the orbit sums as vectors, of a quotient with no corner variable
-    # -- (`_at(())` refuses one with them): for `image` and
-    # -- `boundary_matrix` only
+    # -- the boundary on the orbit sums, of a quotient with no corner
+    # -- variable (`_at(())` refuses one with them): for `apply_idempotent`
 
     def _root(self, f) -> tuple:
         """(root, s): the state of least index in f's orbit, and the g in G
@@ -1010,27 +1000,6 @@ class QuotientRep:
             [(self._root(w)[0], 0) for w in fibre], p), len(root))]
         return sorted(_affine_points(root, steps, p))
 
-    @functools.cached_property
-    def image(self) -> dict:
-        """Per grade, one orbit-sum column {raw index: zeta_N^a} for every
-        admissible orbit, in the order of the orbits' first raw indices."""
-        p, root_pow = self.cd.p, self.field.root_pow
-        self._at(())
-        # each point (f, s): the state f, and the g in G moving the root to f
-        span = [row for _, row in self._orbit_space[0]]
-        n, zeros = self.raw_basis.width, (0,) * len(self._loops)
-        out = {}
-        for grade in self.grades:
-            out[grade] = []
-            for root in self._roots(grade):
-                col = {}
-                for fs in _affine_points(root + zeros, span, p):
-                    ell, q = self._group_loop(fs[n:])
-                    index = functools.reduce(lambda i, x: i * p + x, fs[:n], 0)
-                    col[index] = root_pow(_dot(ell, root) + q)
-                out[grade].append(col)
-        return out
-
     def _orbit_map(self, grade, g: int, h: int):
         """Boundary (g, h) on the orbit sums of `grade`: (target grade,
         [(target position, k)] per source orbit), meaning that the orbit sum
@@ -1052,38 +1021,23 @@ class QuotientRep:
                                               - _dot(ell_s, troot) - q_s) % N))
         return target, entries
 
-    def boundary_matrix(self, grade, g: int, h: int):
-        """Boundary (g, h) on the quotient, from `grade` to its image grade:
-        (target grade, matrix in orbit-sum coordinates)."""
-        self._at(())
-        if grade not in self.grades:
-            raise KeyError(f"no such grade {grade!r}")
-        field = self.field
-        target, entries = self._orbit_map(grade, g, h)
-        mat = ExactMatrix(field, self.grade_dim(target), len(entries))
-        for col, (row, k) in enumerate(entries):
-            mat.rows[row][col] = field.root_pow(k)
-        return target, mat
-
 
 def apply_idempotent(qr: QuotientRep, d: DefectLabel) -> ExactMatrix:
-    """Matrix of d's idempotent on the quotient at d's source grade: the sum
-    of its terms' monomial boundary matrices.
-
-    A grade absent from the quotient gives the empty (rank 0) matrix.
-    """
+    """Matrix of d's idempotent on the quotient at d's source grade, in
+    orbit-sum coordinates: each term adds its coefficient times the root of
+    unity of every entry of its `_orbit_map`. A grade absent from the
+    quotient gives the empty (rank 0) matrix."""
     field = qr.field
     expr = idempotent(d, field)
     grade = expr.source
-    if qr.grade_dim(grade) == 0:
-        return ExactMatrix(field, 0, 0)
     n = qr.grade_dim(grade)
     total = ExactMatrix(field, n, n)
     for coeff, (g, h) in expr.terms:
-        target, mat = qr.boundary_matrix(grade, g, h)
+        target, entries = qr._orbit_map(grade, g, h)
         if target != grade:
             raise StructureError("idempotent generator moved the source grade")
-        total = total + mat.scale(coeff)
+        for col, (row, k) in enumerate(entries):
+            total.add_to(row, col, coeff * field.root_pow(k))
     return total
 
 

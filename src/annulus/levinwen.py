@@ -27,8 +27,9 @@ from .engine import (
 from .reps import TrivalentRep
 from .scalars import cyc_field
 from .structures import (
-    CompoundDefect, DomainWallStructure, StructureError, _document_corner,
-    _document_entries, _document_kind, _document_p, _shaped, corner_multiset,
+    CompoundDefect, DomainWallStructure, StructureError, _document_entries,
+    _document_kind, _document_object, _document_p, _document_trivalent,
+    _shaped, corner_multiset,
 )
 from .structures import Edge as PatchEdge  # the lattice's name for it
 from .walls import STAR, BimoduleLabel
@@ -340,9 +341,9 @@ def patch_from_json(doc: dict) -> LatticePatch:
             raise StructureError(f"duplicate vertex id {v['id']!r}")
         w1, w2 = (BimoduleLabel.parse(w, p) for w in _shaped(
             v["walls"], ("first", "second"), f"vertex {v['id']}: walls"))
-        vertices[v["id"]] = TrivalentRep(
-            _document_kind(v["template"], str, f"vertex {v['id']}: template"),
-            w1, w2, corner=_document_corner(v, v["id"]))
+        vertices[v["id"]] = _document_trivalent(
+            v, v["id"], _document_kind(v["template"], str,
+                                       f"vertex {v['id']}: template"), w1, w2)
     edges = []
     for e in _document_entries(doc["edges"], "edges", "edge", dict):
         ends = _document_kind(e["ends"], list, f"edge {e['id']}: ends")
@@ -351,7 +352,7 @@ def patch_from_json(doc: dict) -> LatticePatch:
                      if end else None for end in ends)
         wall = _document_kind(e["wall"], str, f"edge {e['id']}: wall")
         edges.append(PatchEdge(e["id"], BimoduleLabel.parse(wall, p), ends))
-    pinned = {eid: tuple(value) if isinstance(value, list) else value
+    pinned = {eid: _document_object(value, f"pinned edge {eid}")
               for eid, value in _document_kind(doc.get("pinned") or {}, dict,
                                                "pinned").items()}
     faces = [[tuple(_shaped(c, ("vertex", "region"), f"face {i}: a corner"))

@@ -100,10 +100,10 @@ BIVALENT: dict = {}
 
 
 def _biv(lo, up, same=None, params=(), free=(), edges=None, act=None, src=None,
-         idem=None, name=None):
+         idem=None):
     BIVALENT[(lo, up, same)] = {
         "params": params, "free": free, "edges": edges, "act": act,
-        "src": src, "idem": idem, "name": name,
+        "src": src, "idem": idem,
     }
 
 
@@ -821,7 +821,6 @@ class BivalentRep(_TableRep):
         self.params = dict(zip(self.entry["params"], defect.params))
         self.walls = _Walls(self.p, self.lower, self.upper)
         self.slots = ("lower", "upper")
-        self.regions = ("left", "right")
 
     def wall_of_slot(self, slot: str) -> BimoduleLabel:
         return self.lower if slot == "lower" else self.upper
@@ -881,7 +880,6 @@ class TrivalentRep(_TableRep):
         else:
             self.slots = ("bottom", "tl", "tr")
             self._pair_slots = ("tl", "tr", "bottom")
-        self.regions = ("left", "right", "mid")
 
     @property
     def has_corner(self) -> bool:

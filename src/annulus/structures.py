@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .defects import DefectLabel, parse_defect
 from .reps import TRI12, TRI21, VARIABLE, BivalentRep, TrivalentRep
-from .walls import BimoduleLabel, wall_product
+from .walls import STAR, BimoduleLabel, wall_product
 
 TEMPLATE_SLOTS = {
     "bivalent": ("lower", "upper"),
@@ -486,16 +486,37 @@ def _document_int(value, what: str) -> int:
     return value
 
 
+def _document_object(value, what: str):
+    """value, a document entry that must be an object: an integer
+    (`_document_int`), a list of two, read as a tuple, or "*"; anything
+    else is a StructureError that names `what`."""
+    if value == STAR:
+        return STAR
+    if type(value) is int:
+        return value
+    if (isinstance(value, list) and len(value) == 2
+            and all(type(x) is int for x in value)):
+        return tuple(value)
+    raise StructureError(f'{what} must be an integer, a list of two integers '
+                         f'or "*", got {json.dumps(value)}')
+
+
 def _document_p(doc: dict) -> int:
     return _document_int(doc["p"], "p")
 
 
-def _document_corner(vdoc: dict, vid):
-    """A vertex document's corner value: None when it gives none, else an
-    integer (`_document_int`)."""
-    if "corner" not in vdoc:
-        return None
-    return _document_int(vdoc["corner"], f"vertex {vid}: corner")
+def _document_trivalent(vdoc: dict, vid, direction: str,
+                        first: BimoduleLabel, second: BimoduleLabel):
+    """The `TrivalentRep` of a vertex document, whose corner is None when
+    it gives none, else an integer (`_document_int`); a corner its family
+    carries and the document lacks, or one it gives and the family does
+    not carry, is a StructureError that names the vertex."""
+    corner = (_document_int(vdoc["corner"], f"vertex {vid}: corner")
+              if "corner" in vdoc else None)
+    try:
+        return TrivalentRep(direction, first, second, corner=corner)
+    except ValueError as exc:
+        raise StructureError(f"vertex {vid}: {exc}") from None
 
 
 def compound_from_json(doc: dict) -> CompoundDefect:
@@ -564,8 +585,7 @@ def compound_from_json(doc: dict) -> CompoundDefect:
             pair = slots[:2] if template == "tri21" else slots[1:]
             w1 = structure._edge_at(vid, pair[0]).wall
             w2 = structure._edge_at(vid, pair[1]).wall
-            reps[vid] = TrivalentRep(template, w1, w2,
-                                     corner=_document_corner(vdoc, vid))
+            reps[vid] = _document_trivalent(vdoc, vid, template, w1, w2)
     return CompoundDefect(structure, reps)
 
 

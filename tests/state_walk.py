@@ -88,8 +88,9 @@ def loop_table(solved, loop: tuple, N: int) -> list:
 class WalkedQuotient:
     """What `QuotientRep(cd, pins, cavities)` computes, by the walk: the
     states, `grades` {grade: [index]}, `gens` (one table per listed cavity),
-    `orbits` (orbit, members, roots, position), `image` and, per boundary
-    (g, h), `orbit_map` and `character`."""
+    `orbits` (orbit, members, roots, position) and, per boundary (g, h),
+    `orbit_map` and `character`; and the orbit sums as vectors, `image`,
+    which the engine never builds."""
 
     def __init__(self, cd, pins=None, cavities=None):
         self.cd = cd

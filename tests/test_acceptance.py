@@ -232,9 +232,9 @@ def test_criterion_6_quotient_correctness():
         qr = QuotientRep(cd)
         assert qr.total_dim() == p * p
         shift = mod_inverse(q, p) * (x + z - nu) % p
-        for grade, cols in qr.image.items():
+        for grade, dim in qr.grades.items():
             (m, n), (tt, _) = grade
-            assert len(cols) == (1 if tt == (shift + m) % p else 0)
+            assert dim == (1 if tt == (shift + m) % p else 0)
         if p > 2:
             cd = horizontal_compound(parse_defect(f"XkXl(;k=1,l=2)", p),
                                      parse_defect("F0R(x=1)", p))

@@ -778,12 +778,20 @@ def test_lw_state_must_hold_one_basis_vector_per_vertex(tmp_path):
      'vertex 0 must be a list, got "ab"'),
     (lambda s: s["vertices"].__setitem__(0, {}),
      "vertex 0 must be a list, got {}"),
-], ids=["edges-list", "vertices-number", "vertex-string", "vertex-object"])
+    (lambda s: s["edges"].update(h0_w=0.0),
+     'edge h0_w must be an integer, a list of two integers or "*", got 0.0'),
+    (lambda s: s["edges"].update(h0_w=True),
+     'edge h0_w must be an integer, a list of two integers or "*", got true'),
+    (lambda s: s["vertices"].__setitem__(0, [False, False]),
+     "vertex 0: entry 0 must be an integer, got false"),
+], ids=["edges-list", "vertices-number", "vertex-string", "vertex-object",
+        "edge-float", "edge-bool", "vertex-bools"])
 def test_lw_state_entries_of_the_wrong_kind_are_named(tmp_path, change,
                                                       message):
-    """A state document's edges must be an object and its vertices a list
-    of lists: a vertex string is not read as its characters, nor an object
-    as its keys."""
+    """A state document's edges must be an object of objects and its
+    vertices a list of lists of integers: a vertex string is not read as
+    its characters, nor an object as its keys, nor a bool or a float as
+    the integer it equals."""
     patch = hexagon_chain_patch(2, 1)
     ppath = tmp_path / "patch.json"
     ppath.write_text(json.dumps(patch_to_json(patch)))
@@ -853,6 +861,23 @@ def _ttt_structure(change):
     t = BimoduleLabel.parse("T", 3)
     doc = compound_to_json(associator_compound(
         t, t, t, dict.fromkeys(("mu0", "mu1", "nu0", "nu1"), 0)))
+    return change(doc) or doc
+
+
+def _pinned_patch(change):
+    doc = patch_to_json(hexagon_chain_patch(3, 1))
+    return change(doc) or doc
+
+
+def _set_first_pin(doc, value):
+    doc["pinned"][next(iter(doc["pinned"]))] = value
+
+
+def _rfr_graph(change):
+    """The p = 3 [R, Fq:2, R] associator as an explicit graph, whose
+    vertices v1 and v4 carry corners."""
+    walls = [BimoduleLabel.parse(t, 3) for t in ("R", "Fq:2", "R")]
+    doc = compound_to_json(associator_compound(*walls, {"mu0": 2, "nu1": 1}))
     return change(doc) or doc
 
 
@@ -941,6 +966,19 @@ def _ttt_structure(change):
     ("lw", _malformed_patch(lambda d: d["edges"][1].update(
         id=d["edges"][0]["id"])),
      "bad patch document: duplicate edge ids: edges 0 and 1 are both 'h0_w'"),
+    ("lw", _pinned_patch(lambda d: _set_first_pin(d, 0.0)),
+     'bad patch document: pinned edge h0_ul_r must be an integer, a list of '
+     'two integers or "*", got 0.0'),
+    ("lw", _pinned_patch(lambda d: _set_first_pin(d, True)),
+     'bad patch document: pinned edge h0_ul_r must be an integer, a list of '
+     'two integers or "*", got true'),
+    ("lw", _pinned_patch(lambda d: d["vertices"][0].update(corner=1)),
+     "bad patch document: vertex h0_ul: tri12 vertex Xk:1xXk:1 takes no "
+     "corner parameter"),
+    ("decompose", _rfr_graph(lambda d: next(
+        v for v in d["vertices"] if v["id"] == "v1").__delitem__("corner")),
+     "bad structure document: vertex v1: tri12 vertex RxF0 needs a corner "
+     "parameter"),
 ], ids=["associator-walls", "vertical-defects", "cavity-corner", "edge-end",
         "structure-p", "patch-p", "face-corner", "vertex-walls",
         "patch-vertex-string", "structure-edge-string",
@@ -952,7 +990,9 @@ def _ttt_structure(change):
         "structure-end-vertex", "structure-edge-id", "structure-external",
         "structure-edge-wall", "structure-template",
         "structure-cavity-vertex", "structure-defect",
-        "associator-template-wall", "patch-edge-id-twice"])
+        "associator-template-wall", "patch-edge-id-twice", "patch-pin-float",
+        "patch-pin-bool", "patch-uncarried-corner",
+        "structure-missing-corner"])
 def test_a_malformed_entry_is_named(tmp_path, command, doc, message):
     """An entry of the wrong shape or type is named with what it must be,
     and by its position when it is a list's entry, not reported in

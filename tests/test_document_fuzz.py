@@ -8,6 +8,11 @@ once more with ANNULUS_MAX_BASIS raised. Every run ends with a documented
 exit code, no traceback and none of Python's own messages for an entry of
 the wrong type, and the two runs print the same and exit alike: a kept
 shape never skips a check that a fresh build makes.
+
+Pinned patch documents and state documents also have their pin values,
+state edge values and local vector entries swapped for a value of the
+wrong JSON type, which must exit 6, though Python may compare it equal to
+an object.
 """
 
 import contextlib
@@ -139,6 +144,39 @@ def _check(args, doc, path):
         assert raised == first
 
 
+# a bool, a float, null or a nested list: no object and no entry of a
+# local vector, though true, false, 0.0 and 1.0 equal an integer
+_WRONG_TYPES = [True, False, 0.0, 1.0, 1.5, None, [[0], [0]], [0, [1]], [[]]]
+
+
+@st.composite
+def _retyped(draw, documents, places):
+    """A document with one to three values swapped for `_WRONG_TYPES`,
+    each at one of the (container, key) that `places` lists."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    spots = places(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        box, key = draw(st.sampled_from(spots))
+        box[key] = draw(st.sampled_from(_WRONG_TYPES))
+    return doc
+
+
+def _pins(doc):
+    return [(doc["pinned"], eid) for eid in doc["pinned"]]
+
+
+def _state_entries(doc):
+    return [(doc["edges"], eid) for eid in doc["edges"]] + [
+        (vec, j) for vec in doc["vertices"] for j in range(len(vec))]
+
+
+def _check_refused(args, doc, path):
+    path.write_text(json.dumps(doc))
+    run = _run(args)
+    _assert_documented(run)
+    assert run[0] == 6, run
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
@@ -167,3 +205,17 @@ def state_patch(tmp_path_factory):
 @given(doc=_mutated(_state_documents()))
 def test_mutated_state_documents_run_alike_twice(scratch, state_patch, doc):
     _check(["lw", str(state_patch), "--state", str(scratch)], doc, scratch)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=_retyped([patch_to_json(hexagon_chain_patch(2, 2)),
+                     patch_to_json(_STATE_PATCH)], _pins))
+def test_pins_of_the_wrong_type_exit_6(scratch, doc):
+    _check_refused(["lw", str(scratch)], doc, scratch)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=_retyped(_state_documents(), _state_entries))
+def test_state_entries_of_the_wrong_type_exit_6(scratch, state_patch, doc):
+    _check_refused(["lw", str(state_patch), "--state", str(scratch)], doc,
+                   scratch)

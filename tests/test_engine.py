@@ -22,6 +22,7 @@ from annulus.structures import (
 )
 from annulus.walls import all_walls, wall
 from matrix_quotient import cavity_symmetrizer
+from state_walk import WalkedQuotient
 
 
 def _corners(face):
@@ -291,10 +292,10 @@ def test_symmetrizer_image_conditions():
     qr = QuotientRep(cd)
     assert qr.total_dim() == p * p
     shift = mod_inverse(q, p) * (x + z - nu) % p
-    for grade, cols in qr.image.items():
+    for grade, dim in qr.grades.items():
         (m, n), (tt, _) = grade
         expected = 1 if tt == (shift + m) % p else 0
-        assert len(cols) == expected
+        assert dim == expected
     # X_kX_l x F_0R(z): image dimension p^2 of p^3
     cd = horizontal_compound(parse_defect("XkXl(;k=1,l=2)", p),
                              parse_defect("F0R(x=1)", p))
@@ -357,23 +358,27 @@ def test_symmetrizers_commute_with_boundary():
     for grade in qr.grade_dims():
         for g in range(p):
             for h in range(p):
-                target, mat = qr.boundary_matrix(grade, g, h)
-                assert mat.ncols == qr.grade_dim(grade)
-                assert mat.nrows == qr.grade_dim(target)
+                target, entries = qr._orbit_map(grade, g, h)
+                assert len(entries) == qr.grade_dim(grade)
+                assert sorted(row for row, _ in entries) == list(
+                    range(qr.grade_dim(target)))
 
 
 def test_symmetrizers_fix_quotient_basis():
-    """Every cavity symmetrizer fixes every quotient basis element exactly."""
+    """Every cavity symmetrizer fixes every orbit sum of the state walk
+    exactly, and the walk has as many per grade as the quotient counts."""
     from annulus.scalars import CycField
 
     p = 3
     F = CycField(p)
     cd = associator_compound(wall(p, "R"), wall(p, "F", 2), wall(p, "R"),
                              {"mu0": 1, "nu1": 2})
-    qr = QuotientRep(cd)
+    image = WalkedQuotient(cd).image()
+    assert {grade: len(cols) for grade, cols in image.items()} == \
+        QuotientRep(cd).grades
     syms = [cavity_symmetrizer(cd, cav, F)
             for cav in range(len(cd.structure.cavities))]
-    for cols in qr.image.values():
+    for cols in image.values():
         for raw in cols:
             for sym in syms:
                 out = {}
@@ -395,10 +400,14 @@ def test_quotient_boundary_matrices_between_grades():
         (m, n), (t, u) = grade
         for g in range(p):
             for h in range(p):
-                target, mat = qr.boundary_matrix(grade, g, h)
+                target, entries = qr._orbit_map(grade, g, h)
                 assert target == (((m + g) % p, (n + h) % p),
                                   ((t + g) % p, (u + h) % p))
-                assert mat.rank() == qr.grade_dim(grade) == qr.grade_dim(target)
+                # one orbit sum to each of the target's: a monomial matrix
+                # of full rank
+                assert qr.grade_dim(grade) == qr.grade_dim(target)
+                assert sorted(row for row, _ in entries) == list(
+                    range(qr.grade_dim(grade)))
 
 
 def test_json_round_trip_and_decompose():
@@ -513,12 +522,16 @@ def test_two_stub_structures_have_two_distinct_external_regions():
 def _assert_empty_quotient(qr):
     assert qr.raw_basis == []
     assert qr.grades == {} and qr.grade_dims() == {}
-    assert qr.total_dim() == 0 and qr.image == {}
+    assert qr.total_dim() == 0
     assert decompose(qr) == []
     for grade in ((0, 0), ((0, 0), (0, 0))):
         assert qr.grade_dim(grade) == 0
+        assert qr._orbit_map(grade, 1, 0) == (grade, [])
         with pytest.raises(KeyError, match="no such grade"):
-            qr.boundary_matrix(grade, 1, 0)
+            qr.character(grade, 1, 0)
+    d = enumerate_defects(*qr.cd.structure.external_walls())[0]
+    mat = apply_idempotent(qr, d)
+    assert (mat.nrows, mat.ncols) == (0, 0)
 
 
 def test_inconsistent_assignment_gives_the_empty_quotient():

@@ -17,6 +17,7 @@ from annulus.structures import (
 )
 from annulus.walls import all_walls
 from matrix_quotient import MatrixQuotient, cavity_symmetrizer
+from state_walk import WalkedQuotient
 from test_engine import _associators
 
 
@@ -51,8 +52,7 @@ def _agree_with_matrix_path(cd):
     qr = QuotientRep(cd)
     ref = MatrixQuotient(cd)
     assert qr.grade_dims() == ref.grade_dims()
-    assert [len(qr.image[g]) for g in qr.grades] == \
-        [len(ref.image[g]) for g in qr.grades]
+    assert qr.grades == {g: len(ref.image[g]) for g in qr.grades}
     got = decompose(qr)
     assert got == ref.decompose()
     mult = dict(got)
@@ -77,19 +77,22 @@ def test_orbit_quotient_matches_matrix_path():
 
 
 def test_orbit_sums_are_fixed_by_the_matrix_symmetrizer():
-    """Each image column is an orbit sum of phases, and the product of the
-    reference symmetrizers fixes it."""
+    """Each orbit sum of the state walk is a sum of phases, the reference
+    symmetrizer fixes it, and the walk has as many per grade as the
+    quotient counts."""
     p = 3
     cd = horizontal_compound(parse_defect("XkXl(;k=1,l=2)", p),
                              parse_defect("F0R(x=1)", p))
-    qr = QuotientRep(cd)
-    field = qr.field
+    image = WalkedQuotient(cd).image()
+    assert {grade: len(cols) for grade, cols in image.items()} == \
+        QuotientRep(cd).grades
+    field = cyc_field(p)
     roots = {field.root_pow(k) for k in range(field.N)}
-    for grade, cols in qr.image.items():
+    for grade, cols in image.items():
         for col in cols:
             assert len(col) == p and set(col.values()) <= roots
     sym = cavity_symmetrizer(cd, 0, field)
-    for cols in qr.image.values():
+    for cols in image.values():
         for raw in cols:
             out = {}
             for j, v in raw.items():

@@ -92,7 +92,7 @@ def test_size_limit_counts_the_solutions_before_building_any(monkeypatch):
     def build(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(engine.SolvedBasis, "values", build)
+    monkeypatch.setattr(engine.SolvedBasis, "states", property(build))
     monkeypatch.setenv("ANNULUS_MAX_BASIS", str(len(want) - 1))
     with pytest.raises(SizeLimitError, match=r"3\^2 consistent labelings"):
         hexagon_chain_patch(3, 2).consistent_basis()

@@ -339,7 +339,9 @@ def test_a_corner_variable_quotient_needs_one_value_per_corner():
                      lambda: engine.verify_completeness(qr, [], mu)):
             with pytest.raises(ValueError, match="4 corner values wanted"):
                 call()
-    for call in (lambda: qr.image, lambda: qr.boundary_matrix(grade, 1, 1)):
+    d = enumerate_defects(*qr.cd.structure.external_walls())[0]
+    for call in (lambda: qr._orbit_map(grade, 1, 1),
+                 lambda: engine.apply_idempotent(qr, d)):
         with pytest.raises(ValueError, match="4 corner values wanted"):
             call()
     assert decompose(qr, (0, 0, 0, 0))
