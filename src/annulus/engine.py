@@ -25,7 +25,10 @@ through its cavity's corners, a boundary generator or a lattice face)
 translates f digit by digit with a phase affine in f (`SolvedBasis.loop`),
 and a stub label is an affine form in f, which grades the states. The group
 laws are decided on the forms: a bubble generates a strict Z/p action when
-Bub_u = Bub_1^u (`_strict_cyclic`), and two loops commute up to the phase
+Bub_u = Bub_1^u (`_strict_cyclic`), which holds when each vertex's own
+actions obey that law, decided once per rep key and args, since a loop's
+form is the sum of its vertices'; only otherwise are the powers compared
+in the solved coordinates. Two loops commute up to the phase
 L_a.t_b - L_b.t_a (`_bracket`), summed over the vertices for lattice faces
 (`_commutator`). A Levin-Wen patch's ground space is the `QuotientRep` of
 its compound, its pinned dangling edges the pins and its faces the
@@ -57,12 +60,15 @@ per grade.
 
 Every computation at p shares one field, `scalars.cyc_field(p)`, and so its
 cached roots. The process keeps, keyed by `rep.key`, each rep's symbolic
-labels and the affine form of each of its actions; per wall pair, the
+labels, the affine form of each of its actions and each vertex's cyclic
+verdict, which the rep holds once read, and the templates' trivalent reps
+are one per walls and corner (`reps.trivalent_rep`); per wall pair, the
 candidate defects with their source grades; and per defect its grade
 dimensions, while `defects.phase_terms` caches each defect's terms. The
-per-vertex args of every bubble and boundary generator are read once per
-structure topology: they are kept on the `structures.Shape` that every
-compound and patch of that topology shares, whatever its walls and reps.
+per-vertex args of every bubble and boundary generator, and the edge plan
+the basis solve walks (`_edge_plan`), are read once per structure
+topology: they are kept on the `structures.Shape` that every compound and
+patch of that topology shares, whatever its walls and reps.
 """
 
 from __future__ import annotations
@@ -77,7 +83,9 @@ from .defects import DefectLabel, enumerate_defects, idempotent, phase_terms
 from .linalg import ExactMatrix
 from .reps import VARIABLE
 from .scalars import CycField, cyc_field
-from .structures import BUBBLE_SIGN, CompoundDefect, StructureError
+from .structures import (
+    BUBBLE_SIGN, TEMPLATE_SLOTS, CompoundDefect, StructureError,
+)
 from .walls import STAR
 
 
@@ -200,10 +208,12 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
     object; `what` names the basis in the size-limit refusal.
 
     The labelings solve linear equations over F_p in the free labels of all
-    vertices, numbered in vertex order. Each is eliminated with its pivot
-    on its highest variable (`_add_row`), so each pivot is a function of
-    the free variables f: x = x0 + B f (`_solve`). ANNULUS_MAX_BASIS bounds
-    the solutions, p^(free variables), before any state or table is built.
+    vertices, numbered in vertex order, one per edge end after the first,
+    in the order of the structure's `_edge_plan`. Each is eliminated with
+    its pivot on its highest variable (`_add_row`), so each pivot is a
+    function of the free variables f: x = x0 + B f (`_solve`).
+    ANNULUS_MAX_BASIS bounds the solutions, p^(free variables), before any
+    state or table is built.
 
     A vertex whose corner is `VARIABLE` adds its corner mu to the unknowns:
     corner j, in vertex order, is variable -1 - j, below every label, so an
@@ -220,9 +230,12 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
     n = 0
     for i, vid in enumerate(order):
         rep = reps[vid]
-        symbolic = _SYMBOLIC.get(rep.key)
+        symbolic = rep.symbolic
         if symbolic is None:
-            symbolic = _SYMBOLIC[rep.key] = _symbolic_labels(rep, vid)
+            symbolic = _SYMBOLIC.get(rep.key)
+            if symbolic is None:
+                symbolic = _SYMBOLIC[rep.key] = _symbolic_labels(rep, vid)
+            rep.symbolic = symbolic
         m = len(rep.free_names) - (rep.corner is VARIABLE)
         variables = range(n, n + m)
         if rep.corner is VARIABLE:      # the last entry of its local vector
@@ -233,20 +246,13 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
         n += m
     offsets.append(n)
     pivots: dict = {}
-    seen = set()
-    for vid in order:
-        for slot in reps[vid].slots:
-            e = cd.structure._edge_at(vid, slot)
-            if e.eid in seen:
-                continue
-            seen.add(e.eid)
-            sides = [(labels[v][0][s], labels[v][1])
-                     for v, s in (end for end in e.ends if end is not None)]
-            if e.eid in pins:
-                sides.append((_constant(pins[e.eid]), ()))
-            for other in sides[1:]:
-                if not _equate(*sides[0], *other, pivots, p):
-                    return SolvedBasis(p, offsets, None, [], corner_at)
+    for eid, ends in _edge_plan(cd.structure):
+        sides = [(labels[v][0][s], labels[v][1]) for v, s in ends]
+        if eid in pins:
+            sides.append((_constant(pins[eid]), ()))
+        for other in sides[1:]:
+            if not _equate(*sides[0], *other, pivots, p):
+                return SolvedBasis(p, offsets, None, [], corner_at)
     free = [v for v in range(n) if v not in pivots]
     if p ** len(free) > limit:
         raise SizeLimitError(
@@ -257,6 +263,25 @@ def enumerate_basis(cd: CompoundDefect, pins: dict | None = None,
     conditions = [(tuple([coef.get(-1 - j, 0) for j in range(k)]), const)
                   for v, (coef, const) in pivots.items() if v < 0] if k else []
     return SolvedBasis(p, offsets, rows, free, corner_at, conditions)
+
+
+def _edge_plan(structure) -> list:
+    """[(edge id, its attached ends)] for every edge of `structure`, in the
+    order its vertices, and their slots in template order, first meet the
+    edges. Kept in the structure's `Shape.edge_plan` for every structure
+    of its topology, as nothing in it reads a wall."""
+    shape = structure.shape
+    if shape.edge_plan is None:
+        plan, seen = [], set()
+        for vid, template in structure.vertices.items():
+            for slot in TEMPLATE_SLOTS[template]:
+                eid = shape.slot_eid[vid, slot]
+                if eid not in seen:
+                    seen.add(eid)
+                    plan.append((eid, tuple(filter(
+                        None, structure.edge_by_id[eid].ends))))
+        shape.edge_plan = plan
+    return shape.edge_plan
 
 
 class SolvedBasis(Sequence):
@@ -467,22 +492,30 @@ def _affine_action(rep, vid, args: dict) -> tuple:
     return tuple(x.const for x in new), linear, const
 
 
+def _affine_table(rep) -> dict:
+    """rep's key's part of `_AFFINE`, which the rep holds once read."""
+    table = rep.affine_forms
+    if table is None:
+        table = rep.affine_forms = _AFFINE.setdefault(rep.key, {})
+    return table
+
+
+def _vertex_form(rep, vid, args: dict, key: tuple) -> tuple:
+    """(t, L, c) of rep's action at args, as `_affine_action` gives it,
+    once per process per rep key and args, looked up by the sorted args
+    `key` that `_vertex_args` keeps."""
+    table = _affine_table(rep)
+    form = table.get(key)
+    if form is None:
+        form = table[key] = _affine_action(rep, vid, args)
+    return form
+
+
 def _loop_forms(vertex_args: list, reps: dict) -> dict:
-    """{position: (t, L, c)} of every vertex a loop acts on, as
-    `_affine_action` gives it, once per process per rep key and args. A rep
-    holds its key's part of `_AFFINE`, looked up by the sorted args that
-    `_vertex_args` keeps."""
-    out = {}
-    for i, vid, args, key in vertex_args:
-        rep = reps[vid]
-        table = rep.affine_forms
-        if table is None:
-            table = rep.affine_forms = _AFFINE.setdefault(rep.key, {})
-        form = table.get(key)
-        if form is None:
-            form = table[key] = _affine_action(rep, vid, args)
-        out[i] = form
-    return out
+    """{position: (t, L, c)} of every vertex a loop acts on
+    (`_vertex_form`)."""
+    return {i: _vertex_form(reps[vid], vid, args, key)
+            for i, vid, args, key in vertex_args}
 
 
 def _dot(a, b) -> int:
@@ -507,11 +540,12 @@ def _commutator(a: dict, b: dict, N: int) -> int:
     return k % N
 
 
-def _echelon(rows, p: int):
+def _echelon(rows, p: int, pivots: dict | None = None):
     """The `_add_row` rows of the equations a.z + c = 0, given as (a, c),
     z_j numbered len(a) - 1 - j so that a row's pivot, its highest variable,
-    is its first nonzero entry in z; None when they are inconsistent."""
-    pivots: dict = {}
+    is its first nonzero entry in z, added to the rows `pivots` when given;
+    None when they are inconsistent."""
+    pivots = {} if pivots is None else pivots
     for a, c in rows:
         eq = {len(a) - 1 - j: x % p for j, x in enumerate(a) if x % p}
         if not _add_row(eq, c % p, pivots, p):
@@ -545,25 +579,63 @@ def _affine_points(x0, steps, p: int) -> list:
     return points
 
 
+def _cyclic_law(forms: list, p: int, N: int) -> bool:
+    """Whether forms[u % p] = forms[1]^u for u in 0..p, each an action
+    (t, L, c) that translates by t mod p with exponent L.x + c mod N: the
+    power (t, L, c)^u is (u t, u L, u c + L.t u(u-1)/2), forms[0] standing
+    for forms[1]^p."""
+    t, lin, c = forms[1]
+    s = _dot(lin, t)
+    return all(forms[u % p] == (
+        tuple([u * x % p for x in t]), tuple([u * a % N for a in lin]),
+        (u * c + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
+
+
+def _vertex_cyclic(entries: tuple, reps: dict, N: int) -> bool:
+    """Whether one vertex's own forms obey the cyclic law (`_cyclic_law`):
+    entries[u] is its `_vertex_args` entry in T_u. The verdict is kept in
+    its rep's `_AFFINE` table under its args in T_1, whose multiples are
+    the args of every T_u (`_bubble_args`)."""
+    _, vid, _, key = entries[1]
+    rep = reps[vid]
+    table = _affine_table(rep)
+    verdict = table.get(("cyclic", key))
+    if verdict is None:
+        verdict = table["cyclic", key] = _cyclic_law(
+            [_vertex_form(rep, v, args, k) for _, v, args, k in entries],
+            len(entries), N)
+    return verdict
+
+
 def _strict_cyclic(solved: SolvedBasis, one: tuple, acts: list, reps: dict,
                    N: int) -> bool:
     """Whether T_u = T_1^u, phases included, for every u in 0..p-1, and
     T_1^p is the identity, on the solutions `solved`; then (1/p) sum_u T_u
-    is an idempotent. acts[u] holds the vertex args of T_u, a loop through
-    the vertices of T_1, and T_1 keeps the solutions; `one` is T_1 read in
-    the solved coordinates (`SolvedBasis.loop`), as every other T_u is.
+    is an idempotent. acts[u] holds the vertex args of T_u, u times those
+    of T_1 (`_bubble_args`), and T_1 keeps the solutions; `one` is T_1 read
+    in the solved coordinates (`SolvedBasis.loop`).
 
-    There T_1 = (tau, ell, kappa) has the power T_1^u = (u tau, u ell,
-    u kappa + ell.tau u(u-1)/2), T_0 standing for T_1^p; phase defects of
-    single vertices that cancel in the sum over a loop cancel there too."""
+    Each vertex is asked first whether its own forms obey the law
+    (`_vertex_cyclic`, once per process per rep key and args). When every
+    vertex does, so does the loop, and no T_u with u != 1 is read:
+    `SolvedBasis.loop` is additive over vertices, so T_u, a sum of the
+    vertices' (u t, u L, u c + L.t u(u-1)/2), is (u tau, u ell, u kappa +
+    u(u-1)/2 sum_v L_v.t_v), with tau left in the solutions as u times T_1's
+    is; T_1 keeps the solutions (`_bubble_loops` has checked it), so B_w.tau
+    = t_w mod p at every variable w, and ell.tau, the sum over variables of
+    L_w B_w.tau, is sum_v L_v.t_v mod N: at odd p N = p, and at p = 2 every
+    L is even (`_affine_action`). That is T_1^u.
+
+    Otherwise every T_u is read in the solved coordinates, where T_1 =
+    (tau, ell, kappa) has the power T_1^u = (u tau, u ell, u kappa +
+    ell.tau u(u-1)/2), T_0 standing for T_1^p; phase defects of single
+    vertices that cancel in the sum over a loop cancel there too."""
     p = len(acts)
-    loops = [one if u == 1 else solved.loop(_loop_forms(vertex_args, reps), N)
-             for u, vertex_args in enumerate(acts)]
-    tau, ell, kappa = one
-    s = _dot(ell, tau)
-    return all(loops[u % p] == (
-        tuple(u * t % p for t in tau), tuple(u * a % N for a in ell),
-        (u * kappa + s * (u * (u - 1) // 2)) % N) for u in range(p + 1))
+    if all(_vertex_cyclic(entries, reps, N) for entries in zip(*acts)):
+        return True
+    return _cyclic_law(
+        [one if u == 1 else solved.loop(_loop_forms(vertex_args, reps), N)
+         for u, vertex_args in enumerate(acts)], p, N)
 
 
 def _region_args(terms) -> dict:
@@ -748,35 +820,55 @@ class QuotientRep:
         for eid in cd.structure.external:
             if eid not in pins:
                 (vid, slot), = filter(None, cd.structure.edge_by_id[eid].ends)
-                self._shape.append(shape(_SYMBOLIC[cd.reps[vid].key][slot],
+                self._shape.append(shape(cd.reps[vid].symbolic[slot],
                                          position[vid]))
+
+    def _grade(self, values) -> tuple:
+        """The grade whose stub forms take the values `values`."""
+        return tuple([get(values) for get in self._shape])
 
     def _grade_at(self, f) -> tuple:
         """The grade of the state with solved coordinates f."""
         p = self.cd.p
-        values = [(_dot(ell, f) + kappa) % p for ell, kappa in self._forms]
-        return tuple([get(values) for get in self._shape])
+        return self._grade([(_dot(ell, f) + kappa) % p
+                            for ell, kappa in self._forms])
 
     def _stub_image(self, rows: list):
         """(points, fibre) of S, the z where the equations `rows` [(a, c)],
         a.z + c = 0, hold, or None when there is none: points {mu: {grade:
         one z in S}} for each corner value and grade taken on S, and fibre
-        a basis of the directions in S along which both are constant."""
+        a basis of the directions in S along which both are constant.
+
+        The fibre solves S's equations made homogeneous, the stub forms and
+        the corner coordinates, eliminated onto S's own rows, so a form
+        not constant on S pivots at a free coordinate of S: each such is a
+        step of the points. S with no equation is every z: x0 = 0 and the
+        steps are unit vectors. Each point carries its stub-form values
+        after its n coordinates, stepped with it."""
         p, d, n = self.cd.p, len(self.raw_basis.free), self.raw_basis.width
         space = _echelon(rows, p)
         if space is None:
             return None
-        held = _echelon([(a, 0) for a, _ in rows] + [
-            (ell, 0) for ell, _ in self._forms] + [
-            ([int(i == j) for i in range(n)], 0) for j in range(d, n)], p)
-        x0, basis = _subspace(space, n, p)
-        # a form not constant on S pivots at a free coordinate of S: a step
-        points = _affine_points(x0, [basis[n - 1 - h] for h in sorted(
-            held.keys() - space.keys(), reverse=True)], p)
+        held = _echelon([(ell, 0) for ell, _ in self._forms] + [
+            ([int(i == j) for i in range(n)], 0) for j in range(d, n)], p,
+            {h: (coef, 0) for h, (coef, _) in space.items()})
+        steps = sorted(held.keys() - space.keys(), reverse=True)
+        if space:
+            x0, basis = _subspace(space, n, p)
+            steps = [basis[n - 1 - h] for h in steps]
+        else:
+            x0 = (0,) * n
+            steps = [tuple([int(i == n - 1 - h) for i in range(n)])
+                     for h in steps]
+        forms = self._forms
+        points = _affine_points(
+            x0 + tuple([(_dot(ell, x0) + kappa) % p for ell, kappa in forms]),
+            [step + tuple([_dot(ell, step) for ell, _ in forms])
+             for step in steps], p)
         fibre = list(_subspace(held, n, p)[1].values())
         image: dict = {}
         for f in points:
-            image.setdefault(f[d:], {})[self._grade_at(f)] = f
+            image.setdefault(f[d:n], {})[self._grade(f[n:])] = f[:n]
         return image, fibre
 
     def _bubble_loops(self) -> list:

@@ -779,7 +779,8 @@ def _biv_key(lower: BimoduleLabel, upper: BimoduleLabel):
 class _TableRep:
     """What the bivalent and trivalent reps share: the local basis, Z/p per
     free label in product order, the edge labels of each local vector,
-    cached, and the engine's affine forms of its actions."""
+    cached, and the engine's symbolic labels and affine forms of its
+    actions."""
 
     corner = None
 
@@ -792,8 +793,10 @@ class _TableRep:
         self.free_names = entry["free"]
         self._basis = None
         self._labels: dict = {}
-        # the engine's affine reading of this key's actions,
-        # `engine._AFFINE[key]`, attached on first use
+        # the engine's reading of this key's labels and actions,
+        # `engine._SYMBOLIC[key]` and `engine._AFFINE[key]`, attached on
+        # first use
+        self.symbolic: dict | None = None
         self.affine_forms: dict | None = None
 
     def basis(self):
@@ -915,6 +918,23 @@ class TrivalentRep(_TableRep):
         if self.corner is VARIABLE:
             new = (*new, corner)
         return e % self.N, tuple([x % self.p for x in new])
+
+
+# for the life of the process, as a rep holds only what its key fixes: its
+# labels, and the engine's forms attached to it
+_TRIVALENT: dict = {}  # (direction, first, second, corner) -> TrivalentRep
+
+
+def trivalent_rep(direction: str, first: BimoduleLabel, second: BimoduleLabel,
+                  corner=None) -> TrivalentRep:
+    """The one `TrivalentRep` of these arguments in the process, which
+    every compound built on them shares. A ValueError is raised on every
+    call, and nothing is kept."""
+    key = direction, first, second, corner
+    rep = _TRIVALENT.get(key)
+    if rep is None:
+        rep = _TRIVALENT[key] = TrivalentRep(*key)
+    return rep
 
 
 def composition_phase_bivalent(lower, upper, first, second, field: CycField) -> Cyc:

@@ -11,11 +11,13 @@ stubs and its faces among the derived cavities.
 Nothing of this reads a wall. So the process keeps, per topology (the
 vertex ids and templates in order, each edge's id and ends, the external
 list and the declared cavities), the `Shape` it validated and traced, and
-every structure of that topology shares it, with the generator args the
-engine reads on it: the drivers and patches build the same few graphs
-with many labelings. A topology that fails validation is kept nowhere and
-fails on every build. Each edge's wall modulus, and each rep's wall
-against its edge's (`CompoundDefect`), are checked on every build.
+every structure of that topology shares it, with what the engine reads on
+it: the generator args, and the edge plan, the order in which the basis
+solve equates the ends of each edge. The drivers and patches build the
+same few graphs with many labelings. A topology that fails validation is
+kept nowhere and fails on every build. Each edge's wall modulus, and each
+rep's wall against its edge's (`CompoundDefect`), are checked on every
+build.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .defects import DefectLabel, parse_defect
-from .reps import TRI12, TRI21, VARIABLE, BivalentRep, TrivalentRep
+from .reps import (
+    TRI12, TRI21, VARIABLE, BivalentRep, TrivalentRep, trivalent_rep,
+)
 from .walls import STAR, BimoduleLabel, wall_product
 
 TEMPLATE_SLOTS = {
@@ -121,8 +125,11 @@ class Shape:
     """What a structure's topology fixes, whatever its walls and its
     defects: the incidence `slot_eid` {(vid, slot): edge id}, the
     `cavities`, the `left_face` and `right_face` of a 2-string structure,
-    and `generator_args`, the engine's per-vertex args of every bubble and
-    boundary generator read on it so far (`engine._bubble_args`). Built by
+    `generator_args`, the engine's per-vertex args of every bubble and
+    boundary generator read on it so far (`engine._bubble_args`), and
+    `edge_plan`, the engine's list of (edge id, attached ends) in the order
+    the vertices and their slots first meet each edge, None until the
+    first basis solve reads it (`engine._edge_plan`). Built by
     validating the incidence, the external list and the declared cavities
     and tracing the faces (`_trace_faces`); a topology that fails any of
     these raises, and no shape is made."""
@@ -156,6 +163,7 @@ class Shape:
                 raise StructureError(
                     "declared cavities do not match the internal faces of the structure")
         self.generator_args: dict = {}
+        self.edge_plan: list | None = None
 
 
 def _trace_faces(vertices: dict, slot_eid: dict, edges: list,
@@ -330,7 +338,8 @@ def _trivalent_reps(corners: dict | None, vertex_of: dict,
     vertices whose family carries a corner, in that order. With no
     `corners` each carried corner is `reps.VARIABLE`, an unknown of the
     basis solve; a dict must give a value to each carried corner and to no
-    other name (else CornerError)."""
+    other name (else CornerError). The reps are `reps.trivalent_rep`'s, one
+    per arguments in the process."""
     carried = tuple(name for name, direction, first, second in vertices
                     if (TRI21 if direction == "tri21" else TRI12)[
                         (first.ekind(), second.ekind())]["mu"])
@@ -342,8 +351,8 @@ def _trivalent_reps(corners: dict | None, vertex_of: dict,
             raise CornerError(f"unknown corner names {sorted(unknown)}")
         raise CornerError("missing corner values "
                           f"{sorted(set(carried) - corners.keys())}")
-    reps = {vertex_of[name]: TrivalentRep(direction, first, second,
-                                          corner=corners.get(name))
+    reps = {vertex_of[name]: trivalent_rep(direction, first, second,
+                                           corners.get(name))
             for name, direction, first, second in vertices}
     return reps, carried
 

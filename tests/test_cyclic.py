@@ -236,3 +236,74 @@ def test_a_second_build_makes_no_act_call_for_u_of_two(monkeypatch):
     assert only_two and first & only_two
     second, _ = build()
     assert not second
+
+
+@pytest.fixture
+def cyclic_reads(monkeypatch):
+    """The `SolvedBasis.loop` calls made inside each `_strict_cyclic`
+    call, one count per call in call order."""
+    counts, loop, strict = [], engine.SolvedBasis.loop, engine._strict_cyclic
+    inside = []
+
+    def counted_loop(self, forms, modulus):
+        if inside:
+            counts[-1] += 1
+        return loop(self, forms, modulus)
+
+    def counted_strict(*args):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return strict(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(engine.SolvedBasis, "loop", counted_loop)
+    monkeypatch.setattr(engine, "_strict_cyclic", counted_strict)
+    return counts
+
+
+def _verdicts(cd, cavity: int) -> dict:
+    """{vertex: its kept cyclic verdict} on the bubble of `cavity`."""
+    return {vid: cd.reps[vid].affine_forms.get(("cyclic", key))
+            for _, vid, _, key in engine._bubble_args(cd, cavity, 1)}
+
+
+def test_a_second_build_reads_no_power_of_a_bubble(monkeypatch, cyclic_reads):
+    """Every vertex of a real table obeys its own cyclic law, so no T_u is
+    read in the solved coordinates; each verdict is kept per rep key and
+    args, so a second build on the same walls decides none again and
+    reads no action form."""
+    p = 3
+    m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
+    corners = {"mu0": 0, "nu1": 0}
+    first = associator_compound(m, n, pw, corners)
+    assert engine.QuotientRep(first).total_dim()
+    cavities = range(len(first.structure.cavities))
+    assert all(v is True for c in cavities
+               for v in _verdicts(first, c).values())
+    forms = []
+    plain = engine._affine_action
+    monkeypatch.setattr(engine, "_affine_action",
+                        lambda *args: forms.append(args) or plain(*args))
+    cyclic_reads.clear()
+    assert engine.QuotientRep(associator_compound(m, n, pw, corners)
+                              ).total_dim()
+    assert cyclic_reads == [0] * len(cavities) and not forms
+
+
+@pytest.mark.parametrize("shift_b, ok", [(-1, True), (1, False)])
+def test_vertices_that_break_their_own_law_reach_the_loop_law(
+        monkeypatch, cyclic_reads, shift_b, ok):
+    """H_{0,2} gains zeta_3 at vertex h0_t and zeta_3^shift_b at h0_b:
+    both break their own law, the first one asked is refused, and so every
+    T_u is read in the solved coordinates and compared there. Defects that
+    cancel over the face pass, and defects that add up are refused."""
+    patch = _defects_at_two_vertices(shift_b)(monkeypatch)
+    if ok:
+        patch.assert_face_group_rep()
+    else:
+        with pytest.raises(StructureError, match="does not carry"):
+            patch.assert_face_group_rep()
+    assert cyclic_reads[-1] == patch.p - 1
+    assert False in _verdicts(patch.compound, patch.cavities[0]).values()

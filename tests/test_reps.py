@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from annulus import reps
 from annulus.defects import enumerate_defects, parse_defect
 from annulus.engine import _Form, _affine_action
 from annulus.reps import (
-    TRI12, TRI21, BivalentRep, TrivalentRep, composition_phase_bivalent,
-    composition_phase_trivalent, theta_exponent,
+    TRI12, TRI21, VARIABLE, BivalentRep, TrivalentRep,
+    composition_phase_bivalent, composition_phase_trivalent, theta_exponent,
+    trivalent_rep,
 )
 from annulus.scalars import CycField, mod_inverse
 from annulus.walls import STAR, all_walls, wall, wall_product
@@ -222,6 +224,24 @@ def test_trivalent_direction_is_checked():
     would drop and let the rep take the 1:2 table."""
     with pytest.raises(ValueError, match="unknown trivalent direction"):
         TrivalentRep("bogus", wall(3, "X", 1), wall(3, "X", 1))
+
+
+def test_one_trivalent_rep_per_arguments_and_no_refusal_kept():
+    """`trivalent_rep` returns one rep per (direction, walls, corner) in the
+    process; arguments the table refuses raise on every call and leave
+    nothing kept."""
+    p = 3
+    r, l = wall(p, "R"), wall(p, "L")
+    rep = trivalent_rep("tri21", r, l, 1)
+    assert trivalent_rep("tri21", r, l, 1) is rep
+    assert trivalent_rep("tri21", r, l, 2) is not rep
+    assert trivalent_rep("tri21", r, l, VARIABLE).corner is VARIABLE
+    kept = dict(reps._TRIVALENT)
+    for args in (("tri21", r, l), ("tri21", r, r, 1), ("bogus", r, l, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                trivalent_rep(*args)
+    assert reps._TRIVALENT == kept
 
 
 def _needs_corner(direction, w1, w2):

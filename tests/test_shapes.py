@@ -4,12 +4,14 @@ validation and face tracing produce, and every per-build check still runs."""
 import pytest
 
 from annulus import engine, structures
+from annulus.defects import parse_defect
 from annulus.engine import QuotientRep, decompose
 from annulus.fusion import associator
 from annulus.levinwen import hexagon_chain_patch
 from annulus.structures import (
-    CompoundDefect, DomainWallStructure, Edge, StructureError,
-    associator_compound, compound_from_json, compound_to_json,
+    TEMPLATE_SLOTS, CompoundDefect, DomainWallStructure, Edge,
+    StructureError, associator_compound, compound_from_json,
+    compound_to_json, horizontal_compound, vertical_compound,
 )
 from annulus.walls import BimoduleLabel
 
@@ -123,3 +125,44 @@ def test_declared_cavities_in_reverse_keep_their_own_bubble_order():
     assert want
     assert decompose(QuotientRep(reverse)) == want
     assert decompose(QuotientRep(compound_from_json(doc))) == want
+
+
+def _first_meetings(structure) -> list:
+    """Every edge with an attached end, with those ends, ordered by the
+    first (vertex, slot) of the vertex order and template slot order that
+    attaches it."""
+    position = {(vid, slot): (i, j)
+                for i, (vid, template) in enumerate(structure.vertices.items())
+                for j, slot in enumerate(TEMPLATE_SLOTS[template])}
+    edges = [(e.eid, tuple(end for end in e.ends if end is not None))
+             for e in structure.edges]
+    return sorted(edges, key=lambda edge: min(map(position.get, edge[1])))
+
+
+def test_the_edge_plan_lists_each_edge_once_in_first_meeting_order():
+    p = 3
+    d1, d2 = parse_defect("FqR(x=1;q=1)", p), parse_defect("LL(a=1,x=2)", p)
+    tt = parse_defect("TT(a=0,b=0)", p)
+    for cd in (vertical_compound(tt, tt),
+               horizontal_compound(d1, d2),
+               associator_compound(*_walls(p, "R", "Fq:2", "R")),
+               hexagon_chain_patch(p, 2).compound):
+        structure = cd.structure
+        plan = engine._edge_plan(structure)
+        assert plan == _first_meetings(structure)
+        assert len(plan) == len(structure.edges)
+        assert structure.shape.edge_plan is plan
+
+
+def test_one_edge_plan_serves_every_structure_of_a_topology():
+    """Two associator cells with other walls, one at another p, solve
+    their labels along the one plan their shape keeps."""
+    a = associator_compound(*_walls(3, "R", "Fq:2", "R"))
+    b = associator_compound(*_walls(3, "T", "T", "T"))
+    c = associator_compound(*_walls(5, "L", "F0", "Xk:2"))
+    assert a.structure.shape.edge_plan is None
+    plan = engine._edge_plan(a.structure)
+    assert engine._edge_plan(b.structure) is plan
+    assert engine._edge_plan(c.structure) is plan
+    assert QuotientRep(b).raw_basis.size == (
+        engine.enumerate_basis(b).size)

@@ -263,12 +263,21 @@ def test_two_driver_calls_build_each_defects_data_once(monkeypatch):
 
 
 def test_without_a_sweep_every_compound_is_fresh():
+    """Each build is a compound on a structure of its own, while a vertex's
+    rep is the one of its walls and corner value in the process: two builds
+    at the same walls and corners share each rep, and a build at other
+    corner values has other reps at the vertices that carry them."""
     p = 3
     m, n, pw = (BimoduleLabel.parse(t, p) for t in ("R", "Fq:2", "R"))
     a = associator_compound(m, n, pw, {"mu0": 1, "nu1": 2})
     b = associator_compound(m, n, pw, {"mu0": 1, "nu1": 2})
+    c = associator_compound(m, n, pw, {"mu0": 2, "nu1": 0})
     assert a.structure is not b.structure
-    assert all(a.reps[vid] is not b.reps[vid] for vid in a.reps)
+    assert all(a.reps[vid] is b.reps[vid] for vid in a.reps)
+    carried = {ASSOCIATOR_CORNERS[name] for name in a.corner_names}
+    assert carried == {"v1", "v4"}
+    assert all((a.reps[vid] is c.reps[vid]) == (vid not in carried)
+               for vid in a.reps)
 
 
 def test_root_of_unity_check_is_made_per_corner_value(monkeypatch):
