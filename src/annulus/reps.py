@@ -928,8 +928,8 @@ _TRIVALENT: dict = {}  # (direction, first, second, corner) -> TrivalentRep
 def trivalent_rep(direction: str, first: BimoduleLabel, second: BimoduleLabel,
                   corner=None) -> TrivalentRep:
     """The one `TrivalentRep` of these arguments in the process, which
-    every compound built on them shares. A ValueError is raised on every
-    call, and nothing is kept."""
+    every compound built on them shares. Arguments that `TrivalentRep`
+    refuses raise its ValueError on every call, and nothing is kept."""
     key = direction, first, second, corner
     rep = _TRIVALENT.get(key)
     if rep is None:
